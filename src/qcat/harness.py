@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -24,10 +25,16 @@ from . import __version__
 from .birkhoff import fit_theorem_constant, theorem_error_table
 from .classical import Sl2IntMatrix, TorusPoint, cat_apply, ehrenfest_time, spectral_data
 from .errors import ConfigError
-from .lagrangian import aligned_propagated_state, band_difference, make_damped_lagrangian, off_band_tail
+from .lagrangian import (
+    aligned_propagated_state,
+    band_difference,
+    damping_coefficient,
+    make_damped_lagrangian,
+    off_band_tail,
+)
 from .metaplectic import propagate_n, wavepacket
 from .tables import ResultTable, format_cell
-from .torus import build_propagator_matrix, comb_state, husimi, state_pairing, torus_coefficients
+from .torus import build_propagator_matrix, comb_state, husimi, torus_coefficients
 
 __all__ = [
     "ExperimentConfig",
@@ -228,7 +235,7 @@ def run_egorov(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
         h = 1.0 / n_dim
         pt = points[idx]
         g = propagate_n(m, wavepacket(pt.q, pt.p, h), n_time)
-        grid = husimi(state_pairing(g), n_dim, res)
+        grid = husimi(g, res)
         target = cat_apply(m.power(n_time), pt)
         qs = np.arange(res) / res
         qq, pp = np.meshgrid(qs, qs, indexing="ij")
@@ -284,6 +291,7 @@ def run_bands(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     """Off-band tails and along-band differences with their bounds."""
     m = cfg.cat_matrix()
     sd = spectral_data(m)
+    beta = damping_coefficient(m)
     points = cfg.resolved_points(5)
     cells = []
     for n_dim in cfg.N_values:
@@ -294,7 +302,7 @@ def run_bands(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
         n_dim, n_time, idx = key
         h = 1.0 / n_dim
         pt = points[idx]
-        state_l = make_damped_lagrangian(sd, n_time, h)
+        state_l = make_damped_lagrangian(sd, n_time, h, beta=beta)
         tail_l = off_band_tail(state_l, pt.q, pt.p, n_dim)
         g, _ = aligned_propagated_state(m, n_time, h)
         tail_g = off_band_tail(g, pt.q, pt.p, n_dim, theta=sd.theta)
@@ -356,6 +364,8 @@ EXPERIMENTS = {
 
 
 def _manifest(cfg: ExperimentConfig, experiment: str, extras: dict) -> dict:
+    import platform  # here, not at module level, to keep `import qcat.harness` lean
+
     resolved = asdict(cfg)
     resolved.pop("threads")  # execution detail, not part of the result identity
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
@@ -364,6 +374,15 @@ def _manifest(cfg: ExperimentConfig, experiment: str, extras: dict) -> dict:
         "config": resolved,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
         "library_version": __version__,
+        # cis_turns reduces phases in long double, which is float64 on some
+        # platforms; its epsilon says which precision this run had.
+        "environment": {
+            "numpy": np.__version__,
+            "python": sys.version,
+            "platform": sys.platform,
+            "machine": platform.machine(),
+            "longdouble_eps": float(np.finfo(np.longdouble).eps),
+        },
     }
     if extras:
         manifest["fitted_constants"] = extras

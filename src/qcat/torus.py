@@ -20,7 +20,9 @@ S(g) is determined by the N samples of the 1-periodization of g on the grid
 r/N, the pairing is the discrete inner product (1/N) sum_r v_r conj(w_r),
 and the Fourier coefficients are the inverse DFT of those samples.  The two
 routes are cross-validated in the test suite; the grid route powers the
-propagator matrix and Husimi evaluations.
+propagator matrix.  Husimi frames take it one step further: unfolding the
+periodization turns each grid row of pairings into one length-R FFT (see
+:func:`husimi`), and the lattice route stays as their test oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ __all__ = [
     "comb_state",
     "build_propagator_matrix",
     "matrix_element_exact",
-    "state_pairing",
     "husimi",
     "wavepacket_lattice",
 ]
@@ -322,47 +323,46 @@ def matrix_element_exact(
     return pair_symmetrized(g, wavepacket(dst.q, dst.p, h), max_terms=max_terms)
 
 
-def state_pairing(g: GaussianState, chunk: int = 1024):
-    """Vectorized (q, p) |-> <S(g), S(Phi_{q,p})> built on the N-grid route.
+def husimi(g: GaussianState, resolution: int) -> HusimiGrid:
+    """The density N |<S(g), S(Phi_{q,p})>|^2 on the uniform R x R grid.
 
-    Returns a callable accepting equal-shape arrays of torus coordinates.
-    Equality with :func:`pair_symmetrized` is exact (Poisson summation) and
-    is verified in the test suite.
+    Substituting l = r + N m in the Poisson (N-grid) form of the pairing
+    gives a Gaussian-windowed sequence in l,
+
+        <S(g), S(Phi_{q,p})> = (c_h/N) sum_l v_{l mod N}
+                               exp(-pi (l - Nq)^2 / N) e(-p (l - Nq)),
+
+    with v = periodized_samples(g, N), c_h = (2N)^(1/4) and e(t) =
+    exp(2 i pi t).  At q = i/R, p = j/R the phase splits into e(-jl/R),
+    exact in integer arithmetic, times the row phase e(Nij/R^2), which has
+    modulus 1 and drops out of the density.  Each row is therefore one
+    length-R FFT of the window folded by l mod R, and no grid phase needs a
+    floating-point reduction mod 1.
+
+    The window keeps every l with exp(-pi (l - Nq)^2 / N) >= e^-40, i.e.
+    |l - Nq| <= ceil(sqrt(40 N / pi)) plus a guard of 2; it starts at a
+    multiple of R so the fold is a reshape and a sum.
+
+    Raises:
+        ValueError: if ``resolution`` is below 8.
+        OddNError: if 1/h is not an even integer.
     """
-    N = even_n_from_h(g.h)
-    h = g.h
-    vg = periodized_samples(g, N)
-    r = np.arange(N) / N
-    m_half = math.ceil(math.sqrt(h * 40.0 / math.pi)) + 2
-    c_h = (2.0 / h) ** 0.25
-
-    def pairing(q, p):
-        qf = np.asarray(q, dtype=float).ravel()
-        pf = np.asarray(p, dtype=float).ravel()
-        out = np.empty(qf.shape, dtype=complex)
-        for lo in range(0, qf.size, chunk):
-            hi = min(lo + chunk, qf.size)
-            qc = qf[lo:hi, None]
-            pc = pf[lo:hi, None]
-            w = np.zeros((hi - lo, N), dtype=complex)
-            for mm in range(-m_half, m_half + 1):
-                dx = (r[None, :] + mm) - qc
-                w += np.exp(-math.pi * dx * dx / h) * cis_turns(pc * dx / h)
-            out[lo:hi] = (1.0 / N) * (vg[None, :] * np.conj(c_h * w)).sum(axis=1)
-        return out.reshape(np.shape(q))
-
-    return pairing
-
-
-def husimi(pairing, N: int, resolution: int) -> HusimiGrid:
-    """Sample the density (1/h)|pairing(q, p)|^2 on the uniform R x R grid."""
     if resolution < 8:
         raise ValueError(f"resolution must be at least 8, got {resolution}")
-    qs = np.arange(resolution) / resolution
-    qq, pp = np.meshgrid(qs, qs, indexing="ij")
-    vals = np.asarray(pairing(qq, pp), dtype=complex)
-    dens = N * np.abs(vals) ** 2
-    return HusimiGrid(resolution=resolution, values=dens, h=1.0 / N)
+    N = even_n_from_h(g.h)
+    R = resolution
+    v = periodized_samples(g, N)
+    half = math.ceil(math.sqrt(40.0 * N / math.pi)) + 2
+    centers = N * np.arange(R) / R
+    starts = R * np.floor((centers - half) / R).astype(np.int64)
+    blocks = (2 * half + 1) // R + 2
+    l = starts[:, None] + np.arange(blocks * R)
+    dl = l - centers[:, None]
+    window = v[l % N] * np.exp(-math.pi * dl * dl / N)
+    folded = window.reshape(R, blocks, R).sum(axis=1)
+    c_h = (2.0 * N) ** 0.25
+    dens = N * (c_h / N) ** 2 * np.abs(np.fft.fft(folded, axis=1)) ** 2
+    return HusimiGrid(resolution=R, values=dens, h=1.0 / N)
 
 
 def wavepacket_lattice(N: int) -> list[TorusPoint]:

@@ -42,7 +42,6 @@ from qcat.torus import (
     husimi,
     matrix_element_exact,
     pair_symmetrized,
-    state_pairing,
 )
 
 CAT = Sl2IntMatrix(2, 1, 1, 1)
@@ -169,7 +168,7 @@ def test_a5_egorov():
         for n in range(0, int(0.75 * te) + 1):
             for pt in points:
                 g = propagate_n(CAT, wavepacket(pt.q, pt.p, h), n)
-                grid = husimi(state_pairing(g), n_dim, res)
+                grid = husimi(g, res)
                 target = cat_apply(CAT.power(n), pt)
                 dq = np.abs(qq - target.q)
                 dp = np.abs(pp - target.p)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import run_cli
 from qcat.errors import ConfigError
-from qcat.harness import load_config, run_experiment, run_unitarity
+from qcat.harness import load_config, run_bands, run_experiment, run_unitarity
 from qcat.tables import ResultTable, format_cell
 
 
@@ -84,6 +84,10 @@ def test_run_experiment_writes_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == "egorov"
     assert "config_sha256" in manifest and "library_version" in manifest
+    env = manifest["environment"]
+    assert set(env) == {"numpy", "python", "platform", "machine", "longdouble_eps"}
+    assert env["numpy"] == np.__version__
+    assert 0.0 < env["longdouble_eps"] <= np.finfo(np.float64).eps
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -103,6 +107,18 @@ def test_threads_do_not_change_results(tmp_path):
     run_experiment("bands", cfg1, out1)
     run_experiment("bands", cfg8, out8)
     assert (out1 / "bands.csv").read_bytes() == (out8 / "bands.csv").read_bytes()
+
+
+def test_run_bands_nonsymmetric_damping(tmp_path):
+    # For a nonsymmetric matrix the Lagrangian approximant needs the exact
+    # complex damping coefficient; the symmetric default 1/cos^2(theta) puts
+    # its off-band tail up to 7% off the propagated packet's at N = 64, n = 4.
+    cfg = load_config(write_config(tmp_path, matrix=[3, 1, 2, 1], N_values=[64], n_values=[4]))
+    table, _ = run_bands(cfg)
+    assert table.rows
+    for row in table.rows:
+        tail_l, tail_g = row[5], row[6]
+        assert tail_l == pytest.approx(tail_g, rel=1e-3, abs=0.0)
 
 
 def test_run_eigenphases(tmp_path):

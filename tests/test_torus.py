@@ -31,7 +31,6 @@ from qcat.torus import (
     pair_from_coefficients,
     pair_symmetrized,
     pair_symmetrized_detailed,
-    state_pairing,
     torus_coefficients,
     wavepacket_lattice,
 )
@@ -104,11 +103,26 @@ def test_parseval_route_matches_lattice_route():
         assert abs(lat - par) < 1e-9
 
 
-def test_grid_pairing_route(cat):
-    g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / 16.0), 2)
-    pairing = state_pairing(g)
-    for q, p in [(0.0, 0.0), (0.37, 0.81), (0.5, 0.25)]:
-        assert abs(pairing(q, p) - pair_symmetrized(g, wavepacket(q, p, 1.0 / 16.0))) < 1e-12
+def test_husimi_fft_route_matches_lattice_route(cat):
+    # The FFT frame against N |<S(g), S(Phi_{i/R, j/R})>|^2 from the lattice
+    # route, at a few cells per frame.  R = 24 does not divide N = 64 and
+    # R = 64 exceeds N = 16, so the fold by l mod R wraps both ways.
+    sd = spectral_data(cat)
+    for n_dim, res in ((16, 64), (64, 24), (144, 64)):
+        h = 1.0 / n_dim
+        late = math.ceil(1.5 * ehrenfest_time(h, sd.lam))
+        for n in (0, 2, late):
+            # Both routes lose digits as the packet spreads.  At n = late a
+            # 40-digit evaluation puts the lattice route 8e-13 (N = 64) and the
+            # periodized samples behind the FFT route 1.3e-12 (N = 144) off,
+            # in units of the frame maximum.
+            tol = 1e-12 if n < late else 1e-11
+            g = propagate_n(cat, wavepacket(0.3, 0.4, h), n)
+            frame = husimi(g, res).values
+            peak = np.unravel_index(np.argmax(frame), frame.shape)
+            for i, j in (peak, (0, 0), (res // 3, 2 * res // 5), (res - 1, 1)):
+                lattice = pair_symmetrized(g, wavepacket(i / res, j / res, h))
+                assert abs(frame[i, j] - n_dim * abs(lattice) ** 2) <= tol * frame.max()
 
 
 def test_propagator_matrix_unitary(cat):
@@ -180,7 +194,7 @@ def test_matrix_element_diagonal_and_shift_invariance(cat):
 
 def test_husimi_localization_and_mass(cat):
     n_dim = 64
-    grid = husimi(state_pairing(wavepacket(0.5, 0.5, 1.0 / n_dim)), n_dim, 64)
+    grid = husimi(wavepacket(0.5, 0.5, 1.0 / n_dim), 64)
     assert np.all(grid.values >= 0.0)
     i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
     assert abs(i / 64 - 0.5) <= 1.0 / 64 and abs(j / 64 - 0.5) <= 1.0 / 64
@@ -188,11 +202,11 @@ def test_husimi_localization_and_mass(cat):
     n_dim = 32
     g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / n_dim), 2)
     norm_sq = pair_symmetrized(g, g).real
-    masses = [husimi(state_pairing(g), n_dim, r).riemann_mass for r in (64, 128)]
+    masses = [husimi(g, r).riemann_mass for r in (64, 128)]
     assert abs(masses[1] - norm_sq) / norm_sq < 1e-3
     assert abs(masses[1] - masses[0]) / norm_sq < 1e-3
     with pytest.raises(ValueError):
-        husimi(state_pairing(g), n_dim, 4)
+        husimi(g, 4)
 
 
 def test_wavepacket_lattice():
