@@ -35,7 +35,7 @@ import numpy as np
 
 from .classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
 from .errors import ThresholdViolationError
-from .lagrangian import circle_distance, damping_coefficient
+from .lagrangian import _validity_threshold, circle_distance, damping_coefficient
 from .metaplectic import cis_turns, metaplectic_shape_orbit
 from .tables import ResultTable
 from .torus import matrix_element_exact
@@ -152,19 +152,39 @@ def gaussian_damping(obs: InterferenceObservable):
     return chi
 
 
+_WINDOW_CAP = 50_000_000
+_BLOCK_MAX = 1 << 20
+
+
 def _support_half_width(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8) -> int:
-    """Smallest K with |chi(k/m)| < cutoff for the ``consecutive`` k beyond K."""
-    k = 0
-    below = 0
-    while below < consecutive:
-        k += 1
-        if abs(complex(np.asarray(chi(k / m_time), dtype=complex))) < cutoff:
-            below += 1
-        else:
-            below = 0
-        if k > 50_000_000:
-            raise ValueError("damping window does not decay")
-    return k - consecutive
+    """Half-width K of the damping window: the smallest K >= 0 such that
+    |chi(k/m_time)| < ``cutoff`` for each of the ``consecutive`` values
+    k = K+1, ..., K+consecutive (by default 1e-14 and 8).
+
+    chi is evaluated on blocks of k that start at 1024 entries and double up
+    to 2^20, so memory stays bounded.  The last ``consecutive`` - 1 flags of
+    each block are carried into the next, which makes a run that straddles
+    two blocks count exactly as if k were scanned one at a time.
+
+    Raises:
+        ValueError: if no such run ends at k <= 50_000_000.
+    """
+    carry = np.zeros(consecutive - 1, dtype=bool)
+    start, size = 1, 1024
+    while start <= _WINDOW_CAP:
+        k = np.arange(start, min(start + size, _WINDOW_CAP + 1))
+        vals = np.broadcast_to(np.asarray(chi(k / m_time), dtype=complex), k.shape)
+        below = np.concatenate((carry, np.abs(vals) < cutoff))
+        runs = np.lib.stride_tricks.sliding_window_view(below, consecutive).all(axis=1)
+        hits = np.flatnonzero(runs)
+        if hits.size:
+            # below[j] flags k = start - (consecutive - 1) + j, and the run
+            # from j covers k = K + 1, ..., K + consecutive.
+            return start - consecutive + int(hits[0])
+        carry = below[below.size - (consecutive - 1):]
+        start += k.size
+        size = min(2 * size, _BLOCK_MAX)
+    raise ValueError("damping window does not decay")
 
 
 def damped_birkhoff_sum(t_map: SkewMap, f, chi, pt: tuple[float, float], m_time: float) -> complex:
@@ -190,10 +210,6 @@ def damped_birkhoff_sum(t_map: SkewMap, f, chi, pt: tuple[float, float], m_time:
     return complex(np.sum(vals))
 
 
-def _threshold(h: float, lam: float) -> float:
-    return abs(math.log(h)) / (3.0 * math.log(lam))
-
-
 def theorem_rhs(
     m: Sl2IntMatrix,
     n: int,
@@ -213,9 +229,9 @@ def theorem_rhs(
             caller opts in (exploratory plots).
     """
     sd = spectral_data(m)
-    if n + 1e-12 < _threshold(h, sd.lam) and not allow_below_threshold:
+    if n + 1e-12 < _validity_threshold(h, sd.lam) and not allow_below_threshold:
         raise ThresholdViolationError(
-            f"n={n} below validity threshold {_threshold(h, sd.lam):.3f}"
+            f"n={n} below validity threshold {_validity_threshold(h, sd.lam):.3f}"
         )
     n_even = round(1.0 / h)
     t = math.tan(sd.theta)
@@ -324,7 +340,7 @@ def theorem_error_table(
         te = ehrenfest_time(h, sd.lam)
         for n_time in sorted(n_times[n_dim]):
             for src, dst in pairs:
-                below = n_time + 1e-12 < _threshold(h, sd.lam)
+                below = n_time + 1e-12 < _validity_threshold(h, sd.lam)
                 lhs = matrix_element_exact(m, n_time, src, dst, n_dim)
                 rhs = theorem_rhs(
                     m, n_time, h, src, dst, scale_constant, allow_below_threshold=True

@@ -226,9 +226,17 @@ def pair_symmetrized_detailed(
     peak = abs(pref) * math.exp(min(e_star, 700.0))
     target = tail_target * scale
 
-    radius = 1
+    # Smallest radius >= 1 with peak * tail(radius) <= target; the tail bound
+    # decreases in the radius, so double past it and then bisect.
+    lo, radius = 0, 1
     while peak * shell_tail_bound(radius, mu) > target:
-        radius += 1
+        lo, radius = radius, 2 * radius
+    while radius - lo > 1:
+        mid = (lo + radius) // 2
+        if peak * shell_tail_bound(mid, mu) > target:
+            lo = mid
+        else:
+            radius = mid
     if (2 * radius + 1) ** 2 > max_terms:
         raise TruncationOverflowError(
             f"certified radius {radius} needs more than {max_terms} lattice terms"

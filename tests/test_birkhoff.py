@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qcat.classical import TorusPoint, ehrenfest_time, spectral_data
+from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
 from qcat.errors import ThresholdViolationError
 from qcat.birkhoff import (
     InterferenceObservable,
     SkewMap,
+    _support_half_width,
     damped_birkhoff_sum,
     fit_theorem_constant,
     gaussian_damping,
@@ -23,6 +26,7 @@ from qcat.lagrangian import (
     BandIndexer,
     band_sum,
     circle_distance,
+    damping_coefficient,
     lagrangian_overlap_field,
     make_damped_lagrangian,
     overlap_lagrangian_wavepacket,
@@ -98,17 +102,18 @@ def test_phase_telescoping_identity(cat):
         assert abs(cis_turns(ym) - direct) < 1e-9
 
 
+def _indicator(u):
+    uu = np.asarray(u, dtype=float)
+    return ((uu >= 0.0) & (uu <= 1.0)).astype(float)
+
+
 def test_damped_birkhoff_sum_basics(cat):
     sd = spectral_data(cat)
     t_map = SkewMap(alpha=sd.tan_theta, N=4)
 
-    def indicator(u):
-        uu = np.asarray(u, dtype=float)
-        return ((uu >= 0.0) & (uu <= 1.0)).astype(float)
-
     ones = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     m_time = 23
-    val = damped_birkhoff_sum(t_map, ones, indicator, (0.3, 0.9), m_time)
+    val = damped_birkhoff_sum(t_map, ones, _indicator, (0.3, 0.9), m_time)
     assert val == pytest.approx(m_time + 1)
 
     chi = lambda u: np.exp(-3.0 * np.asarray(u, dtype=float) ** 2)
@@ -122,6 +127,87 @@ def test_damped_birkhoff_sum_basics(cat):
     a = damped_birkhoff_sum(t_map, obs, chi, (0.1, 0.0), 10.0)
     b = damped_birkhoff_sum(t_map, f2, chi, (0.1, 0.0), 10.0)
     assert b == pytest.approx(2.0 * a)
+
+
+def _scan_half_width(chi, m_time, cutoff=1e-14, consecutive=8):
+    """Oracle: the damping window found by evaluating chi at one k at a time."""
+    k = 0
+    below = 0
+    while below < consecutive:
+        k += 1
+        if abs(complex(np.asarray(chi(k / m_time), dtype=complex))) < cutoff:
+            below += 1
+        else:
+            below = 0
+        if k > 50_000_000:
+            raise ValueError("damping window does not decay")
+    return k - consecutive
+
+
+_CAT = Sl2IntMatrix(2, 1, 1, 1)
+_NONSYMMETRIC = Sl2IntMatrix(3, 2, 1, 1)
+_LAM = spectral_data(_CAT).lam
+_WINDOWS = {
+    "indicator": _indicator,
+    "gauss3": lambda u: np.exp(-3.0 * np.asarray(u, dtype=float) ** 2),
+    # Real beta = 1/cos^2(theta), and the complex beta of a nonsymmetric matrix.
+    "real_beta": gaussian_damping(
+        InterferenceObservable(q0=0.3, p0=0.7, theta=spectral_data(_CAT).theta, h=1.0 / 256)
+    ),
+    "complex_beta": gaussian_damping(
+        InterferenceObservable(
+            q0=0.3, p0=0.7, theta=spectral_data(_NONSYMMETRIC).theta, h=1.0 / 256,
+            beta_coeff=damping_coefficient(_NONSYMMETRIC),
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "m_time", [1, 23, _LAM ** 6, _LAM ** 12, _LAM ** 13],
+    ids=["1", "23", "lam^6", "lam^12", "lam^13"],
+)
+@pytest.mark.parametrize("window", sorted(_WINDOWS))
+def test_support_half_width_matches_scan(window, m_time):
+    chi = _WINDOWS[window]
+    assert _support_half_width(chi, m_time) == _scan_half_width(chi, m_time)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [range(1, last + 1) for last in (1016, 1017, 1020, 1023, 1024)]
+    + [[*range(1, 1021), 1026], [*range(1, 1021), 1029]],
+    ids=lambda support: f"up_to_{max(support)}",
+)
+def test_support_half_width_runs_across_blocks(support):
+    # The first block holds k = 1..1024: a run of |chi| < cutoff that starts
+    # near its end is completed, or broken, by the next block.
+    ks = np.array(list(support), dtype=float)
+    chi = lambda u: np.isin(np.asarray(u, dtype=float), ks).astype(float)
+    assert _support_half_width(chi, 1) == _scan_half_width(chi, 1)
+
+
+def test_support_half_width_zero_window():
+    narrow = lambda u: np.exp(-40.0 * np.asarray(u, dtype=float) ** 2)
+    zero = lambda u: 0.0  # a scalar for every input, as chi may return
+    for chi in (narrow, zero):
+        assert _support_half_width(chi, 1.0) == _scan_half_width(chi, 1.0) == 0
+
+
+def test_support_half_width_cap():
+    # chi = 1 never decays: the scan gives up at k = 5e7 while holding only a
+    # few arrays of one capped block (2^20 complex values are 16 MiB).
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="damping window does not decay"):
+            _support_half_width(lambda u: np.ones_like(u), 10.0)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 30.0
+    assert peak < 4 * 16 * 2 ** 20
 
 
 def test_observable_invariants(cat, rng):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,13 +25,16 @@ from qcat.metaplectic import (
 )
 from qcat.quadrature import overlap_quadrature
 from qcat.torus import (
+    _exponent_coefficients,
     build_propagator_matrix,
     comb_state,
     husimi,
     matrix_element_exact,
+    overlap_decay_form,
     pair_from_coefficients,
     pair_symmetrized,
     pair_symmetrized_detailed,
+    shell_tail_bound,
     torus_coefficients,
     wavepacket_lattice,
 )
@@ -77,6 +81,40 @@ def test_pair_validation_errors():
         pair_symmetrized(
             wavepacket(0, 0, 1.0 / 64.0), wavepacket(0, 0, 1.0 / 64.0), max_terms=4
         )
+
+
+def _scan_certified_radius(g, test, tail_target=1e-13):
+    """Oracle: the certified radius found by stepping r = 1, 2, ... until
+    peak * shell_tail_bound(r, mu) <= tail_target * |g| |test|."""
+    coeffs, pref = _exponent_coefficients(g, test)
+    _, _, mu, e_star = overlap_decay_form(coeffs)
+    peak = abs(pref) * math.exp(min(e_star, 700.0))
+    target = tail_target * max(g.norm * test.norm, 1e-300)
+    radius = 1
+    while peak * shell_tail_bound(radius, mu) > target:
+        radius += 1
+    return radius
+
+
+def test_certified_radius_matches_scan(cat):
+    src, dst = TorusPoint(0.3, 0.7), TorusPoint(0.2, 0.9)
+    for n_dim, n in ((2, 0), (16, 0), (64, 0), (16, 3), (64, 5), (256, 6), (1024, 8)):
+        h = 1.0 / n_dim
+        g = propagate_n(cat, wavepacket(src.q, src.p, h), n)
+        test = wavepacket(dst.q, dst.p, h)
+        _, trunc = pair_symmetrized_detailed(g, test)
+        assert trunc.radius == _scan_certified_radius(g, test), (n_dim, n)
+
+    # Past the term cap the same radius is reported, without stepping up to it.
+    h = 1.0 / 1024
+    g = propagate_n(cat, wavepacket(src.q, src.p, h), 16)
+    radius = _scan_certified_radius(g, wavepacket(dst.q, dst.p, h))
+    assert (2 * radius + 1) ** 2 > 5_000_000
+    start = time.perf_counter()
+    with pytest.raises(TruncationOverflowError) as err:
+        matrix_element_exact(cat, 16, src, dst, 1024)
+    assert time.perf_counter() - start < 0.25
+    assert str(err.value) == f"certified radius {radius} needs more than 5000000 lattice terms"
 
 
 def test_torus_coefficients_properties():
