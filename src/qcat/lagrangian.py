@@ -38,7 +38,7 @@ import numpy as np
 from .classical import Sl2IntMatrix, SpectralData, spectral_data
 from .errors import MismatchedHError, ThresholdViolationError, TruncationOverflowError
 from .metaplectic import GaussianState, cis_turns, propagate_n, wavepacket
-from .torus import overlap_decay_form, shell_tail_bound
+from .torus import certified_radius, overlap_decay_form, overlap_terms
 
 __all__ = [
     "DampedLagrangianState",
@@ -211,9 +211,15 @@ def wavepacket_overlap_field(g: GaussianState):
 
 
 def _field_values(field, q, p):
-    (e_qq, e_pp, e_qp, e_q, e_p, e_c), pref = field
-    e = e_qq * q * q + e_pp * p * p + e_qp * q * p + e_q * q + e_p * p + e_c
-    return pref * np.exp(e.real) * cis_turns(e.imag / (2.0 * math.pi))
+    """pref * exp(E(q, p)) at broadcast packet centers (scalars included).
+
+    Only values that do not underflow get a phase (see
+    :func:`qcat.torus.overlap_terms`): an off-band box past the Ehrenfest
+    time is almost all exact zeros, and every nonzero value is computed by
+    the same operations as a dense evaluation, so the bits do not change.
+    """
+    coeffs, pref = field
+    return overlap_terms(coeffs, pref, q, p)
 
 
 def overlap_lagrangian_wavepacket(
@@ -322,16 +328,13 @@ def off_band_tail(state, q0: float, p0: float, N: int, theta: float | None = Non
     center, _, mu, e_star = overlap_decay_form(field[0])
     pref = abs(field[1])
     peak = pref * math.exp(min(e_star, 700.0))
-    radius = 1
-    while peak * shell_tail_bound(radius, mu) > 1e-16 * max(peak, 1e-300):
-        radius += 1
-        if (2 * radius + 1) ** 2 > max_terms:
-            raise TruncationOverflowError("certified off-band box exceeds the term cap")
+    radius = certified_radius(peak, mu, 1e-16 * max(peak, 1e-300))
+    if (2 * radius + 1) ** 2 > max_terms:
+        raise TruncationOverflowError("certified off-band box exceeds the term cap")
     k1 = np.arange(round(center[0] - q0) - radius, round(center[0] - q0) + radius + 1)
     k2 = np.arange(round(center[1] - p0) - radius, round(center[1] - p0) + radius + 1)
-    kk1, kk2 = np.meshgrid(k1, k2, indexing="ij")
-    vals = _field_values(field, q0 + kk1, p0 + kk2)
-    in_band = kk2 == indexer.p_of(kk1)
+    vals = _field_values(field, (q0 + k1)[:, None], (p0 + k2)[None, :])
+    in_band = k2[None, :] == indexer.p_of(k1)[:, None]
     return float(abs(np.sum(vals[~in_band])))
 
 

@@ -20,7 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classical import FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients, hamiltonian_from_matrix
-from .errors import MismatchedHError, NonPositiveHError, ZeroACoefficientError
+from .errors import (
+    MismatchedHError,
+    NonPositiveHError,
+    NumericalToleranceError,
+    ZeroACoefficientError,
+)
 
 __all__ = [
     "GaussianState",
@@ -188,6 +193,10 @@ def _branch_sqrt_inv(h: QuadraticHamiltonian, t: float, theta: complex) -> compl
     The path w(s) = a_s + b_s*theta never vanishes (Im theta > 0), so the
     argument can be unwound by sampling; the step count is doubled until the
     largest per-step rotation is below pi/2.
+
+    Raises:
+        NumericalToleranceError: if 4096 steps still leave a per-step
+            rotation of pi/2 or more, so the branch is not resolved.
     """
     steps = 16
     while True:
@@ -197,8 +206,13 @@ def _branch_sqrt_inv(h: QuadraticHamiltonian, t: float, theta: complex) -> compl
             fc = flow_coefficients(h, float(si))
             w[i] = fc.a + fc.b * theta
         dargs = np.angle(w[1:] / w[:-1])
-        if np.max(np.abs(dargs)) < 0.5 * math.pi or steps >= 4096:
+        if np.max(np.abs(dargs)) < 0.5 * math.pi:
             break
+        if steps >= 4096:
+            raise NumericalToleranceError(
+                f"metaplectic branch unresolved after {steps} steps: "
+                f"a step rotates by {np.max(np.abs(dargs)):.3f} rad"
+            )
         steps *= 2
     total_arg = float(np.sum(dargs))
     wt = w[-1]

@@ -11,6 +11,15 @@ certified: the overlap modulus is a Gaussian function of the translated
 center, its quadratic decay form is computed exactly, and the discarded
 shells are bounded by an explicit error-function tail.
 
+Inside the certified box only the terms that do not underflow get a phase
+(:func:`overlap_terms`): the modulus exp(Re E) is formed on the whole box in
+float64, and the long-double phase reductions run only where it is nonzero.
+That is exact, not a tolerance: a term whose modulus is 0.0 is 0 whatever
+its phase, and every other term goes through the same elementwise
+operations in the same order as a dense evaluation, so the box array and its
+sum are bit for bit the same.  Past the Ehrenfest time the propagated packet
+is a thin ridge and well under 1% of a box's terms are nonzero.
+
 Because N is even all half-integer cocycle phases exp(-i*pi*k1*k2*N) are
 exactly 1 and are dropped in integer arithmetic rather than evaluated in
 floating point.
@@ -201,6 +210,51 @@ def shell_tail_bound(k: float, mu: float) -> float:
     )
 
 
+def certified_radius(peak: float, mu: float, target: float) -> int:
+    """Smallest radius r >= 1 with peak * shell_tail_bound(r, mu) <= target.
+
+    The tail bound decreases in r, so double past it and then bisect.
+    """
+    lo, radius = 0, 1
+    while peak * shell_tail_bound(radius, mu) > target:
+        lo, radius = radius, 2 * radius
+    while radius - lo > 1:
+        mid = (lo + radius) // 2
+        if peak * shell_tail_bound(mid, mu) > target:
+            lo = mid
+        else:
+            radius = mid
+    return radius
+
+
+def _quadratic(coeffs, y, w):
+    """E_yy y^2 + E_ww w^2 + E_yw y w + E_y y + E_w w + E_c, in this order."""
+    e_yy, e_ww, e_yw, e_y, e_w, e_c = coeffs
+    return e_yy * y * y + e_ww * w * w + e_yw * y * w + e_y * y + e_w * w + e_c
+
+
+def overlap_terms(coeffs, pref: complex, y, w, turns=None) -> np.ndarray:
+    """pref * [cis_turns(turns)] * exp(E(y, w)) on broadcast arrays of centers.
+
+    E is the complex quadratic with coefficients ``coeffs`` (see
+    :func:`_exponent_coefficients`); ``turns`` is an optional extra phase in
+    full turns, broadcast like the centers.  The modulus exp(Re E) is formed
+    everywhere, the phases only where it is nonzero; the other entries stay
+    exactly 0.  Re E and Im E are evaluated from the real and imaginary
+    parts of the coefficients, which gives the same bits as the parts of the
+    complex E because the centers are real.  A 0-d result is a numpy scalar.
+    """
+    mod = np.exp(_quadratic([c.real for c in coeffs], y, w))
+    out = np.zeros(mod.shape, dtype=complex)
+    live = mod != 0
+    y_live, w_live = (np.broadcast_to(a, mod.shape)[live] for a in (y, w))
+    imag = _quadratic([c.imag for c in coeffs], y_live, w_live)
+    if turns is not None:
+        pref = pref * cis_turns(np.broadcast_to(turns, mod.shape)[live])
+    out[live] = pref * mod[live] * cis_turns(imag / (2.0 * math.pi))
+    return out[()] if out.ndim == 0 else out
+
+
 def pair_symmetrized_detailed(
     g: GaussianState,
     test: GaussianState,
@@ -226,17 +280,7 @@ def pair_symmetrized_detailed(
     peak = abs(pref) * math.exp(min(e_star, 700.0))
     target = tail_target * scale
 
-    # Smallest radius >= 1 with peak * tail(radius) <= target; the tail bound
-    # decreases in the radius, so double past it and then bisect.
-    lo, radius = 0, 1
-    while peak * shell_tail_bound(radius, mu) > target:
-        lo, radius = radius, 2 * radius
-    while radius - lo > 1:
-        mid = (lo + radius) // 2
-        if peak * shell_tail_bound(mid, mu) > target:
-            lo = mid
-        else:
-            radius = mid
+    radius = certified_radius(peak, mu, target)
     if (2 * radius + 1) ** 2 > max_terms:
         raise TruncationOverflowError(
             f"certified radius {radius} needs more than {max_terms} lattice terms"
@@ -245,15 +289,11 @@ def pair_symmetrized_detailed(
 
     k1 = np.arange(round(center[0] - g.q) - radius, round(center[0] - g.q) + radius + 1)
     k2 = np.arange(round(center[1] - g.p) - radius, round(center[1] - g.p) + radius + 1)
-    kk1, kk2 = np.meshgrid(k1, k2, indexing="ij")
-    y = g.q + kk1
-    w = g.p + kk2
-    e_yy, e_ww, e_yw, e_y, e_w, e_c = coeffs
-    expo = e_yy * y * y + e_ww * w * w + e_yw * y * w + e_y * y + e_w * w + e_c
     # Translation phase of T_(k1,k2) g: exp(i*pi*k1*k2*N) * exp(2*i*pi*k2*q*N);
     # the first factor is exactly 1 because N is even.
-    phase = cis_turns(kk2 * (n_even * g.q))
-    terms = pref * phase * np.exp(expo.real) * cis_turns(expo.imag / (2.0 * math.pi))
+    terms = overlap_terms(
+        coeffs, pref, (g.q + k1)[:, None], (g.p + k2)[None, :], turns=(k2 * (n_even * g.q))[None, :]
+    )
     value = complex(np.sum(terms))
     return value, LatticeTruncation(radius=radius, certified_tail=float(certified))
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from qcat.classical import ehrenfest_time, spectral_data
-from qcat.errors import MismatchedHError, ThresholdViolationError
+from qcat.errors import MismatchedHError, ThresholdViolationError, TruncationOverflowError
 from qcat.lagrangian import (
     BandIndexer,
+    _field_values,
     aligned_propagated_state,
     band_difference,
     band_indexer,
@@ -24,6 +25,7 @@ from qcat.lagrangian import (
 )
 from qcat.metaplectic import cis_turns, gaussian_eval, wavepacket
 from qcat.quadrature import tanh_sinh
+from qcat.torus import overlap_decay_form, shell_tail_bound
 
 
 def test_circle_distance():
@@ -157,6 +159,95 @@ def test_off_band_tail(cat):
     # off-band cell underflows to an exact floating-point zero.
     tight = make_damped_lagrangian(sd, 1, 1.0 / 2048.0)
     assert off_band_tail(tight, 0.3, 0.7, 2048) == 0.0
+
+
+def _dense_field_values(field, q, p):
+    """Oracle: pref * exp(E(q, p)) with the phase of every value reduced,
+    underflowed or not."""
+    (e_qq, e_pp, e_qp, e_q, e_p, e_c), pref = field
+    e = e_qq * q * q + e_pp * p * p + e_qp * q * p + e_q * q + e_p * p + e_c
+    return pref * np.exp(e.real) * cis_turns(e.imag / (2.0 * math.pi))
+
+
+def _scan_off_band_radius(field):
+    """Oracle: the off-band radius found by stepping r = 1, 2, ... until
+    peak * shell_tail_bound(r, mu) <= 1e-16 * peak."""
+    _, _, mu, e_star = overlap_decay_form(field[0])
+    peak = abs(field[1]) * math.exp(min(e_star, 700.0))
+    radius = 1
+    while peak * shell_tail_bound(radius, mu) > 1e-16 * max(peak, 1e-300):
+        radius += 1
+    return radius
+
+
+def _dense_off_band_tail(field, indexer, radius):
+    """Oracle: |off-band sum| on the box of ``radius`` from dense values."""
+    center = overlap_decay_form(field[0])[0]
+    k1 = np.arange(round(center[0] - indexer.q0) - radius, round(center[0] - indexer.q0) + radius + 1)
+    k2 = np.arange(round(center[1] - indexer.p0) - radius, round(center[1] - indexer.p0) + radius + 1)
+    kk1, kk2 = np.meshgrid(k1, k2, indexing="ij")
+    vals = _dense_field_values(field, indexer.q0 + kk1, indexer.p0 + kk2)
+    return float(abs(np.sum(vals[kk2 != indexer.p_of(kk1)]))), vals, (kk1, kk2)
+
+
+def _off_band_cases(cat):
+    """(state, theta, field, indexer, N) for a Lagrangian state and a
+    propagated packet at N = 64, n = 3 and at N = 1024, 4096, n = 6 and 8."""
+    sd = spectral_data(cat)
+    q0, p0 = 0.3, 0.7
+    for n_dim, n in ((64, 3), (1024, 6), (1024, 8), (4096, 8)):
+        h = 1.0 / n_dim
+        lag = make_damped_lagrangian(sd, n, h)
+        g, _ = aligned_propagated_state(cat, n, h)
+        yield (lag, None, lagrangian_overlap_field(lag),
+               BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=lag.s_prime), n_dim)
+        s_prime = g.p - sd.tan_theta * g.q
+        yield (g, sd.theta, wavepacket_overlap_field(g),
+               BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=s_prime), n_dim)
+
+
+def test_off_band_tail_matches_dense_oracle(cat):
+    # Bit-equal tails and box values; past t_E almost every value is an
+    # exact zero, which the live-term evaluation skips.
+    shares = []
+    for state, theta, field, indexer, n_dim in _off_band_cases(cat):
+        radius = _scan_off_band_radius(field)
+        want, dense, (kk1, kk2) = _dense_off_band_tail(field, indexer, radius)
+        assert off_band_tail(state, indexer.q0, indexer.p0, n_dim, theta=theta) == want
+        vals = _field_values(field, indexer.q0 + kk1, indexer.p0 + kk2)
+        assert np.array_equal(vals, dense)
+        shares.append(np.count_nonzero(vals) / vals.size)
+    assert min(shares) < 0.01 < max(shares)
+
+    # A box far from the ridge: every value underflows to an exact zero.
+    state = make_damped_lagrangian(spectral_data(cat), 8, 1.0 / 1024.0)
+    field = lagrangian_overlap_field(state)
+    q = 0.3 + np.arange(-50, 51)[:, None]
+    p = 200.7 + np.arange(-50, 51)[None, :]
+    far = _field_values(field, q, p)
+    assert not np.any(far) and np.array_equal(far, _dense_field_values(field, q, p))
+
+    # Scalar input gives a numpy scalar, bit-equal to the dense value at the
+    # same point in a one-element array (numpy's complex product, which can
+    # differ from Python's in the last bit), and zero where it underflows.
+    for q, p in ((0.3, 0.7), (0.3, 1.7), (0.3, 40.7)):
+        got = _field_values(field, q, p)
+        want = _dense_field_values(field, np.array([q]), np.array([p]))[0]
+        assert np.ndim(got) == 0 and got == want
+        assert overlap_lagrangian_wavepacket(state, q, p) == complex(want)
+        assert abs(got - _dense_field_values(field, q, p)) <= 4e-16 * abs(got)
+    assert _field_values(field, 0.3, 40.7) == 0.0
+
+
+def test_off_band_radius_matches_scan(cat):
+    # The certified radius r is read off the term cap: a cap of (2r+1)^2
+    # terms is enough, one term less is not.
+    for state, theta, field, indexer, n_dim in _off_band_cases(cat):
+        radius = _scan_off_band_radius(field)
+        box = (2 * radius + 1) ** 2
+        off_band_tail(state, indexer.q0, indexer.p0, n_dim, theta=theta, max_terms=box)
+        with pytest.raises(TruncationOverflowError, match="certified off-band box exceeds the term cap"):
+            off_band_tail(state, indexer.q0, indexer.p0, n_dim, theta=theta, max_terms=box - 1)
 
 
 def test_off_band_tail_superpolynomial_decay(cat):

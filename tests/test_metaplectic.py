@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_gaussian_state, random_hyperbolic
 from qcat.classical import FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix, hamiltonian_from_matrix, spectral_data
-from qcat.errors import MismatchedHError, NonPositiveHError, ZeroACoefficientError
+from qcat.errors import MismatchedHError, NonPositiveHError, NumericalToleranceError, ZeroACoefficientError
 from qcat.metaplectic import (
     GaussianState,
     PlaneTranslation,
@@ -279,3 +279,24 @@ def test_schrodinger_residual_vs_finite_differences(cat):
     )
     residual_fd = abs(1j * hb * du_dt - h_u)
     assert abs(residual_fd - schrodinger_residual(ham, t, x, xi, h)) < 1e-5
+
+
+def _winding_flow(ham, t):
+    """Stand-in flow with a = cos(phi), b = sin(phi), phi = 1e6 t^2: a + b*theta
+    winds ever faster along the path, so no step count up to 4096 keeps
+    every sampled rotation below pi/2."""
+    phi = 1e6 * t * t
+    return FlowCoefficients(t=t, a=math.cos(phi), b=math.sin(phi), c=-math.sin(phi), d=math.cos(phi))
+
+
+def test_branch_tracker_fails_loudly_at_step_cap(cat, monkeypatch, tmp_path):
+    import qcat.metaplectic
+    from qcat.cli import main
+
+    monkeypatch.setattr(qcat.metaplectic, "flow_coefficients", _winding_flow)
+    with pytest.raises(NumericalToleranceError, match="branch unresolved after 4096 steps"):
+        propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / 16.0), 1)
+    # The CLI reports it as a numerical failure (exit 3).
+    config = tmp_path / "config.json"
+    config.write_text('{"N_values": [16]}')
+    assert main(["theorem", "--config", str(config), "--out", str(tmp_path / "out")]) == 3

@@ -17,6 +17,7 @@ from qcat.lagrangian import BandIndexer, aligned_propagated_state, make_damped_l
 from qcat.metaplectic import (
     GaussianState,
     PlaneTranslation,
+    cis_turns,
     gaussian_eval,
     gaussian_overlap,
     propagate_n,
@@ -31,6 +32,7 @@ from qcat.torus import (
     husimi,
     matrix_element_exact,
     overlap_decay_form,
+    overlap_terms,
     pair_from_coefficients,
     pair_symmetrized,
     pair_symmetrized_detailed,
@@ -115,6 +117,66 @@ def test_certified_radius_matches_scan(cat):
         matrix_element_exact(cat, 16, src, dst, 1024)
     assert time.perf_counter() - start < 0.25
     assert str(err.value) == f"certified radius {radius} needs more than 5000000 lattice terms"
+
+
+def _dense_pairing_box(g, test, radius, offset=(0, 0)):
+    """Oracle: the lattice terms of the pairing on the box of ``radius``
+    around the decay center (moved by ``offset``), every term through the
+    complex exponent and both cis_turns calls, underflowed or not.
+
+    Returns the dense terms and the inputs of :func:`overlap_terms`.
+    """
+    n_dim = round(1.0 / g.h)
+    coeffs, pref = _exponent_coefficients(g, test)
+    center = overlap_decay_form(coeffs)[0]
+    c1 = round(center[0] - g.q) + offset[0]
+    c2 = round(center[1] - g.p) + offset[1]
+    k1 = np.arange(c1 - radius, c1 + radius + 1)
+    k2 = np.arange(c2 - radius, c2 + radius + 1)
+    kk1, kk2 = np.meshgrid(k1, k2, indexing="ij")
+    y = g.q + kk1
+    w = g.p + kk2
+    e_yy, e_ww, e_yw, e_y, e_w, e_c = coeffs
+    expo = e_yy * y * y + e_ww * w * w + e_yw * y * w + e_y * y + e_w * w + e_c
+    turns = kk2 * (n_dim * g.q)
+    dense = pref * cis_turns(turns) * np.exp(expo.real) * cis_turns(expo.imag / (2.0 * math.pi))
+    return dense, (coeffs, pref, y, w, turns)
+
+
+def test_live_terms_match_dense_oracle(cat):
+    # (N, n, box offset): every term live (N = 2, n = 0); a mixed box at
+    # N = 64; the N = 1024, n = 8 pairing, where under 1% of the terms do
+    # not underflow; and a box moved far off the ridge, where none is live.
+    src, dst = TorusPoint(0.3, 0.7), TorusPoint(0.2, 0.9)
+    live_share = {}
+    for n_dim, n, offset in ((2, 0, (0, 0)), (64, 5, (0, 0)), (1024, 8, (0, 0)),
+                             (64, 5, (400, -400))):
+        h = 1.0 / n_dim
+        g = propagate_n(cat, wavepacket(src.q, src.p, h), n)
+        test = wavepacket(dst.q, dst.p, h)
+        value, trunc = pair_symmetrized_detailed(g, test)
+        dense, (coeffs, pref, y, w, turns) = _dense_pairing_box(g, test, trunc.radius, offset)
+        terms = overlap_terms(coeffs, pref, y, w, turns=turns)
+        assert np.array_equal(terms, dense), (n_dim, n, offset)
+        # The broadcast form the pairing uses gives the same array.
+        rows = overlap_terms(coeffs, pref, y[:, :1], w[:1, :], turns=turns[:1, :])
+        assert np.array_equal(rows, dense), (n_dim, n, offset)
+        live_share[(n_dim, n, offset)] = np.count_nonzero(terms) / terms.size
+        if offset == (0, 0):
+            assert value == complex(np.sum(dense)), (n_dim, n)
+    assert live_share[(2, 0, (0, 0))] == 1.0
+    assert 0.0 < live_share[(1024, 8, (0, 0))] < 0.01
+    assert live_share[(64, 5, (400, -400))] == 0.0
+
+    # A 0-d center pair (N = 64, n = 5) gives a numpy scalar, bit-equal to
+    # the dense value.
+    coeffs, pref = _exponent_coefficients(g, test)
+    e_yy, e_ww, e_yw, e_y, e_w, e_c = coeffs
+    y, w = g.q + 0.25, g.p - 0.5
+    expo = e_yy * y * y + e_ww * w * w + e_yw * y * w + e_y * y + e_w * w + e_c
+    want = pref * cis_turns(0.3) * np.exp(expo.real) * cis_turns(expo.imag / (2.0 * math.pi))
+    got = overlap_terms(coeffs, pref, y, w, turns=0.3)
+    assert np.ndim(got) == 0 and got == want
 
 
 def test_torus_coefficients_properties():
