@@ -187,24 +187,33 @@ def h_fourier_gaussian(g: GaussianState) -> GaussianState:
     return GaussianState(amplitude=complex(amp), theta=-1.0 / th, q=g.p, p=-g.q, h=g.h)
 
 
-def _branch_sqrt_inv(h: QuadraticHamiltonian, t: float, theta: complex) -> complex:
+def _flow_grid(h: QuadraticHamiltonian, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a_s, b_s) of the flow at s = 0, t/steps, ..., t."""
+    fcs = [flow_coefficients(h, float(s)) for s in np.linspace(0.0, t, steps + 1)]
+    return np.array([fc.a for fc in fcs]), np.array([fc.b for fc in fcs])
+
+
+def _branch_sqrt_inv(h: QuadraticHamiltonian, t: float, theta: complex,
+                     grids: dict | None = None) -> complex:
     """(a_t + b_t*theta)^(-1/2) with the branch continued from 1 at t = 0.
 
     The path w(s) = a_s + b_s*theta never vanishes (Im theta > 0), so the
     argument can be unwound by sampling; the step count is doubled until the
-    largest per-step rotation is below pi/2.
+    largest per-step rotation is below pi/2.  The s-grid does not depend on
+    theta: ``grids`` keeps the flow grid of this (h, t) by step count, so a
+    caller that tracks many shapes through one flow passes one dict.
 
     Raises:
         NumericalToleranceError: if 4096 steps still leave a per-step
             rotation of pi/2 or more, so the branch is not resolved.
     """
+    grids = {} if grids is None else grids
     steps = 16
     while True:
-        s = np.linspace(0.0, t, steps + 1)
-        w = np.empty(steps + 1, dtype=complex)
-        for i, si in enumerate(s):
-            fc = flow_coefficients(h, float(si))
-            w[i] = fc.a + fc.b * theta
+        if steps not in grids:
+            grids[steps] = _flow_grid(h, t, steps)
+        a_s, b_s = grids[steps]
+        w = a_s + b_s * theta
         dargs = np.angle(w[1:] / w[:-1])
         if np.max(np.abs(dargs)) < 0.5 * math.pi:
             break
@@ -287,8 +296,9 @@ def propagate_n(m: Sl2IntMatrix, g: GaussianState, n: int) -> GaussianState:
     if m.a == 0:
         raise ZeroACoefficientError("matrix has a = 0")
     out = g
+    grids: dict = {}
     for _ in range(n):
-        sqi = _branch_sqrt_inv(ham, 1.0, complex(out.theta))
+        sqi = _branch_sqrt_inv(ham, 1.0, complex(out.theta), grids)
         out = _propagate_core(float(m.a), float(m.b), float(m.c), float(m.d), out, sqi)
     return out
 

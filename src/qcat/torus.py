@@ -28,10 +28,15 @@ For N-point work there is an equivalent exact route (Poisson summation):
 S(g) is determined by the N samples of the 1-periodization of g on the grid
 r/N, the pairing is the discrete inner product (1/N) sum_r v_r conj(w_r),
 and the Fourier coefficients are the inverse DFT of those samples.  The two
-routes are cross-validated in the test suite; the grid route powers the
-propagator matrix.  Husimi frames take it one step further: unfolding the
-periodization turns each grid row of pairings into one length-R FFT (see
-:func:`husimi`), and the lattice route stays as their test oracle.
+routes are cross-validated in the test suite.  Husimi frames take it one
+step further: unfolding the periodization turns each grid row of pairings
+into one length-R FFT (see :func:`husimi`), and the lattice route stays as
+their test oracle.
+
+The propagator matrix needs no states at all: on the samples the quantized
+map is a chain of chirps e(x j^2 / 2N) and unitary DFTs, one FFT per column
+(see :func:`build_propagator_matrix`), and one coherent state pins its unit
+constant.  The comb inversion it replaces stays as a test oracle.
 """
 
 from __future__ import annotations
@@ -321,33 +326,86 @@ def comb_state(N: int, k: int, width_factor: float = 20.0) -> GaussianState:
     )
 
 
-def build_propagator_matrix(m: Sl2IntMatrix, N: int, validate: bool = True) -> np.ndarray:
+def _shear_chain(m: Sl2IntMatrix) -> list[int]:
+    """Shears x_0..x_k with M = L_(x_k) J ... L_(x_1) J L_(x_0).
+
+    L_x = [[1, 0], [x, 1]] and J = [[0, 1], [-1, 0]].  Euclid on the top
+    row peels M = M' J L_x with M' = [[b, bx - a], [d, dx - c]], where x
+    makes bx - a = (-a) mod |b| smaller than |b|.  The top row then reaches
+    (+-1, 0), which ends the chain with M' = L_c or M' = -L_(-c) =
+    J L_0 J L_(-c).  For b = 1 the chain is M = L_d J L_a.
+    """
+    a, b, c, d = m.a, m.b, m.c, m.d
+    shears = []
+    while b != 0:
+        x = (a + (-a) % abs(b)) // b
+        shears.append(x)
+        a, b, c, d = b, b * x - a, d, d * x - c
+    return shears + ([c] if a == 1 else [-c, 0, 0])
+
+
+def _chirp(x: int, N: int) -> np.ndarray:
+    """e(x j^2 / 2N) for j = 0..N-1, with x j^2 reduced mod 2N in int64.
+
+    N is even, so the chirp is N-periodic in j.
+    """
+    two_n = 2 * N
+    j = np.arange(N, dtype=np.int64)
+    return cis_turns((x % two_n) * (j * j % two_n) % two_n / two_n)
+
+
+def _apply_chain(shears: list[int], samples: np.ndarray) -> np.ndarray:
+    """The factor chain of :func:`_shear_chain` on the columns of ``samples``.
+
+    ``samples`` is an N x K array of sample vectors v = fft(coeffs).  L_x
+    is the chirp e(x j^2 / 2N) and J the unitary DFT, so the result is the
+    torus propagator in the sample representation up to its unit constant.
+    """
+    N = samples.shape[0]
+    out = samples * _chirp(shears[0], N)[:, None]
+    for x in shears[1:]:
+        out = np.fft.fft(out, axis=0, norm="ortho") * _chirp(x, N)[:, None]
+    return out
+
+
+def build_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
     """The induced N x N unitary in the Fourier-coefficient representation.
 
-    Columns are solved from the comb family: if D holds the coefficients of
-    the basis states and D' those of their propagated images, the matrix is
-    U = D' D^(-1), i.e. the unique linear map with U d(g) = d(U g) on the
-    family's span (which is everything).
+    In the sample representation v = fft(coeffs) a matrix with b = 1 acts as
+
+        U_s = e^(-i pi/4) N^(-1/2) diag e(d j^2/2N) . fft . diag e(a k^2/2N),
+
+    with e(t) = exp(2 i pi t), output index j and input index k.  A general
+    matrix is a chain of such factors (:func:`_shear_chain`), applied by
+    :func:`_apply_chain` to the columns of fft(eye(N)); the result is
+    U = ifft . U_s . fft.  Every chirp phase is an exact fraction of a turn,
+    and the cost is O(N^2 log N).
+
+    The unit constant is pinned by one packet: the chain applied to the
+    samples of a coherent state is compared with the samples of
+    ``propagate_n(m, g, 1)`` and the ratio is rounded to the nearest eighth
+    root of unity.  For b = 1 that root is e^(-i pi/4).
 
     Raises:
-        OddNError, ZeroACoefficientError (for a = 0), and
-        NumericalToleranceError if ``validate`` and the unitarity defect
-        exceeds 1e-9.
+        OddNError for odd N; NonHyperbolicError, NegativeSpectrumError and
+        ZeroACoefficientError (for a = 0) from ``propagate_n``; and
+        NumericalToleranceError if the measured ratio is more than 1e-9 off
+        the root.
     """
     if N <= 0 or N % 2 != 0:
         raise OddNError(f"N must be a positive even integer, got {N}")
-    basis = np.empty((N, N), dtype=complex)
-    image = np.empty((N, N), dtype=complex)
-    for k in range(N):
-        e_k = comb_state(N, k)
-        basis[:, k] = torus_coefficients(e_k).coeffs
-        image[:, k] = torus_coefficients(propagate_n(m, e_k, 1)).coeffs
-    u = image @ np.linalg.inv(basis)
-    if validate:
-        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(N))))
-        if defect > 1e-9:
-            raise NumericalToleranceError(f"unitarity defect {defect:.3e} exceeds 1e-9")
-    return u
+    shears = _shear_chain(m)
+    g = wavepacket(0.3, 0.4, 1.0 / N)
+    image = periodized_samples(propagate_n(m, g, 1), N)
+    chained = _apply_chain(shears, periodized_samples(g, N)[:, None])[:, 0]
+    ratio = complex(np.vdot(chained, image) / np.vdot(chained, chained))
+    unit = cis_turns(round(4.0 * np.angle(ratio) / math.pi) / 8.0)
+    if abs(ratio - unit) > 1e-9:
+        raise NumericalToleranceError(
+            f"propagator constant {ratio:.12g} is {abs(ratio - unit):.3e} off the root {unit:.12g}"
+        )
+    samples = _apply_chain(shears, np.fft.fft(np.eye(N), axis=0)) * unit
+    return np.fft.ifft(samples, axis=0)
 
 
 def matrix_element_exact(

@@ -54,3 +54,26 @@ def random_gaussian_state(rng, h: float):
     theta = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0))
     amp = complex(rng.uniform(0.2, 1.5), rng.uniform(-1.0, 1.0))
     return GaussianState(amp, theta, float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), h)
+
+
+def comb_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
+    """Oracle for ``torus.build_propagator_matrix`` by comb inversion.
+
+    If D holds the coefficients of the comb states and D' those of their
+    propagated images, U = D' D^(-1) is the unique linear map with
+    U d(g) = d(U g) on the family's span, which is the whole space.  It
+    costs N propagations and a dense inverse, O(N^3).
+    """
+    from qcat.errors import OddNError
+    from qcat.metaplectic import propagate_n
+    from qcat.torus import comb_state, torus_coefficients
+
+    if N <= 0 or N % 2 != 0:
+        raise OddNError(f"N must be a positive even integer, got {N}")
+    basis = np.empty((N, N), dtype=complex)
+    image = np.empty((N, N), dtype=complex)
+    for k in range(N):
+        e_k = comb_state(N, k)
+        basis[:, k] = torus_coefficients(e_k).coeffs
+        image[:, k] = torus_coefficients(propagate_n(m, e_k, 1)).coeffs
+    return image @ np.linalg.inv(basis)

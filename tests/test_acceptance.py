@@ -66,7 +66,7 @@ def test_a1_unitarity():
     t0 = time.time()
     worst = 0.0
     for n_dim in (2, 4, 8, 16, 36, 64):
-        u = build_propagator_matrix(CAT, n_dim, validate=False)
+        u = build_propagator_matrix(CAT, n_dim)
         worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(n_dim)))))
     elapsed = time.time() - t0
     _report("A1", worst < 1e-9 and elapsed < 30.0,

@@ -142,11 +142,20 @@ def test_eigenphase_gauge_stability(tmp_path):
     from qcat.torus import build_propagator_matrix
 
     u = build_propagator_matrix(Sl2IntMatrix(2, 1, 1, 1), 8)
-    eig = np.sort(np.mod(np.angle(np.linalg.eigvals(u)), 2 * np.pi))
+    eig = np.angle(np.linalg.eigvals(u))
     eig_flip = np.angle(np.linalg.eigvals(-u))
-    aligned = np.sort(np.mod(eig_flip - np.pi, 2 * np.pi))
-    diffs = np.abs(np.exp(1j * aligned) - np.exp(1j * eig))
-    assert np.max(diffs) < 1e-8
+    assert _same_phases_on_circle(eig_flip - np.pi, eig, 1e-8)
+    # A real mismatch still fails: at N = 8 the spectrum of -u is not that of u.
+    assert not _same_phases_on_circle(eig_flip, eig, 1e-8)
+
+
+def _same_phases_on_circle(a, b, tol: float) -> bool:
+    # Compare as multisets on the circle: sort both by phase in [0, 2 pi) and
+    # take the best cyclic alignment, so a cluster split by the 0 / 2 pi cut
+    # still lines up.
+    za = np.exp(1j * np.sort(np.mod(a, 2 * np.pi)))
+    zb = np.exp(1j * np.sort(np.mod(b, 2 * np.pi)))
+    return min(float(np.max(np.abs(za - np.roll(zb, s)))) for s in range(len(zb))) < tol
 
 
 def test_format_cell_round_trip():

@@ -6,12 +6,18 @@ import time
 import numpy as np
 import pytest
 
-from qcat.classical import TorusPoint, ehrenfest_time, spectral_data
+import qcat.torus
+from conftest import comb_propagator_matrix
+from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
 from qcat.errors import (
     MismatchedHError,
+    NegativeSpectrumError,
+    NonHyperbolicError,
     NotPerfectSquareError,
+    NumericalToleranceError,
     OddNError,
     TruncationOverflowError,
+    ZeroACoefficientError,
 )
 from qcat.lagrangian import BandIndexer, aligned_propagated_state, make_damped_lagrangian
 from qcat.metaplectic import (
@@ -27,6 +33,7 @@ from qcat.metaplectic import (
 from qcat.quadrature import overlap_quadrature
 from qcat.torus import (
     _exponent_coefficients,
+    _shear_chain,
     build_propagator_matrix,
     comb_state,
     husimi,
@@ -234,27 +241,100 @@ def test_propagator_matrix_unitary(cat):
 
 
 def test_propagator_matrix_equivariance(cat):
-    for n_dim in (4, 16):
-        u = build_propagator_matrix(cat, n_dim)
-        g = wavepacket(0.3, 0.4, 1.0 / n_dim)
-        lhs = u @ torus_coefficients(g).coeffs
-        rhs = torus_coefficients(propagate_n(cat, g, 1)).coeffs
-        assert np.max(np.abs(lhs - rhs)) < 1e-8
+    # (2, 3, 1, 2) has b = 3, a chain of two b = 1 factors; the packet at
+    # (0.7, 0.2) is not the one that pins the constant.
+    for m in (cat, Sl2IntMatrix(2, 3, 1, 2)):
+        for n_dim in (4, 16):
+            u = build_propagator_matrix(m, n_dim)
+            for q, p in ((0.3, 0.4), (0.7, 0.2)):
+                g = wavepacket(q, p, 1.0 / n_dim)
+                lhs = u @ torus_coefficients(g).coeffs
+                rhs = torus_coefficients(propagate_n(m, g, 1)).coeffs
+                assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
-def test_propagator_matrix_errors(cat):
+def test_propagator_matrix_errors(cat, monkeypatch):
     with pytest.raises(OddNError):
         build_propagator_matrix(cat, 3)
-    from qcat.errors import ZeroACoefficientError
-
+    # A chain that is not the matrix fails the pinning packet loudly.
+    monkeypatch.setattr(qcat.torus, "_shear_chain", lambda m: [2, 2])
+    with pytest.raises(NumericalToleranceError, match="off the root"):
+        build_propagator_matrix(cat, 16)
+    monkeypatch.undo()
     with pytest.raises(ZeroACoefficientError):
-        # a-entry zero: hyperbolic would be impossible anyway; use the flow guard
-        # through a product whose first entry vanishes is not constructible in
-        # SL(2,Z) with trace > 2, so check the propagate-level guard directly.
+        # The flow-level guard; the matrix-level one is in the parity test.
         from qcat.classical import FlowCoefficients
         from qcat.metaplectic import propagate_gaussian
 
         propagate_gaussian(FlowCoefficients(1.0, 0.0, -1.0, 1.0, 0.0), wavepacket(0, 0, 0.5))
+
+
+ORACLE_MATRICES = (Sl2IntMatrix(2, 1, 1, 1), Sl2IntMatrix(3, 1, 2, 1), Sl2IntMatrix(2, 3, 1, 2))
+
+
+def test_propagator_matrix_matches_comb_oracle():
+    for m in ORACLE_MATRICES:
+        for n_dim in (2, 4, 16, 36, 64):
+            u = build_propagator_matrix(m, n_dim)
+            assert np.max(np.abs(u - comb_propagator_matrix(m, n_dim))) < 1e-12
+
+
+def test_propagator_matrix_error_parity(cat):
+    cases = (
+        (cat, 3, OddNError),
+        (Sl2IntMatrix(1, 1, 0, 1), 4, NonHyperbolicError),
+        (Sl2IntMatrix(-3, 1, -1, 0), 4, NegativeSpectrumError),
+        (Sl2IntMatrix(0, 1, -1, 3), 4, ZeroACoefficientError),
+    )
+    for m, n_dim, error in cases:
+        for build in (build_propagator_matrix, comb_propagator_matrix):
+            with pytest.raises(error):
+                build(m, n_dim)
+    identity = Sl2IntMatrix(1, 0, 0, 1)
+    for n_dim in (2, 16):
+        assert np.max(np.abs(build_propagator_matrix(identity, n_dim) - np.eye(n_dim))) < 1e-14
+        assert np.max(np.abs(comb_propagator_matrix(identity, n_dim) - np.eye(n_dim))) < 1e-12
+
+
+def test_shear_chain_reproduces_matrix():
+    # M = L_(x_k) J ... J L_(x_0), for signs and sizes of b that the three
+    # experiment matrices do not reach (b < 0, b = -1, b = 0).
+    def shear(x):
+        return Sl2IntMatrix(1, 0, x, 1)
+
+    j = Sl2IntMatrix(0, 1, -1, 0)
+    for m in ORACLE_MATRICES + (
+        Sl2IntMatrix(2, -1, -1, 1), Sl2IntMatrix(7, -3, -2, 1), Sl2IntMatrix(-1, 0, 4, -1),
+        Sl2IntMatrix(1, 0, 0, 1), Sl2IntMatrix(13, 8, 8, 5), Sl2IntMatrix(0, 1, -1, 3),
+    ):
+        shears = _shear_chain(m)
+        product = shear(shears[0])
+        for x in shears[1:]:
+            product = shear(x) @ j @ product
+        assert product == m
+    assert _shear_chain(Sl2IntMatrix(2, 1, 1, 1)) == [2, 1]
+
+
+def _torus_period(m: Sl2IntMatrix, modulus: int) -> int:
+    power, period = m, 1
+    while (power.a % modulus, power.b % modulus, power.c % modulus, power.d % modulus) != (1, 0, 0, 1):
+        power, period = power @ m, period + 1
+    return period
+
+
+def test_propagator_power_at_period_is_scalar():
+    # Keating (1991): U^P is a unit multiple c of the identity for the period
+    # P of M mod 2N, so every eigenphase lies on (arg c + 2 pi k) / P.
+    for m in ORACLE_MATRICES:
+        for n_dim in (16, 36, 64, 144):
+            u = build_propagator_matrix(m, n_dim)
+            period = _torus_period(m, 2 * n_dim)
+            power = np.linalg.matrix_power(u, period)
+            c = np.trace(power) / n_dim
+            assert abs(abs(c) - 1.0) < 1e-11
+            assert np.max(np.abs(power - c * np.eye(n_dim))) < 1e-11
+            turns = (period * np.angle(np.linalg.eigvals(u)) - np.angle(c)) / (2.0 * math.pi)
+            assert np.max(np.abs(turns - np.round(turns))) < 1e-11
 
 
 def test_gram_rank_is_n(cat):
