@@ -17,8 +17,8 @@ Predicted matrix element (time n, h = 1/N, source (a,b), target (q0,p0)):
 
 where f is the interference observable, chi(u) = exp(-gamma0 u^2 / h) with
 gamma0 = pi*beta the damping derived from the transverse
-Gaussian analysis (beta from the exact shape recursion; 1/cos^2 for
-symmetric matrices), s' = b' - tan a' for the reduced image (a', b') of
+Gaussian analysis (beta from the exact shape recursion; 1/cos^2 only in the
+symmetric special case), s' = b' - tan a' for the reduced image (a', b') of
 M^n (a, b), Lam = 1 - i tan + beta_c lam^(-2n), and P collects the explicit
 configuration phases (metaplectic branch, packet recentering, lift
 reduction and target anchoring).  D is a single complex constant fitted once
@@ -35,8 +35,9 @@ import numpy as np
 
 from .classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
 from .errors import ThresholdViolationError
-from .lagrangian import _validity_threshold, circle_distance, damping_coefficient
-from .metaplectic import cis_turns, metaplectic_shape_orbit
+from .lagrangian import (_validity_threshold, aligned_propagated_state, circle_distance,
+                         damping_coefficient)
+from .metaplectic import cis_turns
 from .tables import ResultTable
 from .torus import matrix_element_exact
 
@@ -102,16 +103,16 @@ class InterferenceObservable:
     f(x, y) = F0(d(x, s0)/sqrt(h)) * exp(2 i pi q0 d(x, s0) / h) * exp(2 i pi y)
 
     with d the signed circle distance, s0 = p0 - q0 tan(theta), and profile
-    F0(u) = exp(-pi cos^2 (1 + i tan) u^2).  ``beta_coeff`` optionally
-    carries the general damping coefficient (nonsymmetric matrices); the
-    default is the symmetric value 1/cos^2(theta).
+    F0(u) = exp(-pi cos^2 (1 + i tan) u^2).  ``beta`` is the damping
+    coefficient of the matrix (:func:`qcat.lagrangian.damping_coefficient`);
+    it equals 1/cos^2(theta) only for symmetric matrices.
     """
 
     q0: float
     p0: float
     theta: float
     h: float
-    beta_coeff: complex | None = None
+    beta: complex
 
     @property
     def s0(self) -> float:
@@ -120,9 +121,7 @@ class InterferenceObservable:
     @property
     def gamma0(self) -> complex:
         """Damping exponent scale pi * beta; Re(gamma0) > 0 always."""
-        if self.beta_coeff is not None:
-            return math.pi * complex(self.beta_coeff)
-        return complex(math.pi / math.cos(self.theta) ** 2)
+        return math.pi * complex(self.beta)
 
     def profile(self, u):
         t = math.tan(self.theta)
@@ -253,8 +252,7 @@ def theorem_rhs(
     beta_c = damping_coefficient(m)
     lam_c = 1.0 - 1j * t + beta_c * lam ** (-2.0 * n)
 
-    shape = metaplectic_shape_orbit(m, n, h)
-    phi_n = complex(shape.amplitude / abs(shape.amplitude))
+    _, phi_n = aligned_propagated_state(m, n, h)
 
     phases = (
         phi_n
@@ -267,7 +265,7 @@ def theorem_rhs(
     )
     amp = math.sqrt(2.0 / math.cos(sd.theta)) * lam ** (-0.5 * n) / np.sqrt(lam_c)
 
-    obs = InterferenceObservable(q0=q0, p0=p0, theta=sd.theta, h=h, beta_coeff=beta_c)
+    obs = InterferenceObservable(q0=q0, p0=p0, theta=sd.theta, h=h, beta=beta_c)
     t_map = SkewMap(alpha=t, N=n_even)
     s_sum = damped_birkhoff_sum(t_map, obs, gaussian_damping(obs), (s_red, 0.0), lam ** n)
     return complex(scale_constant * phases * amp * s_sum)

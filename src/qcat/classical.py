@@ -52,10 +52,6 @@ class Sl2IntMatrix:
         return self.a + self.d
 
     @property
-    def is_hyperbolic(self) -> bool:
-        return abs(self.trace) > 2
-
-    @property
     def is_identity(self) -> bool:
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 

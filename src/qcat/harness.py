@@ -28,7 +28,6 @@ from .errors import ConfigError
 from .lagrangian import (
     aligned_propagated_state,
     band_difference,
-    damping_coefficient,
     make_damped_lagrangian,
     off_band_tail,
 )
@@ -296,7 +295,6 @@ def run_bands(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     """Off-band tails and along-band differences with their bounds."""
     m = cfg.cat_matrix()
     sd = spectral_data(m)
-    beta = damping_coefficient(m)
     points = cfg.resolved_points(5)
     cells = []
     for n_dim in cfg.N_values:
@@ -307,10 +305,9 @@ def run_bands(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
         n_dim, n_time, idx = key
         h = 1.0 / n_dim
         pt = points[idx]
-        state_l = make_damped_lagrangian(sd, n_time, h, beta=beta)
-        tail_l = off_band_tail(state_l, pt.q, pt.p, n_dim)
+        tail_l = off_band_tail(make_damped_lagrangian(m, n_time, h), pt.q, pt.p)
         g, _ = aligned_propagated_state(m, n_time, h)
-        tail_g = off_band_tail(g, pt.q, pt.p, n_dim, theta=sd.theta)
+        tail_g = off_band_tail(g, pt.q, pt.p, theta=sd.theta)
         diff = band_difference(m, n_time, h, pt.q, pt.p, allow_below_threshold=True)
         bound = math.sqrt(h) * sd.lam ** (-0.5 * n_time) + math.exp(-1.0 / h)
         return tail_l, tail_g, diff, bound

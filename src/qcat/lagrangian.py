@@ -15,17 +15,20 @@ recursion contracts with multiplier lam^(-2), so
     theta_n = z+ + i beta lam^(-2n) + O(lam^(-4n)),
     beta = -i (i - z+)(z+ - z-) / (i - z-),
 
-with z- the stable slope.  For symmetric matrices (b = c, the standard cat
-map setting, where z- = -1/z+) this collapses to the real value
-beta = 1/cos^2(theta); the test suite verifies both forms against exact
-integer matrix powers.  Re(beta) > 0 always (the Moebius iterates stay in
-the upper half plane).
+with z- the stable slope.  Only for symmetric matrices (b = c, the standard
+cat map setting, where z- = -1/z+) does this collapse to the real value
+beta = 1/cos^2(theta); that is a special case, never a default: a state
+always carries the beta of its matrix (:func:`make_damped_lagrangian`).  The
+test suite verifies both forms against exact integer matrix powers.
+Re(beta) > 0 always (the Moebius iterates stay in the upper half plane).
 C is the exact unit-norm constant of this Gaussian (the asymptotic
 C ~ const / (h^(1/4) sqrt(lambda^n)) is a checked property, not an input).
 
-Overlaps with coherent states are closed-form Gaussian integrals; their
-modulus is exp of a negative-definite quadratic in the packet's center, which
-drives all certified band and tail truncations here.
+Overlaps with coherent states are closed-form Gaussian integrals, returned
+as a :class:`qcat.torus.OverlapForm` in the packet's center (q, p): its
+envelope drives the certified band window (:func:`qcat.torus.line_tail_bound`)
+and the off-band box (``OverlapForm.box``), and its live-term evaluation
+gives every band and box value.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import Sl2IntMatrix, SpectralData, spectral_data
+from .classical import Sl2IntMatrix, spectral_data
 from .errors import MismatchedHError, ThresholdViolationError, TruncationOverflowError
 from .metaplectic import GaussianState, cis_turns, propagate_n, wavepacket
-from .torus import certified_radius, overlap_decay_form, overlap_terms
+from .torus import OverlapForm, certified_radius, line_tail_bound
 
 __all__ = [
     "DampedLagrangianState",
@@ -88,9 +91,8 @@ def damping_coefficient(m: Sl2IntMatrix) -> complex:
 class DampedLagrangianState:
     """Damped Lagrangian state along the unstable line (see module docstring).
 
-    ``beta_coeff`` overrides the damping coefficient (use
-    :func:`damping_coefficient` for nonsymmetric matrices); the default is
-    the symmetric-matrix value 1/cos^2(theta).
+    ``beta`` is the transverse damping coefficient of the matrix
+    (:func:`damping_coefficient`); Re(beta) > 0 always.
     """
 
     n: int
@@ -99,14 +101,7 @@ class DampedLagrangianState:
     lam: float
     a_prime: float
     b_prime: float
-    beta_coeff: complex | None = None
-
-    @property
-    def beta(self) -> complex:
-        """Transverse damping coefficient; Re(beta) > 0 always."""
-        if self.beta_coeff is not None:
-            return complex(self.beta_coeff)
-        return complex(1.0 / math.cos(self.theta) ** 2)
+    beta: complex
 
     @property
     def s_prime(self) -> float:
@@ -124,17 +119,15 @@ class DampedLagrangianState:
 
 
 def make_damped_lagrangian(
-    sd: SpectralData,
-    n: int,
-    h: float,
-    center: tuple[float, float] = (0.0, 0.0),
-    beta: complex | None = None,
+    m: Sl2IntMatrix, n: int, h: float, center: tuple[float, float] = (0.0, 0.0)
 ) -> DampedLagrangianState:
+    """The approximant of ``m`` at time n, with beta = damping_coefficient(m)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    sd = spectral_data(m)
     return DampedLagrangianState(
         n=n, h=h, theta=sd.theta, lam=sd.lam, a_prime=center[0], b_prime=center[1],
-        beta_coeff=beta,
+        beta=damping_coefficient(m),
     )
 
 
@@ -162,9 +155,9 @@ def _lagrangian_lambda(state: DampedLagrangianState) -> complex:
     return 1.0 - 1j * math.tan(state.theta) + state.beta * state.damping_scale
 
 
-def lagrangian_overlap_field(state: DampedLagrangianState):
-    """Coefficients of <L, Phi_{q,p}> = pref * exp(E(q, p)) as a complex
-    quadratic polynomial E in the packet center (q, p).
+def lagrangian_overlap_field(state: DampedLagrangianState) -> OverlapForm:
+    """<L, Phi_{q,p}> = pref * exp(E(q, p)) as an :class:`OverlapForm` in the
+    packet center (q, p).
 
     Completing the square in the defining integral gives
 
@@ -188,10 +181,10 @@ def lagrangian_overlap_field(state: DampedLagrangianState):
     e_c = s * (beta_n * state.a_prime ** 2 + z1 * z1 / lam_c)
     c_h = (2.0 / h) ** 0.25
     pref = state.norm_constant * c_h * np.sqrt(h / lam_c)
-    return (e_qq, e_pp, e_qp, e_q, e_p, e_c), complex(pref)
+    return OverlapForm((e_qq, e_pp, e_qp, e_q, e_p, e_c), complex(pref))
 
 
-def wavepacket_overlap_field(g: GaussianState):
+def wavepacket_overlap_field(g: GaussianState) -> OverlapForm:
     """Same as :func:`lagrangian_overlap_field` but for <g, Phi_{q,p}> with a
     fixed Gaussian state g (theta2 = i packet as the moving test state)."""
     h = g.h
@@ -207,19 +200,7 @@ def wavepacket_overlap_field(g: GaussianState):
     e_c = s * (-z1 * z1 / d + th1 * g.q ** 2 - 2.0 * g.p * g.q)
     c_h = (2.0 / h) ** 0.25
     pref = g.amplitude * c_h * np.sqrt(math.pi / (-s * d))
-    return (e_qq, e_pp, e_qp, e_q, e_p, e_c), complex(pref)
-
-
-def _field_values(field, q, p):
-    """pref * exp(E(q, p)) at broadcast packet centers (scalars included).
-
-    Only values that do not underflow get a phase (see
-    :func:`qcat.torus.overlap_terms`): an off-band box past the Ehrenfest
-    time is almost all exact zeros, and every nonzero value is computed by
-    the same operations as a dense evaluation, so the bits do not change.
-    """
-    coeffs, pref = field
-    return overlap_terms(coeffs, pref, q, p)
+    return OverlapForm((e_qq, e_pp, e_qp, e_q, e_p, e_c), complex(pref))
 
 
 def overlap_lagrangian_wavepacket(
@@ -228,7 +209,7 @@ def overlap_lagrangian_wavepacket(
     """Closed-form <L, Phi_{q,p}>; matches quadrature to 1e-8 relative."""
     if h is not None and h != state.h:
         raise MismatchedHError(f"state has h={state.h}, packet has h={h}")
-    return complex(_field_values(lagrangian_overlap_field(state), float(q), float(p)))
+    return complex(lagrangian_overlap_field(state).terms(float(q), float(p)))
 
 
 @dataclass(frozen=True)
@@ -267,44 +248,41 @@ def band_indexer(theta: float, q0: float, p0: float, a_prime: float, b_prime: fl
     return BandIndexer(theta=theta, q0=q0, p0=p0, s_prime=b_prime - math.tan(theta) * a_prime)
 
 
-def _band_m_range(field, indexer: BandIndexer, tail: float, scale: float) -> tuple[int, int]:
-    """Certified m-window: outside it, sum of |field| along the band < tail*scale."""
-    center, _, mu, e_star = overlap_decay_form(field[0])
-    pref = abs(field[1])
-    peak = pref * math.exp(min(e_star, 700.0))
+def _band_m_range(form: OverlapForm, indexer: BandIndexer, tail: float,
+                  scale: float) -> tuple[int, int]:
+    """Certified m-window: outside it, sum of |form| along the band <= tail*scale.
+
+    |term(m)| <= peak * exp(-mu (q0 + m - center_q)^2 / 2), so the window is
+    the smallest radius that :func:`qcat.torus.line_tail_bound` certifies.
+    """
+    center, mu, peak = form.envelope()
     if peak <= tail * scale:
         return 0, -1  # everything is negligible; empty range
-    # |term(m)| <= peak * exp(-mu (q0 + m - center_q)^2 / 2)
-    radius = 1.0
-    while 2.0 * peak * (
-        math.exp(-0.5 * mu * radius * radius)
-        + math.sqrt(0.5 * math.pi / mu) * math.erfc(radius * math.sqrt(0.5 * mu))
-    ) > tail * scale:
-        radius *= 1.25
-        if radius > _MAX_BAND_TERMS:
-            raise TruncationOverflowError("certified band window exceeds the term cap")
+    radius = certified_radius(peak, mu, tail * scale, line_tail_bound)
+    if radius > _MAX_BAND_TERMS:
+        raise TruncationOverflowError("certified band window exceeds the term cap")
     mid = center[0] - indexer.q0
     return math.floor(mid - radius), math.ceil(mid + radius)
 
 
-def band_sum(field, indexer: BandIndexer, N: int, phased: bool,
+def band_sum(form: OverlapForm, indexer: BandIndexer, N: int, phased: bool,
              tail: float = 1e-14, scale: float = 1.0) -> complex:
-    """sum_m field(q0+m, p0+p(m)), optionally with the quantum-translation
+    """sum_m form(q0+m, p0+p(m)), optionally with the quantum-translation
     phase exp(-2 i pi p(m) q0 N) of the T-translated test packet."""
-    m_lo, m_hi = _band_m_range(field, indexer, tail, scale)
+    m_lo, m_hi = _band_m_range(form, indexer, tail, scale)
     if m_hi < m_lo:
         return 0.0 + 0.0j
     m = np.arange(m_lo, m_hi + 1)
     k = indexer.p_of(m)
     q = indexer.q0 + m
     p = indexer.p0 + k
-    vals = _field_values(field, q, p)
+    vals = form.terms(q, p)
     if phased:
         vals = vals * cis_turns(-k * (N * indexer.q0))
     return complex(np.sum(vals))
 
 
-def _field_of(state, theta: float | None):
+def _form_of(state, theta: float | None) -> tuple[OverlapForm, float, float]:
     if isinstance(state, DampedLagrangianState):
         return lagrangian_overlap_field(state), state.theta, state.s_prime
     if isinstance(state, GaussianState):
@@ -315,25 +293,23 @@ def _field_of(state, theta: float | None):
     raise TypeError(f"unsupported state {type(state)!r}")
 
 
-def off_band_tail(state, q0: float, p0: float, N: int, theta: float | None = None,
+def off_band_tail(state, q0: float, p0: float, *, theta: float | None = None,
                   max_terms: int = _MAX_BAND_TERMS) -> float:
     """|sum of overlap terms over lattice translates outside the band|.
 
     ``state`` is a damped Lagrangian state or a propagated Gaussian; the band
     is the cos(theta)/2 neighborhood of its unstable line.  Terms pair the
-    state against plain packets Phi_{(q0+k1, p0+k2)}.
+    state against plain packets Phi_{(q0+k1, p0+k2)} on the certified box of
+    tail 1e-16 times the peak.
+
+    Raises:
+        TruncationOverflowError: if that box has more than ``max_terms`` terms.
     """
-    field, th, s_prime = _field_of(state, theta)
+    form, th, s_prime = _form_of(state, theta)
     indexer = BandIndexer(theta=th, q0=q0, p0=p0, s_prime=s_prime)
-    center, _, mu, e_star = overlap_decay_form(field[0])
-    pref = abs(field[1])
-    peak = pref * math.exp(min(e_star, 700.0))
-    radius = certified_radius(peak, mu, 1e-16 * max(peak, 1e-300))
-    if (2 * radius + 1) ** 2 > max_terms:
-        raise TruncationOverflowError("certified off-band box exceeds the term cap")
-    k1 = np.arange(round(center[0] - q0) - radius, round(center[0] - q0) + radius + 1)
-    k2 = np.arange(round(center[1] - p0) - radius, round(center[1] - p0) + radius + 1)
-    vals = _field_values(field, (q0 + k1)[:, None], (p0 + k2)[None, :])
+    peak = form.envelope()[2]
+    k1, k2, _ = form.box(q0, p0, 1e-16 * max(peak, 1e-300), max_terms)
+    vals = form.terms((q0 + k1)[:, None], (p0 + k2)[None, :])
     in_band = k2[None, :] == indexer.p_of(k1)[:, None]
     return float(abs(np.sum(vals[~in_band])))
 
@@ -370,7 +346,7 @@ def band_difference(m: Sl2IntMatrix, n: int, h: float, q0: float, p0: float,
             f"n={n} is below the validity threshold {_validity_threshold(h, sd.lam):.3f}"
         )
     n_even = round(1.0 / h)
-    state_l = make_damped_lagrangian(sd, n, h, beta=damping_coefficient(m))
+    state_l = make_damped_lagrangian(m, n, h)
     g, _ = aligned_propagated_state(m, n, h)
     indexer = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=0.0)
     sum_l = band_sum(lagrangian_overlap_field(state_l), indexer, n_even, phased=False)
@@ -404,9 +380,8 @@ def check_pointwise_approx(m: Sl2IntMatrix, n: int, h: float, grid: np.ndarray) 
     the literal inequality fails by a bounded factor at amplitudes ~1e-60 of
     the peak, which carries no numerical content.
     """
-    sd = spectral_data(m)
     g, _ = aligned_propagated_state(m, n, h)
-    state_l = make_damped_lagrangian(sd, n, h, beta=damping_coefficient(m))
+    state_l = make_damped_lagrangian(m, n, h)
     from .metaplectic import gaussian_eval
 
     exact = np.asarray(gaussian_eval(g, grid))

@@ -40,7 +40,6 @@ __all__ = [
     "propagate_gaussian",
     "propagate_gaussian_flow",
     "propagate_n",
-    "metaplectic_shape_orbit",
     "schrodinger_residual",
 ]
 
@@ -88,10 +87,6 @@ class GaussianState:
     def norm(self) -> float:
         """L2 norm in closed form: |amplitude| * (h / (2 Im theta))^(1/4)."""
         return abs(self.amplitude) * (self.h / (2.0 * complex(self.theta).imag)) ** 0.25
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm - 1.0) < 1e-12
 
 
 @dataclass(frozen=True)
@@ -301,12 +296,6 @@ def propagate_n(m: Sl2IntMatrix, g: GaussianState, n: int) -> GaussianState:
         sqi = _branch_sqrt_inv(ham, 1.0, complex(out.theta), grids)
         out = _propagate_core(float(m.a), float(m.b), float(m.c), float(m.d), out, sqi)
     return out
-
-
-def metaplectic_shape_orbit(m: Sl2IntMatrix, n: int, h: float) -> GaussianState:
-    """The n-step propagated centered unit packet; its amplitude carries the
-    accumulated metaplectic branch phase and its theta the exact shape."""
-    return propagate_n(m, wavepacket(0.0, 0.0, h), n)
 
 
 def schrodinger_residual(h: QuadraticHamiltonian, t: float, x: float, xi: float, hbar_param: float) -> float:

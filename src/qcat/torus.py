@@ -6,19 +6,23 @@ the doubly infinite lattice sum
 
     <S(g), S(f)> = sum_{k in Z^2} <T_k g, f>_{L2},
 
-every term of which is a closed-form Gaussian overlap.  Truncation radii are
-certified: the overlap modulus is a Gaussian function of the translated
-center, its quadratic decay form is computed exactly, and the discarded
-shells are bounded by an explicit error-function tail.
+every term of which is a closed-form Gaussian overlap.  Every Gaussian-overlap
+sum of the package goes through one type, :class:`OverlapForm`: the overlap
+pref * exp(E(y, w)) with E a complex quadratic in the moving center (y, w).
+``envelope()`` bounds its modulus by a Gaussian around a decay center,
+``box()`` takes the smallest radius whose discarded shells an explicit
+error-function tail bounds (:func:`certified_radius`, which also certifies
+windows on a line) and fails loudly past its term cap, and ``terms()``
+evaluates it.
 
-Inside the certified box only the terms that do not underflow get a phase
-(:func:`overlap_terms`): the modulus exp(Re E) is formed on the whole box in
-float64, and the long-double phase reductions run only where it is nonzero.
-That is exact, not a tolerance: a term whose modulus is 0.0 is 0 whatever
-its phase, and every other term goes through the same elementwise
-operations in the same order as a dense evaluation, so the box array and its
-sum are bit for bit the same.  Past the Ehrenfest time the propagated packet
-is a thin ridge and well under 1% of a box's terms are nonzero.
+Inside a box only the terms that do not underflow get a phase: the modulus
+exp(Re E) is formed on the whole box in float64, and the long-double phase
+reductions run only where it is nonzero.  That is exact, not a tolerance: a
+term whose modulus is 0.0 is 0 whatever its phase, and every other term goes
+through the same elementwise operations in the same order as a dense
+evaluation, so the box array and its sum are bit for bit the same.  Past the
+Ehrenfest time the propagated packet is a thin ridge and well under 1% of a
+box's terms are nonzero.
 
 Because N is even all half-integer cocycle phases exp(-i*pi*k1*k2*N) are
 exactly 1 and are dropped in integer arithmetic rather than evaluated in
@@ -48,6 +52,7 @@ import numpy as np
 
 from .classical import Sl2IntMatrix, TorusPoint
 from .errors import (
+    MismatchedHError,
     NotPerfectSquareError,
     NumericalToleranceError,
     OddNError,
@@ -58,11 +63,13 @@ from .metaplectic import GaussianState, cis_turns, gaussian_eval, propagate_n, w
 __all__ = [
     "TorusState",
     "LatticeTruncation",
+    "OverlapForm",
     "HusimiGrid",
     "even_n_from_h",
     "periodized_samples",
     "torus_coefficients",
     "pair_from_coefficients",
+    "overlap_form",
     "pair_symmetrized",
     "pair_symmetrized_detailed",
     "comb_state",
@@ -162,13 +169,134 @@ def pair_from_coefficients(s1: TorusState, s2: TorusState) -> complex:
     return complex(np.sum(s1.coeffs * np.conj(s2.coeffs)))
 
 
-def _exponent_coefficients(g: GaussianState, test: GaussianState):
-    """Complex coefficients of the overlap exponent as a polynomial in the
-    translated center (y, w) of ``g``:
+def shell_tail_bound(k: float, mu: float) -> float:
+    """Upper bound on sum_{s > k} 8 s exp(-mu s^2 / 2) via integral comparison."""
+    v = max(k, 0.0)
+    return 8.0 * (
+        math.exp(-0.5 * mu * v * v) / mu
+        + math.sqrt(0.5 * math.pi / mu) * math.erfc(v * math.sqrt(0.5 * mu))
+    )
 
-        <g@(y,w), test> = pref * exp(E(y, w)),
-        E = E_yy y^2 + E_ww w^2 + E_yw y w + E_y y + E_w w + E_c.
+
+def line_tail_bound(k: float, mu: float) -> float:
+    """Upper bound on sum_{|m - c| > k} exp(-mu (m - c)^2 / 2) over integers m,
+    for any real c: one term at the edge plus the integral, on each side."""
+    return 2.0 * (
+        math.exp(-0.5 * mu * k * k)
+        + math.sqrt(0.5 * math.pi / mu) * math.erfc(k * math.sqrt(0.5 * mu))
+    )
+
+
+def certified_radius(peak: float, mu: float, target: float, tail_bound) -> int:
+    """Smallest radius r >= 1 with peak * tail_bound(r, mu) <= target.
+
+    ``tail_bound`` is :func:`shell_tail_bound` for a square box and
+    :func:`line_tail_bound` for a window on a line.  Both decrease in r, so
+    double past the radius and then bisect.
     """
+    lo, radius = 0, 1
+    while peak * tail_bound(radius, mu) > target:
+        lo, radius = radius, 2 * radius
+    while radius - lo > 1:
+        mid = (lo + radius) // 2
+        if peak * tail_bound(mid, mu) > target:
+            lo = mid
+        else:
+            radius = mid
+    return radius
+
+
+def _quadratic(coeffs, y, w):
+    """E_yy y^2 + E_ww w^2 + E_yw y w + E_y y + E_w w + E_c, in this order."""
+    e_yy, e_ww, e_yw, e_y, e_w, e_c = coeffs
+    return e_yy * y * y + e_ww * w * w + e_yw * y * w + e_y * y + e_w * w + e_c
+
+
+@dataclass(frozen=True, eq=False)
+class OverlapForm:
+    """A Gaussian overlap as a function of the center (y, w) of one packet:
+
+        pref * exp(E(y, w)),
+        E = E_yy y^2 + E_ww w^2 + E_yw y w + E_y y + E_w w + E_c,
+
+    with ``coeffs`` = (E_yy, E_ww, E_yw, E_y, E_w, E_c) complex and Re E
+    negative definite.  The lattice pairing (:func:`overlap_form`) and the
+    band sums (:mod:`qcat.lagrangian`) are all built on this one type.
+    """
+
+    coeffs: tuple
+    pref: complex
+
+    def envelope(self) -> tuple[np.ndarray, float, float]:
+        """(center, mu, peak) with |pref exp(E)| <= peak exp(-mu |(y, w) - center|^2 / 2):
+        the maximizer of Re E, the smallest curvature of -Re E, and
+        |pref| exp(max Re E), its exponent clamped at 700.
+
+        Raises:
+            NumericalToleranceError: if Re E is not negative definite.
+        """
+        e_yy, e_ww, e_yw, e_y, e_w, e_c = self.coeffs
+        hess = np.array([[2.0 * e_yy.real, e_yw.real], [e_yw.real, 2.0 * e_ww.real]])
+        eigs = np.linalg.eigvalsh(hess)
+        if eigs[1] >= 0.0:
+            raise NumericalToleranceError("overlap decay form is not negative definite")
+        center = np.linalg.solve(hess, -np.array([e_y.real, e_w.real]))
+        e_star = (
+            e_yy.real * center[0] ** 2
+            + e_ww.real * center[1] ** 2
+            + e_yw.real * center[0] * center[1]
+            + e_y.real * center[0]
+            + e_w.real * center[1]
+            + e_c.real
+        )
+        return center, -eigs[1], abs(self.pref) * math.exp(min(e_star, 700.0))
+
+    def box(self, y0: float, w0: float, target: float,
+            max_terms: int) -> tuple[np.ndarray, np.ndarray, LatticeTruncation]:
+        """Axes k1, k2 of the box of translates (y0 + k1, w0 + k2) around the
+        decay center, with the smallest radius whose discarded shells sum to
+        at most ``target`` (:func:`shell_tail_bound`) and that bound.
+
+        Raises:
+            TruncationOverflowError: if the box has more than ``max_terms``
+                terms.
+        """
+        center, mu, peak = self.envelope()
+        radius = certified_radius(peak, mu, target, shell_tail_bound)
+        if (2 * radius + 1) ** 2 > max_terms:
+            raise TruncationOverflowError(
+                f"certified radius {radius} needs more than {max_terms} lattice terms"
+            )
+        c1, c2 = round(center[0] - y0), round(center[1] - w0)
+        k1 = np.arange(c1 - radius, c1 + radius + 1)
+        k2 = np.arange(c2 - radius, c2 + radius + 1)
+        return k1, k2, LatticeTruncation(radius, float(peak * shell_tail_bound(radius, mu)))
+
+    def terms(self, y, w, turns=None) -> np.ndarray:
+        """pref * [cis_turns(turns)] * exp(E(y, w)) on broadcast arrays of centers.
+
+        ``turns`` is an optional extra phase in full turns, broadcast like the
+        centers.  The modulus exp(Re E) is formed everywhere, the phases only
+        where it is nonzero; the other entries stay exactly 0.  Re E and Im E
+        are evaluated from the real and imaginary parts of the coefficients,
+        which gives the same bits as the parts of the complex E because the
+        centers are real.  A 0-d result is a numpy scalar.
+        """
+        mod = np.exp(_quadratic([c.real for c in self.coeffs], y, w))
+        out = np.zeros(mod.shape, dtype=complex)
+        live = mod != 0
+        y_live, w_live = (np.broadcast_to(a, mod.shape)[live] for a in (y, w))
+        imag = _quadratic([c.imag for c in self.coeffs], y_live, w_live)
+        pref = self.pref
+        if turns is not None:
+            pref = pref * cis_turns(np.broadcast_to(turns, mod.shape)[live])
+        out[live] = pref * mod[live] * cis_turns(imag / (2.0 * math.pi))
+        return out[()] if out.ndim == 0 else out
+
+
+def overlap_form(g: GaussianState, test: GaussianState) -> OverlapForm:
+    """<g@(y,w), test> as an :class:`OverlapForm` in the translated center
+    (y, w) of ``g``."""
     h = g.h
     th1 = complex(g.theta)
     th2c = np.conj(complex(test.theta))
@@ -183,81 +311,7 @@ def _exponent_coefficients(g: GaussianState, test: GaussianState):
     e_c = s * (-z0 * z0 / d - th2c * test.q ** 2 + 2.0 * test.p * test.q)
     a2 = -s * d
     pref = g.amplitude * np.conj(test.amplitude) * np.sqrt(math.pi / a2)
-    return (e_yy, e_ww, e_yw, e_y, e_w, e_c), complex(pref)
-
-
-def overlap_decay_form(coeffs) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Maximizer, Hessian data and peak value of Re E over the (y, w) plane."""
-    e_yy, e_ww, e_yw, e_y, e_w, e_c = coeffs
-    hess = np.array([[2.0 * e_yy.real, e_yw.real], [e_yw.real, 2.0 * e_ww.real]])
-    eigs = np.linalg.eigvalsh(hess)
-    if eigs[1] >= 0.0:
-        raise NumericalToleranceError("overlap decay form is not negative definite")
-    mu = -eigs[1]
-    center = np.linalg.solve(hess, -np.array([e_y.real, e_w.real]))
-    e_star = (
-        e_yy.real * center[0] ** 2
-        + e_ww.real * center[1] ** 2
-        + e_yw.real * center[0] * center[1]
-        + e_y.real * center[0]
-        + e_w.real * center[1]
-        + e_c.real
-    )
-    return center, hess, mu, e_star
-
-
-def shell_tail_bound(k: float, mu: float) -> float:
-    """Upper bound on sum_{s > k} 8 s exp(-mu s^2 / 2) via integral comparison."""
-    v = max(k, 0.0)
-    return 8.0 * (
-        math.exp(-0.5 * mu * v * v) / mu
-        + math.sqrt(0.5 * math.pi / mu) * math.erfc(v * math.sqrt(0.5 * mu))
-    )
-
-
-def certified_radius(peak: float, mu: float, target: float) -> int:
-    """Smallest radius r >= 1 with peak * shell_tail_bound(r, mu) <= target.
-
-    The tail bound decreases in r, so double past it and then bisect.
-    """
-    lo, radius = 0, 1
-    while peak * shell_tail_bound(radius, mu) > target:
-        lo, radius = radius, 2 * radius
-    while radius - lo > 1:
-        mid = (lo + radius) // 2
-        if peak * shell_tail_bound(mid, mu) > target:
-            lo = mid
-        else:
-            radius = mid
-    return radius
-
-
-def _quadratic(coeffs, y, w):
-    """E_yy y^2 + E_ww w^2 + E_yw y w + E_y y + E_w w + E_c, in this order."""
-    e_yy, e_ww, e_yw, e_y, e_w, e_c = coeffs
-    return e_yy * y * y + e_ww * w * w + e_yw * y * w + e_y * y + e_w * w + e_c
-
-
-def overlap_terms(coeffs, pref: complex, y, w, turns=None) -> np.ndarray:
-    """pref * [cis_turns(turns)] * exp(E(y, w)) on broadcast arrays of centers.
-
-    E is the complex quadratic with coefficients ``coeffs`` (see
-    :func:`_exponent_coefficients`); ``turns`` is an optional extra phase in
-    full turns, broadcast like the centers.  The modulus exp(Re E) is formed
-    everywhere, the phases only where it is nonzero; the other entries stay
-    exactly 0.  Re E and Im E are evaluated from the real and imaginary
-    parts of the coefficients, which gives the same bits as the parts of the
-    complex E because the centers are real.  A 0-d result is a numpy scalar.
-    """
-    mod = np.exp(_quadratic([c.real for c in coeffs], y, w))
-    out = np.zeros(mod.shape, dtype=complex)
-    live = mod != 0
-    y_live, w_live = (np.broadcast_to(a, mod.shape)[live] for a in (y, w))
-    imag = _quadratic([c.imag for c in coeffs], y_live, w_live)
-    if turns is not None:
-        pref = pref * cis_turns(np.broadcast_to(turns, mod.shape)[live])
-    out[live] = pref * mod[live] * cis_turns(imag / (2.0 * math.pi))
-    return out[()] if out.ndim == 0 else out
+    return OverlapForm((e_yy, e_ww, e_yw, e_y, e_w, e_c), complex(pref))
 
 
 def pair_symmetrized_detailed(
@@ -275,32 +329,15 @@ def pair_symmetrized_detailed(
             ``max_terms`` lattice terms.
     """
     if g.h != test.h:
-        from .errors import MismatchedHError
-
         raise MismatchedHError(f"states have h={g.h} and h={test.h}")
     n_even = even_n_from_h(g.h)
-    coeffs, pref = _exponent_coefficients(g, test)
-    center, _, mu, e_star = overlap_decay_form(coeffs)
-    scale = max(g.norm * test.norm, 1e-300)
-    peak = abs(pref) * math.exp(min(e_star, 700.0))
-    target = tail_target * scale
-
-    radius = certified_radius(peak, mu, target)
-    if (2 * radius + 1) ** 2 > max_terms:
-        raise TruncationOverflowError(
-            f"certified radius {radius} needs more than {max_terms} lattice terms"
-        )
-    certified = peak * shell_tail_bound(radius, mu)
-
-    k1 = np.arange(round(center[0] - g.q) - radius, round(center[0] - g.q) + radius + 1)
-    k2 = np.arange(round(center[1] - g.p) - radius, round(center[1] - g.p) + radius + 1)
+    form = overlap_form(g, test)
+    target = tail_target * max(g.norm * test.norm, 1e-300)
+    k1, k2, truncation = form.box(g.q, g.p, target, max_terms)
     # Translation phase of T_(k1,k2) g: exp(i*pi*k1*k2*N) * exp(2*i*pi*k2*q*N);
     # the first factor is exactly 1 because N is even.
-    terms = overlap_terms(
-        coeffs, pref, (g.q + k1)[:, None], (g.p + k2)[None, :], turns=(k2 * (n_even * g.q))[None, :]
-    )
-    value = complex(np.sum(terms))
-    return value, LatticeTruncation(radius=radius, certified_tail=float(certified))
+    terms = form.terms((g.q + k1)[:, None], (g.p + k2)[None, :], turns=(k2 * (n_even * g.q))[None, :])
+    return complex(np.sum(terms)), truncation
 
 
 def pair_symmetrized(g: GaussianState, test: GaussianState, **kwargs) -> complex:

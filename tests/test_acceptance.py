@@ -219,14 +219,14 @@ def test_a7_band_estimates():
         h = 1.0 / n_dim
         te = ehrenfest_time(h, sd.lam)
         for n in [math.ceil(te), math.ceil(1.5 * te), 2 * math.ceil(te)]:
-            state = make_damped_lagrangian(sd, n, h)
+            state = make_damped_lagrangian(CAT, n, h)
             g, _ = aligned_propagated_state(CAT, n, h)
             bound = math.sqrt(h) * sd.lam ** (-0.5 * n) + math.exp(-1.0 / h)
             for pt in points:
                 if n_dim >= 64:
-                    worst_tail = max(worst_tail, off_band_tail(state, pt.q, pt.p, n_dim))
+                    worst_tail = max(worst_tail, off_band_tail(state, pt.q, pt.p))
                     worst_tail = max(
-                        worst_tail, off_band_tail(g, pt.q, pt.p, n_dim, theta=sd.theta)
+                        worst_tail, off_band_tail(g, pt.q, pt.p, theta=sd.theta)
                     )
                 diff = band_difference(CAT, n, h, pt.q, pt.p, allow_below_threshold=True)
                 ratios[n_dim].append(diff / bound)

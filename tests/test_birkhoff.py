@@ -122,7 +122,8 @@ def test_damped_birkhoff_sum_basics(cat):
         assert damped_birkhoff_sum(t_map, ones, chi, pt, 10.0) == pytest.approx(expected)
 
     # Linearity in the observable.
-    obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=0.25)
+    obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=0.25,
+                                 beta=damping_coefficient(cat))
     f2 = lambda x, y: 2.0 * obs.eval(x, y)
     a = damped_birkhoff_sum(t_map, obs, chi, (0.1, 0.0), 10.0)
     b = damped_birkhoff_sum(t_map, f2, chi, (0.1, 0.0), 10.0)
@@ -152,12 +153,15 @@ _WINDOWS = {
     "gauss3": lambda u: np.exp(-3.0 * np.asarray(u, dtype=float) ** 2),
     # Real beta = 1/cos^2(theta), and the complex beta of a nonsymmetric matrix.
     "real_beta": gaussian_damping(
-        InterferenceObservable(q0=0.3, p0=0.7, theta=spectral_data(_CAT).theta, h=1.0 / 256)
+        InterferenceObservable(
+            q0=0.3, p0=0.7, theta=spectral_data(_CAT).theta, h=1.0 / 256,
+            beta=1.0 / math.cos(spectral_data(_CAT).theta) ** 2,
+        )
     ),
     "complex_beta": gaussian_damping(
         InterferenceObservable(
             q0=0.3, p0=0.7, theta=spectral_data(_NONSYMMETRIC).theta, h=1.0 / 256,
-            beta_coeff=damping_coefficient(_NONSYMMETRIC),
+            beta=damping_coefficient(_NONSYMMETRIC),
         )
     ),
 }
@@ -216,10 +220,12 @@ def test_observable_invariants(cat, rng):
     for _ in range(10):
         m = random_hyperbolic(rng)
         sd = spectral_data(m)
-        obs = InterferenceObservable(q0=0.1, p0=0.9, theta=sd.theta, h=1.0 / 16.0)
+        obs = InterferenceObservable(q0=0.1, p0=0.9, theta=sd.theta, h=1.0 / 16.0,
+                                     beta=damping_coefficient(m))
         assert obs.gamma0.real > 0
     sd = spectral_data(cat)
-    obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=1.0 / 16.0)
+    obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=1.0 / 16.0,
+                                 beta=damping_coefficient(cat))
     us = np.linspace(-2.0, 2.0, 21)
     t = sd.tan_theta
     ref = np.exp(-math.pi * math.cos(sd.theta) ** 2 * (1.0 + 1j * t) * us ** 2)
@@ -240,7 +246,7 @@ def test_interference_term_phase_reduction(cat):
     n_dim, n = 64, 4
     h = 1.0 / n_dim
     big_a, big_b = 3.262, 2.771  # an arbitrary plane lift
-    state = make_damped_lagrangian(sd, n, h, center=(big_a, big_b))
+    state = make_damped_lagrangian(cat, n, h, center=(big_a, big_b))
     q0, p0 = 0.31, 0.87
     idx = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=state.s_prime)
     s0 = p0 - t * q0
@@ -277,7 +283,8 @@ def test_theorem_rhs_threshold_and_truncation(cat):
         theorem_rhs(cat, 0, h, TorusPoint(0, 0), TorusPoint(0, 0))
     # Damping truncation: widening the window beyond |chi| < 1e-14 is invisible.
     n = 4
-    obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=h)
+    obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=h,
+                                 beta=damping_coefficient(cat))
     chi = gaussian_damping(obs)
     t_map = SkewMap(alpha=sd.tan_theta, N=64)
     base = damped_birkhoff_sum(t_map, obs, chi, (0.2, 0.0), sd.lam ** n)

@@ -191,7 +191,7 @@ def test_cli_exit_codes(tmp_path):
 def test_cli_numerical_failure_exit_code(tmp_path):
     # At N = 16 an absurd absolute time makes the propagated packet's overlap
     # decay form lose negative definiteness (NumericalToleranceError from
-    # torus.overlap_decay_form); the CLI maps it to exit 3.
+    # torus.OverlapForm.envelope); the CLI maps it to exit 3.
     cfg = write_config(tmp_path, N_values=[16], n_mode="absolute", n_values=[40])
     proc = run_cli(["theorem", "--config", str(cfg), "--out", str(tmp_path / "boom")], tmp_path)
     assert proc.returncode == 3

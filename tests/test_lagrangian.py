@@ -5,17 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from qcat.classical import ehrenfest_time, spectral_data
+from qcat.classical import Sl2IntMatrix, ehrenfest_time, spectral_data
 from qcat.errors import MismatchedHError, ThresholdViolationError, TruncationOverflowError
 from qcat.lagrangian import (
     BandIndexer,
-    _field_values,
+    _band_m_range,
     aligned_propagated_state,
     band_difference,
     band_indexer,
     band_sum,
     check_pointwise_approx,
     circle_distance,
+    damping_coefficient,
     lagrangian_eval,
     lagrangian_overlap_field,
     make_damped_lagrangian,
@@ -25,7 +26,7 @@ from qcat.lagrangian import (
 )
 from qcat.metaplectic import cis_turns, gaussian_eval, wavepacket
 from qcat.quadrature import tanh_sinh
-from qcat.torus import overlap_decay_form, shell_tail_bound
+from qcat.torus import line_tail_bound, shell_tail_bound
 
 
 def test_circle_distance():
@@ -37,7 +38,7 @@ def test_circle_distance():
 def test_state_invariants(cat):
     sd = spectral_data(cat)
     for n in (0, 2, 5, 9):
-        state = make_damped_lagrangian(sd, n, 1.0 / 64.0)
+        state = make_damped_lagrangian(cat, n, 1.0 / 64.0)
         assert state.beta.real == pytest.approx(1.0 / math.cos(sd.theta) ** 2, rel=1e-14)
         assert state.beta.real > 0
         # Unit L2 norm from the closed-form constant, verified by quadrature.
@@ -51,7 +52,7 @@ def test_norm_constant_asymptotics(cat):
     sd = spectral_data(cat)
     vals = []
     for n in range(0, 12):
-        state = make_damped_lagrangian(sd, n, 1.0 / 64.0)
+        state = make_damped_lagrangian(cat, n, 1.0 / 64.0)
         vals.append(state.norm_constant * state.h ** 0.25 * math.sqrt(sd.lam ** n))
     assert min(vals) > 0.5 and max(vals) < 3.0
     assert max(vals) / min(vals) == pytest.approx(1.0, abs=1e-12)  # exactly constant here
@@ -59,7 +60,7 @@ def test_norm_constant_asymptotics(cat):
 
 def test_lagrangian_eval_examples(cat):
     sd = spectral_data(cat)
-    state = make_damped_lagrangian(sd, 3, 1.0 / 64.0)
+    state = make_damped_lagrangian(cat, 3, 1.0 / 64.0)
     assert lagrangian_eval(state, 0.0) == pytest.approx(state.norm_constant)
     xs = np.linspace(-1.0, 1.0, 11)
     mods = np.abs(lagrangian_eval(state, xs))
@@ -69,7 +70,7 @@ def test_lagrangian_eval_examples(cat):
     assert np.max(np.abs(mods - want)) < 1e-12
     # Large n: the phase converges to the pure Lagrangian phase of the line.
     x = 0.37
-    big = make_damped_lagrangian(sd, 40, 1.0 / 64.0)
+    big = make_damped_lagrangian(cat, 40, 1.0 / 64.0)
     pure = cis_turns(sd.tan_theta * x * x / (2.0 * big.h))
     val = lagrangian_eval(big, x) / abs(lagrangian_eval(big, x))
     assert abs(val - pure) < 1e-8
@@ -85,7 +86,7 @@ def test_overlap_matches_quadrature_near_line(cat, rng):
         n = int(rng.integers(1, 5))
         a_c = float(rng.uniform(-1.5, 1.5))
         b_c = t * a_c + float(rng.uniform(-0.3, 0.3))
-        state = make_damped_lagrangian(sd, n, h, center=(a_c, b_c))
+        state = make_damped_lagrangian(cat, n, h, center=(a_c, b_c))
         # Sample where the overlap is O(1)-sized: along the line within the
         # damping width sqrt(h) lam^n, transversally at the sqrt(h) scale.
         q = a_c + math.sqrt(h) * sd.lam ** n * float(rng.uniform(-1.5, 1.5))
@@ -108,7 +109,7 @@ def test_overlap_modulus_profile(cat):
     sd = spectral_data(cat)
     h = 1.0 / 64.0
     t = sd.tan_theta
-    state = make_damped_lagrangian(sd, 12, h)  # large n: damping negligible locally
+    state = make_damped_lagrangian(cat, 12, h)  # large n: damping negligible locally
     q = 0.2
     c2 = math.cos(sd.theta) ** 2
     base = abs(overlap_lagrangian_wavepacket(state, q, t * q))
@@ -126,7 +127,7 @@ def test_overlap_modulus_profile(cat):
 
 
 def test_overlap_mismatched_h(cat):
-    state = make_damped_lagrangian(spectral_data(cat), 2, 1.0 / 16.0)
+    state = make_damped_lagrangian(cat, 2, 1.0 / 16.0)
     with pytest.raises(MismatchedHError):
         overlap_lagrangian_wavepacket(state, 0.0, 0.0, h=1.0 / 8.0)
 
@@ -151,53 +152,52 @@ def test_off_band_tail(cat):
     n_dim = 64
     h = 1.0 / n_dim
     n = math.ceil(ehrenfest_time(h, sd.lam))
-    state = make_damped_lagrangian(sd, n, h)
-    assert off_band_tail(state, 0.3, 0.7, n_dim) < 1e-8
+    state = make_damped_lagrangian(cat, n, h)
+    assert off_band_tail(state, 0.3, 0.7) < 1e-8
     g, _ = aligned_propagated_state(cat, n, h)
-    assert off_band_tail(g, 0.3, 0.7, n_dim, theta=sd.theta) < 1e-8
+    assert off_band_tail(g, 0.3, 0.7, theta=sd.theta) < 1e-8
     # Limit of a state overwhelmingly concentrated on the line: every
     # off-band cell underflows to an exact floating-point zero.
-    tight = make_damped_lagrangian(sd, 1, 1.0 / 2048.0)
-    assert off_band_tail(tight, 0.3, 0.7, 2048) == 0.0
+    tight = make_damped_lagrangian(cat, 1, 1.0 / 2048.0)
+    assert off_band_tail(tight, 0.3, 0.7) == 0.0
 
 
-def _dense_field_values(field, q, p):
+def _dense_field_values(form, q, p):
     """Oracle: pref * exp(E(q, p)) with the phase of every value reduced,
     underflowed or not."""
-    (e_qq, e_pp, e_qp, e_q, e_p, e_c), pref = field
+    e_qq, e_pp, e_qp, e_q, e_p, e_c = form.coeffs
     e = e_qq * q * q + e_pp * p * p + e_qp * q * p + e_q * q + e_p * p + e_c
-    return pref * np.exp(e.real) * cis_turns(e.imag / (2.0 * math.pi))
+    return form.pref * np.exp(e.real) * cis_turns(e.imag / (2.0 * math.pi))
 
 
-def _scan_off_band_radius(field):
+def _scan_off_band_radius(form):
     """Oracle: the off-band radius found by stepping r = 1, 2, ... until
     peak * shell_tail_bound(r, mu) <= 1e-16 * peak."""
-    _, _, mu, e_star = overlap_decay_form(field[0])
-    peak = abs(field[1]) * math.exp(min(e_star, 700.0))
+    _, mu, peak = form.envelope()
     radius = 1
     while peak * shell_tail_bound(radius, mu) > 1e-16 * max(peak, 1e-300):
         radius += 1
     return radius
 
 
-def _dense_off_band_tail(field, indexer, radius):
+def _dense_off_band_tail(form, indexer, radius):
     """Oracle: |off-band sum| on the box of ``radius`` from dense values."""
-    center = overlap_decay_form(field[0])[0]
+    center = form.envelope()[0]
     k1 = np.arange(round(center[0] - indexer.q0) - radius, round(center[0] - indexer.q0) + radius + 1)
     k2 = np.arange(round(center[1] - indexer.p0) - radius, round(center[1] - indexer.p0) + radius + 1)
     kk1, kk2 = np.meshgrid(k1, k2, indexing="ij")
-    vals = _dense_field_values(field, indexer.q0 + kk1, indexer.p0 + kk2)
+    vals = _dense_field_values(form, indexer.q0 + kk1, indexer.p0 + kk2)
     return float(abs(np.sum(vals[kk2 != indexer.p_of(kk1)]))), vals, (kk1, kk2)
 
 
-def _off_band_cases(cat):
-    """(state, theta, field, indexer, N) for a Lagrangian state and a
-    propagated packet at N = 64, n = 3 and at N = 1024, 4096, n = 6 and 8."""
+def _off_band_cases(cat, cells=((64, 3), (1024, 6), (1024, 8), (4096, 8))):
+    """(state, theta, form, indexer, N) for a Lagrangian state and a
+    propagated packet at each (N, n) of ``cells``."""
     sd = spectral_data(cat)
     q0, p0 = 0.3, 0.7
-    for n_dim, n in ((64, 3), (1024, 6), (1024, 8), (4096, 8)):
+    for n_dim, n in cells:
         h = 1.0 / n_dim
-        lag = make_damped_lagrangian(sd, n, h)
+        lag = make_damped_lagrangian(cat, n, h)
         g, _ = aligned_propagated_state(cat, n, h)
         yield (lag, None, lagrangian_overlap_field(lag),
                BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=lag.s_prime), n_dim)
@@ -210,44 +210,87 @@ def test_off_band_tail_matches_dense_oracle(cat):
     # Bit-equal tails and box values; past t_E almost every value is an
     # exact zero, which the live-term evaluation skips.
     shares = []
-    for state, theta, field, indexer, n_dim in _off_band_cases(cat):
-        radius = _scan_off_band_radius(field)
-        want, dense, (kk1, kk2) = _dense_off_band_tail(field, indexer, radius)
-        assert off_band_tail(state, indexer.q0, indexer.p0, n_dim, theta=theta) == want
-        vals = _field_values(field, indexer.q0 + kk1, indexer.p0 + kk2)
+    for state, theta, form, indexer, n_dim in _off_band_cases(cat):
+        radius = _scan_off_band_radius(form)
+        want, dense, (kk1, kk2) = _dense_off_band_tail(form, indexer, radius)
+        assert off_band_tail(state, indexer.q0, indexer.p0, theta=theta) == want
+        vals = form.terms(indexer.q0 + kk1, indexer.p0 + kk2)
         assert np.array_equal(vals, dense)
         shares.append(np.count_nonzero(vals) / vals.size)
     assert min(shares) < 0.01 < max(shares)
 
     # A box far from the ridge: every value underflows to an exact zero.
-    state = make_damped_lagrangian(spectral_data(cat), 8, 1.0 / 1024.0)
-    field = lagrangian_overlap_field(state)
+    state = make_damped_lagrangian(cat, 8, 1.0 / 1024.0)
+    form = lagrangian_overlap_field(state)
     q = 0.3 + np.arange(-50, 51)[:, None]
     p = 200.7 + np.arange(-50, 51)[None, :]
-    far = _field_values(field, q, p)
-    assert not np.any(far) and np.array_equal(far, _dense_field_values(field, q, p))
+    far = form.terms(q, p)
+    assert not np.any(far) and np.array_equal(far, _dense_field_values(form, q, p))
 
     # Scalar input gives a numpy scalar, bit-equal to the dense value at the
     # same point in a one-element array (numpy's complex product, which can
     # differ from Python's in the last bit), and zero where it underflows.
     for q, p in ((0.3, 0.7), (0.3, 1.7), (0.3, 40.7)):
-        got = _field_values(field, q, p)
-        want = _dense_field_values(field, np.array([q]), np.array([p]))[0]
+        got = form.terms(q, p)
+        want = _dense_field_values(form, np.array([q]), np.array([p]))[0]
         assert np.ndim(got) == 0 and got == want
         assert overlap_lagrangian_wavepacket(state, q, p) == complex(want)
-        assert abs(got - _dense_field_values(field, q, p)) <= 4e-16 * abs(got)
-    assert _field_values(field, 0.3, 40.7) == 0.0
+        assert abs(got - _dense_field_values(form, q, p)) <= 4e-16 * abs(got)
+    assert form.terms(0.3, 40.7) == 0.0
 
 
 def test_off_band_radius_matches_scan(cat):
     # The certified radius r is read off the term cap: a cap of (2r+1)^2
     # terms is enough, one term less is not.
-    for state, theta, field, indexer, n_dim in _off_band_cases(cat):
-        radius = _scan_off_band_radius(field)
+    for state, theta, form, indexer, n_dim in _off_band_cases(cat):
+        radius = _scan_off_band_radius(form)
         box = (2 * radius + 1) ** 2
-        off_band_tail(state, indexer.q0, indexer.p0, n_dim, theta=theta, max_terms=box)
-        with pytest.raises(TruncationOverflowError, match="certified off-band box exceeds the term cap"):
-            off_band_tail(state, indexer.q0, indexer.p0, n_dim, theta=theta, max_terms=box - 1)
+        off_band_tail(state, indexer.q0, indexer.p0, theta=theta, max_terms=box)
+        with pytest.raises(TruncationOverflowError,
+                           match=f"^certified radius {radius} needs more than {box - 1} lattice terms$"):
+            off_band_tail(state, indexer.q0, indexer.p0, theta=theta, max_terms=box - 1)
+
+
+def _scan_band_window(form, indexer, target):
+    """Oracle: the band window from the radius found by stepping r = 1, 2, ...
+    until peak * line_tail_bound(r, mu) <= target; empty if the peak is."""
+    center, mu, peak = form.envelope()
+    if peak <= target:
+        return 0, -1
+    radius = 1
+    while peak * line_tail_bound(radius, mu) > target:
+        radius += 1
+    mid = center[0] - indexer.q0
+    return math.floor(mid - radius), math.ceil(mid + radius)
+
+
+def test_band_window_matches_line_scan_and_is_sound(cat):
+    # The band window is the smallest radius the line tail bound certifies,
+    # and the dense |values| along the band outside it sum to at most the
+    # target, for a Lagrangian state and a propagated packet at N = 64, 1024.
+    nonempty = 0
+    for _, _, form, indexer, _ in _off_band_cases(cat, ((64, 3), (1024, 8))):
+        indexer = BandIndexer(theta=indexer.theta, q0=0.3, p0=0.7, s_prime=0.0)
+        for tail, scale in ((1e-14, 1.0), (1e-8, 1.0), (1e-6, 1e-3), (1e-2, 1.0)):
+            m_lo, m_hi = _band_m_range(form, indexer, tail, scale)
+            assert (m_lo, m_hi) == _scan_band_window(form, indexer, tail * scale)
+            # Wide enough that every value past it underflows to zero.
+            pad = 10 * max(m_hi - m_lo, 100)
+            m = np.arange(min(m_lo, 0) - pad, max(m_hi, 0) + pad + 1)
+            vals = np.abs(_dense_field_values(form, indexer.q0 + m, indexer.p0 + indexer.p_of(m)))
+            assert vals[0] == 0.0 and vals[-1] == 0.0
+            outside = (m < m_lo) | (m > m_hi)
+            assert np.sum(vals[outside]) <= tail * scale
+            nonempty += m_hi >= m_lo and np.sum(vals[outside]) > 0.0
+    assert nonempty > 0
+
+
+def test_make_damped_lagrangian_carries_matrix_beta():
+    # A nonsymmetric matrix gets its own beta, not the symmetric 1/cos^2.
+    m = Sl2IntMatrix(3, 1, 2, 1)
+    state = make_damped_lagrangian(m, 4, 1.0 / 64.0)
+    assert state.beta == damping_coefficient(m)
+    assert abs(state.beta - 1.0 / math.cos(state.theta) ** 2) > 1e-3
 
 
 def test_off_band_tail_superpolynomial_decay(cat):
@@ -256,8 +299,8 @@ def test_off_band_tail_superpolynomial_decay(cat):
     for n_dim in (16, 32, 64, 128):
         h = 1.0 / n_dim
         n = math.ceil(ehrenfest_time(h, sd.lam))
-        state = make_damped_lagrangian(sd, n, h)
-        tails.append(max(off_band_tail(state, 0.3, 0.7, n_dim), 1e-300))
+        state = make_damped_lagrangian(cat, n, h)
+        tails.append(max(off_band_tail(state, 0.3, 0.7), 1e-300))
     slopes = [math.log(tails[i] / tails[i + 1]) / math.log(2.0) for i in range(3)]
     assert slopes[0] < slopes[1] < slopes[2]  # accelerating decay: faster than any power
 
@@ -281,9 +324,8 @@ def test_check_pointwise_approx(cat):
     assert report.violations == 0
     assert report.fitted_r > 0
     # x = 0: both sides vanish after the shared-constant alignment.
-    sd = spectral_data(cat)
     g, _ = aligned_propagated_state(cat, 3, 1.0 / 64.0)
-    lag = make_damped_lagrangian(sd, 3, 1.0 / 64.0)
+    lag = make_damped_lagrangian(cat, 3, 1.0 / 64.0)
     scale = abs(g.amplitude) / lag.norm_constant
     assert abs(gaussian_eval(g, 0.0) - scale * lagrangian_eval(lag, 0.0)) < 1e-14
 
@@ -310,7 +352,7 @@ def test_band_sum_constant_c23(cat):
     for n_dim in (16, 64, 256):
         h = 1.0 / n_dim
         n = math.ceil(abs(math.log(h)) / math.log(sd.lam))
-        state = make_damped_lagrangian(sd, n, h)
+        state = make_damped_lagrangian(cat, n, h)
         q0, p0 = 0.3, 0.7
         idx = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=0.0)
         c_h = (2.0 / h) ** 0.25
@@ -344,15 +386,15 @@ def test_damping_replacement_l1_bounded(cat):
     for n_dim in (16, 64, 256):
         h = 1.0 / n_dim
         n = math.ceil(abs(math.log(h)) / math.log(sd.lam))
-        state = make_damped_lagrangian(sd, n, h)
+        state = make_damped_lagrangian(cat, n, h)
         q0, p0 = 0.3, 0.7
         idx = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=0.0)
-        field = lagrangian_overlap_field(state)
+        form = lagrangian_overlap_field(state)
         ms = np.arange(-int(8 * math.sqrt(h) * sd.lam ** n) - 8,
                        int(8 * math.sqrt(h) * sd.lam ** n) + 9)
         qs = q0 + ms
         ps = p0 + np.asarray(idx.p_of(ms), dtype=float)
-        (e_qq, e_pp, e_qp, e_q, e_p, e_c), pref = field
+        e_qq, e_pp, e_qp, e_q, e_p, e_c = form.coeffs
         expo = e_qq * qs * qs + e_pp * ps * ps + e_qp * qs * ps + e_q * qs + e_p * ps + e_c
         c2 = math.cos(sd.theta) ** 2
         d = idx.d_of(ms)
@@ -364,9 +406,6 @@ def test_damping_replacement_l1_bounded(cat):
 
 
 def test_damping_coefficient_general(cat):
-    from qcat.classical import Sl2IntMatrix
-    from qcat.lagrangian import damping_coefficient
-
     # Symmetric matrices: beta collapses to the real value 1/cos^2(theta).
     for m in (cat, Sl2IntMatrix(5, 3, 3, 2), cat.power(3)):
         sd = spectral_data(m)
@@ -388,8 +427,6 @@ def test_pointwise_approx_nonsymmetric_matrix():
     # The fitted R_n decay law holds for a nonsymmetric trace > 2 matrix too,
     # which discriminates the general damping coefficient from the symmetric
     # one (the latter would flatten the slope to -2 log lam).
-    from qcat.classical import Sl2IntMatrix
-
     m = Sl2IntMatrix(3, 2, 1, 1)
     sd = spectral_data(m)
     grid = np.linspace(-2.0, 2.0, 401)

@@ -32,14 +32,12 @@ from qcat.metaplectic import (
 )
 from qcat.quadrature import overlap_quadrature
 from qcat.torus import (
-    _exponent_coefficients,
     _shear_chain,
     build_propagator_matrix,
     comb_state,
     husimi,
     matrix_element_exact,
-    overlap_decay_form,
-    overlap_terms,
+    overlap_form,
     pair_from_coefficients,
     pair_symmetrized,
     pair_symmetrized_detailed,
@@ -95,9 +93,7 @@ def test_pair_validation_errors():
 def _scan_certified_radius(g, test, tail_target=1e-13):
     """Oracle: the certified radius found by stepping r = 1, 2, ... until
     peak * shell_tail_bound(r, mu) <= tail_target * |g| |test|."""
-    coeffs, pref = _exponent_coefficients(g, test)
-    _, _, mu, e_star = overlap_decay_form(coeffs)
-    peak = abs(pref) * math.exp(min(e_star, 700.0))
+    _, mu, peak = overlap_form(g, test).envelope()
     target = tail_target * max(g.norm * test.norm, 1e-300)
     radius = 1
     while peak * shell_tail_bound(radius, mu) > target:
@@ -131,11 +127,11 @@ def _dense_pairing_box(g, test, radius, offset=(0, 0)):
     around the decay center (moved by ``offset``), every term through the
     complex exponent and both cis_turns calls, underflowed or not.
 
-    Returns the dense terms and the inputs of :func:`overlap_terms`.
+    Returns the dense terms, the form and the inputs of its ``terms``.
     """
     n_dim = round(1.0 / g.h)
-    coeffs, pref = _exponent_coefficients(g, test)
-    center = overlap_decay_form(coeffs)[0]
+    form = overlap_form(g, test)
+    center = form.envelope()[0]
     c1 = round(center[0] - g.q) + offset[0]
     c2 = round(center[1] - g.p) + offset[1]
     k1 = np.arange(c1 - radius, c1 + radius + 1)
@@ -143,11 +139,11 @@ def _dense_pairing_box(g, test, radius, offset=(0, 0)):
     kk1, kk2 = np.meshgrid(k1, k2, indexing="ij")
     y = g.q + kk1
     w = g.p + kk2
-    e_yy, e_ww, e_yw, e_y, e_w, e_c = coeffs
+    e_yy, e_ww, e_yw, e_y, e_w, e_c = form.coeffs
     expo = e_yy * y * y + e_ww * w * w + e_yw * y * w + e_y * y + e_w * w + e_c
     turns = kk2 * (n_dim * g.q)
-    dense = pref * cis_turns(turns) * np.exp(expo.real) * cis_turns(expo.imag / (2.0 * math.pi))
-    return dense, (coeffs, pref, y, w, turns)
+    dense = form.pref * cis_turns(turns) * np.exp(expo.real) * cis_turns(expo.imag / (2.0 * math.pi))
+    return dense, (form, y, w, turns)
 
 
 def test_live_terms_match_dense_oracle(cat):
@@ -162,11 +158,11 @@ def test_live_terms_match_dense_oracle(cat):
         g = propagate_n(cat, wavepacket(src.q, src.p, h), n)
         test = wavepacket(dst.q, dst.p, h)
         value, trunc = pair_symmetrized_detailed(g, test)
-        dense, (coeffs, pref, y, w, turns) = _dense_pairing_box(g, test, trunc.radius, offset)
-        terms = overlap_terms(coeffs, pref, y, w, turns=turns)
+        dense, (form, y, w, turns) = _dense_pairing_box(g, test, trunc.radius, offset)
+        terms = form.terms(y, w, turns=turns)
         assert np.array_equal(terms, dense), (n_dim, n, offset)
         # The broadcast form the pairing uses gives the same array.
-        rows = overlap_terms(coeffs, pref, y[:, :1], w[:1, :], turns=turns[:1, :])
+        rows = form.terms(y[:, :1], w[:1, :], turns=turns[:1, :])
         assert np.array_equal(rows, dense), (n_dim, n, offset)
         live_share[(n_dim, n, offset)] = np.count_nonzero(terms) / terms.size
         if offset == (0, 0):
@@ -177,12 +173,12 @@ def test_live_terms_match_dense_oracle(cat):
 
     # A 0-d center pair (N = 64, n = 5) gives a numpy scalar, bit-equal to
     # the dense value.
-    coeffs, pref = _exponent_coefficients(g, test)
-    e_yy, e_ww, e_yw, e_y, e_w, e_c = coeffs
+    form = overlap_form(g, test)
+    e_yy, e_ww, e_yw, e_y, e_w, e_c = form.coeffs
     y, w = g.q + 0.25, g.p - 0.5
     expo = e_yy * y * y + e_ww * w * w + e_yw * y * w + e_y * y + e_w * w + e_c
-    want = pref * cis_turns(0.3) * np.exp(expo.real) * cis_turns(expo.imag / (2.0 * math.pi))
-    got = overlap_terms(coeffs, pref, y, w, turns=0.3)
+    want = form.pref * cis_turns(0.3) * np.exp(expo.real) * cis_turns(expo.imag / (2.0 * math.pi))
+    got = form.terms(y, w, turns=0.3)
     assert np.ndim(got) == 0 and got == want
 
 
@@ -418,7 +414,7 @@ def test_slow_variation_pairing_bound(cat):
         out = []
         for n in range(math.ceil(te), 2 * math.ceil(te) + 1):
             g, _ = aligned_propagated_state(cat, n, h)
-            lag = make_damped_lagrangian(sd, n, h)
+            lag = make_damped_lagrangian(cat, n, h)
             scale = abs(g.amplitude) / lag.norm_constant
             indexer = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=0.0)
             for m in range(-20, 21):
