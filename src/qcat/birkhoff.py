@@ -12,8 +12,8 @@ band sums along the unstable line Birkhoff sums of this map.
 
 Predicted matrix element (time n, h = 1/N, source (a,b), target (q0,p0)):
 
-    RHS = D * P * sqrt(2/cos(theta)) * Lam^(-1/2) * lam^(-n/2)
-            * sum_k chi(k/lam^n) f(T^k(s', 0)),
+    RHS = D * P * sqrt(2/cos(theta)) * (Re(beta_c) cos^2(theta))^(1/4)
+            * Lam^(-1/2) * lam^(-n/2) * sum_k chi(k/lam^n) f(T^k(s', 0)),
 
 where f is the interference observable, chi(u) = exp(-gamma0 u^2 / h) with
 gamma0 = pi*beta the damping derived from the transverse
@@ -22,7 +22,17 @@ symmetric special case), s' = b' - tan a' for the reduced image (a', b') of
 M^n (a, b), Lam = 1 - i tan + beta_c lam^(-2n), and P collects the explicit
 configuration phases (metaplectic branch, packet recentering, lift
 reduction and target anchoring).  D is a single complex constant fitted once
-on a reference batch and frozen.
+on a reference batch and frozen.  The factor (Re(beta_c) cos^2(theta))^(1/4)
+is 1 for symmetric matrices, where Re(beta_c) = 1/cos^2(theta).
+
+The damped sum runs over the window |k| <= K past which |chi| stays below
+1e-14.  For the interference observable only its live terms are summed:
+|f(T^k(x, y))| = exp(-pi cos^2(theta) d_k^2 / h) depends only on the circle
+distance d_k of x + k alpha to s0, so one float64 pass over the window
+bounds each term by |chi(k/lam^n)| times that Gaussian and keeps the terms
+whose bound is at least 1e-14/(2K+1).  The dropped terms sum to at most
+1e-14 in absolute value.  Long double is used only for the orbit phases y_k
+of the live terms; every other phase is reduced mod 1 in float64.
 """
 
 from __future__ import annotations
@@ -123,20 +133,27 @@ class InterferenceObservable:
         """Damping exponent scale pi * beta; Re(gamma0) > 0 always."""
         return math.pi * complex(self.beta)
 
-    def profile(self, u):
+    def _profile_exponent(self, u):
         t = math.tan(self.theta)
         c2 = math.cos(self.theta) ** 2
         uu = np.asarray(u, dtype=float)
-        return np.exp(-math.pi * c2 * complex(1.0, t) * uu * uu)
+        return -math.pi * c2 * complex(1.0, t) * uu * uu
+
+    def profile(self, u):
+        return np.exp(self._profile_exponent(u))
 
     def eval(self, x, y):
-        n_inv = 1.0 / self.h
-        d = circle_distance(x, self.s0)
-        return (
-            self.profile(np.asarray(d) / math.sqrt(self.h))
-            * cis_turns(self.q0 * np.asarray(d) * n_inv)
-            * cis_turns(y)
-        )
+        """f(x, y) as one complex exponential; ``y`` is in turns (float64).
+
+        Both turns, q0 d / h and y, are reduced mod 1 in float64.  For
+        float64 inputs that rounds at most once, as a long-double reduction
+        would, so no long double is needed here.
+        """
+        d = np.asarray(circle_distance(x, self.s0))
+        q_turns = self.q0 * d * (1.0 / self.h)
+        y_turns = np.asarray(y, dtype=float)
+        turns = (q_turns - np.floor(q_turns)) + (y_turns - np.floor(y_turns))
+        return np.exp(self._profile_exponent(d / math.sqrt(self.h)) + 2j * math.pi * turns)
 
 
 def gaussian_damping(obs: InterferenceObservable):
@@ -152,6 +169,7 @@ def gaussian_damping(obs: InterferenceObservable):
 
 
 _WINDOW_CAP = 50_000_000
+_LIVE_TAIL = 1e-14
 _BLOCK_MAX = 1 << 20
 
 
@@ -186,24 +204,55 @@ def _support_half_width(chi, m_time: float, cutoff: float = 1e-14, consecutive: 
     raise ValueError("damping window does not decay")
 
 
+def _window(chi, m_time: float) -> tuple[np.ndarray, np.ndarray]:
+    """The damping window k = -K, ..., K and chi(k/m_time) as a complex array."""
+    k_max = _support_half_width(chi, m_time)
+    k = np.arange(-k_max, k_max + 1)
+    return k, np.broadcast_to(np.asarray(chi(k / m_time), dtype=complex), k.shape)
+
+
+def _live_mask(t_map: SkewMap, obs: InterferenceObservable, k: np.ndarray,
+               chi_k: np.ndarray, x: float) -> np.ndarray:
+    """Terms of the window whose modulus can reach ``_LIVE_TAIL`` / (2K+1).
+
+    |chi(k/M) f(T^k(x, y))| = |chi_k| exp(-pi cos^2(theta) d_k^2 / h) with
+    d_k = d(x + k alpha, s0), because every other factor of f is a phase.
+    The bound is formed in float64 from the chi values passed, so the terms
+    it drops sum to at most ``_LIVE_TAIL`` in absolute value.
+    """
+    u = np.asarray(circle_distance(x + k * t_map.alpha, obs.s0)) / math.sqrt(obs.h)
+    bound = np.abs(chi_k) * np.exp(-math.pi * math.cos(obs.theta) ** 2 * u * u)
+    return bound >= _LIVE_TAIL / k.size
+
+
 def damped_birkhoff_sum(t_map: SkewMap, f, chi, pt: tuple[float, float], m_time: float) -> complex:
     """S^chi_m(f)(pt) = sum_k chi(k/m) f(T^k pt), truncated where |chi| < 1e-14.
 
     ``m_time`` may be non-integer (the damping argument k/m is evaluated at
     real arguments while k stays integer).  Terms are summed in ascending k.
+
+    For an :class:`InterferenceObservable` only the live terms are summed:
+    those whose bound |chi(k/m)| |F0(d_k/sqrt h)| is at least 1e-14/(2K+1)
+    (:func:`_live_mask`, float64 on the whole window).  The dropped terms
+    sum to at most 1e-14 in absolute value.  Long double is used only for
+    the orbit phases y_k of the live terms.  A plain callable ``f`` is
+    summed on the whole window.
     """
     if m_time <= 0:
         raise ValueError("m_time must be positive")
-    k_max = _support_half_width(chi, m_time)
-    k = np.arange(-k_max, k_max + 1)
+    k, chi_k = _window(chi, m_time)
+    if isinstance(f, InterferenceObservable):
+        live = _live_mask(t_map, f, k, chi_k, pt[0])
+        k, chi_k, feval = k[live], chi_k[live], f.eval
+    else:
+        feval = f
     x, y = pt
     alpha_l = np.longdouble(t_map.alpha)
     k_l = np.asarray(k, dtype=np.longdouble)
     xs = np.asarray(x + np.asarray(k_l * alpha_l, dtype=np.float64), dtype=float)
     y_turns = y + k_l * k_l * (t_map.N // 2) * alpha_l + k_l * t_map.N * np.longdouble(x)
-    feval = f.eval if isinstance(f, InterferenceObservable) else f
     # e^{2 i pi y_k} is supplied through the y argument in turns.
-    vals = np.asarray(chi(k / m_time), dtype=complex) * np.asarray(
+    vals = chi_k * np.asarray(
         feval(xs, np.asarray(y_turns - np.floor(y_turns), dtype=float)), dtype=complex
     )
     return complex(np.sum(vals))
@@ -263,7 +312,13 @@ def theorem_rhs(
         * cis_turns(n_even * t * j1 * j1 / 2.0)
         * cis_turns(n_even * j1 * s_real)
     )
-    amp = math.sqrt(2.0 / math.cos(sd.theta)) * lam ** (-0.5 * n) / np.sqrt(lam_c)
+    # (Re beta cos^2)^(1/4) is 1 for symmetric matrices, where Re beta = 1/cos^2.
+    amp = (
+        math.sqrt(2.0 / math.cos(sd.theta))
+        * (beta_c.real * math.cos(sd.theta) ** 2) ** 0.25
+        * lam ** (-0.5 * n)
+        / np.sqrt(lam_c)
+    )
 
     obs = InterferenceObservable(q0=q0, p0=p0, theta=sd.theta, h=h, beta=beta_c)
     t_map = SkewMap(alpha=t, N=n_even)

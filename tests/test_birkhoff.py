@@ -13,7 +13,9 @@ from qcat.errors import ThresholdViolationError
 from qcat.birkhoff import (
     InterferenceObservable,
     SkewMap,
+    _live_mask,
     _support_half_width,
+    _window,
     damped_birkhoff_sum,
     fit_theorem_constant,
     gaussian_damping,
@@ -147,6 +149,7 @@ def _scan_half_width(chi, m_time, cutoff=1e-14, consecutive=8):
 
 _CAT = Sl2IntMatrix(2, 1, 1, 1)
 _NONSYMMETRIC = Sl2IntMatrix(3, 2, 1, 1)
+_M3121 = Sl2IntMatrix(3, 1, 2, 1)
 _LAM = spectral_data(_CAT).lam
 _WINDOWS = {
     "indicator": _indicator,
@@ -212,6 +215,90 @@ def test_support_half_width_cap():
         tracemalloc.stop()
     assert elapsed < 30.0
     assert peak < 4 * 16 * 2 ** 20
+
+
+def _full_window_sum(t_map, obs, chi, pt, m_time):
+    """Oracle: the damped sum of ``obs`` over the whole window, term by term
+    as before the live-term mask (the profile and two long-double
+    ``cis_turns`` per term).  Returns the sum and the sum of the moduli."""
+    k_max = _support_half_width(chi, m_time)
+    k = np.arange(-k_max, k_max + 1)
+    x, y = pt
+    alpha_l = np.longdouble(t_map.alpha)
+    k_l = np.asarray(k, dtype=np.longdouble)
+    xs = x + np.asarray(k_l * alpha_l, dtype=np.float64)
+    y_turns = y + k_l * k_l * (t_map.N // 2) * alpha_l + k_l * t_map.N * np.longdouble(x)
+    d = circle_distance(xs, obs.s0)
+    terms = (
+        np.asarray(chi(k / m_time), dtype=complex)
+        * obs.profile(d / math.sqrt(obs.h))
+        * cis_turns(obs.q0 * d * (1.0 / obs.h))
+        * cis_turns(y_turns)
+    )
+    return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+# The certified tail of the dropped terms, plus a rounding allowance per unit
+# of sum |term| for one complex exp per term instead of three and for the
+# shorter sum; the cases below deviate by at most 0.4 eps sum |term|.
+_LIVE_TAIL = 1e-14
+_ROUNDING = 16 * np.finfo(float).eps
+
+
+def _live_case(m, n_dim, n, x, y=0.0, chi=None):
+    """Sum arguments at N = ``n_dim``, m_time = lam^n, from the point s0 + x."""
+    sd = spectral_data(m)
+    obs = InterferenceObservable(q0=0.31, p0=0.87, theta=sd.theta, h=1.0 / n_dim,
+                                 beta=damping_coefficient(m))
+    t_map = SkewMap(alpha=sd.tan_theta, N=n_dim)
+    chi = gaussian_damping(obs) if chi is None else chi
+    return t_map, obs, chi, ((obs.s0 + x) % 1.0, y), sd.lam ** n
+
+
+@pytest.mark.parametrize(
+    "matrix, n_dim, n, x, y, chi",
+    [
+        (_CAT, 256, 12, 0.4137, 0.0, None),
+        (_CAT, 256, 13, 0.1291, 0.37, None),
+        (_CAT, 4096, 12, 0.7702, 0.0, None),
+        (_CAT, 4096, 13, 0.2466, 0.0, None),
+        (_CAT, 4096, 16, 0.5873, 0.0, None),
+        # Start within 1/N of s0: the k = 0 term has the largest profile.
+        (_CAT, 256, 13, 0.6 / 256, 0.0, None),
+        (_CAT, 4096, 13, -0.3 / 4096, 0.0, None),
+        # Complex beta.
+        (_M3121, 256, 9, 0.3318, 0.0, None),
+        (_M3121, 4096, 10, 0.9051, 0.21, None),
+        (_M3121, 4096, 10, 0.2 / 4096, 0.0, None),
+        # A foreign window: the mask must use the chi passed, not obs.gamma0.
+        (_CAT, 256, 12, 0.4137, 0.0, _indicator),
+        (_M3121, 4096, 10, 0.0, 0.0, _indicator),
+    ],
+    ids=["cat-256-12", "cat-256-13-y", "cat-4096-12", "cat-4096-13", "cat-4096-16",
+         "cat-256-13-near-s0", "cat-4096-13-near-s0", "3121-256-9", "3121-4096-10-y",
+         "3121-4096-10-near-s0", "cat-256-12-indicator", "3121-4096-10-indicator"],
+)
+def test_live_term_sum_matches_full_window(matrix, n_dim, n, x, y, chi):
+    t_map, obs, chi, pt, m_time = _live_case(matrix, n_dim, n, x, y, chi)
+    want, mass = _full_window_sum(t_map, obs, chi, pt, m_time)
+    got = damped_birkhoff_sum(t_map, obs, chi, pt, m_time)
+    assert abs(got - want) <= _LIVE_TAIL + _ROUNDING * mass
+
+
+def test_live_mask_keeps_few_terms(cat):
+    # The saving, pinned by a count: at n = 13 the mask keeps 47% of the
+    # window at N = 256 and 11.5% at N = 4096.
+    for n_dim, share in ((256, 0.60), (4096, 0.20)):
+        for x in (0.1, 0.45, 0.8):
+            t_map, obs, chi, pt, m_time = _live_case(cat, n_dim, 13, x)
+            k, chi_k = _window(chi, m_time)
+            live = _live_mask(t_map, obs, k, chi_k, pt[0])
+            assert 0 < np.count_nonzero(live) <= share * k.size
+            # What the mask drops is below the certified tail.
+            dropped = np.abs(chi_k[~live]) * np.abs(
+                obs.profile(circle_distance(pt[0] + k[~live] * t_map.alpha, obs.s0)
+                            / math.sqrt(obs.h)))
+            assert np.sum(dropped) <= _LIVE_TAIL
 
 
 def test_observable_invariants(cat, rng):
@@ -353,6 +440,24 @@ def test_theorem_pipeline_nonsymmetric_matrix():
         lhs = matrix_element_exact(m, n, src, dst, n_dim)
         rhs = theorem_rhs(m, n, h, src, dst, d_fit)
         assert abs(lhs - rhs) <= 5.0 * math.sqrt(h) * sd.lam ** (-0.5 * n)
+
+
+@pytest.mark.parametrize("matrix", [_M3121, Sl2IntMatrix(2, 3, 1, 2)],
+                         ids=["3121", "2312"])
+def test_unit_constant_prediction_nonsymmetric(matrix):
+    # D = 1 against the lattice LHS at N = 64, n = 5.  The amplitude factor
+    # (Re beta cos^2)^(1/4) is 0.980 and 0.931 here; without it the same
+    # pairs give residual/bound up to 1.15 and 3.05.
+    sd = spectral_data(matrix)
+    n_dim, n = 64, 5
+    h = 1.0 / n_dim
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        src = TorusPoint(float(rng.uniform()), float(rng.uniform()))
+        dst = TorusPoint(float(rng.uniform()), float(rng.uniform()))
+        lhs = matrix_element_exact(matrix, n, src, dst, n_dim)
+        rhs = theorem_rhs(matrix, n, h, src, dst)
+        assert abs(lhs - rhs) < math.sqrt(h) * sd.lam ** (-0.5 * n)
 
 
 def test_skew_closed_form_twenty_random_starts(cat):
