@@ -112,6 +112,16 @@ def _require(cond: bool, key: str, msg: str) -> None:
         raise ConfigError(f"config key '{key}': {msg}")
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; JSON true/false load as Python bools, which are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A JSON number, not a boolean."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
     """Parse and validate a strict-JSON config; unknown keys are rejected."""
     try:
@@ -131,30 +141,30 @@ def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
 
     mat = merged["matrix"]
     _require(isinstance(mat, list) and len(mat) == 4, "matrix", "must be a list of 4 integers")
-    _require(all(isinstance(v, int) for v in mat), "matrix", "entries must be integers")
+    _require(all(_is_int(v) for v in mat), "matrix", "entries must be integers")
     _require(mat[0] * mat[3] - mat[1] * mat[2] == 1, "matrix", "determinant must be 1")
     nvals = merged["N_values"]
     _require(isinstance(nvals, list) and len(nvals) > 0, "N_values", "must be a nonempty list")
-    _require(all(isinstance(v, int) and v > 0 and v % 2 == 0 for v in nvals), "N_values",
+    _require(all(_is_int(v) and v > 0 and v % 2 == 0 for v in nvals), "N_values",
              "entries must be positive even integers")
     _require(merged["n_mode"] in ("absolute", "ehrenfest-multiples"), "n_mode",
              "must be 'absolute' or 'ehrenfest-multiples'")
     ntimes = merged["n_values"]
     _require(isinstance(ntimes, list) and len(ntimes) > 0, "n_values", "must be a nonempty list")
-    _require(all(isinstance(v, (int, float)) and v >= 0 for v in ntimes), "n_values",
+    _require(all(_is_number(v) and v >= 0 for v in ntimes), "n_values",
              "entries must be nonnegative numbers")
     pts = merged["points"]
     _require(isinstance(pts, list), "points", "must be a list of [q, p] pairs")
     for entry in pts:
         _require(
             isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(c, (int, float)) for c in entry),
+            and all(_is_number(c) for c in entry),
             "points", f"bad entry {entry!r}",
         )
-    _require(isinstance(merged["grid_resolution"], int) and merged["grid_resolution"] >= 8,
+    _require(_is_int(merged["grid_resolution"]) and merged["grid_resolution"] >= 8,
              "grid_resolution", "must be an integer >= 8")
     _require(isinstance(merged["output_dir"], str), "output_dir", "must be a string")
-    _require(isinstance(merged["seed"], int) and 0 <= merged["seed"] < 2 ** 64, "seed",
+    _require(_is_int(merged["seed"]) and 0 <= merged["seed"] < 2 ** 64, "seed",
              "must be a 64-bit nonnegative integer")
 
     return ExperimentConfig(
@@ -230,7 +240,6 @@ def run_egorov(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     res = cfg.grid_resolution
     cells = []
     for n_dim in cfg.N_values:
-        te = ehrenfest_time(1.0 / n_dim, sd.lam)
         times = sorted({n for n in cfg.resolve_times(n_dim)} | {0})
         cells.extend((n_dim, n, idx) for n in times for idx in range(len(points)))
 

@@ -299,8 +299,9 @@ def off_band_tail(state, q0: float, p0: float, *, theta: float | None = None,
 
     ``state`` is a damped Lagrangian state or a propagated Gaussian; the band
     is the cos(theta)/2 neighborhood of its unstable line.  Terms pair the
-    state against plain packets Phi_{(q0+k1, p0+k2)} on the certified box of
-    tail 1e-16 times the peak.
+    state against plain packets Phi_{(q0+k1, p0+k2)} at the live points of
+    the certified box of tail 1e-16 times the peak (``OverlapForm.box``),
+    summed in their row-major order.
 
     Raises:
         TruncationOverflowError: if that box has more than ``max_terms`` terms.
@@ -309,9 +310,8 @@ def off_band_tail(state, q0: float, p0: float, *, theta: float | None = None,
     indexer = BandIndexer(theta=th, q0=q0, p0=p0, s_prime=s_prime)
     peak = form.envelope()[2]
     k1, k2, _ = form.box(q0, p0, 1e-16 * max(peak, 1e-300), max_terms)
-    vals = form.terms((q0 + k1)[:, None], (p0 + k2)[None, :])
-    in_band = k2[None, :] == indexer.p_of(k1)[:, None]
-    return float(abs(np.sum(vals[~in_band])))
+    vals = form.terms(q0 + k1, p0 + k2)
+    return float(abs(np.sum(vals[k2 != indexer.p_of(k1)])))
 
 
 def aligned_propagated_state(m: Sl2IntMatrix, n: int, h: float) -> tuple[GaussianState, complex]:

@@ -15,14 +15,17 @@ error-function tail bounds (:func:`certified_radius`, which also certifies
 windows on a line) and fails loudly past its term cap, and ``terms()``
 evaluates it.
 
-Inside a box only the terms that do not underflow get a phase: the modulus
-exp(Re E) is formed on the whole box in float64, and the long-double phase
-reductions run only where it is nonzero.  That is exact, not a tolerance: a
-term whose modulus is 0.0 is 0 whatever its phase, and every other term goes
-through the same elementwise operations in the same order as a dense
-evaluation, so the box array and its sum are bit for bit the same.  Past the
-Ehrenfest time the propagated packet is a thin ridge and well under 1% of a
-box's terms are nonzero.
+A box is never formed whole.  On each row of the box Re E is a concave
+quadratic in w, so the columns where exp(Re E) can be nonzero in float64 are
+one closed-form interval: the roots at a floor below the underflow of
+``exp``, lowered by a bound on the rounding of Re E, plus one column on each
+side.  ``box()`` returns just those lattice points, in row-major order, and
+``terms()`` forms the long-double phases only where the modulus is nonzero.
+Every term skipped is an exact 0.0 and every term kept has the bits of a
+dense evaluation; only the order of the sum differs from a sum over the
+whole box.  Past the Ehrenfest time the propagated packet is a thin ridge:
+the box area grows like lambda^(2n) but its live terms like lambda^n, well
+under 1% of the box, and the cost is O(r + live) for a box of radius r.
 
 Because N is even all half-integer cocycle phases exp(-i*pi*k1*k2*N) are
 exactly 1 and are dropped in integer arithmetic rather than evaluated in
@@ -81,6 +84,8 @@ __all__ = [
 
 _DEFAULT_TAIL = 1e-13
 _MAX_TERMS = 5_000_000
+# exp(x) is exactly 0.0 in float64 for x < log(2^-1075) = -745.1332...
+_EXP_FLOOR = -746.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,9 +258,16 @@ class OverlapForm:
 
     def box(self, y0: float, w0: float, target: float,
             max_terms: int) -> tuple[np.ndarray, np.ndarray, LatticeTruncation]:
-        """Axes k1, k2 of the box of translates (y0 + k1, w0 + k2) around the
-        decay center, with the smallest radius whose discarded shells sum to
-        at most ``target`` (:func:`shell_tail_bound`) and that bound.
+        """The live lattice points (k1, k2) of the certified box of translates
+        (y0 + k1, w0 + k2), with its truncation data.
+
+        The box is centered on the decay center, with the smallest radius r
+        whose discarded shells sum to at most ``target``
+        (:func:`shell_tail_bound`).  Of its (2r+1)^2 points only those of
+        :meth:`_row_columns` are returned: every point left out has
+        exp(Re E) = 0.0 exactly in float64.  k1 and k2 are 1-D integer
+        arrays of equal length in row-major order, k1 ascending and k2
+        ascending within a row; a sum over them runs in that order.
 
         Raises:
             TruncationOverflowError: if the box has more than ``max_terms``
@@ -268,9 +280,40 @@ class OverlapForm:
                 f"certified radius {radius} needs more than {max_terms} lattice terms"
             )
         c1, c2 = round(center[0] - y0), round(center[1] - w0)
-        k1 = np.arange(c1 - radius, c1 + radius + 1)
-        k2 = np.arange(c2 - radius, c2 + radius + 1)
+        rows = np.arange(c1 - radius, c1 + radius + 1)
+        lo, hi = self._row_columns(y0 + rows, w0, c2 - radius, c2 + radius)
+        counts = np.maximum(hi - lo + 1, 0)
+        k1 = np.repeat(rows, counts)
+        starts = np.cumsum(counts) - counts
+        k2 = np.arange(k1.size) - np.repeat(starts - lo, counts)
         return k1, k2, LatticeTruncation(radius, float(peak * shell_tail_bound(radius, mu)))
+
+    def _row_columns(self, y: np.ndarray, w0: float, k_lo: int,
+                     k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per row y, the columns lo..hi within [k_lo, k_hi] outside which
+        exp(Re E(y, w0 + k)) underflows to 0.0; lo > hi for an empty row.
+
+        On a row Re E = a w^2 + b w + c with a = Re E_ww < 0, so the points
+        above the floor F form the interval between the roots of
+        a w^2 + b w + c - F.  F is ``_EXP_FLOOR`` lowered by 64 eps (B^2/|a| + C),
+        where B and C sum the moduli of the terms of b and of c - F.  That
+        bounds both the rounding of Re E as :meth:`terms` evaluates it on
+        the interval and the cancellation in the discriminant.  One column
+        of slack on each side covers the rounding of the roots and of the
+        centers w0 + k.
+        """
+        a_yy, a_ww, a_yw, a_y, a_w, a_c = (c.real for c in self.coeffs)
+        b = a_yw * y + a_w
+        c = (a_yy * y + a_y) * y + a_c
+        size_b = abs(a_yw) * np.abs(y) + abs(a_w)
+        size_c = (abs(a_yy) * np.abs(y) + abs(a_y)) * np.abs(y) + abs(a_c) - _EXP_FLOOR
+        floor = _EXP_FLOOR - 64.0 * np.finfo(float).eps * (size_b * size_b / -a_ww + size_c)
+        disc = b * b - 4.0 * a_ww * (c - floor)
+        mid = -b / (2.0 * a_ww) - w0
+        half = np.sqrt(np.maximum(disc, 0.0)) / (-2.0 * a_ww)
+        lo = np.clip(np.ceil(mid - half) - 1, k_lo, k_hi + 1).astype(np.int64)
+        hi = np.clip(np.floor(mid + half) + 1, k_lo - 1, k_hi).astype(np.int64)
+        return lo, np.where(disc < 0.0, lo - 1, hi)
 
     def terms(self, y, w, turns=None) -> np.ndarray:
         """pref * [cis_turns(turns)] * exp(E(y, w)) on broadcast arrays of centers.
@@ -280,7 +323,9 @@ class OverlapForm:
         where it is nonzero; the other entries stay exactly 0.  Re E and Im E
         are evaluated from the real and imaginary parts of the coefficients,
         which gives the same bits as the parts of the complex E because the
-        centers are real.  A 0-d result is a numpy scalar.
+        centers are real.  Each entry depends only on its own center, so the
+        points of :meth:`box` give the bits of a dense evaluation of the
+        whole box at those points.  A 0-d result is a numpy scalar.
         """
         mod = np.exp(_quadratic([c.real for c in self.coeffs], y, w))
         out = np.zeros(mod.shape, dtype=complex)
@@ -289,7 +334,11 @@ class OverlapForm:
         imag = _quadratic([c.imag for c in self.coeffs], y_live, w_live)
         pref = self.pref
         if turns is not None:
-            pref = pref * cis_turns(np.broadcast_to(turns, mod.shape)[live])
+            # Named, not a temporary: numpy would reuse a large temporary in
+            # place and swap the operands of this complex product, which can
+            # move its last bit once more than 16384 terms are live.
+            shift = cis_turns(np.broadcast_to(turns, mod.shape)[live])
+            pref = pref * shift
         out[live] = pref * mod[live] * cis_turns(imag / (2.0 * math.pi))
         return out[()] if out.ndim == 0 else out
 
@@ -336,7 +385,7 @@ def pair_symmetrized_detailed(
     k1, k2, truncation = form.box(g.q, g.p, target, max_terms)
     # Translation phase of T_(k1,k2) g: exp(i*pi*k1*k2*N) * exp(2*i*pi*k2*q*N);
     # the first factor is exactly 1 because N is even.
-    terms = form.terms((g.q + k1)[:, None], (g.p + k2)[None, :], turns=(k2 * (n_even * g.q))[None, :])
+    terms = form.terms(g.q + k1, g.p + k2, turns=k2 * (n_even * g.q))
     return complex(np.sum(terms)), truncation
 
 

@@ -77,3 +77,14 @@ def comb_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
         basis[:, k] = torus_coefficients(e_k).coeffs
         image[:, k] = torus_coefficients(propagate_n(m, e_k, 1)).coeffs
     return image @ np.linalg.inv(basis)
+
+
+def dense_at_box_points(dense, corner, k1, k2):
+    """The values of a dense box with corner ``corner`` at the points (k1, k2)
+    of ``OverlapForm.box``, after checking that every nonzero value of the
+    box is at one of them."""
+    i1, i2 = k1 - corner[0], k2 - corner[1]
+    kept = np.zeros(dense.shape, dtype=bool)
+    kept[i1, i2] = True
+    assert not np.any(dense[~kept])
+    return dense[i1, i2]

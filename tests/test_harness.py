@@ -52,6 +52,20 @@ def test_load_config_defaults_and_strictness(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("matrix", [2, 1, 1, True]),
+    ("N_values", [True]),
+    ("n_values", [True]),
+    ("points", [[True, 0.5], [0.1, 0.8]]),
+    ("grid_resolution", True),
+    ("seed", True),
+])
+def test_load_config_rejects_booleans(tmp_path, key, value):
+    # JSON true loads as Python True, an int; it is not a number here.
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        load_config(write_config(tmp_path, **{key: value}))
+
+
 def test_resolve_times_ehrenfest(tmp_path):
     path = write_config(tmp_path, n_mode="ehrenfest-multiples", n_values=[1.0, 1.5, 2.0])
     cfg = load_config(path)
@@ -175,6 +189,9 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text('{"bogus": 1}', encoding="utf-8")
     proc = run_cli(["unitarity", "--config", str(bad), "--out", str(tmp_path / "o")], tmp_path)
     assert proc.returncode == 2
+    boolean = write_config(tmp_path, seed=True)
+    proc = run_cli(["unitarity", "--config", str(boolean), "--out", str(tmp_path / "o")], tmp_path)
+    assert proc.returncode == 2 and "config key 'seed'" in proc.stderr
     good = write_config(tmp_path, N_values=[2])
     proc = run_cli(["unitarity", "--config", str(good), "--out", str(tmp_path / "ok"),
                     "--verbose"], tmp_path)

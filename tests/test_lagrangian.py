@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_at_box_points
 from qcat.classical import Sl2IntMatrix, ehrenfest_time, spectral_data
 from qcat.errors import MismatchedHError, ThresholdViolationError, TruncationOverflowError
 from qcat.lagrangian import (
@@ -190,15 +191,15 @@ def _dense_off_band_tail(form, indexer, radius):
     return float(abs(np.sum(vals[kk2 != indexer.p_of(kk1)]))), vals, (kk1, kk2)
 
 
-def _off_band_cases(cat, cells=((64, 3), (1024, 6), (1024, 8), (4096, 8))):
+def _off_band_cases(m, cells=((64, 3), (1024, 6), (1024, 8), (4096, 8))):
     """(state, theta, form, indexer, N) for a Lagrangian state and a
-    propagated packet at each (N, n) of ``cells``."""
-    sd = spectral_data(cat)
+    propagated packet of ``m`` at each (N, n) of ``cells``."""
+    sd = spectral_data(m)
     q0, p0 = 0.3, 0.7
     for n_dim, n in cells:
         h = 1.0 / n_dim
-        lag = make_damped_lagrangian(cat, n, h)
-        g, _ = aligned_propagated_state(cat, n, h)
+        lag = make_damped_lagrangian(m, n, h)
+        g, _ = aligned_propagated_state(m, n, h)
         yield (lag, None, lagrangian_overlap_field(lag),
                BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=lag.s_prime), n_dim)
         s_prime = g.p - sd.tan_theta * g.q
@@ -207,16 +208,36 @@ def _off_band_cases(cat, cells=((64, 3), (1024, 6), (1024, 8), (4096, 8))):
 
 
 def test_off_band_tail_matches_dense_oracle(cat):
-    # Bit-equal tails and box values; past t_E almost every value is an
-    # exact zero, which the live-term evaluation skips.
+    # Bit-equal tails and box values, for the cat map and two nonsymmetric
+    # matrices (at n <= 6 past N = 64, where their boxes stay under the cap).
+    # box() returns every nonzero value of the dense box, with its bits, and
+    # past t_E under 1% of the box.  The tail sums them in the order of the
+    # points: bit-equal to the dense cat-map tails, and within the rounding
+    # of the sum for the other two.
+    eps = np.finfo(float).eps
+    cells = ((64, 3), (1024, 6), (4096, 6))
+    cases = [(True, case) for case in _off_band_cases(cat)] + [
+        (False, case) for m in (Sl2IntMatrix(3, 1, 2, 1), Sl2IntMatrix(2, 3, 1, 2))
+        for case in _off_band_cases(m, cells)
+    ]
     shares = []
-    for state, theta, form, indexer, n_dim in _off_band_cases(cat):
+    for same_bits, (state, theta, form, indexer, n_dim) in cases:
         radius = _scan_off_band_radius(form)
         want, dense, (kk1, kk2) = _dense_off_band_tail(form, indexer, radius)
-        assert off_band_tail(state, indexer.q0, indexer.p0, theta=theta) == want
+        tail = off_band_tail(state, indexer.q0, indexer.p0, theta=theta)
+        if same_bits:
+            assert tail == want
         vals = form.terms(indexer.q0 + kk1, indexer.p0 + kk2)
         assert np.array_equal(vals, dense)
-        shares.append(np.count_nonzero(vals) / vals.size)
+        k1, k2, _ = form.box(indexer.q0, indexer.p0, 1e-16 * max(form.envelope()[2], 1e-300),
+                             (2 * radius + 1) ** 2)
+        at_points = form.terms(indexer.q0 + k1, indexer.p0 + k2)
+        assert np.array_equal(at_points, dense_at_box_points(dense, (kk1[0, 0], kk2[0, 0]), k1, k2))
+        off = at_points[k2 != indexer.p_of(k1)]
+        assert tail == float(abs(np.sum(off)))
+        assert abs(tail - want) <= 4.0 * eps * np.sum(np.abs(off))
+        shares.append(k1.size / dense.size)
+    # The saving, pinned by a count.
     assert min(shares) < 0.01 < max(shares)
 
     # A box far from the ridge: every value underflows to an exact zero.

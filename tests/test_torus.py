@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qcat.torus
-from conftest import comb_propagator_matrix
+from conftest import comb_propagator_matrix, dense_at_box_points
 from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
 from qcat.errors import (
     MismatchedHError,
@@ -125,9 +125,13 @@ def test_certified_radius_matches_scan(cat):
 def _dense_pairing_box(g, test, radius, offset=(0, 0)):
     """Oracle: the lattice terms of the pairing on the box of ``radius``
     around the decay center (moved by ``offset``), every term through the
-    complex exponent and both cis_turns calls, underflowed or not.
+    complex exponent and both cis_turns calls, underflowed or not.  The
+    translation phase is named before it is scaled: numpy would reuse a
+    large temporary in place and swap the operands of the complex product,
+    which can move its last bit.
 
-    Returns the dense terms, the form and the inputs of its ``terms``.
+    Returns the dense terms, the form and the inputs of its ``terms``, and
+    the (k1, k2) of the box corner.
     """
     n_dim = round(1.0 / g.h)
     form = overlap_form(g, test)
@@ -142,44 +146,71 @@ def _dense_pairing_box(g, test, radius, offset=(0, 0)):
     e_yy, e_ww, e_yw, e_y, e_w, e_c = form.coeffs
     expo = e_yy * y * y + e_ww * w * w + e_yw * y * w + e_y * y + e_w * w + e_c
     turns = kk2 * (n_dim * g.q)
-    dense = form.pref * cis_turns(turns) * np.exp(expo.real) * cis_turns(expo.imag / (2.0 * math.pi))
-    return dense, (form, y, w, turns)
+    shift = cis_turns(turns)
+    dense = form.pref * shift * np.exp(expo.real) * cis_turns(expo.imag / (2.0 * math.pi))
+    return dense, (form, y, w, turns), (k1[0], k2[0])
 
 
 def test_live_terms_match_dense_oracle(cat):
-    # (N, n, box offset): every term live (N = 2, n = 0); a mixed box at
-    # N = 64; the N = 1024, n = 8 pairing, where under 1% of the terms do
-    # not underflow; and a box moved far off the ridge, where none is live.
+    # Per matrix, (N, n): every box point live (N = 2, n = 0); a mixed box at
+    # N = 64; and the N = 1024 pairing past t_E (n = 8 for the cat map, n = 6
+    # for the faster-expanding nonsymmetric matrices).  box() returns every
+    # nonzero term, each with the dense bits; its sum runs in the order of
+    # the points, so it moves off the whole-box sum only in the last bits.
     src, dst = TorusPoint(0.3, 0.7), TorusPoint(0.2, 0.9)
-    live_share = {}
-    for n_dim, n, offset in ((2, 0, (0, 0)), (64, 5, (0, 0)), (1024, 8, (0, 0)),
-                             (64, 5, (400, -400))):
-        h = 1.0 / n_dim
-        g = propagate_n(cat, wavepacket(src.q, src.p, h), n)
-        test = wavepacket(dst.q, dst.p, h)
-        value, trunc = pair_symmetrized_detailed(g, test)
-        dense, (form, y, w, turns) = _dense_pairing_box(g, test, trunc.radius, offset)
-        terms = form.terms(y, w, turns=turns)
-        assert np.array_equal(terms, dense), (n_dim, n, offset)
-        # The broadcast form the pairing uses gives the same array.
-        rows = form.terms(y[:, :1], w[:1, :], turns=turns[:1, :])
-        assert np.array_equal(rows, dense), (n_dim, n, offset)
-        live_share[(n_dim, n, offset)] = np.count_nonzero(terms) / terms.size
-        if offset == (0, 0):
-            assert value == complex(np.sum(dense)), (n_dim, n)
-    assert live_share[(2, 0, (0, 0))] == 1.0
-    assert 0.0 < live_share[(1024, 8, (0, 0))] < 0.01
-    assert live_share[(64, 5, (400, -400))] == 0.0
+    eps = np.finfo(float).eps
+    for m, cells in ((cat, ((2, 0), (64, 5), (1024, 8))),
+                     (Sl2IntMatrix(3, 1, 2, 1), ((2, 0), (64, 3), (1024, 6))),
+                     (Sl2IntMatrix(2, 3, 1, 2), ((2, 0), (64, 3), (1024, 6)))):
+        share = {}
+        for n_dim, n in cells:
+            h = 1.0 / n_dim
+            g = propagate_n(m, wavepacket(src.q, src.p, h), n)
+            test = wavepacket(dst.q, dst.p, h)
+            value, trunc = pair_symmetrized_detailed(g, test)
+            dense, (form, y, w, turns), corner = _dense_pairing_box(g, test, trunc.radius)
+            assert np.array_equal(form.terms(y, w, turns=turns), dense), (m, n_dim, n)
+            k1, k2, box_trunc = form.box(g.q, g.p, 1e-13 * g.norm * test.norm, 5_000_000)
+            assert box_trunc == trunc
+            want = dense_at_box_points(dense, corner, k1, k2)
+            terms = form.terms(g.q + k1, g.p + k2, turns=k2 * (n_dim * g.q))
+            assert np.array_equal(terms, want), (m, n_dim, n)
+            assert value == complex(np.sum(want)), (m, n_dim, n)
+            assert abs(value - np.sum(dense)) <= 4.0 * eps * np.sum(np.abs(dense)), (m, n_dim, n)
+            share[n_dim] = k1.size / dense.size
 
-    # A 0-d center pair (N = 64, n = 5) gives a numpy scalar, bit-equal to
-    # the dense value.
-    form = overlap_form(g, test)
+            # The box moved 400 cells off the ridge: every row interval is
+            # empty, and every dense term there is an exact zero.
+            far, _, corner = _dense_pairing_box(g, test, trunc.radius, (400, -400))
+            rows = corner[0] + np.arange(far.shape[0])
+            lo, hi = form._row_columns(g.q + rows, g.p, corner[1], corner[1] + far.shape[1] - 1)
+            assert np.all(hi < lo) and not np.any(far), (m, n_dim, n)
+        # The saving, pinned by a count: every point of the N = 2 box comes
+        # back, and under 1% of the box past t_E.
+        assert share[2] == 1.0 and share[1024] < 0.01, (m, share)
+
+    # A 0-d center pair gives a numpy scalar, bit-equal to the dense value.
+    h = 1.0 / 64
+    g = propagate_n(cat, wavepacket(src.q, src.p, h), 5)
+    form = overlap_form(g, wavepacket(dst.q, dst.p, h))
     e_yy, e_ww, e_yw, e_y, e_w, e_c = form.coeffs
     y, w = g.q + 0.25, g.p - 0.5
     expo = e_yy * y * y + e_ww * w * w + e_yw * y * w + e_y * y + e_w * w + e_c
     want = form.pref * cis_turns(0.3) * np.exp(expo.real) * cis_turns(expo.imag / (2.0 * math.pi))
     got = form.terms(y, w, turns=0.3)
     assert np.ndim(got) == 0 and got == want
+
+    # A term's bits do not depend on how many terms one call evaluates, even
+    # past the 16384 live terms where numpy starts to reuse temporaries.
+    form = qcat.torus.OverlapForm(
+        (-1e-5 + 3.1j, -1e-5 - 2.7j, 5e-6 + 1.3j, 0.01 + 0.2j, 0.02 - 0.3j, 0.1 + 0.05j), 0.3 + 0.7j)
+    k = np.arange(-20000, 20000)
+    y, w, turns = 0.3 + 0.37 * k, 0.7 - 0.11 * k, 1234.567 * k
+    whole = form.terms(y, w, turns=turns)
+    assert np.count_nonzero(whole) == k.size
+    parts = [form.terms(y[i:i + 1000], w[i:i + 1000], turns=turns[i:i + 1000])
+             for i in range(0, k.size, 1000)]
+    assert np.array_equal(whole, np.concatenate(parts))
 
 
 def test_torus_coefficients_properties():
