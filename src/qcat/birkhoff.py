@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -67,9 +66,10 @@ __all__ = [
 
 def _exact_frac(mult: int, value: float) -> float:
     """Fractional part of mult*value computed exactly (value is a binary
-    rational; the product is reduced mod 1 with integer arithmetic)."""
-    f = Fraction(mult) * Fraction(value)
-    return float(f - (f.numerator // f.denominator))
+    rational num/den; the product is reduced mod 1 with integer arithmetic,
+    and the one division rounds correctly)."""
+    num, den = value.as_integer_ratio()
+    return int(mult) * num % den / den
 
 
 @dataclass(frozen=True)
@@ -173,19 +173,11 @@ _LIVE_TAIL = 1e-14
 _BLOCK_MAX = 1 << 20
 
 
-def _support_half_width(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8) -> int:
-    """Half-width K of the damping window: the smallest K >= 0 such that
-    |chi(k/m_time)| < ``cutoff`` for each of the ``consecutive`` values
-    k = K+1, ..., K+consecutive (by default 1e-14 and 8).
-
-    chi is evaluated on blocks of k that start at 1024 entries and double up
-    to 2^20, so memory stays bounded.  The last ``consecutive`` - 1 flags of
-    each block are carried into the next, which makes a run that straddles
-    two blocks count exactly as if k were scanned one at a time.
-
-    Raises:
-        ValueError: if no such run ends at k <= 50_000_000.
-    """
+def _scanned_blocks(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8):
+    """Yield (chi(k/m_time) as a complex array, K or None) for consecutive
+    blocks of k = 1, 2, ...  K is given with the block that completes the
+    first run (see :func:`_support_half_width`); that block is the last one
+    and is cut after k = K."""
     carry = np.zeros(consecutive - 1, dtype=bool)
     start, size = 1, 1024
     while start <= _WINDOW_CAP:
@@ -197,18 +189,49 @@ def _support_half_width(chi, m_time: float, cutoff: float = 1e-14, consecutive: 
         if hits.size:
             # below[j] flags k = start - (consecutive - 1) + j, and the run
             # from j covers k = K + 1, ..., K + consecutive.
-            return start - consecutive + int(hits[0])
+            k_max = start - consecutive + int(hits[0])
+            yield vals[:max(k_max + 1 - start, 0)], k_max
+            return
+        yield vals, None
         carry = below[below.size - (consecutive - 1):]
         start += k.size
         size = min(2 * size, _BLOCK_MAX)
     raise ValueError("damping window does not decay")
 
 
+def _support_half_width(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8) -> int:
+    """Half-width K of the damping window: the smallest K >= 0 such that
+    |chi(k/m_time)| < ``cutoff`` for each of the ``consecutive`` values
+    k = K+1, ..., K+consecutive (by default 1e-14 and 8).
+
+    chi is evaluated on blocks of k that start at 1024 entries and double up
+    to 2^20, and each block is dropped once scanned, so memory stays
+    bounded.  The last ``consecutive`` - 1 flags of each block are carried
+    into the next, which makes a run that straddles two blocks count
+    exactly as if k were scanned one at a time.
+
+    Raises:
+        ValueError: if no such run ends at k <= 50_000_000.
+    """
+    for _, k_max in _scanned_blocks(chi, m_time, cutoff, consecutive):
+        if k_max is not None:
+            return k_max
+
+
 def _window(chi, m_time: float) -> tuple[np.ndarray, np.ndarray]:
-    """The damping window k = -K, ..., K and chi(k/m_time) as a complex array."""
-    k_max = _support_half_width(chi, m_time)
+    """The damping window k = -K, ..., K and chi(k/m_time) as a complex array.
+
+    The values on k = 1..K are the blocks that the scan for K evaluated;
+    chi is evaluated afresh only on k = -K..0.  chi acts elementwise, so
+    this has the bits of one evaluation on the whole window.
+    """
+    blocks = list(_scanned_blocks(chi, m_time))
+    k_max = blocks[-1][1]
     k = np.arange(-k_max, k_max + 1)
-    return k, np.broadcast_to(np.asarray(chi(k / m_time), dtype=complex), k.shape)
+    left = np.broadcast_to(np.asarray(chi(k[:k_max + 1] / m_time), dtype=complex), (k_max + 1,))
+    # A run that starts in the carried flags leaves up to consecutive - 1 = 7
+    # values past K in the blocks before the last.
+    return k, np.concatenate((left, *(vals for vals, _ in blocks)))[:k.size]
 
 
 def _live_mask(t_map: SkewMap, obs: InterferenceObservable, k: np.ndarray,

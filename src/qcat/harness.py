@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .lagrangian import (
 )
 from .metaplectic import propagate_n, wavepacket
 from .tables import ResultTable, format_cell
-from .torus import build_propagator_matrix, comb_state, husimi, torus_coefficients
+from .torus import build_propagator_matrix, comb_gram_min_eig, husimi
 
 __all__ = [
     "ExperimentConfig",
@@ -123,7 +122,11 @@ def _is_number(v) -> bool:
 
 
 def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
-    """Parse and validate a strict-JSON config; unknown keys are rejected."""
+    """Parse and validate a strict-JSON config; unknown keys are rejected.
+
+    ``threads`` is the worker count, an integer >= 1."""
+    if not _is_int(threads) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -153,6 +156,9 @@ def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
     _require(isinstance(ntimes, list) and len(ntimes) > 0, "n_values", "must be a nonempty list")
     _require(all(_is_number(v) and v >= 0 for v in ntimes), "n_values",
              "entries must be nonnegative numbers")
+    if merged["n_mode"] == "absolute":
+        _require(all(float(v).is_integer() for v in ntimes), "n_values",
+                 "entries must be integers in 'absolute' mode")
     pts = merged["points"]
     _require(isinstance(pts, list), "points", "must be a list of [q, p] pairs")
     for entry in pts:
@@ -185,6 +191,9 @@ def _map_cells(cells, worker, threads: int) -> dict:
     keyed so assembly order never depends on scheduling."""
     if threads <= 1:
         return {key: worker(key) for key in cells}
+    # Imported here so a single-threaded run never loads concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         vals = list(pool.map(worker, cells))
     return dict(zip(cells, vals))
@@ -195,25 +204,18 @@ def run_unitarity(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     the comb family.
 
     The matrix is the closed-form chirp-FFT build, unitary by construction,
-    so its defect is rounding.  The comb states no longer enter the build:
-    the Gram column reports the conditioning of the family that the
-    comb-inversion oracle of the test suite inverts."""
+    so its defect is rounding.  The Gram column reports the conditioning of
+    the comb family that the comb-inversion oracle of the test suite
+    inverts; the family is translation-invariant, so its Gram matrix is
+    circulant and :func:`qcat.torus.comb_gram_min_eig` gives its smallest
+    eigenvalue from the samples of one comb state and one FFT."""
     m = cfg.cat_matrix()
 
     def cell(n_dim: int):
         t0 = time.perf_counter()
         u = build_propagator_matrix(m, n_dim)
         defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n_dim))))
-        # Gram of the comb family through the Parseval form of the pairing
-        # (exactly equal to the lattice-sum route; equality is spec-tested).
-        basis = np.empty((n_dim, n_dim), dtype=complex)
-        for k in range(n_dim):
-            basis[:, k] = torus_coefficients(comb_state(n_dim, k)).coeffs
-        gram = basis.conj().T @ basis
-        norm = np.sqrt(np.real(np.diag(gram)))
-        gram_n = gram / np.outer(norm, norm)
-        smallest = float(np.min(np.linalg.eigvalsh((gram_n + gram_n.conj().T) / 2.0)))
-        return defect, smallest, time.perf_counter() - t0
+        return defect, comb_gram_min_eig(n_dim), time.perf_counter() - t0
 
     results = _map_cells(list(cfg.N_values), cell, cfg.threads)
     rows = [

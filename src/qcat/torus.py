@@ -76,6 +76,7 @@ __all__ = [
     "pair_symmetrized",
     "pair_symmetrized_detailed",
     "comb_state",
+    "comb_gram_min_eig",
     "build_propagator_matrix",
     "matrix_element_exact",
     "husimi",
@@ -401,7 +402,9 @@ def comb_state(N: int, k: int, width_factor: float = 20.0) -> GaussianState:
     Symmetrizing these reproduces the Fourier-comb basis of the torus space:
     the periodized samples are supported on the single grid point r = k to
     machine precision, so the coefficient vectors are flat-modulus DFT
-    columns and the family's Gram matrix is perfectly conditioned.
+    columns.  State k is state 0 moved by k/N, so the family's Gram matrix
+    is circulant; :func:`comb_gram_min_eig` gives its conditioning in
+    closed form.
     """
     if N <= 0 or N % 2 != 0:
         raise OddNError(f"N must be a positive even integer, got {N}")
@@ -410,6 +413,19 @@ def comb_state(N: int, k: int, width_factor: float = 20.0) -> GaussianState:
     return GaussianState(
         amplitude=complex((2.0 * tau / h) ** 0.25), theta=1j * tau, q=k / N, p=0.0, h=h
     )
+
+
+def comb_gram_min_eig(N: int) -> float:
+    """Smallest eigenvalue of the unit-diagonal Gram matrix of the N comb
+    states, from one sample vector and one FFT.
+
+    The periodized samples of comb state k are those of state 0 rolled by
+    k (bit for bit when N is a power of 2, to about 1e-39 relative
+    otherwise), so by Parseval the Gram matrix is circulant.  Its eigenvalues
+    are the DFT power of the samples, and the unit diagonal is their mean.
+    """
+    power = np.abs(np.fft.fft(periodized_samples(comb_state(N, 0), N))) ** 2
+    return float(np.min(power) / np.mean(power))
 
 
 def _shear_chain(m: Sl2IntMatrix) -> list[int]:

@@ -16,8 +16,9 @@ from qcat.classical import Sl2IntMatrix
 QCAT_ROOT = Path(qcat.__file__).resolve().parents[1]
 
 
-def run_cli(args, cwd=None) -> subprocess.CompletedProcess:
-    """Run `python -m qcat.cli *args` on the same qcat the tests import.
+def run_python(args, cwd=None) -> subprocess.CompletedProcess:
+    """Run `python *args` in a fresh interpreter on the same qcat the tests
+    import.
 
     QCAT_ROOT goes first on the child's PYTHONPATH, ahead of any inherited
     entries, so a relative `PYTHONPATH=src` still finds the package when
@@ -25,10 +26,12 @@ def run_cli(args, cwd=None) -> subprocess.CompletedProcess:
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(QCAT_ROOT), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "qcat.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(args, cwd=None) -> subprocess.CompletedProcess:
+    """Run `python -m qcat.cli *args` through :func:`run_python`."""
+    return run_python(["-m", "qcat.cli", *args], cwd)
 
 
 @pytest.fixture
@@ -77,6 +80,21 @@ def comb_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
         basis[:, k] = torus_coefficients(e_k).coeffs
         image[:, k] = torus_coefficients(propagate_n(m, e_k, 1)).coeffs
     return image @ np.linalg.inv(basis)
+
+
+def dense_comb_gram_min_eig(N: int) -> float:
+    """Oracle for ``torus.comb_gram_min_eig``: the N comb states built one
+    at a time, their unit-diagonal Gram matrix through the Parseval form of
+    the pairing, and a dense Hermitian eigensolve, O(N^3)."""
+    from qcat.torus import comb_state, torus_coefficients
+
+    basis = np.empty((N, N), dtype=complex)
+    for k in range(N):
+        basis[:, k] = torus_coefficients(comb_state(N, k)).coeffs
+    gram = basis.conj().T @ basis
+    norm = np.sqrt(np.real(np.diag(gram)))
+    gram_n = gram / np.outer(norm, norm)
+    return float(np.min(np.linalg.eigvalsh((gram_n + gram_n.conj().T) / 2.0)))
 
 
 def dense_at_box_points(dense, corner, k1, k2):

@@ -13,6 +13,7 @@ from qcat.errors import ThresholdViolationError
 from qcat.birkhoff import (
     InterferenceObservable,
     SkewMap,
+    _exact_frac,
     _live_mask,
     _support_half_width,
     _window,
@@ -215,6 +216,48 @@ def test_support_half_width_cap():
         tracemalloc.stop()
     assert elapsed < 30.0
     assert peak < 4 * 16 * 2 ** 20
+
+
+def _whole_window(chi, m_time):
+    """Oracle: the window with chi evaluated once on all of k = -K..K, as
+    before the scanned blocks were reused."""
+    k_max = _support_half_width(chi, m_time)
+    k = np.arange(-k_max, k_max + 1)
+    return k, np.broadcast_to(np.asarray(chi(k / m_time), dtype=complex), k.shape)
+
+
+@pytest.mark.parametrize("m_time", [1, 23, _LAM ** 6, _LAM ** 13], ids=["1", "23", "lam^6", "lam^13"])
+@pytest.mark.parametrize("window", sorted(_WINDOWS))
+def test_window_matches_whole_window(window, m_time):
+    chi = _WINDOWS[window]
+    k, chi_k = _window(chi, m_time)
+    want_k, want_chi = _whole_window(chi, m_time)
+    assert np.array_equal(k, want_k) and np.array_equal(chi_k, want_chi)
+
+
+@pytest.mark.parametrize("last", [0, 1016, 1020, 1024, 1029, 3100])
+def test_window_matches_whole_window_across_blocks(last):
+    # The indicator of |k| <= last: K = last lands inside the first block of
+    # the scan, at its end, in the flags carried into the next, or past it.
+    chi = lambda u: ((np.asarray(u, dtype=float) >= -last) & (np.asarray(u, dtype=float) <= last)
+                     ).astype(float)
+    k, chi_k = _window(chi, 1)
+    want_k, want_chi = _whole_window(chi, 1)
+    assert k.size == 2 * last + 1
+    assert np.array_equal(k, want_k) and np.array_equal(chi_k, want_chi)
+
+
+def test_exact_frac_matches_fraction():
+    rng = np.random.default_rng(2024)
+    mults = [0, 1, -1, 7, -7, 10 ** 9, -(10 ** 9),
+             *(int(v) for v in rng.integers(-10 ** 9, 10 ** 9, 2000))]
+    values = [0.0, 0.5, -0.5, 1.0 / 3.0, -math.pi, 1e-300, 2.0 ** 60 + 0.0,
+              *(float(v) for v in rng.uniform(-10.0, 10.0, 50))]
+    for mult in mults:
+        for value in values:
+            f = Fraction(mult) * Fraction(value)
+            want = float(f - (f.numerator // f.denominator))
+            assert _exact_frac(mult, value) == want
 
 
 def _full_window_sum(t_map, obs, chi, pt, m_time):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, run_python
 from qcat.errors import ConfigError
 from qcat.harness import load_config, run_bands, run_experiment, run_unitarity
 from qcat.tables import ResultTable, format_cell
@@ -64,6 +65,34 @@ def test_load_config_rejects_booleans(tmp_path, key, value):
     # JSON true loads as Python True, an int; it is not a number here.
     with pytest.raises(ConfigError, match=f"config key '{key}'"):
         load_config(write_config(tmp_path, **{key: value}))
+
+
+def test_absolute_n_values_must_be_integers(tmp_path):
+    with pytest.raises(ConfigError, match="config key 'n_values'"):
+        load_config(write_config(tmp_path, n_values=[2.7, 3.2]))
+    assert load_config(write_config(tmp_path, n_values=[2, 3.0])).resolve_times(16) == [2, 3]
+    # Ehrenfest multiples stay real.
+    cfg = load_config(write_config(tmp_path, n_mode="ehrenfest-multiples", n_values=[2.7]))
+    assert cfg.n_values == (2.7,)
+
+
+@pytest.mark.parametrize("threads", [0, -4, True, 2.0])
+def test_load_config_rejects_bad_threads(tmp_path, threads):
+    with pytest.raises(ConfigError, match="threads"):
+        load_config(write_config(tmp_path), threads=threads)
+
+
+def test_cli_import_is_lean():
+    # A single-threaded run needs no thread pool and no rationals, but every
+    # module the benchmark's span tracer patches must be loaded by the import.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    code = "import json, sys, qcat.cli; print(json.dumps(sorted(sys.modules)))"
+    loaded = set(json.loads(run_python(["-c", code]).stdout))
+    assert not loaded & {"concurrent.futures", "fractions", "decimal", "logging"}
+    assert {f"qcat.{mod}" for mod in spans.TRACED} <= loaded
 
 
 def test_resolve_times_ehrenfest(tmp_path):
@@ -198,6 +227,11 @@ def test_cli_exit_codes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "[qcat]" in proc.stderr
     assert (tmp_path / "ok" / "unitarity.csv").exists()
+    for threads in ("0", "-4"):
+        proc = run_cli(["unitarity", "--config", str(good), "--out", str(tmp_path / "t"),
+                        "--threads", threads], tmp_path)
+        assert proc.returncode == 2 and "threads" in proc.stderr
+        assert not (tmp_path / "t").exists()
     # I/O failure: the output path collides with an existing file.
     blocker = tmp_path / "blocked"
     blocker.write_text("not a directory", encoding="utf-8")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qcat.torus
-from conftest import comb_propagator_matrix, dense_at_box_points
+from conftest import comb_propagator_matrix, dense_at_box_points, dense_comb_gram_min_eig
 from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
 from qcat.errors import (
     MismatchedHError,
@@ -34,6 +34,7 @@ from qcat.quadrature import overlap_quadrature
 from qcat.torus import (
     _shear_chain,
     build_propagator_matrix,
+    comb_gram_min_eig,
     comb_state,
     husimi,
     matrix_element_exact,
@@ -41,6 +42,7 @@ from qcat.torus import (
     pair_from_coefficients,
     pair_symmetrized,
     pair_symmetrized_detailed,
+    periodized_samples,
     shell_tail_bound,
     torus_coefficients,
     wavepacket_lattice,
@@ -372,6 +374,26 @@ def test_gram_rank_is_n(cat):
         gram_n = gram / np.outer(norm, norm)
         eigs = np.linalg.eigvalsh((gram_n + gram_n.conj().T) / 2.0)
         assert eigs[0] > 1e-10
+
+
+@pytest.mark.parametrize("n_dim", [2, 4, 16, 36, 64, 128, 144, 256])
+def test_comb_gram_min_eig_matches_dense_oracle(n_dim):
+    assert abs(comb_gram_min_eig(n_dim) - dense_comb_gram_min_eig(n_dim)) <= 1e-13
+
+
+@pytest.mark.parametrize("n_dim", [2, 4, 16, 36, 64, 128, 144, 256])
+def test_comb_samples_are_shifts_of_comb_zero(n_dim):
+    # The closed form rests on this: comb state k is comb state 0 moved by
+    # k/N.  The sample offsets r/N + m - k/N are exact for N a power of 2;
+    # for other N they round, but only where the near-delta samples are
+    # flat (r = k) or negligible (every other r).
+    s0 = periodized_samples(comb_state(n_dim, 0), n_dim)
+    for k in range(n_dim):
+        sk = periodized_samples(comb_state(n_dim, k), n_dim)
+        if n_dim & (n_dim - 1) == 0:
+            assert np.array_equal(sk, np.roll(s0, k))
+        else:
+            assert np.max(np.abs(sk - np.roll(s0, k))) <= 1e-38 * np.max(np.abs(sk))
 
 
 def test_matrix_element_routes_agree(cat):
