@@ -30,7 +30,6 @@ from .metaplectic import (
     gaussian_overlap,
     h_fourier_gaussian,
     propagate_gaussian,
-    propagate_gaussian_flow,
     propagate_n,
     schrodinger_residual,
     translate,

@@ -117,8 +117,11 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    """A JSON number, not a boolean."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number, not a boolean (``json.loads`` also parses
+    ``Infinity``, ``-Infinity`` and ``NaN``)."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:

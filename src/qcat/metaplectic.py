@@ -1,10 +1,17 @@
 """Quantization on the line: exact complex-Gaussian states, quantum
-translations, and the propagator of quadratic Hamiltonians acting on them.
+translations, and the metaplectic propagator acting on them.
 
 A state is x |-> amplitude * exp(i*pi*Theta*(x-q)^2/h) * exp(2*i*pi*p*(x-q)/h)
 with Im(Theta) > 0.  This family is closed under quantum translations, the
 h-scaled Fourier transform and the propagator of any quadratic Hamiltonian,
 so every operation below is exact up to floating point.
+
+Branch: the quantized map of an integer matrix M multiplies the amplitude by
+(a + b*Theta)^(-1/2) with the branch continued from the identity.  For a
+hyperbolic M that is the principal square root (the sign argument is in
+:func:`propagate_n`), so propagation uses only the integer entries of M and
+never samples a flow.  ``classical.flow_coefficients`` serves only
+:func:`schrodinger_residual` and the test oracles.
 
 Phase handling: oscillatory phases are reduced mod one full turn in 80-bit
 extended precision before calling trig functions (``cis_turns``), and phases
@@ -19,13 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients, hamiltonian_from_matrix
-from .errors import (
-    MismatchedHError,
-    NonPositiveHError,
-    NumericalToleranceError,
-    ZeroACoefficientError,
-)
+from .classical import FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients, spectral_data
+from .errors import MismatchedHError, NonPositiveHError, ZeroACoefficientError
 
 __all__ = [
     "GaussianState",
@@ -38,7 +40,6 @@ __all__ = [
     "gaussian_overlap",
     "h_fourier_gaussian",
     "propagate_gaussian",
-    "propagate_gaussian_flow",
     "propagate_n",
     "schrodinger_residual",
 ]
@@ -182,119 +183,64 @@ def h_fourier_gaussian(g: GaussianState) -> GaussianState:
     return GaussianState(amplitude=complex(amp), theta=-1.0 / th, q=g.p, p=-g.q, h=g.h)
 
 
-def _flow_grid(h: QuadraticHamiltonian, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a_s, b_s) of the flow at s = 0, t/steps, ..., t."""
-    fcs = [flow_coefficients(h, float(s)) for s in np.linspace(0.0, t, steps + 1)]
-    return np.array([fc.a for fc in fcs]), np.array([fc.b for fc in fcs])
-
-
-def _branch_sqrt_inv(h: QuadraticHamiltonian, t: float, theta: complex,
-                     grids: dict | None = None) -> complex:
-    """(a_t + b_t*theta)^(-1/2) with the branch continued from 1 at t = 0.
-
-    The path w(s) = a_s + b_s*theta never vanishes (Im theta > 0), so the
-    argument can be unwound by sampling; the step count is doubled until the
-    largest per-step rotation is below pi/2.  The s-grid does not depend on
-    theta: ``grids`` keeps the flow grid of this (h, t) by step count, so a
-    caller that tracks many shapes through one flow passes one dict.
-
-    Raises:
-        NumericalToleranceError: if 4096 steps still leave a per-step
-            rotation of pi/2 or more, so the branch is not resolved.
-    """
-    grids = {} if grids is None else grids
-    steps = 16
-    while True:
-        if steps not in grids:
-            grids[steps] = _flow_grid(h, t, steps)
-        a_s, b_s = grids[steps]
-        w = a_s + b_s * theta
-        dargs = np.angle(w[1:] / w[:-1])
-        if np.max(np.abs(dargs)) < 0.5 * math.pi:
-            break
-        if steps >= 4096:
-            raise NumericalToleranceError(
-                f"metaplectic branch unresolved after {steps} steps: "
-                f"a step rotates by {np.max(np.abs(dargs)):.3f} rad"
-            )
-        steps *= 2
-    total_arg = float(np.sum(dargs))
-    wt = w[-1]
-    return complex(np.exp(-0.5 * (math.log(abs(wt)) + 1j * total_arg)))
-
-
-def _propagate_core(a: float, b: float, c: float, d: float, g: GaussianState,
-                    sqrt_inv_w: complex) -> GaussianState:
+def _propagate_core(a: float, b: float, c: float, d: float, g: GaussianState) -> GaussianState:
+    """One step of the matrix (a, b; c, d) on ``g``, with the principal
+    branch of (a + b*theta)^(-1/2)."""
     th = complex(g.theta)
+    w = a + b * th
     q2 = a * g.q + b * g.p
     p2 = c * g.q + d * g.p
-    th2 = (c + d * th) / (a + b * th)
-    amp2 = g.amplitude * sqrt_inv_w * cis_turns((q2 * p2 - g.q * g.p) / (2.0 * g.h))
-    return GaussianState(amplitude=complex(amp2), theta=th2, q=q2, p=p2, h=g.h)
-
-
-def propagate_gaussian_flow(h: QuadraticHamiltonian, t: float, g: GaussianState) -> GaussianState:
-    """Propagate ``g`` through the flow exp(t*m) of a quadratic Hamiltonian.
-
-    Center moves classically, theta by the Moebius update
-    theta' = (c + d*theta)/(a + b*theta), and the amplitude picks up
-    (a + b*theta)^(-1/2) with the branch tracked continuously from t = 0,
-    times the recentering phase exp(i*pi*(q'p' - qp)/h).
-
-    Raises:
-        ZeroACoefficientError: if the endpoint has a = 0 (the kernel formula
-            degenerates there; use :func:`h_fourier_gaussian` instead).
-    """
-    fc = flow_coefficients(h, t)
-    if fc.a == 0.0:
-        raise ZeroACoefficientError("flow endpoint has a = 0")
-    return _propagate_core(fc.a, fc.b, fc.c, fc.d, g, _branch_sqrt_inv(h, t, complex(g.theta)))
+    amp2 = g.amplitude * complex(1.0 / np.sqrt(w)) * cis_turns((q2 * p2 - g.q * g.p) / (2.0 * g.h))
+    return GaussianState(amplitude=complex(amp2), theta=(c + d * th) / w, q=q2, p=p2, h=g.h)
 
 
 def propagate_gaussian(m, g: GaussianState) -> GaussianState:
     """Apply the quantized linear map of ``m`` to the Gaussian state ``g``.
 
-    ``m`` may be an :class:`Sl2IntMatrix` (identity, or hyperbolic with
-    trace > 2, in which case the metaplectic branch is fixed by the
-    continuous Hamiltonian flow reaching ``m`` at time 1) or a
+    ``m`` may be an :class:`Sl2IntMatrix` (see :func:`propagate_n`) or a
     :class:`FlowCoefficients` snapshot, for which the principal branch is
     used and requires Re(a + b*theta) > 0.
     """
     if isinstance(m, Sl2IntMatrix):
-        if m.is_identity:
-            return g
-        ham = hamiltonian_from_matrix(m)  # raises for non-hyperbolic input
-        if m.a == 0:
-            raise ZeroACoefficientError("matrix has a = 0")
-        sqi = _branch_sqrt_inv(ham, 1.0, complex(g.theta))
-        return _propagate_core(float(m.a), float(m.b), float(m.c), float(m.d), g, sqi)
+        return propagate_n(m, g, 1)
     if isinstance(m, FlowCoefficients):
         if m.a == 0.0:
             raise ZeroACoefficientError("flow coefficients have a = 0")
-        w = m.a + m.b * complex(g.theta)
-        if w.real <= 0.0:
-            raise ValueError(
-                "principal branch undefined for Re(a + b*theta) <= 0; "
-                "propagate through propagate_gaussian_flow instead"
-            )
-        return _propagate_core(m.a, m.b, m.c, m.d, g, complex(1.0 / np.sqrt(w)))
+        if (m.a + m.b * complex(g.theta)).real <= 0.0:
+            raise ValueError("principal branch undefined for Re(a + b*theta) <= 0")
+        return _propagate_core(m.a, m.b, m.c, m.d, g)
     raise TypeError(f"unsupported propagator input {type(m)!r}")
 
 
 def propagate_n(m: Sl2IntMatrix, g: GaussianState, n: int) -> GaussianState:
-    """n-fold application of the quantized map (n >= 0)."""
+    """n-fold application of the quantized map (n >= 0).
+
+    ``m`` is the identity or hyperbolic with trace > 2.  Each step moves
+    the center classically, updates theta' = (c + d*theta)/(a + b*theta),
+    and multiplies the amplitude by (a + b*theta)^(-1/2) and the recentering
+    phase exp(i*pi*(q'p' - qp)/h).  The branch of the root continued from 1
+    along the flow of log m is the principal one: on that flow
+    b_s = beta*sinh(mu*s)/mu has the sign of b for s in (0, 1], and b != 0
+    for a hyperbolic integer matrix, so Im(a_s + b_s*theta) = b_s*Im(theta)
+    keeps one sign and the path never meets (-inf, 0].
+
+    Raises:
+        NonHyperbolicError / NegativeSpectrumError: from
+            :func:`spectral_data` for any other matrix.
+        ZeroACoefficientError: if m has a = 0 (the kernel formula
+            degenerates there; use :func:`h_fourier_gaussian` instead).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0 or m.is_identity:
         return g
-    ham = hamiltonian_from_matrix(m)
+    spectral_data(m)  # raises for non-hyperbolic input
     if m.a == 0:
         raise ZeroACoefficientError("matrix has a = 0")
+    a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
     out = g
-    grids: dict = {}
     for _ in range(n):
-        sqi = _branch_sqrt_inv(ham, 1.0, complex(out.theta), grids)
-        out = _propagate_core(float(m.a), float(m.b), float(m.c), float(m.d), out, sqi)
+        out = _propagate_core(a, b, c, d, out)
     return out
 
 

@@ -346,7 +346,15 @@ class OverlapForm:
 
 def overlap_form(g: GaussianState, test: GaussianState) -> OverlapForm:
     """<g@(y,w), test> as an :class:`OverlapForm` in the translated center
-    (y, w) of ``g``."""
+    (y, w) of ``g``.
+
+    Accurate only when ``test`` is a plain packet, an unpropagated
+    :func:`wavepacket`, as in every production call.  The expanded form
+    cancels large terms when both states are spread: for two packets
+    propagated n = 8 steps it is off by 3.9e-2 (N = 16) and 10.6
+    (N = 1024) relative against a 60-digit reference.  Nothing checks this
+    precondition.
+    """
     h = g.h
     th1 = complex(g.theta)
     th2c = np.conj(complex(test.theta))
@@ -489,10 +497,12 @@ def build_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
     root of unity.  For b = 1 that root is e^(-i pi/4).
 
     Raises:
-        OddNError for odd N; NonHyperbolicError, NegativeSpectrumError and
-        ZeroACoefficientError (for a = 0) from ``propagate_n``; and
-        NumericalToleranceError if the measured ratio is more than 1e-9 off
-        the root.
+        OddNError: for odd N.
+        NonHyperbolicError / NegativeSpectrumError / ZeroACoefficientError:
+            from ``propagate_n``, for a matrix other than the identity whose
+            trace is not above 2 or whose a is 0.
+        NumericalToleranceError: if the measured ratio is more than 1e-9 off
+            the root.
     """
     if N <= 0 or N % 2 != 0:
         raise OddNError(f"N must be a positive even integer, got {N}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import qcat
-from qcat.classical import Sl2IntMatrix
+from qcat.classical import QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients
+from qcat.errors import NumericalToleranceError
 
 # The directory holding the qcat package this test process imported:
 # `src/` for a source checkout, site-packages for an install.
@@ -57,6 +59,53 @@ def random_gaussian_state(rng, h: float):
     theta = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0))
     amp = complex(rng.uniform(0.2, 1.5), rng.uniform(-1.0, 1.0))
     return GaussianState(amp, theta, float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), h)
+
+
+def _flow_grid(h: QuadraticHamiltonian, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a_s, b_s) of the flow at s = 0, t/steps, ..., t."""
+    fcs = [flow_coefficients(h, float(s)) for s in np.linspace(0.0, t, steps + 1)]
+    return np.array([fc.a for fc in fcs]), np.array([fc.b for fc in fcs])
+
+
+def _branch_sqrt_inv(h: QuadraticHamiltonian, t: float, theta: complex,
+                     grids: dict | None = None) -> complex:
+    """(a_t + b_t*theta)^(-1/2) with the branch continued from 1 at t = 0.
+
+    Oracle for the principal root of ``metaplectic.propagate_n``.  The path
+    w(s) = a_s + b_s*theta never vanishes (Im theta > 0), so the
+    argument can be unwound by sampling; the step count is doubled until the
+    largest per-step rotation is below pi/2.  The s-grid does not depend on
+    theta: ``grids`` keeps the flow grid of this (h, t) by step count, so a
+    caller that tracks many shapes through one flow passes one dict.
+
+    The check can alias: a step that turns w by more than 2*pi may wrap
+    below pi/2.  For the harmonic oscillator at t = 2e4 it stops after 16
+    steps of 1250 rad each.  It is sound for the hyperbolic flows at t = 1
+    that the tests give it.
+
+    Raises:
+        NumericalToleranceError: if 4096 steps still leave a per-step
+            rotation of pi/2 or more, so the branch is not resolved.
+    """
+    grids = {} if grids is None else grids
+    steps = 16
+    while True:
+        if steps not in grids:
+            grids[steps] = _flow_grid(h, t, steps)
+        a_s, b_s = grids[steps]
+        w = a_s + b_s * theta
+        dargs = np.angle(w[1:] / w[:-1])
+        if np.max(np.abs(dargs)) < 0.5 * math.pi:
+            break
+        if steps >= 4096:
+            raise NumericalToleranceError(
+                f"metaplectic branch unresolved after {steps} steps: "
+                f"a step rotates by {np.max(np.abs(dargs)):.3f} rad"
+            )
+        steps *= 2
+    total_arg = float(np.sum(dargs))
+    wt = w[-1]
+    return complex(np.exp(-0.5 * (math.log(abs(wt)) + 1j * total_arg)))
 
 
 def comb_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:

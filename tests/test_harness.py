@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import json
 from pathlib import Path
 
@@ -221,6 +222,12 @@ def test_cli_exit_codes(tmp_path):
     boolean = write_config(tmp_path, seed=True)
     proc = run_cli(["unitarity", "--config", str(boolean), "--out", str(tmp_path / "o")], tmp_path)
     assert proc.returncode == 2 and "config key 'seed'" in proc.stderr
+    # json.loads parses Infinity, -Infinity and NaN; none is a config number.
+    for key, value in (("n_values", [math.inf]), ("n_values", [-math.inf]),
+                       ("points", [[math.nan, 0.5], [0.1, 0.2]])):
+        nonfinite = write_config(tmp_path, n_mode="ehrenfest-multiples", **{key: value})
+        proc = run_cli(["theorem", "--config", str(nonfinite), "--out", str(tmp_path / "o")], tmp_path)
+        assert proc.returncode == 2 and f"config key '{key}'" in proc.stderr, proc.stderr
     good = write_config(tmp_path, N_values=[2])
     proc = run_cli(["unitarity", "--config", str(good), "--out", str(tmp_path / "ok"),
                     "--verbose"], tmp_path)

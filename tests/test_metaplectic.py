@@ -1,12 +1,23 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_gaussian_state, random_hyperbolic
-from qcat.classical import FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix, hamiltonian_from_matrix, spectral_data
+import conftest
+import qcat.classical
+import qcat.metaplectic
+from conftest import _branch_sqrt_inv, random_gaussian_state, random_hyperbolic
+from qcat.classical import (
+    FlowCoefficients,
+    QuadraticHamiltonian,
+    Sl2IntMatrix,
+    flow_coefficients,
+    hamiltonian_from_matrix,
+    spectral_data,
+)
 from qcat.errors import MismatchedHError, NonPositiveHError, NumericalToleranceError, ZeroACoefficientError
 from qcat.metaplectic import (
     GaussianState,
@@ -16,13 +27,13 @@ from qcat.metaplectic import (
     gaussian_overlap,
     h_fourier_gaussian,
     propagate_gaussian,
-    propagate_gaussian_flow,
     propagate_n,
     schrodinger_residual,
     translate,
     wavepacket,
 )
 from qcat.quadrature import overlap_quadrature, tanh_sinh
+from qcat.torus import build_propagator_matrix
 
 
 def quantum_translation_pointwise(v: PlaneTranslation, h: float, u, x):
@@ -166,7 +177,8 @@ def test_propagate_identity_and_dilation(cat):
     g = wavepacket(0.0, 0.0, h)
     assert propagate_gaussian(Sl2IntMatrix(1, 0, 0, 1), g) == g
     sd = spectral_data(cat)
-    out = propagate_gaussian_flow(QuadraticHamiltonian(0.0, 0.0, math.log(sd.lam)), 1.0, g)
+    dilation = flow_coefficients(QuadraticHamiltonian(0.0, 0.0, math.log(sd.lam)), 1.0)
+    out = propagate_gaussian(dilation, g)
     assert out.theta == pytest.approx(1j * sd.lam ** -2, rel=1e-12)
     assert out.amplitude == pytest.approx(g.amplitude * sd.lam ** -0.5, rel=1e-12)
 
@@ -234,8 +246,6 @@ def test_propagate_n_matches_repeated_application(cat):
 
 
 def _plane_wave_solution(ham, t, x, xi, h):
-    from qcat.classical import flow_coefficients
-
     fc = flow_coefficients(ham, t)
     hb = h / (2.0 * math.pi)
     s = (fc.c * x * x + 2.0 * x * xi - fc.b * xi * xi) / (2.0 * fc.a)
@@ -289,14 +299,57 @@ def _winding_flow(ham, t):
     return FlowCoefficients(t=t, a=math.cos(phi), b=math.sin(phi), c=-math.sin(phi), d=math.cos(phi))
 
 
-def test_branch_tracker_fails_loudly_at_step_cap(cat, monkeypatch, tmp_path):
-    import qcat.metaplectic
-    from qcat.cli import main
-
-    monkeypatch.setattr(qcat.metaplectic, "flow_coefficients", _winding_flow)
+def test_branch_tracker_fails_loudly_at_step_cap(cat, monkeypatch):
+    monkeypatch.setattr(conftest, "flow_coefficients", _winding_flow)
     with pytest.raises(NumericalToleranceError, match="branch unresolved after 4096 steps"):
-        propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / 16.0), 1)
-    # The CLI reports it as a numerical failure (exit 3).
-    config = tmp_path / "config.json"
-    config.write_text('{"N_values": [16]}')
-    assert main(["theorem", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        _branch_sqrt_inv(hamiltonian_from_matrix(cat), 1.0, 1j)
+
+
+def test_principal_branch_matches_tracked_branch():
+    # Every hyperbolic matrix with entries in [-6, 6] and a != 0, against the
+    # branch tracked along the flow of log M, wherever the tracker resolves.
+    # No Re(theta) below is -a/b: there |a + b*theta| = |b| Im(theta), and
+    # the rounding of the tracker's float flow endpoint, not the step, sets
+    # the gap.
+    mats = [Sl2IntMatrix(*e) for e in itertools.product(range(-6, 7), repeat=4)
+            if e[0] * e[3] - e[1] * e[2] == 1 and e[0] + e[3] > 2 and e[0] != 0]
+    thetas = [complex(x, y) for x in (-4.3, -2.3, -0.7, 0.0, 0.45, 1.9, 3.7)
+              for y in np.logspace(-3, 5, 9)]
+    resolved = 0
+    for m in mats:
+        ham, grids = hamiltonian_from_matrix(m), {}
+        for th in thetas:
+            try:
+                ref = _branch_sqrt_inv(ham, 1.0, th, grids)
+            except NumericalToleranceError:
+                continue
+            got = propagate_n(m, GaussianState(1.0, th, 0.0, 0.0, 0.5), 1).amplitude
+            assert abs(got - ref) <= 1e-13 * abs(ref), (m, th)
+            resolved += 1
+    assert len(mats) == 100 and resolved >= 0.95 * len(mats) * len(thetas)
+
+
+@pytest.mark.parametrize("entries, theta", [((2, 1, 1, 1), -2.3 + 1e-4j), ((2, 3, 1, 2), -2.0 + 1e-6j)])
+def test_step_near_negative_axis(entries, theta):
+    # a + b*theta lies just off the negative real axis, where the flow
+    # tracker gives up (NumericalToleranceError).  The step keeps the norm,
+    # and its sign is the one continued from Im(theta) = 0.1, where the
+    # tracker resolves: a flip would put the ratio near -1.
+    m = Sl2IntMatrix(*entries)
+    g = GaussianState(1.0, theta, 0.0, 0.0, 1.0 / 16.0)
+    out = propagate_n(m, g, 1)
+    assert abs(out.norm - g.norm) < 1e-12 * g.norm
+    ref = _branch_sqrt_inv(hamiltonian_from_matrix(m), 1.0, complex(theta.real, 0.1))
+    assert (out.amplitude / ref).real > 0
+
+
+def test_propagation_samples_no_flow(cat, monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("flow_coefficients called")
+
+    monkeypatch.setattr(qcat.classical, "flow_coefficients", no_flow)
+    monkeypatch.setattr(qcat.metaplectic, "flow_coefficients", no_flow)
+    g = wavepacket(0.3, 0.4, 1.0 / 16.0)
+    propagate_n(cat, g, 8)
+    propagate_gaussian(Sl2IntMatrix(2, 3, 1, 2), g)
+    build_propagator_matrix(cat, 16)
