@@ -62,8 +62,6 @@ from .birkhoff import (
     InterferenceObservable,
     SkewMap,
     damped_birkhoff_sum,
-    skew_apply,
-    skew_iterate,
     theorem_error_table,
     theorem_rhs,
 )

@@ -26,13 +26,16 @@ on a reference batch and frozen.  The factor (Re(beta_c) cos^2(theta))^(1/4)
 is 1 for symmetric matrices, where Re(beta_c) = 1/cos^2(theta).
 
 The damped sum runs over the window |k| <= K past which |chi| stays below
-1e-14.  For the interference observable only its live terms are summed:
+1e-14.  |chi(u)| = exp(-Re(gamma0) u^2 / h) decreases in |u|, so K is the
+closed form floor(M sqrt(h ln(1e14) / Re gamma0)), M = lam^n, settled by
+steps of one against |chi| itself.  Only the live terms are summed:
 |f(T^k(x, y))| = exp(-pi cos^2(theta) d_k^2 / h) depends only on the circle
-distance d_k of x + k alpha to s0, so one float64 pass over the window
-bounds each term by |chi(k/lam^n)| times that Gaussian and keeps the terms
-whose bound is at least 1e-14/(2K+1).  The dropped terms sum to at most
-1e-14 in absolute value.  Long double is used only for the orbit phases y_k
-of the live terms; every other phase is reduced mod 1 in float64.
+distance d_k of x + k alpha to s0, so a float64 pass over real parts bounds
+each term by |chi(k/M)| times that Gaussian and keeps the terms whose bound
+is at least 1e-14/(2K+1).  The dropped terms sum to at most 1e-14 in
+absolute value.  The window is walked in blocks of 2^13 terms, so memory is
+O(block + live), not O(K).  Long double is used only for the orbit phases
+y_k of the live terms; every other phase is reduced mod 1 in float64.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
-from .errors import ThresholdViolationError
+from .errors import OddNError, ThresholdViolationError, TruncationOverflowError
 from .lagrangian import (_validity_threshold, aligned_propagated_state, circle_distance,
                          damping_coefficient)
 from .metaplectic import cis_turns
@@ -53,8 +56,6 @@ from .torus import matrix_element_exact
 __all__ = [
     "SkewMap",
     "InterferenceObservable",
-    "skew_apply",
-    "skew_iterate",
     "damped_birkhoff_sum",
     "gaussian_damping",
     "theorem_rhs",
@@ -62,14 +63,6 @@ __all__ = [
     "theorem_error_table",
     "THEOREM_COLUMNS",
 ]
-
-
-def _exact_frac(mult: int, value: float) -> float:
-    """Fractional part of mult*value computed exactly (value is a binary
-    rational num/den; the product is reduced mod 1 with integer arithmetic,
-    and the one division rounds correctly)."""
-    num, den = value.as_integer_ratio()
-    return int(mult) * num % den / den
 
 
 @dataclass(frozen=True)
@@ -81,29 +74,9 @@ class SkewMap:
 
     def __post_init__(self) -> None:
         if self.N % 2 != 0:
-            raise ValueError("N must be even so that beta = alpha*N/2 uses an integer N/2")
-
-    @property
-    def beta_param(self) -> float:
-        return self.alpha * self.N / 2.0
-
-
-def skew_apply(t_map: SkewMap, pt: tuple[float, float]) -> tuple[float, float]:
-    x, y = pt
-    return ((x + t_map.alpha) % 1.0, (y + t_map.N * x + t_map.beta_param) % 1.0)
-
-
-def skew_iterate(t_map: SkewMap, pt: tuple[float, float], m: int) -> tuple[float, float]:
-    """Closed-form m-th iterate (m of either sign).
-
-    The fractional parts of m*alpha, (m^2/2)*N*alpha and m*N*x are computed
-    with exact rational arithmetic, so the mod-1 error stays at one rounding
-    even for m ~ 1e4.
-    """
-    x, y = pt
-    xm = (x + _exact_frac(m, t_map.alpha)) % 1.0
-    ym = (y + _exact_frac(m * m * (t_map.N // 2), t_map.alpha) + _exact_frac(m * t_map.N, x)) % 1.0
-    return (xm, ym)
+            raise OddNError(
+                f"N must be even so that beta = alpha*N/2 uses an integer N/2, got {self.N}"
+            )
 
 
 @dataclass(frozen=True)
@@ -169,116 +142,97 @@ def gaussian_damping(obs: InterferenceObservable):
 
 
 _WINDOW_CAP = 50_000_000
+_CUTOFF = 1e-14
 _LIVE_TAIL = 1e-14
-_BLOCK_MAX = 1 << 20
+_BLOCK = 1 << 13
 
 
-def _scanned_blocks(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8):
-    """Yield (chi(k/m_time) as a complex array, K or None) for consecutive
-    blocks of k = 1, 2, ...  K is given with the block that completes the
-    first run (see :func:`_support_half_width`); that block is the last one
-    and is cut after k = K."""
-    carry = np.zeros(consecutive - 1, dtype=bool)
-    start, size = 1, 1024
-    while start <= _WINDOW_CAP:
-        k = np.arange(start, min(start + size, _WINDOW_CAP + 1))
-        vals = np.broadcast_to(np.asarray(chi(k / m_time), dtype=complex), k.shape)
-        below = np.concatenate((carry, np.abs(vals) < cutoff))
-        runs = np.lib.stride_tricks.sliding_window_view(below, consecutive).all(axis=1)
-        hits = np.flatnonzero(runs)
-        if hits.size:
-            # below[j] flags k = start - (consecutive - 1) + j, and the run
-            # from j covers k = K + 1, ..., K + consecutive.
-            k_max = start - consecutive + int(hits[0])
-            yield vals[:max(k_max + 1 - start, 0)], k_max
-            return
-        yield vals, None
-        carry = below[below.size - (consecutive - 1):]
-        start += k.size
-        size = min(2 * size, _BLOCK_MAX)
-    raise ValueError("damping window does not decay")
+def _half_width(obs: InterferenceObservable, m_time: float) -> int:
+    """Half-width K of the damping window of chi_h(k/m_time): the largest
+    k >= 0 with |chi_h(k/m_time)| >= 1e-14, and 0 if there is none.
 
-
-def _support_half_width(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8) -> int:
-    """Half-width K of the damping window: the smallest K >= 0 such that
-    |chi(k/m_time)| < ``cutoff`` for each of the ``consecutive`` values
-    k = K+1, ..., K+consecutive (by default 1e-14 and 8).
-
-    chi is evaluated on blocks of k that start at 1024 entries and double up
-    to 2^20, and each block is dropped once scanned, so memory stays
-    bounded.  The last ``consecutive`` - 1 flags of each block are carried
-    into the next, which makes a run that straddles two blocks count
-    exactly as if k were scanned one at a time.
+    |chi_h(u)| = exp(-Re(gamma0) u^2 / h) decreases in |u|, so K is
+    floor(m_time sqrt(h ln(1e14) / Re gamma0)) up to the rounding of |chi_h|,
+    which steps of one against |chi_h| itself settle.
 
     Raises:
-        ValueError: if no such run ends at k <= 50_000_000.
+        TruncationOverflowError: if K exceeds 50_000_000; no array is formed.
     """
-    for _, k_max in _scanned_blocks(chi, m_time, cutoff, consecutive):
-        if k_max is not None:
-            return k_max
+    chi = gaussian_damping(obs)
+
+    def kept(k: int) -> bool:
+        return abs(complex(chi(k / m_time))) >= _CUTOFF
+
+    k_est = m_time * math.sqrt(obs.h * -math.log(_CUTOFF) / obs.gamma0.real)
+    if not k_est <= _WINDOW_CAP:
+        raise TruncationOverflowError(
+            f"damping window half-width {k_est:.4g} exceeds the cap {_WINDOW_CAP}"
+        )
+    k_max = math.floor(k_est)
+    while kept(k_max + 1):
+        k_max += 1
+    while k_max > 0 and not kept(k_max):
+        k_max -= 1
+    return k_max
 
 
-def _window(chi, m_time: float) -> tuple[np.ndarray, np.ndarray]:
-    """The damping window k = -K, ..., K and chi(k/m_time) as a complex array.
+def _live_blocks(t_map: SkewMap, obs: InterferenceObservable, x: float, m_time: float,
+                 k_max: int):
+    """Yield the live k of the window k = -K..K, one block of ``_BLOCK``
+    terms at a time, in ascending order.
 
-    The values on k = 1..K are the blocks that the scan for K evaluated;
-    chi is evaluated afresh only on k = -K..0.  chi acts elementwise, so
-    this has the bits of one evaluation on the whole window.
+    |chi_h(k/M) f(T^k(x, y))| = exp(-Re(gamma0) (k/M)^2 / h) exp(-pi cos^2(theta)
+    d_k^2 / h) with d_k = d(x + k alpha, s0), because every other factor is
+    a phase.  A term is live when that float64 bound is at least
+    ``_LIVE_TAIL`` / (2K+1), so the terms left out sum to at most
+    ``_LIVE_TAIL`` in absolute value.
     """
-    blocks = list(_scanned_blocks(chi, m_time))
-    k_max = blocks[-1][1]
-    k = np.arange(-k_max, k_max + 1)
-    left = np.broadcast_to(np.asarray(chi(k[:k_max + 1] / m_time), dtype=complex), (k_max + 1,))
-    # A run that starts in the carried flags leaves up to consecutive - 1 = 7
-    # values past K in the blocks before the last.
-    return k, np.concatenate((left, *(vals for vals, _ in blocks)))[:k.size]
+    floor = _LIVE_TAIL / (2 * k_max + 1)
+    re_g0 = obs.gamma0.real
+    transverse = math.pi * math.cos(obs.theta) ** 2
+    root_h = math.sqrt(obs.h)
+    for start in range(-k_max, k_max + 1, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, k_max + 1))
+        u = k / m_time
+        v = circle_distance(x + k * t_map.alpha, obs.s0) / root_h
+        bound = np.exp(-re_g0 * u * u / obs.h) * np.exp(-transverse * v * v)
+        yield k[bound >= floor]
 
 
-def _live_mask(t_map: SkewMap, obs: InterferenceObservable, k: np.ndarray,
-               chi_k: np.ndarray, x: float) -> np.ndarray:
-    """Terms of the window whose modulus can reach ``_LIVE_TAIL`` / (2K+1).
-
-    |chi(k/M) f(T^k(x, y))| = |chi_k| exp(-pi cos^2(theta) d_k^2 / h) with
-    d_k = d(x + k alpha, s0), because every other factor of f is a phase.
-    The bound is formed in float64 from the chi values passed, so the terms
-    it drops sum to at most ``_LIVE_TAIL`` in absolute value.
-    """
-    u = np.asarray(circle_distance(x + k * t_map.alpha, obs.s0)) / math.sqrt(obs.h)
-    bound = np.abs(chi_k) * np.exp(-math.pi * math.cos(obs.theta) ** 2 * u * u)
-    return bound >= _LIVE_TAIL / k.size
-
-
-def damped_birkhoff_sum(t_map: SkewMap, f, chi, pt: tuple[float, float], m_time: float) -> complex:
-    """S^chi_m(f)(pt) = sum_k chi(k/m) f(T^k pt), truncated where |chi| < 1e-14.
+def damped_birkhoff_sum(t_map: SkewMap, obs: InterferenceObservable, pt: tuple[float, float],
+                        m_time: float) -> complex:
+    """S^chi_m(f)(pt) = sum_k chi_h(k/m) f(T^k pt) for the interference
+    observable f = ``obs`` and its derived damping chi_h
+    (:func:`gaussian_damping`), truncated where |chi_h| < 1e-14.
 
     ``m_time`` may be non-integer (the damping argument k/m is evaluated at
-    real arguments while k stays integer).  Terms are summed in ascending k.
+    real arguments while k stays integer).  The half-width K is the closed
+    form of :func:`_half_width`.  The window is walked in blocks
+    (:func:`_live_blocks`); in each, chi_h, the long-double orbit phases y_k
+    and ``obs.eval`` are formed on the live terms only, whose bound
+    |chi_h(k/m)| |F0(d_k/sqrt h)| is at least 1e-14/(2K+1).  The dropped
+    terms sum to at most 1e-14 in absolute value.  The live values are
+    summed in ascending k by one ``np.sum``, so memory is O(block + live).
 
-    For an :class:`InterferenceObservable` only the live terms are summed:
-    those whose bound |chi(k/m)| |F0(d_k/sqrt h)| is at least 1e-14/(2K+1)
-    (:func:`_live_mask`, float64 on the whole window).  The dropped terms
-    sum to at most 1e-14 in absolute value.  Long double is used only for
-    the orbit phases y_k of the live terms.  A plain callable ``f`` is
-    summed on the whole window.
+    Raises:
+        TruncationOverflowError: if K exceeds 50_000_000.
     """
     if m_time <= 0:
         raise ValueError("m_time must be positive")
-    k, chi_k = _window(chi, m_time)
-    if isinstance(f, InterferenceObservable):
-        live = _live_mask(t_map, f, k, chi_k, pt[0])
-        k, chi_k, feval = k[live], chi_k[live], f.eval
-    else:
-        feval = f
+    k_max = _half_width(obs, m_time)
+    chi = gaussian_damping(obs)
     x, y = pt
     alpha_l = np.longdouble(t_map.alpha)
-    k_l = np.asarray(k, dtype=np.longdouble)
-    xs = np.asarray(x + np.asarray(k_l * alpha_l, dtype=np.float64), dtype=float)
-    y_turns = y + k_l * k_l * (t_map.N // 2) * alpha_l + k_l * t_map.N * np.longdouble(x)
-    # e^{2 i pi y_k} is supplied through the y argument in turns.
-    vals = chi_k * np.asarray(
-        feval(xs, np.asarray(y_turns - np.floor(y_turns), dtype=float)), dtype=complex
-    )
-    return complex(np.sum(vals))
+    x_l = np.longdouble(x)
+    parts = []
+    for k in _live_blocks(t_map, obs, x, m_time, k_max):
+        k_l = np.asarray(k, dtype=np.longdouble)
+        xs = x + np.asarray(k_l * alpha_l, dtype=np.float64)
+        y_turns = y + k_l * k_l * (t_map.N // 2) * alpha_l + k_l * t_map.N * x_l
+        # e^{2 i pi y_k} is supplied through the y argument in turns.
+        parts.append(chi(k / m_time) * obs.eval(xs, np.asarray(y_turns - np.floor(y_turns),
+                                                               dtype=float)))
+    return complex(np.sum(np.concatenate(parts)))
 
 
 def theorem_rhs(
@@ -298,6 +252,8 @@ def theorem_rhs(
     Raises:
         ThresholdViolationError: for n below |log h|/(3 log lam) unless the
             caller opts in (exploratory plots).
+        TruncationOverflowError: if the damping window of the sum passes its
+            cap (:func:`damped_birkhoff_sum`).
     """
     sd = spectral_data(m)
     if n + 1e-12 < _validity_threshold(h, sd.lam) and not allow_below_threshold:
@@ -345,7 +301,7 @@ def theorem_rhs(
 
     obs = InterferenceObservable(q0=q0, p0=p0, theta=sd.theta, h=h, beta=beta_c)
     t_map = SkewMap(alpha=t, N=n_even)
-    s_sum = damped_birkhoff_sum(t_map, obs, gaussian_damping(obs), (s_red, 0.0), lam ** n)
+    s_sum = damped_birkhoff_sum(t_map, obs, (s_red, 0.0), lam ** n)
     return complex(scale_constant * phases * amp * s_sum)
 
 

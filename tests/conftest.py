@@ -155,3 +155,124 @@ def dense_at_box_points(dense, corner, k1, k2):
     kept[i1, i2] = True
     assert not np.any(dense[~kept])
     return dense[i1, i2]
+
+
+def _exact_frac(mult: int, value: float) -> float:
+    """Fractional part of mult*value computed exactly (value is a binary
+    rational num/den; the product is reduced mod 1 with integer arithmetic,
+    and the one division rounds correctly)."""
+    num, den = value.as_integer_ratio()
+    return int(mult) * num % den / den
+
+
+def skew_beta(t_map) -> float:
+    """beta = alpha*N/2 of a ``birkhoff.SkewMap``."""
+    return t_map.alpha * t_map.N / 2.0
+
+
+def skew_apply(t_map, pt: tuple[float, float]) -> tuple[float, float]:
+    """One step (x, y) -> (x + alpha, y + N x + beta) mod 1 of the skew map."""
+    x, y = pt
+    return ((x + t_map.alpha) % 1.0, (y + t_map.N * x + skew_beta(t_map)) % 1.0)
+
+
+def skew_iterate(t_map, pt: tuple[float, float], m: int) -> tuple[float, float]:
+    """Closed-form m-th iterate (m of either sign) of the skew map.
+
+    The fractional parts of m*alpha, (m^2/2)*N*alpha and m*N*x are computed
+    with exact rational arithmetic, so the mod-1 error stays at one rounding
+    even for m ~ 1e4.
+    """
+    x, y = pt
+    xm = (x + _exact_frac(m, t_map.alpha)) % 1.0
+    ym = (y + _exact_frac(m * m * (t_map.N // 2), t_map.alpha) + _exact_frac(m * t_map.N, x)) % 1.0
+    return (xm, ym)
+
+
+_SCAN_CAP = 50_000_000
+_SCAN_BLOCK_MAX = 1 << 20
+
+
+def _scanned_blocks(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8):
+    """Yield (chi(k/m_time) as a complex array, K or None) for consecutive
+    blocks of k = 1, 2, ...  K is given with the block that completes the
+    first run (see :func:`_support_half_width`); that block is the last one
+    and is cut after k = K."""
+    carry = np.zeros(consecutive - 1, dtype=bool)
+    start, size = 1, 1024
+    while start <= _SCAN_CAP:
+        k = np.arange(start, min(start + size, _SCAN_CAP + 1))
+        vals = np.broadcast_to(np.asarray(chi(k / m_time), dtype=complex), k.shape)
+        below = np.concatenate((carry, np.abs(vals) < cutoff))
+        runs = np.lib.stride_tricks.sliding_window_view(below, consecutive).all(axis=1)
+        hits = np.flatnonzero(runs)
+        if hits.size:
+            # below[j] flags k = start - (consecutive - 1) + j, and the run
+            # from j covers k = K + 1, ..., K + consecutive.
+            k_max = start - consecutive + int(hits[0])
+            yield vals[:max(k_max + 1 - start, 0)], k_max
+            return
+        yield vals, None
+        carry = below[below.size - (consecutive - 1):]
+        start += k.size
+        size = min(2 * size, _SCAN_BLOCK_MAX)
+    raise ValueError("damping window does not decay")
+
+
+def _support_half_width(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8) -> int:
+    """Oracle for ``birkhoff._half_width`` that works for any window chi:
+    the smallest K >= 0 such that |chi(k/m_time)| < ``cutoff`` for each of
+    the ``consecutive`` values k = K+1, ..., K+consecutive (by default 1e-14
+    and 8).
+
+    chi is evaluated on blocks of k that start at 1024 entries and double up
+    to 2^20, and each block is dropped once scanned, so memory stays
+    bounded.  The last ``consecutive`` - 1 flags of each block are carried
+    into the next, which makes a run that straddles two blocks count
+    exactly as if k were scanned one at a time.
+
+    Raises:
+        ValueError: if no such run ends at k <= 50_000_000.
+    """
+    for _, k_max in _scanned_blocks(chi, m_time, cutoff, consecutive):
+        if k_max is not None:
+            return k_max
+
+
+def _window(chi, m_time: float) -> tuple[np.ndarray, np.ndarray]:
+    """The damping window k = -K, ..., K and chi(k/m_time) as a complex array.
+
+    The values on k = 1..K are the blocks that the scan for K evaluated;
+    chi is evaluated afresh only on k = -K..0.  chi acts elementwise, so
+    this has the bits of one evaluation on the whole window.
+    """
+    blocks = list(_scanned_blocks(chi, m_time))
+    k_max = blocks[-1][1]
+    k = np.arange(-k_max, k_max + 1)
+    left = np.broadcast_to(np.asarray(chi(k[:k_max + 1] / m_time), dtype=complex), (k_max + 1,))
+    # A run that starts in the carried flags leaves up to consecutive - 1 = 7
+    # values past K in the blocks before the last.
+    return k, np.concatenate((left, *(vals for vals, _ in blocks)))[:k.size]
+
+
+def orbit_points(t_map, k: np.ndarray, pt: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """T^k pt for the integers k, as ``birkhoff.damped_birkhoff_sum`` forms
+    them: x_k = x + k alpha in float64, and y_k = y + k^2 (N/2) alpha + k N x
+    in long double, reduced mod 1 and rounded to float64."""
+    x, y = pt
+    alpha_l = np.longdouble(t_map.alpha)
+    k_l = np.asarray(k, dtype=np.longdouble)
+    xs = x + np.asarray(k_l * alpha_l, dtype=np.float64)
+    y_turns = y + k_l * k_l * (t_map.N // 2) * alpha_l + k_l * t_map.N * np.longdouble(x)
+    return xs, np.asarray(y_turns - np.floor(y_turns), dtype=float)
+
+
+def scanned_birkhoff_sum(t_map, f, chi, pt: tuple[float, float], m_time: float) -> complex:
+    """Oracle for ``birkhoff.damped_birkhoff_sum`` with any window chi and
+    any observable f(x, y): sum_k chi(k/m) f(T^k pt) over the whole scanned
+    window of :func:`_window`, in ascending k, with y_k passed to f in
+    turns."""
+    if m_time <= 0:
+        raise ValueError("m_time must be positive")
+    k, chi_k = _window(chi, m_time)
+    return complex(np.sum(chi_k * np.asarray(f(*orbit_points(t_map, k, pt)), dtype=complex)))

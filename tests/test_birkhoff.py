@@ -8,20 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import (_exact_frac, _support_half_width, _window, orbit_points, scanned_birkhoff_sum,
+                      skew_apply, skew_iterate)
+from qcat import birkhoff
 from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
-from qcat.errors import ThresholdViolationError
+from qcat.errors import OddNError, ThresholdViolationError, TruncationOverflowError
 from qcat.birkhoff import (
     InterferenceObservable,
     SkewMap,
-    _exact_frac,
-    _live_mask,
-    _support_half_width,
-    _window,
+    _half_width,
+    _live_blocks,
     damped_birkhoff_sum,
     fit_theorem_constant,
     gaussian_damping,
-    skew_apply,
-    skew_iterate,
     theorem_error_table,
     theorem_rhs,
 )
@@ -48,6 +47,8 @@ def test_skew_apply_examples():
     assert two[0] == pytest.approx((2 * 0.37) % 1.0, abs=1e-12)
     assert two[1] == pytest.approx((8 * 0.37) % 1.0, abs=1e-12)
     assert skew_iterate(t_map, (0.0, 0.0), 2)[1] == pytest.approx((8 * 0.37) % 1.0, abs=1e-12)
+    with pytest.raises(OddNError):
+        SkewMap(alpha=0.37, N=5)
 
 
 def test_skew_iterate_matches_composition(rng):
@@ -116,20 +117,20 @@ def test_damped_birkhoff_sum_basics(cat):
 
     ones = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     m_time = 23
-    val = damped_birkhoff_sum(t_map, ones, _indicator, (0.3, 0.9), m_time)
+    val = scanned_birkhoff_sum(t_map, ones, _indicator, (0.3, 0.9), m_time)
     assert val == pytest.approx(m_time + 1)
 
     chi = lambda u: np.exp(-3.0 * np.asarray(u, dtype=float) ** 2)
     expected = sum(chi(k / 10.0) for k in range(-200, 201))
     for pt in [(0.1, 0.2), (0.9, 0.5)]:
-        assert damped_birkhoff_sum(t_map, ones, chi, pt, 10.0) == pytest.approx(expected)
+        assert scanned_birkhoff_sum(t_map, ones, chi, pt, 10.0) == pytest.approx(expected)
 
-    # Linearity in the observable.
+    # Linearity in the observable: the live-term sum against the oracle.
     obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=0.25,
                                  beta=damping_coefficient(cat))
     f2 = lambda x, y: 2.0 * obs.eval(x, y)
-    a = damped_birkhoff_sum(t_map, obs, chi, (0.1, 0.0), 10.0)
-    b = damped_birkhoff_sum(t_map, f2, chi, (0.1, 0.0), 10.0)
+    a = damped_birkhoff_sum(t_map, obs, (0.1, 0.0), 10.0)
+    b = scanned_birkhoff_sum(t_map, f2, gaussian_damping(obs), (0.1, 0.0), 10.0)
     assert b == pytest.approx(2.0 * a)
 
 
@@ -152,22 +153,21 @@ _CAT = Sl2IntMatrix(2, 1, 1, 1)
 _NONSYMMETRIC = Sl2IntMatrix(3, 2, 1, 1)
 _M3121 = Sl2IntMatrix(3, 1, 2, 1)
 _LAM = spectral_data(_CAT).lam
+# Real beta = 1/cos^2(theta), and the complex beta of a nonsymmetric matrix.
+_GAUSSIAN_OBS = {
+    "real_beta": InterferenceObservable(
+        q0=0.3, p0=0.7, theta=spectral_data(_CAT).theta, h=1.0 / 256,
+        beta=1.0 / math.cos(spectral_data(_CAT).theta) ** 2,
+    ),
+    "complex_beta": InterferenceObservable(
+        q0=0.3, p0=0.7, theta=spectral_data(_NONSYMMETRIC).theta, h=1.0 / 256,
+        beta=damping_coefficient(_NONSYMMETRIC),
+    ),
+}
 _WINDOWS = {
     "indicator": _indicator,
     "gauss3": lambda u: np.exp(-3.0 * np.asarray(u, dtype=float) ** 2),
-    # Real beta = 1/cos^2(theta), and the complex beta of a nonsymmetric matrix.
-    "real_beta": gaussian_damping(
-        InterferenceObservable(
-            q0=0.3, p0=0.7, theta=spectral_data(_CAT).theta, h=1.0 / 256,
-            beta=1.0 / math.cos(spectral_data(_CAT).theta) ** 2,
-        )
-    ),
-    "complex_beta": gaussian_damping(
-        InterferenceObservable(
-            q0=0.3, p0=0.7, theta=spectral_data(_NONSYMMETRIC).theta, h=1.0 / 256,
-            beta=damping_coefficient(_NONSYMMETRIC),
-        )
-    ),
+    **{name: gaussian_damping(obs) for name, obs in _GAUSSIAN_OBS.items()},
 }
 
 
@@ -179,6 +179,34 @@ _WINDOWS = {
 def test_support_half_width_matches_scan(window, m_time):
     chi = _WINDOWS[window]
     assert _support_half_width(chi, m_time) == _scan_half_width(chi, m_time)
+
+
+@pytest.mark.parametrize(
+    "m_time", [1, 23, _LAM ** 6, _LAM ** 12, _LAM ** 13, _LAM ** 16, _LAM ** 18],
+    ids=["1", "23", "lam^6", "lam^12", "lam^13", "lam^16", "lam^18"],
+)
+@pytest.mark.parametrize("window", sorted(_GAUSSIAN_OBS))
+def test_half_width_closed_form(window, m_time):
+    # The block scan equals the one-k-at-a-time scan (test above) and reaches
+    # lam^18, where K is about 6e6, in well under a second.
+    obs = _GAUSSIAN_OBS[window]
+    k_max = _half_width(obs, m_time)
+    assert k_max == _support_half_width(gaussian_damping(obs), m_time)
+    if m_time == 1:
+        assert k_max == 0
+
+
+@pytest.mark.parametrize("k_target", [1, 7, 4095])
+@pytest.mark.parametrize("window", sorted(_GAUSSIAN_OBS))
+def test_half_width_at_the_cutoff(window, k_target):
+    # m_time within a few ulps of where |chi_h(k_target/m_time)| = 1e-14: the
+    # floor of the closed form can land one past K, and the steps against
+    # |chi_h| must bring it back.
+    obs = _GAUSSIAN_OBS[window]
+    scale = math.sqrt(obs.h * math.log(1e14) / obs.gamma0.real)
+    for j in range(-6, 7):
+        m_time = k_target / scale * (1.0 + j * 2.0 ** -52)
+        assert _half_width(obs, m_time) == _support_half_width(gaussian_damping(obs), m_time)
 
 
 @pytest.mark.parametrize(
@@ -203,19 +231,20 @@ def test_support_half_width_zero_window():
 
 
 def test_support_half_width_cap():
-    # chi = 1 never decays: the scan gives up at k = 5e7 while holding only a
-    # few arrays of one capped block (2^20 complex values are 16 MiB).
+    # At N = 256, n = 30 the closed-form K is about 6e11, past the 5e7 cap:
+    # the sum raises before it forms any array.
+    t_map, obs, _, pt, m_time = _live_case(_CAT, 256, 30, 0.4137)
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="damping window does not decay"):
-            _support_half_width(lambda u: np.ones_like(u), 10.0)
+        with pytest.raises(TruncationOverflowError, match="exceeds the cap 50000000"):
+            damped_birkhoff_sum(t_map, obs, pt, m_time)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert elapsed < 30.0
-    assert peak < 4 * 16 * 2 ** 20
+    assert elapsed < 1.0
+    assert peak < 2 ** 20
 
 
 def _whole_window(chi, m_time):
@@ -288,60 +317,118 @@ _LIVE_TAIL = 1e-14
 _ROUNDING = 16 * np.finfo(float).eps
 
 
-def _live_case(m, n_dim, n, x, y=0.0, chi=None):
-    """Sum arguments at N = ``n_dim``, m_time = lam^n, from the point s0 + x."""
+def _live_case(m, n_dim, n, x, y=0.0):
+    """Sum arguments at N = ``n_dim``, m_time = lam^n, from the point s0 + x,
+    with the derived window chi_h for the oracles."""
     sd = spectral_data(m)
     obs = InterferenceObservable(q0=0.31, p0=0.87, theta=sd.theta, h=1.0 / n_dim,
                                  beta=damping_coefficient(m))
     t_map = SkewMap(alpha=sd.tan_theta, N=n_dim)
-    chi = gaussian_damping(obs) if chi is None else chi
-    return t_map, obs, chi, ((obs.s0 + x) % 1.0, y), sd.lam ** n
+    return t_map, obs, gaussian_damping(obs), ((obs.s0 + x) % 1.0, y), sd.lam ** n
 
 
 @pytest.mark.parametrize(
-    "matrix, n_dim, n, x, y, chi",
+    "matrix, n_dim, n, x, y",
     [
-        (_CAT, 256, 12, 0.4137, 0.0, None),
-        (_CAT, 256, 13, 0.1291, 0.37, None),
-        (_CAT, 4096, 12, 0.7702, 0.0, None),
-        (_CAT, 4096, 13, 0.2466, 0.0, None),
-        (_CAT, 4096, 16, 0.5873, 0.0, None),
+        (_CAT, 256, 12, 0.4137, 0.0),
+        (_CAT, 256, 13, 0.1291, 0.37),
+        (_CAT, 4096, 12, 0.7702, 0.0),
+        (_CAT, 4096, 13, 0.2466, 0.0),
+        (_CAT, 4096, 16, 0.5873, 0.0),
         # Start within 1/N of s0: the k = 0 term has the largest profile.
-        (_CAT, 256, 13, 0.6 / 256, 0.0, None),
-        (_CAT, 4096, 13, -0.3 / 4096, 0.0, None),
+        (_CAT, 256, 13, 0.6 / 256, 0.0),
+        (_CAT, 4096, 13, -0.3 / 4096, 0.0),
         # Complex beta.
-        (_M3121, 256, 9, 0.3318, 0.0, None),
-        (_M3121, 4096, 10, 0.9051, 0.21, None),
-        (_M3121, 4096, 10, 0.2 / 4096, 0.0, None),
-        # A foreign window: the mask must use the chi passed, not obs.gamma0.
-        (_CAT, 256, 12, 0.4137, 0.0, _indicator),
-        (_M3121, 4096, 10, 0.0, 0.0, _indicator),
+        (_M3121, 256, 9, 0.3318, 0.0),
+        (_M3121, 4096, 10, 0.9051, 0.21),
+        (_M3121, 4096, 10, 0.2 / 4096, 0.0),
     ],
     ids=["cat-256-12", "cat-256-13-y", "cat-4096-12", "cat-4096-13", "cat-4096-16",
          "cat-256-13-near-s0", "cat-4096-13-near-s0", "3121-256-9", "3121-4096-10-y",
-         "3121-4096-10-near-s0", "cat-256-12-indicator", "3121-4096-10-indicator"],
+         "3121-4096-10-near-s0"],
 )
-def test_live_term_sum_matches_full_window(matrix, n_dim, n, x, y, chi):
-    t_map, obs, chi, pt, m_time = _live_case(matrix, n_dim, n, x, y, chi)
+def test_live_term_sum_matches_full_window(matrix, n_dim, n, x, y):
+    t_map, obs, chi, pt, m_time = _live_case(matrix, n_dim, n, x, y)
     want, mass = _full_window_sum(t_map, obs, chi, pt, m_time)
-    got = damped_birkhoff_sum(t_map, obs, chi, pt, m_time)
+    got = damped_birkhoff_sum(t_map, obs, pt, m_time)
+    assert abs(got - want) <= _LIVE_TAIL + _ROUNDING * mass
+
+
+def _window_live_k(t_map, obs, x, m_time, k_max):
+    """Oracle for the blocked walk: the live k of the whole window at once."""
+    k = np.arange(-k_max, k_max + 1)
+    u = k / m_time
+    v = circle_distance(x + k * t_map.alpha, obs.s0) / math.sqrt(obs.h)
+    bound = (np.exp(-obs.gamma0.real * u * u / obs.h)
+             * np.exp(-math.pi * math.cos(obs.theta) ** 2 * v * v))
+    return k[bound >= _LIVE_TAIL / k.size]
+
+
+def _whole_window_live_sum(t_map, obs, pt, m_time, live_k):
+    """Oracle for the blocked sum: the terms of ``live_k`` formed in one go
+    and summed by one ``np.sum``."""
+    terms = gaussian_damping(obs)(live_k / m_time) * obs.eval(*orbit_points(t_map, live_k, pt))
+    return complex(np.sum(terms))
+
+
+_B = birkhoff._BLOCK
+
+
+@pytest.mark.parametrize(
+    "k_max, block", [(_B // 2 - 1, None), (_B // 2 - 1, _B - 1), (_B // 2, None), (_B + 3, None)],
+    ids=["block-1", "block", "block+1", "two-blocks+7"],
+)
+def test_live_term_sum_across_blocks(monkeypatch, k_max, block):
+    # 2K + 1 is odd, so the window is one term short of or past a block of
+    # 2^13; the "block" case shrinks the block to 2K + 1.  The start sits at
+    # distance 0 from s0 after K steps, so the k = K term is live.
+    if block is not None:
+        monkeypatch.setattr(birkhoff, "_BLOCK", block)
+    t_map, obs, chi, _, _ = _live_case(_CAT, 256, 0, 0.0)
+    m_time = (k_max + 0.5) / math.sqrt(obs.h * math.log(1e14) / obs.gamma0.real)
+    pt = ((obs.s0 - k_max * t_map.alpha) % 1.0, 0.0)
+    assert _half_width(obs, m_time) == k_max
+    live = np.concatenate(list(_live_blocks(t_map, obs, pt[0], m_time, k_max)))
+    want_live = _window_live_k(t_map, obs, pt[0], m_time, k_max)
+    assert k_max in want_live and np.array_equal(live, want_live)
+    got = damped_birkhoff_sum(t_map, obs, pt, m_time)
+    # Blocking changes neither a term nor the order of the sum.
+    assert got == _whole_window_live_sum(t_map, obs, pt, m_time, want_live)
+    want, mass = _full_window_sum(t_map, obs, chi, pt, m_time)
     assert abs(got - want) <= _LIVE_TAIL + _ROUNDING * mass
 
 
 def test_live_mask_keeps_few_terms(cat):
-    # The saving, pinned by a count: at n = 13 the mask keeps 47% of the
-    # window at N = 256 and 11.5% at N = 4096.
+    # The saving, pinned by a count: at n = 13 the blocked walk keeps 47% of
+    # the window at N = 256 and 11.5% at N = 4096.
     for n_dim, share in ((256, 0.60), (4096, 0.20)):
         for x in (0.1, 0.45, 0.8):
             t_map, obs, chi, pt, m_time = _live_case(cat, n_dim, 13, x)
             k, chi_k = _window(chi, m_time)
-            live = _live_mask(t_map, obs, k, chi_k, pt[0])
+            k_max = _half_width(obs, m_time)
+            live_k = np.concatenate(list(_live_blocks(t_map, obs, pt[0], m_time, k_max)))
+            live = np.isin(k, live_k)
             assert 0 < np.count_nonzero(live) <= share * k.size
             # What the mask drops is below the certified tail.
             dropped = np.abs(chi_k[~live]) * np.abs(
                 obs.profile(circle_distance(pt[0] + k[~live] * t_map.alpha, obs.s0)
                             / math.sqrt(obs.h)))
             assert np.sum(dropped) <= _LIVE_TAIL
+
+
+@pytest.mark.parametrize("n_dim, n, limit_mib", [(4096, 18, 32), (256, 16, 48)])
+def test_damped_sum_memory(cat, n_dim, n, limit_mib):
+    # Windows of 2.8e6 and 1.7e6 terms: a sum that held whole-window arrays
+    # peaked at 155 and 101 MB.  The blocked walk holds one block plus the
+    # live terms (12% and 49% of the window).
+    t_map, obs, _, pt, m_time = _live_case(cat, n_dim, n, 0.4137)
+    tracemalloc.start()
+    try:
+        damped_birkhoff_sum(t_map, obs, pt, m_time)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2 ** 20
 
 
 def test_observable_invariants(cat, rng):
@@ -417,7 +504,7 @@ def test_theorem_rhs_threshold_and_truncation(cat):
                                  beta=damping_coefficient(cat))
     chi = gaussian_damping(obs)
     t_map = SkewMap(alpha=sd.tan_theta, N=64)
-    base = damped_birkhoff_sum(t_map, obs, chi, (0.2, 0.0), sd.lam ** n)
+    base = damped_birkhoff_sum(t_map, obs, (0.2, 0.0), sd.lam ** n)
     k_wide = int(6 * sd.lam ** n)
     ks = np.arange(-k_wide, k_wide + 1)
     xs = 0.2 + ks * sd.tan_theta
