@@ -35,7 +35,10 @@ each term by |chi(k/M)| times that Gaussian and keeps the terms whose bound
 is at least 1e-14/(2K+1).  The dropped terms sum to at most 1e-14 in
 absolute value.  The window is walked in blocks of 2^13 terms, so memory is
 O(block + live), not O(K).  Long double is used only for the orbit phases
-y_k of the live terms; every other phase is reduced mod 1 in float64.
+y_k of the live terms.  They are reduced mod 1 by ``metaplectic.frac_turns``,
+t - rint(t) plus 1 where negative, which has the bits of t - floor(t)
+without libm's slow long-double ``floorl`` (see there for why it is exact).
+Every other phase is reduced mod 1 in float64.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
 from .errors import OddNError, ThresholdViolationError, TruncationOverflowError
 from .lagrangian import (_validity_threshold, aligned_propagated_state, circle_distance,
                          damping_coefficient)
-from .metaplectic import cis_turns
+from .metaplectic import cis_turns, frac_turns
 from .tables import ResultTable
 from .torus import matrix_element_exact
 
@@ -230,8 +233,7 @@ def damped_birkhoff_sum(t_map: SkewMap, obs: InterferenceObservable, pt: tuple[f
         xs = x + np.asarray(k_l * alpha_l, dtype=np.float64)
         y_turns = y + k_l * k_l * (t_map.N // 2) * alpha_l + k_l * t_map.N * x_l
         # e^{2 i pi y_k} is supplied through the y argument in turns.
-        parts.append(chi(k / m_time) * obs.eval(xs, np.asarray(y_turns - np.floor(y_turns),
-                                                               dtype=float)))
+        parts.append(chi(k / m_time) * obs.eval(xs, frac_turns(y_turns)))
     return complex(np.sum(np.concatenate(parts)))
 
 

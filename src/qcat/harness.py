@@ -407,8 +407,8 @@ def _manifest(cfg: ExperimentConfig, experiment: str, extras: dict) -> dict:
 
 def _write_frame(path: Path, grid, n_dim: int, n_time: int, pt: TorusPoint) -> None:
     lines = [f"N,{n_dim}", f"n,{n_time}", f"point,{format_cell(pt.q)},{format_cell(pt.p)}"]
-    for row in grid.values:
-        lines.append(",".join(format_cell(float(v)) for v in row))
+    # repr of each Python float, as format_cell writes a float cell.
+    lines.extend(",".join(map(repr, row.tolist())) for row in grid.values)
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 

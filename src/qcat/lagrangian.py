@@ -66,8 +66,15 @@ _MAX_BAND_TERMS = 2_000_000
 
 
 def circle_distance(x, s0):
-    """Signed circle distance: the representative of x - s0 in (-1/2, 1/2]."""
-    u = np.mod(np.asarray(x, dtype=float) - s0, 1.0)
+    """Signed circle distance: the representative of x - s0 in (-1/2, 1/2].
+
+    u - floor(u) has the bits of ``np.mod(u, 1.0)`` at a fraction of its
+    cost: both are the one rounding of the exact u - floor(u) (numpy's mod
+    adds 1 to the exact fmod(u, 1) for negative u), and +-0, +-inf and nan
+    agree.
+    """
+    u = np.asarray(x, dtype=float) - s0
+    u = u - np.floor(u)
     d = np.where(u > 0.5, u - 1.0, u)
     if np.ndim(x) == 0:
         return float(d)

@@ -16,7 +16,12 @@ never samples a flow.  ``classical.flow_coefficients`` serves only
 Phase handling: oscillatory phases are reduced mod one full turn in 80-bit
 extended precision before calling trig functions (``cis_turns``), and phases
 of the form (integer)/h with 1/h = N even reduce to exactly 1 and are dropped
-in integer arithmetic where it matters (see :mod:`qcat.torus`).
+in integer arithmetic where it matters (see :mod:`qcat.torus`).  The
+reduction (``frac_turns``) is r = t - rint(t), plus 1 where r < 0, which has
+the bits of t - floor(t) without libm's slow long-double ``floorl``: for
+|t| >= 1/2, r is a multiple of ulp(t) with |r| <= 1/2, so r and r + 1 are
+exact; for -1/2 < t < 0 both routes make the one rounding of t + 1; and
++-0, +-inf and nan give the same result on both.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ __all__ = [
     "GaussianState",
     "PlaneTranslation",
     "cis_turns",
+    "frac_turns",
     "wavepacket",
     "gaussian_eval",
     "translate",
@@ -47,17 +53,33 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def frac_turns(turns) -> np.ndarray:
+    """turns mod 1 as float64 in [0, 1], reduced in numpy's long double.
+
+    r = t - rint(t), plus 1 where r < 0, has the bits of t - floor(t) for
+    every input, at a fraction of the cost of libm's ``floorl``.  For
+    |t| >= 1/2, r is a multiple of ulp(t) with |r| <= 1/2, so r and r + 1
+    are exact and equal the exact t - floor(t).  For 0 <= t < 1/2, r = t.
+    For -1/2 < t < 0, r = t and r + 1 is the one rounding of t + 1 that
+    t - floor(t) makes.  +-0, +-inf and nan give the same result on both
+    routes.  A 0-d input gives a 0-d result.
+    """
+    t = np.asarray(turns, dtype=np.longdouble)
+    r = t - np.rint(t)
+    r += r < 0
+    return np.asarray(r, dtype=np.float64)
+
+
 def cis_turns(turns) -> np.ndarray | complex:
     """exp(2*pi*i*turns), with the argument reduced mod 1 in extended precision.
 
     ``turns`` counts full revolutions.  Inputs are promoted to numpy's 80-bit
-    long double before the subtraction of the integer part, which keeps the
+    long double and reduced by :func:`frac_turns`, exactly, which keeps the
     reduced fraction accurate even for arguments of order 1e12.
     """
-    t = np.asarray(turns, dtype=np.longdouble)
-    frac = np.asarray(t - np.floor(t), dtype=np.float64)
+    frac = frac_turns(turns)
     out = np.exp(1j * _TWO_PI * frac)
-    if np.ndim(turns) == 0:
+    if frac.ndim == 0:
         return complex(out)
     return out
 

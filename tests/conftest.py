@@ -157,6 +157,21 @@ def dense_at_box_points(dense, corner, k1, k2):
     return dense[i1, i2]
 
 
+def floor_frac_turns(turns) -> np.ndarray:
+    """Oracle of ``metaplectic.frac_turns``: t - floor(t) in long double
+    (libm's ``floorl``), then float64."""
+    t = np.asarray(turns, dtype=np.longdouble)
+    return np.asarray(t - np.floor(t), dtype=np.float64)
+
+
+def mod_circle_distance(x, s0):
+    """Oracle of ``lagrangian.circle_distance``: numpy's float mod of x - s0,
+    then the representative in (-1/2, 1/2]."""
+    u = np.mod(np.asarray(x, dtype=float) - s0, 1.0)
+    d = np.where(u > 0.5, u - 1.0, u)
+    return float(d) if np.ndim(x) == 0 else d
+
+
 def _exact_frac(mult: int, value: float) -> float:
     """Fractional part of mult*value computed exactly (value is a binary
     rational num/den; the product is reduced mod 1 with integer arithmetic,

@@ -10,8 +10,10 @@ import pytest
 
 from conftest import run_cli, run_python
 from qcat.errors import ConfigError
-from qcat.harness import load_config, run_bands, run_experiment, run_unitarity
+from qcat.classical import TorusPoint
+from qcat.harness import _write_frame, load_config, run_bands, run_experiment, run_unitarity
 from qcat.tables import ResultTable, format_cell
+from qcat.torus import HusimiGrid
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -200,6 +202,37 @@ def _same_phases_on_circle(a, b, tol: float) -> bool:
     za = np.exp(1j * np.sort(np.mod(a, 2 * np.pi)))
     zb = np.exp(1j * np.sort(np.mod(b, 2 * np.pi)))
     return min(float(np.max(np.abs(za - np.roll(zb, s)))) for s in range(len(zb))) < tol
+
+
+def _frame_via_format_cell(grid, n_dim: int, n_time: int, pt) -> str:
+    """A Husimi frame written one ``format_cell(float(v))`` per cell."""
+    lines = [f"N,{n_dim}", f"n,{n_time}", f"point,{format_cell(pt.q)},{format_cell(pt.p)}"]
+    lines += [",".join(format_cell(float(v)) for v in row) for row in grid.values]
+    return "\n".join(lines) + "\n"
+
+
+def test_husimi_frames_match_format_cell_bytes(tmp_path):
+    rng = np.random.default_rng(5)
+    sign = np.where(rng.random((16, 16)) < 0.5, -1.0, 1.0)
+    values = sign * 10.0 ** rng.uniform(-320.0, 300.0, (16, 16))
+    values[0, :8] = [0.0, -0.0, 5e-324, 0.1, 1.0 / 3.0, 1e16, 123456789012345680.0, 2.0 ** -1074 * 3]
+    grid, pt = HusimiGrid(16, values, 1.0 / 8), TorusPoint(0.3, 0.7)
+    path = tmp_path / "frame.csv"
+    _write_frame(path, grid, 8, 2, pt)
+    assert path.read_bytes() == _frame_via_format_cell(grid, 8, 2, pt).encode("ascii")
+
+    # The frames of an egorov run, re-read and rewritten by format_cell.
+    cfg = load_config(write_config(tmp_path, N_values=[8, 16], n_values=[1, 2]))
+    run_experiment("egorov", cfg, tmp_path / "res")
+    frames = sorted((tmp_path / "res").glob("husimi_*.csv"))
+    assert len(frames) >= 4
+    for frame in frames:
+        lines = frame.read_text(encoding="ascii").splitlines()
+        n_dim, n_time = int(lines[0].split(",")[1]), int(lines[1].split(",")[1])
+        q, p = (float(v) for v in lines[2].split(",")[1:])
+        values = np.array([[float(v) for v in line.split(",")] for line in lines[3:]])
+        grid = HusimiGrid(cfg.grid_resolution, values, 1.0 / n_dim)
+        assert frame.read_bytes() == _frame_via_format_cell(grid, n_dim, n_time, TorusPoint(q, p)).encode("ascii")
 
 
 def test_format_cell_round_trip():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_at_box_points
+from conftest import dense_at_box_points, mod_circle_distance
 from qcat.classical import Sl2IntMatrix, ehrenfest_time, spectral_data
 from qcat.errors import MismatchedHError, ThresholdViolationError, TruncationOverflowError
 from qcat.lagrangian import (
@@ -34,6 +34,26 @@ def test_circle_distance():
     assert circle_distance(0.9, 0.0) == pytest.approx(-0.1, abs=1e-14)
     assert circle_distance(0.5, 0.0) == 0.5
     assert circle_distance(1.2, 0.1) == pytest.approx(0.1, abs=1e-14)
+
+
+def test_circle_distance_has_the_bits_of_mod():
+    rng = np.random.default_rng(7)
+    size = 200_000
+    x = np.where(rng.random(size) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-20.0, 15.0, size)
+    special = np.array([0.0, -0.0, 1.0, -1.0, 3.0, -3.0, 0.5, -0.5, 1.5, -1.5, -1e-30, 1e-30,
+                        np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), np.nextafter(-0.5, 0.0),
+                        np.nextafter(-0.5, -1.0), np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
+                        np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        for s0 in (0.0, -0.0, 0.3, -0.7, 1e-17):
+            for xs in (x, special):
+                assert np.array_equal(circle_distance(xs, s0).view(np.int64),
+                                      mod_circle_distance(xs, s0).view(np.int64)), s0
+            # Scalars give Python floats with the same bits.
+            for v in [*special, *x[:200]]:
+                got, want = circle_distance(float(v), s0), mod_circle_distance(float(v), s0)
+                assert type(got) is float
+                assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (v, s0)
 
 
 def test_state_invariants(cat):

@@ -9,7 +9,7 @@ import pytest
 import conftest
 import qcat.classical
 import qcat.metaplectic
-from conftest import _branch_sqrt_inv, random_gaussian_state, random_hyperbolic
+from conftest import _branch_sqrt_inv, floor_frac_turns, random_gaussian_state, random_hyperbolic
 from qcat.classical import (
     FlowCoefficients,
     QuadraticHamiltonian,
@@ -22,7 +22,9 @@ from qcat.errors import MismatchedHError, NonPositiveHError, NumericalToleranceE
 from qcat.metaplectic import (
     GaussianState,
     PlaneTranslation,
+    cis_turns,
     compose_translation_phase,
+    frac_turns,
     gaussian_eval,
     gaussian_overlap,
     h_fourier_gaussian,
@@ -43,6 +45,51 @@ def quantum_translation_pointwise(v: PlaneTranslation, h: float, u, x):
         * np.exp(2j * math.pi * v.b * np.asarray(x) / h)
         * u(np.asarray(x) - v.a)
     )
+
+
+def _special_turns() -> np.ndarray:
+    """+-0, integers, +-1/2, +-3/2, the long-double neighbours of +-1/2 and
+    0, a tiny negative, +-inf and nan, in long double."""
+    ld = np.longdouble
+    halves = np.array([0.5, -0.5], dtype=ld)
+    return np.concatenate([
+        np.array([0.0, -0.0, 1.0, -1.0, 7.0, -7.0, 2.0 ** 62, -(2.0 ** 62), 0.5, -0.5, 1.5, -1.5,
+                  -1e-30, np.inf, -np.inf, np.nan], dtype=ld),
+        np.nextafter(halves, ld(0.0)), np.nextafter(halves, ld(2.0) * halves),
+        np.nextafter(np.zeros(2, dtype=ld), np.array([1.0, -1.0], dtype=ld)),
+    ])
+
+
+def test_frac_turns_has_the_bits_of_floor():
+    # Long doubles up to +-1e15 over 18 decades, each with bits below float64
+    # where the platform's long double has them.
+    rng = np.random.default_rng(20240901)
+    size = 200_000
+    mag = np.asarray(10.0 ** rng.uniform(-3.0, 15.0, size), dtype=np.longdouble)
+    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    t = sign * mag * (1 + np.asarray(rng.uniform(-1.0, 1.0, size), dtype=np.longdouble) * 2.0 ** -60)
+    if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant:
+        assert np.count_nonzero(t != np.asarray(t, dtype=np.float64)) > size // 2
+    assert np.count_nonzero(t < 0) > size // 3 and np.count_nonzero(np.abs(t) < 0.5) > size // 20
+    got = frac_turns(t)
+    assert got.dtype == np.float64 and got.shape == t.shape
+    assert np.array_equal(got.view(np.int64), floor_frac_turns(t).view(np.int64))
+
+    special = _special_turns()
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(frac_turns(special).view(np.int64), floor_frac_turns(special).view(np.int64))
+        # 0-d inputs give 0-d results with the same bits: long doubles,
+        # float64 and Python floats.
+        for v in [*special, *t[:200]]:
+            for x in (v, np.asarray(v), float(v)):
+                got = frac_turns(x)
+                assert got.shape == () and got.view(np.int64) == floor_frac_turns(x).view(np.int64), v
+    # cis_turns reduces by frac_turns: the floor route gives its bits, and a
+    # 0-d input gives a Python complex.
+    assert np.array_equal(cis_turns(t), np.exp(1j * (2.0 * math.pi) * floor_frac_turns(t)))
+    for v in (*t[:50], 0.3, -2.75, 12345678.9):
+        z = cis_turns(v)
+        assert type(z) is complex and z == complex(np.exp(1j * (2.0 * math.pi) * floor_frac_turns(v)))
 
 
 def test_wavepacket_normalization_oracle():
