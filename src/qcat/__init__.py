@@ -24,15 +24,8 @@ from .classical import (
 )
 from .metaplectic import (
     GaussianState,
-    PlaneTranslation,
-    compose_translation_phase,
     gaussian_eval,
-    gaussian_overlap,
-    h_fourier_gaussian,
-    propagate_gaussian,
     propagate_n,
-    schrodinger_residual,
-    translate,
     wavepacket,
 )
 from .torus import (
@@ -51,12 +44,8 @@ from .lagrangian import (
     damping_coefficient,
     DampedLagrangianState,
     band_difference,
-    band_indexer,
-    check_pointwise_approx,
-    lagrangian_eval,
     make_damped_lagrangian,
     off_band_tail,
-    overlap_lagrangian_wavepacket,
 )
 from .birkhoff import (
     InterferenceObservable,

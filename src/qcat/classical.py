@@ -1,6 +1,15 @@
 """Classical side of the model: SL(2,Z) torus automorphisms, their hyperbolic
 spectral data, quadratic Hamiltonians generating them, and the Ehrenfest time.
 
+No experiment samples a flow: propagation uses only the integer entries of
+the matrix (see :func:`qcat.metaplectic.propagate_n`).  The Hamiltonian and
+its flow (:class:`QuadraticHamiltonian`, :func:`hamiltonian_from_matrix`,
+:class:`FlowCoefficients`, :func:`flow_coefficients`) stay in the package
+because the benchmark's span tracer (``perfbench/spans.py``) resolves
+``classical.flow_coefficients`` by name and counts its calls, which is how a
+run shows that no flow is sampled; the test oracles of the metaplectic
+branch and the Schroedinger residual use them too.
+
 All values are immutable and all operations are pure functions, so everything
 here is safe to share between threads.
 """
@@ -212,7 +221,8 @@ def flow_coefficients(h: QuadraticHamiltonian, t: float) -> FlowCoefficients:
 
     With mu^2 = gamma^2 - alpha*beta the exponential is
     cosh(mu t) I + sinh(mu t)/mu * m (hyperbolic/shear/elliptic according to
-    the sign of mu^2, with the obvious limits).
+    the sign of mu^2, with the obvious limits).  No experiment calls it;
+    the module docstring says why it stays.
     """
     al, be, ga = h.alpha, h.beta, h.gamma
     mu2 = ga * ga - al * be

@@ -28,10 +28,6 @@ class ZeroACoefficientError(QcatError):
     """The kernel formula for the propagator degenerates when a = 0."""
 
 
-class QuadratureNonConvergenceError(QcatError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class OddNError(QcatError):
     """The torus Hilbert space requires N = 1/h to be a positive even integer."""
 

@@ -99,10 +99,18 @@ class ExperimentConfig:
         return [TorusPoint(float(rng.uniform()), float(rng.uniform())) for _ in range(count)]
 
     def resolved_pairs(self, count: int) -> list[tuple[TorusPoint, TorusPoint]]:
-        """Disjoint consecutive pairs of the point list (seeded if empty)."""
+        """Disjoint consecutive pairs of the point list (seeded if empty).
+
+        Raises:
+            ConfigError: if the configured points are fewer than two or odd
+                in number, so that some point would have no partner.
+        """
         pts = self.resolved_points(2 * count)
         if len(pts) < 2:
             raise ConfigError("at least two points are required to form pairs")
+        if len(pts) % 2:
+            raise ConfigError(f"config key 'points': {len(pts)} points do not form disjoint "
+                              "source/target pairs; give an even count")
         return [(pts[2 * i], pts[2 * i + 1]) for i in range(len(pts) // 2)]
 
 
@@ -264,7 +272,7 @@ def run_egorov(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
         total = float(np.sum(grid.values))
         inside = float(np.sum(grid.values[dist2 <= radius * radius]))
         frac = inside / total if total > 0 else 0.0
-        return grid, frac, total / res ** 2
+        return grid, frac, grid.riemann_mass
 
     results = _map_cells(cells, cell, cfg.threads)
     rows = []
@@ -288,8 +296,8 @@ def run_egorov(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 def run_theorem(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     """Exact vs predicted matrix elements over the configured sweep."""
     m = cfg.cat_matrix()
-    d_fit = fit_theorem_constant(m, seed=cfg.seed)
     pairs = cfg.resolved_pairs(5)
+    d_fit = fit_theorem_constant(m, seed=cfg.seed)
     n_times = {n_dim: cfg.resolve_times(n_dim) for n_dim in cfg.N_values}
 
     def cell(n_dim: int):

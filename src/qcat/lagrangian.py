@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import Sl2IntMatrix, spectral_data
-from .errors import MismatchedHError, ThresholdViolationError, TruncationOverflowError
-from .metaplectic import GaussianState, cis_turns, propagate_n, wavepacket
+from .errors import ThresholdViolationError, TruncationOverflowError
+from .metaplectic import GaussianState, propagate_n, wavepacket
 from .torus import OverlapForm, certified_radius, line_tail_bound
 
 __all__ = [
@@ -49,20 +49,16 @@ __all__ = [
     "damping_coefficient",
     "circle_distance",
     "make_damped_lagrangian",
-    "lagrangian_eval",
-    "overlap_lagrangian_wavepacket",
     "lagrangian_overlap_field",
     "wavepacket_overlap_field",
-    "band_indexer",
     "band_sum",
     "off_band_tail",
     "band_difference",
     "aligned_propagated_state",
-    "check_pointwise_approx",
-    "PointwiseApproxReport",
 ]
 
 _MAX_BAND_TERMS = 2_000_000
+_BAND_TAIL = 1e-14
 
 
 def circle_distance(x, s0):
@@ -138,26 +134,6 @@ def make_damped_lagrangian(
     )
 
 
-def lagrangian_eval(state: DampedLagrangianState, x) -> np.ndarray | complex:
-    """Pointwise value, with the oscillatory phase reduced in extended precision."""
-    t = math.tan(state.theta)
-    xl = np.asarray(x, dtype=np.longdouble)
-    turns = (np.longdouble(t) * xl * xl / 2.0 + np.longdouble(state.s_prime) * xl) / np.longdouble(
-        state.h
-    )
-    dx = np.asarray(x, dtype=float) - state.a_prime
-    damp_expo = -math.pi * state.beta * dx * dx * state.damping_scale / state.h
-    out = (
-        state.norm_constant
-        * np.exp(damp_expo.real)
-        * cis_turns(damp_expo.imag / (2.0 * math.pi))
-        * cis_turns(turns)
-    )
-    if np.ndim(x) == 0:
-        return complex(out)
-    return out
-
-
 def _lagrangian_lambda(state: DampedLagrangianState) -> complex:
     return 1.0 - 1j * math.tan(state.theta) + state.beta * state.damping_scale
 
@@ -210,15 +186,6 @@ def wavepacket_overlap_field(g: GaussianState) -> OverlapForm:
     return OverlapForm((e_qq, e_pp, e_qp, e_q, e_p, e_c), complex(pref))
 
 
-def overlap_lagrangian_wavepacket(
-    state: DampedLagrangianState, q: float, p: float, h: float | None = None
-) -> complex:
-    """Closed-form <L, Phi_{q,p}>; matches quadrature to 1e-8 relative."""
-    if h is not None and h != state.h:
-        raise MismatchedHError(f"state has h={state.h}, packet has h={h}")
-    return complex(lagrangian_overlap_field(state).terms(float(q), float(p)))
-
-
 @dataclass(frozen=True)
 class BandIndexer:
     """Resolves, for each column q0 + m, the unique row p0 + p(m) inside the
@@ -251,42 +218,33 @@ class BandIndexer:
         return self.offset(m) - self.p_of(m)
 
 
-def band_indexer(theta: float, q0: float, p0: float, a_prime: float, b_prime: float) -> BandIndexer:
-    return BandIndexer(theta=theta, q0=q0, p0=p0, s_prime=b_prime - math.tan(theta) * a_prime)
-
-
-def _band_m_range(form: OverlapForm, indexer: BandIndexer, tail: float,
-                  scale: float) -> tuple[int, int]:
-    """Certified m-window: outside it, sum of |form| along the band <= tail*scale.
+def _band_m_range(form: OverlapForm, indexer: BandIndexer, target: float) -> tuple[int, int]:
+    """Certified m-window: outside it, sum of |form| along the band <= target.
 
     |term(m)| <= peak * exp(-mu (q0 + m - center_q)^2 / 2), so the window is
     the smallest radius that :func:`qcat.torus.line_tail_bound` certifies.
     """
     center, mu, peak = form.envelope()
-    if peak <= tail * scale:
+    if peak <= target:
         return 0, -1  # everything is negligible; empty range
-    radius = certified_radius(peak, mu, tail * scale, line_tail_bound)
+    radius = certified_radius(peak, mu, target, line_tail_bound)
     if radius > _MAX_BAND_TERMS:
         raise TruncationOverflowError("certified band window exceeds the term cap")
     mid = center[0] - indexer.q0
     return math.floor(mid - radius), math.ceil(mid + radius)
 
 
-def band_sum(form: OverlapForm, indexer: BandIndexer, N: int, phased: bool,
-             tail: float = 1e-14, scale: float = 1.0) -> complex:
-    """sum_m form(q0+m, p0+p(m)), optionally with the quantum-translation
-    phase exp(-2 i pi p(m) q0 N) of the T-translated test packet."""
-    m_lo, m_hi = _band_m_range(form, indexer, tail, scale)
+def band_sum(form: OverlapForm, indexer: BandIndexer) -> complex:
+    """sum_m form(q0+m, p0+p(m)) over the band window certified to
+    ``_BAND_TAIL``."""
+    m_lo, m_hi = _band_m_range(form, indexer, _BAND_TAIL)
     if m_hi < m_lo:
         return 0.0 + 0.0j
     m = np.arange(m_lo, m_hi + 1)
     k = indexer.p_of(m)
     q = indexer.q0 + m
     p = indexer.p0 + k
-    vals = form.terms(q, p)
-    if phased:
-        vals = vals * cis_turns(-k * (N * indexer.q0))
-    return complex(np.sum(vals))
+    return complex(np.sum(form.terms(q, p)))
 
 
 def _form_of(state, theta: float | None) -> tuple[OverlapForm, float, float]:
@@ -352,61 +310,9 @@ def band_difference(m: Sl2IntMatrix, n: int, h: float, q0: float, p0: float,
         raise ThresholdViolationError(
             f"n={n} is below the validity threshold {_validity_threshold(h, sd.lam):.3f}"
         )
-    n_even = round(1.0 / h)
     state_l = make_damped_lagrangian(m, n, h)
     g, _ = aligned_propagated_state(m, n, h)
     indexer = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=0.0)
-    sum_l = band_sum(lagrangian_overlap_field(state_l), indexer, n_even, phased=False)
-    sum_m = band_sum(wavepacket_overlap_field(g), indexer, n_even, phased=False)
+    sum_l = band_sum(lagrangian_overlap_field(state_l), indexer)
+    sum_m = band_sum(wavepacket_overlap_field(g), indexer)
     return float(abs(sum_l - sum_m))
-
-
-@dataclass(frozen=True)
-class PointwiseApproxReport:
-    n: int
-    h: float
-    fitted_r: float
-    max_ratio: float
-    violations: int
-
-
-def check_pointwise_approx(m: Sl2IntMatrix, n: int, h: float, grid: np.ndarray) -> PointwiseApproxReport:
-    """Check |U^n f - L(n)| <= |U^n f| * (1 - exp(-x^2 R_n / h)) on a grid.
-
-    Both sides are explicit formulas.  The comparison removes the metaplectic
-    unit phase of the exact state and rescales the Lagrangian state to the
-    exact state's normalizing constant (the two constants agree to relative
-    O(lambda^(-4n)); the bound is stated with a single shared constant).
-
-    ``fitted_r`` is the smallest R making the inequality hold on the whole
-    grid; ``violations`` counts points where no R works, i.e. where the
-    difference exceeds the exact state's modulus.  Violations are only
-    counted where |U^n f| >= 1e-13 of its grid maximum: in the far tail the
-    residual quadratic-phase mismatch (order lambda^(-4n), the same order as
-    R_n itself) can wind past pi while a real-R envelope saturates at 1, so
-    the literal inequality fails by a bounded factor at amplitudes ~1e-60 of
-    the peak, which carries no numerical content.
-    """
-    g, _ = aligned_propagated_state(m, n, h)
-    state_l = make_damped_lagrangian(m, n, h)
-    from .metaplectic import gaussian_eval
-
-    exact = np.asarray(gaussian_eval(g, grid))
-    approx = np.asarray(lagrangian_eval(state_l, grid)) * (abs(g.amplitude) / state_l.norm_constant)
-    diff = np.abs(exact - approx)
-    mod = np.abs(exact)
-    ratio = np.where(mod > 0, diff / np.maximum(mod, 1e-300), 0.0)
-    noise_floor = 200.0 * np.finfo(float).eps
-    usable = (np.abs(grid) > 1e-9) & (ratio > noise_floor)
-    significant = mod >= 1e-13 * np.max(mod)
-    violations = int(np.sum((ratio >= 1.0) & significant))
-    fit_mask = usable & significant & (ratio < 1.0)
-    if np.any(fit_mask):
-        x2 = grid[fit_mask] ** 2
-        r_pt = -(h / x2) * np.log1p(-ratio[fit_mask])
-        fitted = float(np.max(r_pt))
-    else:
-        fitted = 0.0
-    return PointwiseApproxReport(
-        n=n, h=h, fitted_r=fitted, max_ratio=float(np.max(ratio)), violations=violations
-    )

@@ -83,8 +83,13 @@ __all__ = [
     "wavepacket_lattice",
 ]
 
-_DEFAULT_TAIL = 1e-13
+# Lattice pairing: certified tail relative to |g| |test|, and the term cap.
+_PAIR_TAIL = 1e-13
 _MAX_TERMS = 5_000_000
+# Periodized samples: the images of a packet are summed down to this modulus.
+_SAMPLE_TAIL = 1e-16
+# Shape of the comb states, theta = i * _COMB_WIDTH * N (see comb_state).
+_COMB_WIDTH = 20.0
 # exp(x) is exactly 0.0 in float64 for x < log(2^-1075) = -745.1332...
 _EXP_FLOOR = -746.0
 
@@ -94,6 +99,11 @@ class TorusState:
     """Element of the torus space as N Fourier coefficients d_0..d_{N-1}.
 
     The coefficients are exactly N-periodic by construction (index mod N).
+    With :func:`torus_coefficients` and :func:`pair_from_coefficients` this
+    is the Parseval route of the pairing.  No experiment runs it yet; it
+    stays here because the vector-route matrix element and the wave-packet
+    frame of ROADMAP.md are built on it, and the tests check it against the
+    lattice route.
     """
 
     N: int
@@ -147,10 +157,11 @@ def even_n_from_h(h: float) -> int:
     return n
 
 
-def periodized_samples(g: GaussianState, N: int, tail: float = 1e-16) -> np.ndarray:
-    """v_r = sum_m g(r/N + m) for r = 0..N-1, truncated below ``tail``."""
+def periodized_samples(g: GaussianState, N: int) -> np.ndarray:
+    """v_r = sum_m g(r/N + m) for r = 0..N-1, truncated below ``_SAMPLE_TAIL``."""
     im = complex(g.theta).imag
-    half = math.sqrt(g.h * math.log(max(abs(g.amplitude), 1.0) / tail) / (math.pi * im)) + 1.0
+    half = math.sqrt(g.h * math.log(max(abs(g.amplitude), 1.0) / _SAMPLE_TAIL)
+                     / (math.pi * im)) + 1.0
     m_lo = math.floor(g.q - half) - 1
     m_hi = math.ceil(g.q + half) + 1
     r = np.arange(N) / N
@@ -375,11 +386,11 @@ def overlap_form(g: GaussianState, test: GaussianState) -> OverlapForm:
 def pair_symmetrized_detailed(
     g: GaussianState,
     test: GaussianState,
-    tail_target: float = _DEFAULT_TAIL,
     max_terms: int = _MAX_TERMS,
 ) -> tuple[complex, LatticeTruncation]:
     """Hermitian torus pairing of the two symmetrized states, with its
-    certified truncation data.
+    certified truncation data.  The discarded shells sum to at most
+    ``_PAIR_TAIL`` times |g| |test|.
 
     Raises:
         MismatchedHError / OddNError: via validation of the shared h = 1/N.
@@ -390,7 +401,7 @@ def pair_symmetrized_detailed(
         raise MismatchedHError(f"states have h={g.h} and h={test.h}")
     n_even = even_n_from_h(g.h)
     form = overlap_form(g, test)
-    target = tail_target * max(g.norm * test.norm, 1e-300)
+    target = _PAIR_TAIL * max(g.norm * test.norm, 1e-300)
     k1, k2, truncation = form.box(g.q, g.p, target, max_terms)
     # Translation phase of T_(k1,k2) g: exp(i*pi*k1*k2*N) * exp(2*i*pi*k2*q*N);
     # the first factor is exactly 1 because N is even.
@@ -404,8 +415,8 @@ def pair_symmetrized(g: GaussianState, test: GaussianState, **kwargs) -> complex
     return value
 
 
-def comb_state(N: int, k: int, width_factor: float = 20.0) -> GaussianState:
-    """Unit-norm near-delta Gaussian at (k/N, 0).
+def comb_state(N: int, k: int) -> GaussianState:
+    """Unit-norm near-delta Gaussian at (k/N, 0) with theta = i * _COMB_WIDTH * N.
 
     Symmetrizing these reproduces the Fourier-comb basis of the torus space:
     the periodized samples are supported on the single grid point r = k to
@@ -417,7 +428,7 @@ def comb_state(N: int, k: int, width_factor: float = 20.0) -> GaussianState:
     if N <= 0 or N % 2 != 0:
         raise OddNError(f"N must be a positive even integer, got {N}")
     h = 1.0 / N
-    tau = width_factor * N
+    tau = _COMB_WIDTH * N
     return GaussianState(
         amplitude=complex((2.0 * tau / h) ** 0.25), theta=1j * tau, q=k / N, p=0.0, h=h
     )
@@ -586,8 +597,9 @@ def husimi(g: GaussianState, resolution: int) -> HusimiGrid:
 def wavepacket_lattice(N: int) -> list[TorusPoint]:
     """The sqrt(N) x sqrt(N) analysis grid {(j/K, l/K)}, K = sqrt(N).
 
-    This family is used as a frame; no orthonormality is assumed (the Gram
-    conditioning is reported by the harness instead).
+    This family is used as a frame; no orthonormality is assumed.  No
+    experiment runs it yet: it is the frame in which ROADMAP.md plans to
+    check the whole propagator matrix against the Birkhoff-sum prediction.
     """
     k = math.isqrt(N)
     if k * k != N:

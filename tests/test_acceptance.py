@@ -15,27 +15,20 @@ import numpy as np
 import pytest
 
 from conftest import random_gaussian_state, random_hyperbolic, run_cli
-from qcat.birkhoff import fit_theorem_constant, theorem_rhs
-from qcat.classical import Sl2IntMatrix, TorusPoint, cat_apply, ehrenfest_time, hamiltonian_from_matrix, spectral_data
-from qcat.lagrangian import (
-    aligned_propagated_state,
-    band_difference,
-    check_pointwise_approx,
-    make_damped_lagrangian,
-    off_band_tail,
-)
-from qcat.metaplectic import (
+from oracles import (
     PlaneTranslation,
+    check_pointwise_approx,
     compose_translation_phase,
-    gaussian_eval,
     gaussian_overlap,
-    propagate_gaussian,
-    propagate_n,
+    kernel_quadrature_oracle,
+    overlap_quadrature,
     schrodinger_residual,
     translate,
-    wavepacket,
 )
-from qcat.quadrature import kernel_quadrature_oracle, overlap_quadrature
+from qcat.birkhoff import fit_theorem_constant, theorem_rhs
+from qcat.classical import Sl2IntMatrix, TorusPoint, cat_apply, ehrenfest_time, hamiltonian_from_matrix, spectral_data
+from qcat.lagrangian import aligned_propagated_state, band_difference, make_damped_lagrangian, off_band_tail
+from qcat.metaplectic import gaussian_eval, propagate_n, wavepacket
 from qcat.torus import (
     build_propagator_matrix,
     comb_state,
@@ -102,8 +95,8 @@ def test_a2_translation_algebra():
         # equivariance of the propagator
         m = random_hyperbolic(rng)
         mv = PlaneTranslation(m.a * v1.a + m.b * v1.b, m.c * v1.a + m.d * v1.b)
-        lhs = gaussian_eval(propagate_gaussian(m, translate(g, v1)), xs)
-        rhs = gaussian_eval(translate(propagate_gaussian(m, g), mv), xs)
+        lhs = gaussian_eval(propagate_n(m, translate(g, v1), 1), xs)
+        rhs = gaussian_eval(translate(propagate_n(m, g, 1), mv), xs)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     elapsed = time.time() - t0
     _report("A2", worst < 1e-9 and elapsed < 10.0,
@@ -133,7 +126,7 @@ def test_a4_oracle_equivalence():
         m = random_hyperbolic(rng)
         h = float(rng.choice([1.0 / 8.0, 1.0 / 16.0]))
         g = random_gaussian_state(rng, h)
-        out = propagate_gaussian(m, g)
+        out = propagate_n(m, g, 1)
         sigma = math.sqrt(h / (2.0 * math.pi * complex(out.theta).imag))
         for x in (out.q, out.q + 0.7 * sigma, out.q - 1.3 * sigma):
             oracle = kernel_quadrature_oracle(m, g, float(x), h)

@@ -26,12 +26,10 @@ from qcat.birkhoff import (
 )
 from qcat.lagrangian import (
     BandIndexer,
-    band_sum,
     circle_distance,
     damping_coefficient,
     lagrangian_overlap_field,
     make_damped_lagrangian,
-    overlap_lagrangian_wavepacket,
 )
 from qcat.metaplectic import cis_turns
 from qcat.torus import matrix_element_exact
@@ -472,10 +470,11 @@ def test_interference_term_phase_reduction(cat):
     beta_n = state.beta * state.damping_scale
     p_cplx = 1.0 / lam_c
     alpha_n = p_cplx - math.cos(sd.theta) ** 2 * (1.0 + 1j * t)
+    form = lagrangian_overlap_field(state)
     for m in (-9, -2, 0, 1, 7, 13):
         k = idx.p_of(m)
         q, p = q0 + m, p0 + k
-        direct = cis_turns(-k * q0 * n_dim) * overlap_lagrangian_wavepacket(state, q, p)
+        direct = cis_turns(-k * q0 * n_dim) * form.terms(q, p)
         d = idx.d_of(m)
         w = q * (t + 1j) - d
         u = beta_n * big_a

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import importlib
 import importlib.util
 import math
 import json
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import run_cli, run_python
+from conftest import QCAT_ROOT, run_cli, run_python
 from qcat.errors import ConfigError
 from qcat.classical import TorusPoint
 from qcat.harness import _write_frame, load_config, run_bands, run_experiment, run_unitarity
@@ -96,6 +98,33 @@ def test_cli_import_is_lean():
     loaded = set(json.loads(run_python(["-c", code]).stdout))
     assert not loaded & {"concurrent.futures", "fractions", "decimal", "logging"}
     assert {f"qcat.{mod}" for mod in spans.TRACED} <= loaded
+
+
+def test_package_holds_no_test_only_module():
+    # Every module of the package is one the CLI loads, so none of them is
+    # reachable only from the tests (test oracles live in tests/).
+    package = QCAT_ROOT / "qcat"
+    modules = {"qcat" if path.stem == "__init__" else f"qcat.{path.stem}"
+               for path in package.glob("*.py")}
+    code = "import json, sys, qcat.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert modules - set(json.loads(proc.stdout)) == set()
+    # Every name a module exports resolves, and every name the package
+    # re-exports is exported by the module it comes from.
+    for name in sorted(modules):
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), f"{name}.__all__ names missing {attr!r}"
+    package_module = importlib.import_module("qcat")
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    reexports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert reexports
+    for node in reexports:
+        source = importlib.import_module(f"qcat.{node.module}")
+        for alias in node.names:
+            assert alias.name in source.__all__, f"qcat.{node.module} does not export {alias.name!r}"
+            assert getattr(package_module, alias.name) is getattr(source, alias.name)
 
 
 def test_resolve_times_ehrenfest(tmp_path):
@@ -277,6 +306,19 @@ def test_cli_exit_codes(tmp_path):
     blocker.write_text("not a directory", encoding="utf-8")
     proc = run_cli(["unitarity", "--config", str(good), "--out", str(blocker)], tmp_path)
     assert proc.returncode == 4
+
+
+def test_odd_point_list_is_a_config_error(tmp_path):
+    # Three points make one source/target pair and leave one point over.
+    odd = write_config(tmp_path, points=[[0.3, 0.4], [0.1, 0.8], [0.6, 0.2]])
+    with pytest.raises(ConfigError, match="3 points"):
+        load_config(odd).resolved_pairs(5)
+    proc = run_cli(["theorem", "--config", str(odd), "--out", str(tmp_path / "odd")], tmp_path)
+    assert proc.returncode == 2 and "3 points" in proc.stderr, proc.stderr
+    assert not (tmp_path / "odd" / "theorem.csv").exists()
+    # Point-wise experiments take any count; an even list still pairs up.
+    assert len(load_config(odd).resolved_points(5)) == 3
+    assert len(load_config(write_config(tmp_path)).resolved_pairs(5)) == 2
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

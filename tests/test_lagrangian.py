@@ -6,27 +6,22 @@ import numpy as np
 import pytest
 
 from conftest import dense_at_box_points, mod_circle_distance
+from oracles import check_pointwise_approx, lagrangian_eval, tanh_sinh
 from qcat.classical import Sl2IntMatrix, ehrenfest_time, spectral_data
-from qcat.errors import MismatchedHError, ThresholdViolationError, TruncationOverflowError
+from qcat.errors import ThresholdViolationError, TruncationOverflowError
 from qcat.lagrangian import (
     BandIndexer,
     _band_m_range,
     aligned_propagated_state,
     band_difference,
-    band_indexer,
-    band_sum,
-    check_pointwise_approx,
     circle_distance,
     damping_coefficient,
-    lagrangian_eval,
     lagrangian_overlap_field,
     make_damped_lagrangian,
     off_band_tail,
-    overlap_lagrangian_wavepacket,
     wavepacket_overlap_field,
 )
 from qcat.metaplectic import cis_turns, gaussian_eval, wavepacket
-from qcat.quadrature import tanh_sinh
 from qcat.torus import line_tail_bound, shell_tail_bound
 
 
@@ -112,7 +107,7 @@ def test_overlap_matches_quadrature_near_line(cat, rng):
         # damping width sqrt(h) lam^n, transversally at the sqrt(h) scale.
         q = a_c + math.sqrt(h) * sd.lam ** n * float(rng.uniform(-1.5, 1.5))
         p = t * q + state.s_prime + math.sqrt(h) * float(rng.uniform(-2.0, 2.0))
-        closed = overlap_lagrangian_wavepacket(state, q, p)
+        closed = lagrangian_overlap_field(state).terms(q, p)
         lo, hi = q - 14.0 * math.sqrt(h), q + 14.0 * math.sqrt(h)
         phi = wavepacket(q, p, h)
         quad = tanh_sinh(
@@ -131,31 +126,26 @@ def test_overlap_modulus_profile(cat):
     h = 1.0 / 64.0
     t = sd.tan_theta
     state = make_damped_lagrangian(cat, 12, h)  # large n: damping negligible locally
+    form = lagrangian_overlap_field(state)
     q = 0.2
     c2 = math.cos(sd.theta) ** 2
-    base = abs(overlap_lagrangian_wavepacket(state, q, t * q))
+    base = abs(form.terms(q, t * q))
     for d in (0.05, 0.1, 0.2):
-        val = abs(overlap_lagrangian_wavepacket(state, q, t * q - d))
+        val = abs(form.terms(q, t * q - d))
         assert val / base == pytest.approx(math.exp(-math.pi * c2 * d * d / h), rel=1e-3)
     # Center large-n limit: |overlap| -> sqrt(h) C(h,n) C_h |Lam|^(-1/2) at d = 0.
     c_h = (2.0 / h) ** 0.25
     lam_c = 1.0 - 1j * t + state.beta * state.damping_scale
     want = math.sqrt(h) * state.norm_constant * c_h / abs(lam_c) ** 0.5
-    assert abs(overlap_lagrangian_wavepacket(state, 0.0, 0.0)) == pytest.approx(want, rel=1e-12)
+    assert abs(form.terms(0.0, 0.0)) == pytest.approx(want, rel=1e-12)
     # Far point: negligible against the analytic bound.
-    far = abs(overlap_lagrangian_wavepacket(state, 0.0, t * 0.0 + 0.5))
+    far = abs(form.terms(0.0, t * 0.0 + 0.5))
     assert far < math.exp(-math.pi * c2 * 0.25 * 64.0) * 10.0
-
-
-def test_overlap_mismatched_h(cat):
-    state = make_damped_lagrangian(cat, 2, 1.0 / 16.0)
-    with pytest.raises(MismatchedHError):
-        overlap_lagrangian_wavepacket(state, 0.0, 0.0, h=1.0 / 8.0)
 
 
 def test_band_indexer(cat):
     sd = spectral_data(cat)
-    idx = band_indexer(sd.theta, 0.0, 0.0, 0.0, 0.0)
+    idx = BandIndexer(theta=sd.theta, q0=0.0, p0=0.0, s_prime=0.0)
     assert idx.p_of(0) == 0
     assert idx.p_of(1) == 1
     assert idx.p_of(2) == 1
@@ -275,7 +265,7 @@ def test_off_band_tail_matches_dense_oracle(cat):
         got = form.terms(q, p)
         want = _dense_field_values(form, np.array([q]), np.array([p]))[0]
         assert np.ndim(got) == 0 and got == want
-        assert overlap_lagrangian_wavepacket(state, q, p) == complex(want)
+        assert lagrangian_overlap_field(state).terms(q, p) == complex(want)
         assert abs(got - _dense_field_values(form, q, p)) <= 4e-16 * abs(got)
     assert form.terms(0.3, 40.7) == 0.0
 
@@ -313,7 +303,7 @@ def test_band_window_matches_line_scan_and_is_sound(cat):
     for _, _, form, indexer, _ in _off_band_cases(cat, ((64, 3), (1024, 8))):
         indexer = BandIndexer(theta=indexer.theta, q0=0.3, p0=0.7, s_prime=0.0)
         for tail, scale in ((1e-14, 1.0), (1e-8, 1.0), (1e-6, 1e-3), (1e-2, 1.0)):
-            m_lo, m_hi = _band_m_range(form, indexer, tail, scale)
+            m_lo, m_hi = _band_m_range(form, indexer, tail * scale)
             assert (m_lo, m_hi) == _scan_band_window(form, indexer, tail * scale)
             # Wide enough that every value past it underflows to zero.
             pad = 10 * max(m_hi - m_lo, 100)
@@ -398,7 +388,14 @@ def test_band_sum_constant_c23(cat):
         idx = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=0.0)
         c_h = (2.0 / h) ** 0.25
         norm = math.sqrt(h) * c_h * state.norm_constant
-        total = band_sum(lagrangian_overlap_field(state), idx, n_dim, phased=True) / norm
+        # The band sum with the quantum-translation phase e(-p(m) q0 N) of
+        # the T-translated test packet, over the certified band window.
+        form = lagrangian_overlap_field(state)
+        m_lo, m_hi = _band_m_range(form, idx, 1e-14)
+        m = np.arange(m_lo, m_hi + 1)
+        k = idx.p_of(m)
+        phased = form.terms(q0 + m, p0 + k) * cis_turns(-k * (n_dim * q0))
+        total = complex(np.sum(phased)) / norm
         # Windowed model: damping x profile x skew phases, at s' = 0.
         lam_c = 1.0 - 1j * t + state.beta * state.damping_scale
         ms = np.arange(-int(6 * math.sqrt(h) * sd.lam ** n) - 8,

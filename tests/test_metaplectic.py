@@ -8,8 +8,17 @@ import pytest
 
 import conftest
 import qcat.classical
-import qcat.metaplectic
 from conftest import _branch_sqrt_inv, floor_frac_turns, random_gaussian_state, random_hyperbolic
+from oracles import (
+    PlaneTranslation,
+    compose_translation_phase,
+    gaussian_overlap,
+    h_fourier_gaussian,
+    overlap_quadrature,
+    schrodinger_residual,
+    tanh_sinh,
+    translate,
+)
 from qcat.classical import (
     FlowCoefficients,
     QuadraticHamiltonian,
@@ -21,20 +30,13 @@ from qcat.classical import (
 from qcat.errors import MismatchedHError, NonPositiveHError, NumericalToleranceError, ZeroACoefficientError
 from qcat.metaplectic import (
     GaussianState,
-    PlaneTranslation,
+    _propagate_core,
     cis_turns,
-    compose_translation_phase,
     frac_turns,
     gaussian_eval,
-    gaussian_overlap,
-    h_fourier_gaussian,
-    propagate_gaussian,
     propagate_n,
-    schrodinger_residual,
-    translate,
     wavepacket,
 )
-from qcat.quadrature import overlap_quadrature, tanh_sinh
 from qcat.torus import build_propagator_matrix
 
 
@@ -222,10 +224,11 @@ def test_fourier_gaussian():
 def test_propagate_identity_and_dilation(cat):
     h = 1.0 / 8.0
     g = wavepacket(0.0, 0.0, h)
-    assert propagate_gaussian(Sl2IntMatrix(1, 0, 0, 1), g) == g
+    assert propagate_n(Sl2IntMatrix(1, 0, 0, 1), g, 1) == g
     sd = spectral_data(cat)
+    # The dilation is not an integer matrix: one step of the core update.
     dilation = flow_coefficients(QuadraticHamiltonian(0.0, 0.0, math.log(sd.lam)), 1.0)
-    out = propagate_gaussian(dilation, g)
+    out = _propagate_core(dilation.a, dilation.b, dilation.c, dilation.d, g)
     assert out.theta == pytest.approx(1j * sd.lam ** -2, rel=1e-12)
     assert out.amplitude == pytest.approx(g.amplitude * sd.lam ** -0.5, rel=1e-12)
 
@@ -235,11 +238,11 @@ def test_propagate_matches_shape_recursion(cat):
     # in the kernel; also pinned against the quadrature oracle in test_quadrature.
     h = 1.0 / 16.0
     g = wavepacket(0.0, 0.0, h)
-    out = propagate_gaussian(cat, g)
+    out = propagate_n(cat, g, 1)
     assert out.theta == pytest.approx((1.0 + 1.0j) / (2.0 + 1.0j), abs=1e-14)
     # Center moves classically and Im Theta stays positive (Gaussian-level Egorov).
     g2 = wavepacket(0.3, -0.4, h)
-    out2 = propagate_gaussian(cat, g2)
+    out2 = propagate_n(cat, g2, 1)
     assert out2.q == pytest.approx(2 * 0.3 + 1 * -0.4, abs=1e-14)
     assert out2.p == pytest.approx(1 * 0.3 + 1 * -0.4, abs=1e-14)
     assert complex(out2.theta).imag > 0
@@ -249,7 +252,7 @@ def test_propagate_unitarity_random(rng):
     for _ in range(50):
         m = random_hyperbolic(rng)
         g = random_gaussian_state(rng, 0.2)
-        out = propagate_gaussian(m, g)
+        out = propagate_n(m, g, 1)
         assert abs(out.norm - g.norm) < 1e-10
 
 
@@ -259,8 +262,8 @@ def test_group_law_up_to_phase(rng):
         m1 = random_hyperbolic(rng)
         m2 = random_hyperbolic(rng)
         g = random_gaussian_state(rng, h)
-        two_step = propagate_gaussian(m1, propagate_gaussian(m2, g))
-        one_step = propagate_gaussian(m1 @ m2, g)
+        two_step = propagate_n(m1, propagate_n(m2, g, 1), 1)
+        one_step = propagate_n(m1 @ m2, g, 1)
         ov = gaussian_overlap(two_step, one_step)
         assert abs(abs(ov) - g.norm ** 2) < 1e-8
 
@@ -273,21 +276,21 @@ def test_equivariance_pointwise(rng):
         g = random_gaussian_state(rng, h)
         v = PlaneTranslation(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
         mv = PlaneTranslation(m.a * v.a + m.b * v.b, m.c * v.a + m.d * v.b)
-        lhs = gaussian_eval(propagate_gaussian(m, translate(g, v)), xs)
-        rhs = gaussian_eval(translate(propagate_gaussian(m, g), mv), xs)
+        lhs = gaussian_eval(propagate_n(m, translate(g, v), 1), xs)
+        rhs = gaussian_eval(translate(propagate_n(m, g, 1), mv), xs)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_zero_a_coefficient_error():
-    rotation = FlowCoefficients(t=1.0, a=0.0, b=-1.0, c=1.0, d=0.0)
+    # A hyperbolic integer matrix with a = 0: the kernel formula degenerates.
     with pytest.raises(ZeroACoefficientError):
-        propagate_gaussian(rotation, wavepacket(0.0, 0.0, 0.5))
+        propagate_n(Sl2IntMatrix(0, 1, -1, 3), wavepacket(0.0, 0.0, 0.5), 1)
 
 
 def test_propagate_n_matches_repeated_application(cat):
     g = wavepacket(0.2, 0.7, 1.0 / 16.0)
     out3 = propagate_n(cat, g, 3)
-    step = propagate_gaussian(cat, propagate_gaussian(cat, propagate_gaussian(cat, g)))
+    step = propagate_n(cat, propagate_n(cat, propagate_n(cat, g, 1), 1), 1)
     assert out3.theta == pytest.approx(step.theta)
     assert out3.amplitude == pytest.approx(step.amplitude)
 
@@ -395,8 +398,7 @@ def test_propagation_samples_no_flow(cat, monkeypatch):
         raise AssertionError("flow_coefficients called")
 
     monkeypatch.setattr(qcat.classical, "flow_coefficients", no_flow)
-    monkeypatch.setattr(qcat.metaplectic, "flow_coefficients", no_flow)
     g = wavepacket(0.3, 0.4, 1.0 / 16.0)
     propagate_n(cat, g, 8)
-    propagate_gaussian(Sl2IntMatrix(2, 3, 1, 2), g)
+    propagate_n(Sl2IntMatrix(2, 3, 1, 2), g, 1)
     build_propagator_matrix(cat, 16)

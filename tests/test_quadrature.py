@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import QuadratureNonConvergenceError, kernel_quadrature_oracle, overlap_quadrature, tanh_sinh
 from qcat.classical import FlowCoefficients, spectral_data
-from qcat.errors import QuadratureNonConvergenceError, ZeroACoefficientError
-from qcat.metaplectic import gaussian_eval, propagate_gaussian, wavepacket
-from qcat.quadrature import kernel_quadrature_oracle, overlap_quadrature, tanh_sinh
+from qcat.errors import ZeroACoefficientError
+from qcat.metaplectic import gaussian_eval, propagate_n, wavepacket
 
 
 def test_tanh_sinh_known_integrals():
@@ -48,7 +48,7 @@ def test_kernel_oracle_dilation(cat):
 def test_kernel_oracle_consistency_with_closed_form(cat):
     h = 1.0 / 8.0
     g = wavepacket(0.0, 0.0, h)
-    gp = propagate_gaussian(cat, g)
+    gp = propagate_n(cat, g, 1)
     for x in (0.0, 0.35, -0.9):
         o = kernel_quadrature_oracle(cat, g, x, h)
         c = gaussian_eval(gp, x)
