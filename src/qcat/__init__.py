@@ -51,6 +51,5 @@ from .birkhoff import (
     InterferenceObservable,
     SkewMap,
     damped_birkhoff_sum,
-    theorem_error_table,
     theorem_rhs,
 )

@@ -48,12 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
+from .classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data, validity_threshold
 from .errors import OddNError, ThresholdViolationError, TruncationOverflowError
-from .lagrangian import (_validity_threshold, aligned_propagated_state, circle_distance,
-                         damping_coefficient)
+from .lagrangian import aligned_propagated_state, circle_distance, damping_coefficient
 from .metaplectic import cis_turns, frac_turns
-from .tables import ResultTable
 from .torus import matrix_element_exact
 
 __all__ = [
@@ -63,8 +61,6 @@ __all__ = [
     "gaussian_damping",
     "theorem_rhs",
     "fit_theorem_constant",
-    "theorem_error_table",
-    "THEOREM_COLUMNS",
 ]
 
 
@@ -258,9 +254,9 @@ def theorem_rhs(
             cap (:func:`damped_birkhoff_sum`).
     """
     sd = spectral_data(m)
-    if n + 1e-12 < _validity_threshold(h, sd.lam) and not allow_below_threshold:
+    if n + 1e-12 < validity_threshold(h, sd.lam) and not allow_below_threshold:
         raise ThresholdViolationError(
-            f"n={n} below validity threshold {_validity_threshold(h, sd.lam):.3f}"
+            f"n={n} below validity threshold {validity_threshold(h, sd.lam):.3f}"
         )
     n_even = round(1.0 / h)
     t = math.tan(sd.theta)
@@ -307,14 +303,12 @@ def theorem_rhs(
     return complex(scale_constant * phases * amp * s_sum)
 
 
-def fit_theorem_constant(
-    m: Sl2IntMatrix,
-    n_ref: int = 64,
-    n_pairs: int = 8,
-    seed: int = 20240901,
-) -> complex:
+_FIT_PAIRS = 8
+
+
+def fit_theorem_constant(m: Sl2IntMatrix, n_ref: int = 64, seed: int = 20240901) -> complex:
     """Complex least-squares fit of D on the reference batch
-    (N = n_ref, n = ceil(1.5 t_E), ``n_pairs`` seeded point pairs).
+    (N = n_ref, n = ceil(1.5 t_E), ``_FIT_PAIRS`` seeded point pairs).
 
     Fitted once and then frozen for every other configuration.
     """
@@ -324,7 +318,7 @@ def fit_theorem_constant(
     rng = np.random.default_rng(seed)
     num = 0.0 + 0.0j
     den = 0.0
-    for _ in range(n_pairs):
+    for _ in range(_FIT_PAIRS):
         src = TorusPoint(float(rng.uniform()), float(rng.uniform()))
         dst = TorusPoint(float(rng.uniform()), float(rng.uniform()))
         lhs = matrix_element_exact(m, n_time, src, dst, n_ref)
@@ -332,75 +326,3 @@ def fit_theorem_constant(
         num += lhs * np.conj(rhs0)
         den += abs(rhs0) ** 2
     return complex(num / den)
-
-
-THEOREM_COLUMNS = (
-    "N",
-    "n",
-    "n_over_te",
-    "src_q",
-    "src_p",
-    "dst_q",
-    "dst_p",
-    "lhs_re",
-    "lhs_im",
-    "rhs_re",
-    "rhs_im",
-    "lhs_abs",
-    "rhs_abs",
-    "residual",
-    "bound",
-    "ratio",
-    "below_threshold",
-)
-
-
-def theorem_error_table(
-    m: Sl2IntMatrix,
-    n_values: list[int],
-    n_times: dict[int, list[int]],
-    pairs: list[tuple[TorusPoint, TorusPoint]],
-    scale_constant: complex,
-) -> ResultTable:
-    """Rows of exact vs predicted matrix elements with the remainder bound.
-
-    ``n_times`` maps each N to its list of times n.  Rows below the validity
-    threshold are flagged and kept.  ``bound`` is sqrt(h) lam^(-n/2).
-    """
-    sd = spectral_data(m)
-    rows = []
-    for n_dim in sorted(n_values):
-        h = 1.0 / n_dim
-        te = ehrenfest_time(h, sd.lam)
-        for n_time in sorted(n_times[n_dim]):
-            for src, dst in pairs:
-                below = n_time + 1e-12 < _validity_threshold(h, sd.lam)
-                lhs = matrix_element_exact(m, n_time, src, dst, n_dim)
-                rhs = theorem_rhs(
-                    m, n_time, h, src, dst, scale_constant, allow_below_threshold=True
-                )
-                bound = math.sqrt(h) * sd.lam ** (-0.5 * n_time)
-                residual = abs(lhs - rhs)
-                rows.append(
-                    (
-                        n_dim,
-                        n_time,
-                        n_time / te,
-                        src.q,
-                        src.p,
-                        dst.q,
-                        dst.p,
-                        lhs.real,
-                        lhs.imag,
-                        rhs.real,
-                        rhs.imag,
-                        abs(lhs),
-                        abs(rhs),
-                        residual,
-                        bound,
-                        residual / bound,
-                        below,
-                    )
-                )
-    rows.sort(key=lambda r: (r[0], r[1]))  # stable: pair order preserved within a cell
-    return ResultTable(schema="theorem", columns=THEOREM_COLUMNS, rows=rows)

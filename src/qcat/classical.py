@@ -1,5 +1,6 @@
 """Classical side of the model: SL(2,Z) torus automorphisms, their hyperbolic
-spectral data, quadratic Hamiltonians generating them, and the Ehrenfest time.
+spectral data, quadratic Hamiltonians generating them, the Ehrenfest time and
+the validity threshold of the matrix-element theorem.
 
 No experiment samples a flow: propagation uses only the integer entries of
 the matrix (see :func:`qcat.metaplectic.propagate_n`).  The Hamiltonian and
@@ -35,6 +36,7 @@ __all__ = [
     "hamiltonian_from_matrix",
     "flow_coefficients",
     "ehrenfest_time",
+    "validity_threshold",
 ]
 
 
@@ -146,7 +148,6 @@ class SpectralData:
 
     lam: float
     theta: float
-    lyapunov: float
 
     @property
     def tan_theta(self) -> float:
@@ -193,7 +194,7 @@ def spectral_data(m: Sl2IntMatrix) -> SpectralData:
     if vx < 0:
         vx, vy = -vx, -vy
     theta = math.atan2(vy, vx)
-    return SpectralData(lam=lam, theta=theta, lyapunov=math.log(lam))
+    return SpectralData(lam=lam, theta=theta)
 
 
 def hamiltonian_from_matrix(m: Sl2IntMatrix) -> QuadraticHamiltonian:
@@ -250,3 +251,10 @@ def ehrenfest_time(h: float, lam: float) -> float:
     if lam <= 1.0:
         raise ValueError(f"lam must exceed 1, got {lam}")
     return abs(math.log(h)) / (2.0 * math.log(lam))
+
+
+def validity_threshold(h: float, lam: float) -> float:
+    """|log h| / (3 log lam), the least time n at which the theorem's
+    prediction is claimed; ``theorem_rhs`` refuses earlier times and the
+    theorem table flags them."""
+    return abs(math.log(h)) / (3.0 * math.log(lam))

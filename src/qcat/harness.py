@@ -21,18 +21,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .birkhoff import fit_theorem_constant, theorem_error_table
-from .classical import Sl2IntMatrix, TorusPoint, cat_apply, ehrenfest_time, spectral_data
+from .birkhoff import fit_theorem_constant, theorem_rhs
+from .classical import (Sl2IntMatrix, TorusPoint, cat_apply, ehrenfest_time, spectral_data,
+                        validity_threshold)
 from .errors import ConfigError
 from .lagrangian import (
+    BandIndexer,
     aligned_propagated_state,
     band_difference,
+    lagrangian_overlap_field,
     make_damped_lagrangian,
     off_band_tail,
+    wavepacket_overlap_field,
 )
 from .metaplectic import propagate_n, wavepacket
 from .tables import ResultTable, format_cell
-from .torus import build_propagator_matrix, comb_gram_min_eig, husimi
+from .torus import build_propagator_matrix, comb_gram_min_eig, husimi, matrix_element_exact
 
 __all__ = [
     "ExperimentConfig",
@@ -294,21 +298,40 @@ def run_egorov(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 
 def run_theorem(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    """Exact vs predicted matrix elements over the configured sweep."""
+    """Exact vs predicted matrix elements over the configured sweep.
+
+    One row per (N, n, pair) with the remainder bound sqrt(h) lam^(-n/2).
+    Rows below the validity threshold are flagged and kept.
+    """
     m = cfg.cat_matrix()
+    sd = spectral_data(m)
     pairs = cfg.resolved_pairs(5)
     d_fit = fit_theorem_constant(m, seed=cfg.seed)
-    n_times = {n_dim: cfg.resolve_times(n_dim) for n_dim in cfg.N_values}
 
     def cell(n_dim: int):
-        return theorem_error_table(m, [n_dim], {n_dim: n_times[n_dim]}, pairs, d_fit)
+        h = 1.0 / n_dim
+        te = ehrenfest_time(h, sd.lam)
+        rows = []
+        for n_time in cfg.resolve_times(n_dim):
+            below = n_time + 1e-12 < validity_threshold(h, sd.lam)
+            bound = math.sqrt(h) * sd.lam ** (-0.5 * n_time)
+            for src, dst in pairs:
+                lhs = matrix_element_exact(m, n_time, src, dst, n_dim)
+                rhs = theorem_rhs(m, n_time, h, src, dst, d_fit, allow_below_threshold=True)
+                residual = abs(lhs - rhs)
+                rows.append((n_dim, n_time, n_time / te, src.q, src.p, dst.q, dst.p,
+                             lhs.real, lhs.imag, rhs.real, rhs.imag, abs(lhs), abs(rhs),
+                             residual, bound, residual / bound, below))
+        return rows
 
     results = _map_cells(list(cfg.N_values), cell, cfg.threads)
-    rows = []
-    for n_dim in sorted(cfg.N_values):
-        rows.extend(results[n_dim].rows)
-    table = ResultTable(schema="theorem", columns=results[sorted(cfg.N_values)[0]].columns,
-                        rows=rows)
+    table = ResultTable(
+        schema="theorem",
+        columns=("N", "n", "n_over_te", "src_q", "src_p", "dst_q", "dst_p", "lhs_re", "lhs_im",
+                 "rhs_re", "rhs_im", "lhs_abs", "rhs_abs", "residual", "bound", "ratio",
+                 "below_threshold"),
+        rows=[row for n_dim in sorted(cfg.N_values) for row in results[n_dim]],
+    )
     extras = {"fitted_scale_constant": {"re": d_fit.real, "im": d_fit.imag}}
     return table, extras
 
@@ -327,10 +350,14 @@ def run_bands(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
         n_dim, n_time, idx = key
         h = 1.0 / n_dim
         pt = points[idx]
-        tail_l = off_band_tail(make_damped_lagrangian(m, n_time, h), pt.q, pt.p)
+        form_l = lagrangian_overlap_field(make_damped_lagrangian(m, n_time, h))
         g, _ = aligned_propagated_state(m, n_time, h)
-        tail_g = off_band_tail(g, pt.q, pt.p, theta=sd.theta)
-        diff = band_difference(m, n_time, h, pt.q, pt.p, allow_below_threshold=True)
+        form_g = wavepacket_overlap_field(g)
+        # Both states are rooted at (0, 0), so s' = 0 for each.
+        indexer = BandIndexer(theta=sd.theta, q0=pt.q, p0=pt.p, s_prime=0.0)
+        tail_l = off_band_tail(form_l, indexer)
+        tail_g = off_band_tail(form_g, indexer)
+        diff = band_difference(form_l, form_g, indexer)
         bound = math.sqrt(h) * sd.lam ** (-0.5 * n_time) + math.exp(-1.0 / h)
         return tail_l, tail_g, diff, bound
 

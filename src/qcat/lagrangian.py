@@ -28,7 +28,10 @@ Overlaps with coherent states are closed-form Gaussian integrals, returned
 as a :class:`qcat.torus.OverlapForm` in the packet's center (q, p): its
 envelope drives the certified band window (:func:`qcat.torus.line_tail_bound`)
 and the off-band box (``OverlapForm.box``), and its live-term evaluation
-gives every band and box value.
+gives every band and box value.  The band routines (:func:`band_sum`,
+:func:`band_difference`, :func:`off_band_tail`) take such forms and a
+:class:`BandIndexer`, so a caller builds each state and its form once and
+passes the same form to every routine.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import Sl2IntMatrix, spectral_data
-from .errors import ThresholdViolationError, TruncationOverflowError
+from .errors import TruncationOverflowError
 from .metaplectic import GaussianState, propagate_n, wavepacket
 from .torus import OverlapForm, certified_radius, line_tail_bound
 
@@ -197,10 +200,6 @@ class BandIndexer:
     p0: float
     s_prime: float
 
-    @property
-    def s0(self) -> float:
-        return self.p0 - math.tan(self.theta) * self.q0
-
     def offset(self, m):
         """(q0+m) tan + s' - p0 before rounding."""
         return (self.q0 + np.asarray(m, dtype=float)) * math.tan(self.theta) + self.s_prime - self.p0
@@ -247,32 +246,28 @@ def band_sum(form: OverlapForm, indexer: BandIndexer) -> complex:
     return complex(np.sum(form.terms(q, p)))
 
 
-def _form_of(state, theta: float | None) -> tuple[OverlapForm, float, float]:
-    if isinstance(state, DampedLagrangianState):
-        return lagrangian_overlap_field(state), state.theta, state.s_prime
-    if isinstance(state, GaussianState):
-        if theta is None:
-            raise ValueError("theta is required for a Gaussian state")
-        s_prime = state.p - math.tan(theta) * state.q
-        return wavepacket_overlap_field(state), theta, s_prime
-    raise TypeError(f"unsupported state {type(state)!r}")
+def band_difference(form_l: OverlapForm, form_g: OverlapForm, indexer: BandIndexer) -> float:
+    """|L_(n,h)(q0,p0) - M_(n,h)(q0,p0)|: the difference of the band sums
+    (:func:`band_sum`) along ``indexer``'s band of the damped-Lagrangian
+    form ``form_l`` and the propagated-packet form ``form_g``."""
+    return float(abs(band_sum(form_l, indexer) - band_sum(form_g, indexer)))
 
 
-def off_band_tail(state, q0: float, p0: float, *, theta: float | None = None,
+def off_band_tail(form: OverlapForm, indexer: BandIndexer,
                   max_terms: int = _MAX_BAND_TERMS) -> float:
     """|sum of overlap terms over lattice translates outside the band|.
 
-    ``state`` is a damped Lagrangian state or a propagated Gaussian; the band
-    is the cos(theta)/2 neighborhood of its unstable line.  Terms pair the
-    state against plain packets Phi_{(q0+k1, p0+k2)} at the live points of
-    the certified box of tail 1e-16 times the peak (``OverlapForm.box``),
+    ``form`` is the overlap form of a damped Lagrangian state or of a
+    propagated Gaussian; ``indexer`` gives its band, the cos(theta)/2
+    neighborhood of the unstable line, at the columns q0 + k1.  Terms pair
+    the state against plain packets Phi_{(q0+k1, p0+k2)} at the live points
+    of the certified box of tail 1e-16 times the peak (``OverlapForm.box``),
     summed in their row-major order.
 
     Raises:
         TruncationOverflowError: if that box has more than ``max_terms`` terms.
     """
-    form, th, s_prime = _form_of(state, theta)
-    indexer = BandIndexer(theta=th, q0=q0, p0=p0, s_prime=s_prime)
+    q0, p0 = indexer.q0, indexer.p0
     peak = form.envelope()[2]
     k1, k2, _ = form.box(q0, p0, 1e-16 * max(peak, 1e-300), max_terms)
     vals = form.terms(q0 + k1, p0 + k2)
@@ -289,30 +284,3 @@ def aligned_propagated_state(m: Sl2IntMatrix, n: int, h: float) -> tuple[Gaussia
         amplitude=abs(g.amplitude), theta=g.theta, q=g.q, p=g.p, h=g.h
     )
     return aligned, complex(phase)
-
-
-def _validity_threshold(h: float, lam: float) -> float:
-    return abs(math.log(h)) / (3.0 * math.log(lam))
-
-
-def band_difference(m: Sl2IntMatrix, n: int, h: float, q0: float, p0: float,
-                    allow_below_threshold: bool = False) -> float:
-    """|L_(n,h)(q0,p0) - M_(n,h)(q0,p0)|: the two band sums along the
-    unstable line, for the damped-Lagrangian state and for the exactly
-    propagated packet (phase-aligned), both rooted at (0, 0).
-
-    Raises:
-        ThresholdViolationError: if n < |log h| / (3 log lambda) and the
-            caller did not opt in to exploratory evaluation.
-    """
-    sd = spectral_data(m)
-    if n + 1e-12 < _validity_threshold(h, sd.lam) and not allow_below_threshold:
-        raise ThresholdViolationError(
-            f"n={n} is below the validity threshold {_validity_threshold(h, sd.lam):.3f}"
-        )
-    state_l = make_damped_lagrangian(m, n, h)
-    g, _ = aligned_propagated_state(m, n, h)
-    indexer = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=0.0)
-    sum_l = band_sum(lagrangian_overlap_field(state_l), indexer)
-    sum_m = band_sum(wavepacket_overlap_field(g), indexer)
-    return float(abs(sum_l - sum_m))

@@ -118,10 +118,6 @@ class TorusState:
     def coeff(self, n: int) -> complex:
         return complex(self.coeffs[n % self.N])
 
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
 
 @dataclass(frozen=True)
 class LatticeTruncation:
@@ -537,7 +533,6 @@ def matrix_element_exact(
     src: TorusPoint,
     dst: TorusPoint,
     N: int,
-    max_terms: int = _MAX_TERMS,
 ) -> complex:
     """<U^n S(Phi_src), S(Phi_dst)> by exact propagation plus the lattice sum.
 
@@ -549,7 +544,7 @@ def matrix_element_exact(
         raise OddNError(f"N must be a positive even integer, got {N}")
     h = 1.0 / N
     g = propagate_n(m, wavepacket(src.q, src.p, h), n)
-    return pair_symmetrized(g, wavepacket(dst.q, dst.p, h), max_terms=max_terms)
+    return pair_symmetrized(g, wavepacket(dst.q, dst.p, h))
 
 
 def husimi(g: GaussianState, resolution: int) -> HusimiGrid:

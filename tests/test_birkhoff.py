@@ -11,7 +11,8 @@ import pytest
 from conftest import (_exact_frac, _support_half_width, _window, orbit_points, scanned_birkhoff_sum,
                       skew_apply, skew_iterate)
 from qcat import birkhoff
-from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
+from qcat.classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data,
+                            validity_threshold)
 from qcat.errors import OddNError, ThresholdViolationError, TruncationOverflowError
 from qcat.birkhoff import (
     InterferenceObservable,
@@ -21,9 +22,9 @@ from qcat.birkhoff import (
     damped_birkhoff_sum,
     fit_theorem_constant,
     gaussian_damping,
-    theorem_error_table,
     theorem_rhs,
 )
+from qcat.harness import ExperimentConfig, run_theorem
 from qcat.lagrangian import (
     BandIndexer,
     circle_distance,
@@ -538,17 +539,44 @@ def test_fitted_constant_predicts_other_configs(cat):
         assert abs(lhs - rhs) <= 5.0 * math.sqrt(h) * sd.lam ** (-0.5 * n)
 
 
+def _theorem_table(n_values, n_times):
+    """The theorem experiment's table for the cat map and one point pair."""
+    cfg = ExperimentConfig(matrix=(2, 1, 1, 1), N_values=n_values, n_mode="absolute",
+                           n_values=n_times, points=((0.1, 0.2), (0.3, 0.4)),
+                           grid_resolution=16, output_dir="out", seed=20240901)
+    table, _ = run_theorem(cfg)
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
 def test_theorem_error_table_structure(cat):
-    pairs = [(TorusPoint(0.1, 0.2), TorusPoint(0.3, 0.4))]
-    table = theorem_error_table(cat, [16], {16: [1, 4]}, pairs, 1.0 + 0.0j)
-    assert len(table.rows) == 2
-    cols = dict(zip(table.columns, table.rows[0]))
+    rows = _theorem_table((16, 64), (1, 4))
+    assert [(r["N"], r["n"]) for r in rows] == [(16, 1), (16, 4), (64, 1), (64, 4)]
+    cols = rows[0]
     assert cols["N"] == 16 and cols["n"] == 1
     assert cols["below_threshold"] in (False, True)
     # n = 1 is above (1/3)|log h|/log lam = 0.96 for N = 16: not flagged.
     assert cols["below_threshold"] is False
-    table0 = theorem_error_table(cat, [64], {64: [1]}, pairs, 1.0 + 0.0j)
-    assert dict(zip(table0.columns, table0.rows[0]))["below_threshold"] is True
+    assert rows[2]["N"] == 64 and rows[2]["n"] == 1
+    assert rows[2]["below_threshold"] is True
+
+
+def test_threshold_flag_matches_rhs_guard(cat):
+    # The table's flag and theorem_rhs's guard share validity_threshold: at
+    # N = 64 it is 1.44, so of n = 1, 2, 3 exactly the n = 1 row is flagged,
+    # and exactly there theorem_rhs without the opt-in refuses.
+    h = 1.0 / 64.0
+    assert validity_threshold(h, spectral_data(cat).lam) == pytest.approx(1.44, abs=0.005)
+    rows = _theorem_table((64,), (1, 2, 3))
+    assert [r["n"] for r in rows] == [1, 2, 3]
+    for r in rows:
+        src, dst = TorusPoint(r["src_q"], r["src_p"]), TorusPoint(r["dst_q"], r["dst_p"])
+        try:
+            theorem_rhs(cat, r["n"], h, src, dst)
+            refused = False
+        except ThresholdViolationError:
+            refused = True
+        assert r["below_threshold"] is refused
+        assert refused is (r["n"] == 1)
 
 
 def test_theorem_pipeline_nonsymmetric_matrix():

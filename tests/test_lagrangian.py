@@ -8,7 +8,7 @@ import pytest
 from conftest import dense_at_box_points, mod_circle_distance
 from oracles import check_pointwise_approx, lagrangian_eval, tanh_sinh
 from qcat.classical import Sl2IntMatrix, ehrenfest_time, spectral_data
-from qcat.errors import ThresholdViolationError, TruncationOverflowError
+from qcat.errors import TruncationOverflowError
 from qcat.lagrangian import (
     BandIndexer,
     _band_m_range,
@@ -163,14 +163,16 @@ def test_off_band_tail(cat):
     n_dim = 64
     h = 1.0 / n_dim
     n = math.ceil(ehrenfest_time(h, sd.lam))
+    # Both states are rooted at (0, 0), so s' = 0 for each.
+    indexer = BandIndexer(theta=sd.theta, q0=0.3, p0=0.7, s_prime=0.0)
     state = make_damped_lagrangian(cat, n, h)
-    assert off_band_tail(state, 0.3, 0.7) < 1e-8
+    assert off_band_tail(lagrangian_overlap_field(state), indexer) < 1e-8
     g, _ = aligned_propagated_state(cat, n, h)
-    assert off_band_tail(g, 0.3, 0.7, theta=sd.theta) < 1e-8
+    assert off_band_tail(wavepacket_overlap_field(g), indexer) < 1e-8
     # Limit of a state overwhelmingly concentrated on the line: every
     # off-band cell underflows to an exact floating-point zero.
     tight = make_damped_lagrangian(cat, 1, 1.0 / 2048.0)
-    assert off_band_tail(tight, 0.3, 0.7) == 0.0
+    assert off_band_tail(lagrangian_overlap_field(tight), indexer) == 0.0
 
 
 def _dense_field_values(form, q, p):
@@ -202,19 +204,19 @@ def _dense_off_band_tail(form, indexer, radius):
 
 
 def _off_band_cases(m, cells=((64, 3), (1024, 6), (1024, 8), (4096, 8))):
-    """(state, theta, form, indexer, N) for a Lagrangian state and a
-    propagated packet of ``m`` at each (N, n) of ``cells``."""
+    """(form, indexer) for a Lagrangian state and a propagated packet of
+    ``m`` at each (N, n) of ``cells``."""
     sd = spectral_data(m)
     q0, p0 = 0.3, 0.7
     for n_dim, n in cells:
         h = 1.0 / n_dim
         lag = make_damped_lagrangian(m, n, h)
         g, _ = aligned_propagated_state(m, n, h)
-        yield (lag, None, lagrangian_overlap_field(lag),
-               BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=lag.s_prime), n_dim)
+        yield (lagrangian_overlap_field(lag),
+               BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=lag.s_prime))
         s_prime = g.p - sd.tan_theta * g.q
-        yield (g, sd.theta, wavepacket_overlap_field(g),
-               BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=s_prime), n_dim)
+        yield (wavepacket_overlap_field(g),
+               BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=s_prime))
 
 
 def test_off_band_tail_matches_dense_oracle(cat):
@@ -231,10 +233,10 @@ def test_off_band_tail_matches_dense_oracle(cat):
         for case in _off_band_cases(m, cells)
     ]
     shares = []
-    for same_bits, (state, theta, form, indexer, n_dim) in cases:
+    for same_bits, (form, indexer) in cases:
         radius = _scan_off_band_radius(form)
         want, dense, (kk1, kk2) = _dense_off_band_tail(form, indexer, radius)
-        tail = off_band_tail(state, indexer.q0, indexer.p0, theta=theta)
+        tail = off_band_tail(form, indexer)
         if same_bits:
             assert tail == want
         vals = form.terms(indexer.q0 + kk1, indexer.p0 + kk2)
@@ -273,13 +275,13 @@ def test_off_band_tail_matches_dense_oracle(cat):
 def test_off_band_radius_matches_scan(cat):
     # The certified radius r is read off the term cap: a cap of (2r+1)^2
     # terms is enough, one term less is not.
-    for state, theta, form, indexer, n_dim in _off_band_cases(cat):
+    for form, indexer in _off_band_cases(cat):
         radius = _scan_off_band_radius(form)
         box = (2 * radius + 1) ** 2
-        off_band_tail(state, indexer.q0, indexer.p0, theta=theta, max_terms=box)
+        off_band_tail(form, indexer, max_terms=box)
         with pytest.raises(TruncationOverflowError,
                            match=f"^certified radius {radius} needs more than {box - 1} lattice terms$"):
-            off_band_tail(state, indexer.q0, indexer.p0, theta=theta, max_terms=box - 1)
+            off_band_tail(form, indexer, max_terms=box - 1)
 
 
 def _scan_band_window(form, indexer, target):
@@ -300,7 +302,7 @@ def test_band_window_matches_line_scan_and_is_sound(cat):
     # and the dense |values| along the band outside it sum to at most the
     # target, for a Lagrangian state and a propagated packet at N = 64, 1024.
     nonempty = 0
-    for _, _, form, indexer, _ in _off_band_cases(cat, ((64, 3), (1024, 8))):
+    for form, indexer in _off_band_cases(cat, ((64, 3), (1024, 8))):
         indexer = BandIndexer(theta=indexer.theta, q0=0.3, p0=0.7, s_prime=0.0)
         for tail, scale in ((1e-14, 1.0), (1e-8, 1.0), (1e-6, 1e-3), (1e-2, 1.0)):
             m_lo, m_hi = _band_m_range(form, indexer, tail * scale)
@@ -331,21 +333,24 @@ def test_off_band_tail_superpolynomial_decay(cat):
         h = 1.0 / n_dim
         n = math.ceil(ehrenfest_time(h, sd.lam))
         state = make_damped_lagrangian(cat, n, h)
-        tails.append(max(off_band_tail(state, 0.3, 0.7), 1e-300))
+        indexer = BandIndexer(theta=sd.theta, q0=0.3, p0=0.7, s_prime=0.0)
+        tails.append(max(off_band_tail(lagrangian_overlap_field(state), indexer), 1e-300))
     slopes = [math.log(tails[i] / tails[i + 1]) / math.log(2.0) for i in range(3)]
     assert slopes[0] < slopes[1] < slopes[2]  # accelerating decay: faster than any power
 
 
 def test_band_difference(cat):
     sd = spectral_data(cat)
-    with pytest.raises(ThresholdViolationError):
-        band_difference(cat, 0, 1.0 / 64.0, 0.3, 0.7)
+    # Both states are rooted at (0, 0), so s' = 0 for each.
+    indexer = BandIndexer(theta=sd.theta, q0=0.3, p0=0.7, s_prime=0.0)
     # Shrinks with N at fixed Ehrenfest multiple.
     diffs = []
     for n_dim in (16, 64, 256):
         h = 1.0 / n_dim
         n = 2 * math.ceil(ehrenfest_time(h, sd.lam))
-        diffs.append(band_difference(cat, n, h, 0.3, 0.7))
+        g, _ = aligned_propagated_state(cat, n, h)
+        form_l = lagrangian_overlap_field(make_damped_lagrangian(cat, n, h))
+        diffs.append(band_difference(form_l, wavepacket_overlap_field(g), indexer))
     assert diffs[0] > diffs[1] > diffs[2]
 
 
