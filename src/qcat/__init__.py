@@ -10,7 +10,6 @@ parabolic skew product.
 __version__ = "0.1.0"
 
 from .classical import (
-    CAT_MAP,
     FlowCoefficients,
     QuadraticHamiltonian,
     Sl2IntMatrix,

@@ -30,7 +30,6 @@ __all__ = [
     "FlowCoefficients",
     "SpectralData",
     "TorusPoint",
-    "CAT_MAP",
     "cat_apply",
     "spectral_data",
     "hamiltonian_from_matrix",
@@ -97,10 +96,6 @@ class Sl2IntMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
-
-
-#: Arnold's cat map, the standard example used throughout the test suite.
-CAT_MAP = Sl2IntMatrix(2, 1, 1, 1)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@ experiments, and reproducible CSV/JSON outputs.
 
 Reruns with an identical manifest produce byte-identical CSV bodies (the
 wall-time column of the unitarity table is the one documented exception:
-timings are inherently non-reproducible).  Cells are pure functions, so the
-thread count changes scheduling only, never results; output is assembled
-single-threaded in sorted key order.
+timings are inherently non-reproducible).  Cells are pure functions that
+return their finished rows, so the thread count changes scheduling only,
+never results; the rows are joined in sorted key order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ from .torus import build_propagator_matrix, comb_gram_min_eig, husimi, matrix_el
 
 __all__ = [
     "ExperimentConfig",
+    "ExperimentResult",
     "load_config",
     "run_unitarity",
     "run_egorov",
@@ -57,7 +58,6 @@ _DEFAULTS = {
     "n_values": [1.0, 1.5, 2.0],
     "points": [],
     "grid_resolution": 64,
-    "output_dir": "out",
     "seed": 20240901,
 }
 
@@ -70,7 +70,6 @@ class ExperimentConfig:
     n_values: tuple[float, ...]
     points: tuple[tuple[float, float], ...]
     grid_resolution: int
-    output_dir: str
     seed: int
     threads: int = 1
 
@@ -184,7 +183,6 @@ def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
         )
     _require(_is_int(merged["grid_resolution"]) and merged["grid_resolution"] >= 8,
              "grid_resolution", "must be an integer >= 8")
-    _require(isinstance(merged["output_dir"], str), "output_dir", "must be a string")
     _require(_is_int(merged["seed"]) and 0 <= merged["seed"] < 2 ** 64, "seed",
              "must be a 64-bit nonnegative integer")
 
@@ -195,26 +193,36 @@ def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
         n_values=tuple(merged["n_values"]),
         points=tuple((float(q), float(p)) for q, p in pts),
         grid_resolution=merged["grid_resolution"],
-        output_dir=merged["output_dir"],
         seed=merged["seed"],
         threads=threads,
     )
 
 
-def _map_cells(cells, worker, threads: int) -> dict:
-    """Evaluate pure per-cell workers, possibly in a thread pool; results are
-    keyed so assembly order never depends on scheduling."""
+@dataclass(frozen=True)
+class ExperimentResult:
+    """What one experiment hands to :func:`run_experiment`: its table, the
+    extra CSV frames to write beside it (name -> ``(grid, N, n, point)``)
+    and the constants to record in the manifest."""
+
+    table: ResultTable
+    frames: dict = field(default_factory=dict)
+    fitted_constants: dict = field(default_factory=dict)
+
+
+def _map_cells(cells, worker, threads: int) -> list:
+    """Evaluate pure per-cell workers, possibly in a thread pool; results come
+    back in sorted key order, so assembly never depends on scheduling."""
+    cells = sorted(cells)
     if threads <= 1:
-        return {key: worker(key) for key in cells}
+        return [worker(key) for key in cells]
     # Imported here so a single-threaded run never loads concurrent.futures.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        vals = list(pool.map(worker, cells))
-    return dict(zip(cells, vals))
+        return list(pool.map(worker, cells))
 
 
-def run_unitarity(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
+def run_unitarity(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-N unitarity defect of the induced matrix and Gram conditioning of
     the comb family.
 
@@ -230,22 +238,16 @@ def run_unitarity(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
         t0 = time.perf_counter()
         u = build_propagator_matrix(m, n_dim)
         defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n_dim))))
-        return defect, comb_gram_min_eig(n_dim), time.perf_counter() - t0
+        return n_dim, defect, comb_gram_min_eig(n_dim), time.perf_counter() - t0
 
-    results = _map_cells(list(cfg.N_values), cell, cfg.threads)
-    rows = [
-        (n_dim, results[n_dim][0], results[n_dim][1], results[n_dim][2])
-        for n_dim in sorted(cfg.N_values)
-    ]
-    table = ResultTable(
+    return ExperimentResult(ResultTable(
         schema="unitarity",
         columns=("N", "unitarity_defect", "gram_min_eig", "wall_seconds"),
-        rows=rows,
-    )
-    return table, {}
+        rows=_map_cells(cfg.N_values, cell, cfg.threads),
+    ))
 
 
-def run_egorov(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
+def run_egorov(cfg: ExperimentConfig) -> ExperimentResult:
     """Husimi localization of propagated packets around the classical orbit.
 
     Emits one grid frame per (N, n, point) and a row with the fraction of the
@@ -276,28 +278,21 @@ def run_egorov(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
         total = float(np.sum(grid.values))
         inside = float(np.sum(grid.values[dist2 <= radius * radius]))
         frac = inside / total if total > 0 else 0.0
-        return grid, frac, grid.riemann_mass
+        row = (n_dim, n_time, idx, pt.q, pt.p, n_time / ehrenfest_time(h, sd.lam), frac,
+               grid.riemann_mass)
+        return row, (f"husimi_N{n_dim}_n{n_time}_p{idx}", (grid, n_dim, n_time, pt))
 
     results = _map_cells(cells, cell, cfg.threads)
-    rows = []
-    frames = {}
-    for key in sorted(results):
-        n_dim, n_time, idx = key
-        grid, frac, mass = results[key]
-        te = ehrenfest_time(1.0 / n_dim, sd.lam)
-        rows.append((n_dim, n_time, idx, points[idx].q, points[idx].p,
-                     n_time / te, frac, mass))
-        frames[f"husimi_N{n_dim}_n{n_time}_p{idx}"] = (grid, n_dim, n_time, points[idx])
     table = ResultTable(
         schema="egorov",
         columns=("N", "n", "point_idx", "q0", "p0", "n_over_te", "disk_mass_fraction",
                  "riemann_mass"),
-        rows=rows,
+        rows=[row for row, _ in results],
     )
-    return table, frames
+    return ExperimentResult(table, frames=dict(frame for _, frame in results))
 
 
-def run_theorem(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
+def run_theorem(cfg: ExperimentConfig) -> ExperimentResult:
     """Exact vs predicted matrix elements over the configured sweep.
 
     One row per (N, n, pair) with the remainder bound sqrt(h) lam^(-n/2).
@@ -324,60 +319,54 @@ def run_theorem(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
                              residual, bound, residual / bound, below))
         return rows
 
-    results = _map_cells(list(cfg.N_values), cell, cfg.threads)
     table = ResultTable(
         schema="theorem",
         columns=("N", "n", "n_over_te", "src_q", "src_p", "dst_q", "dst_p", "lhs_re", "lhs_im",
                  "rhs_re", "rhs_im", "lhs_abs", "rhs_abs", "residual", "bound", "ratio",
                  "below_threshold"),
-        rows=[row for n_dim in sorted(cfg.N_values) for row in results[n_dim]],
+        rows=[row for rows in _map_cells(cfg.N_values, cell, cfg.threads) for row in rows],
     )
-    extras = {"fitted_scale_constant": {"re": d_fit.real, "im": d_fit.imag}}
-    return table, extras
+    fitted = {"fitted_scale_constant": {"re": d_fit.real, "im": d_fit.imag}}
+    return ExperimentResult(table, fitted_constants=fitted)
 
 
-def run_bands(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    """Off-band tails and along-band differences with their bounds."""
+def run_bands(cfg: ExperimentConfig) -> ExperimentResult:
+    """Off-band tails and along-band differences with their bounds.
+
+    Both states and their overlap forms depend on (N, n) alone, so each
+    (N, n) cell builds them once and evaluates every point against them."""
     m = cfg.cat_matrix()
     sd = spectral_data(m)
     points = cfg.resolved_points(5)
-    cells = []
-    for n_dim in cfg.N_values:
-        for n_time in cfg.resolve_times(n_dim):
-            cells.extend((n_dim, n_time, idx) for idx in range(len(points)))
+    cells = [(n_dim, n_time) for n_dim in cfg.N_values for n_time in cfg.resolve_times(n_dim)]
 
     def cell(key):
-        n_dim, n_time, idx = key
+        n_dim, n_time = key
         h = 1.0 / n_dim
-        pt = points[idx]
         form_l = lagrangian_overlap_field(make_damped_lagrangian(m, n_time, h))
         g, _ = aligned_propagated_state(m, n_time, h)
         form_g = wavepacket_overlap_field(g)
-        # Both states are rooted at (0, 0), so s' = 0 for each.
-        indexer = BandIndexer(theta=sd.theta, q0=pt.q, p0=pt.p, s_prime=0.0)
-        tail_l = off_band_tail(form_l, indexer)
-        tail_g = off_band_tail(form_g, indexer)
-        diff = band_difference(form_l, form_g, indexer)
         bound = math.sqrt(h) * sd.lam ** (-0.5 * n_time) + math.exp(-1.0 / h)
-        return tail_l, tail_g, diff, bound
+        rows = []
+        for idx, pt in enumerate(points):
+            # Both states are rooted at (0, 0), so s' = 0 for each.
+            indexer = BandIndexer(theta=sd.theta, q0=pt.q, p0=pt.p, s_prime=0.0)
+            tail_l, tail_g = off_band_tail(form_l, indexer), off_band_tail(form_g, indexer)
+            diff = band_difference(form_l, form_g, indexer)
+            rows.append((n_dim, n_time, idx, pt.q, pt.p, tail_l, tail_g, diff, bound,
+                         diff / bound))
+        return rows
 
-    results = _map_cells(cells, cell, cfg.threads)
-    rows = []
-    for key in sorted(results):
-        n_dim, n_time, idx = key
-        tail_l, tail_g, diff, bound = results[key]
-        rows.append((n_dim, n_time, idx, points[idx].q, points[idx].p,
-                     tail_l, tail_g, diff, bound, diff / bound))
     table = ResultTable(
         schema="bands",
         columns=("N", "n", "point_idx", "q0", "p0", "off_band_tail_lagrangian",
                  "off_band_tail_propagated", "band_difference", "bound", "ratio"),
-        rows=rows,
+        rows=[row for rows in _map_cells(cells, cell, cfg.threads) for row in rows],
     )
-    return table, {}
+    return ExperimentResult(table)
 
 
-def run_eigenphases(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
+def run_eigenphases(cfg: ExperimentConfig) -> ExperimentResult:
     """Eigenphases of the induced unitary, sorted in [0, 2 pi), with
     nearest-neighbor spacings and the modulus defect.  Exported, never
     interpreted."""
@@ -388,21 +377,16 @@ def run_eigenphases(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
         eig = np.linalg.eigvals(u)
         phases = np.sort(np.mod(np.angle(eig), 2.0 * math.pi))
         spacing = np.diff(np.concatenate([phases, [phases[0] + 2.0 * math.pi]]))
-        mod_defect = np.abs(np.abs(eig) - 1.0)
-        return phases, spacing, np.max(mod_defect)
+        defect = float(np.max(np.abs(np.abs(eig) - 1.0)))
+        return [(n_dim, j, float(phases[j]), float(spacing[j]), defect)
+                for j in range(len(phases))]
 
-    results = _map_cells(list(cfg.N_values), cell, cfg.threads)
-    rows = []
-    for n_dim in sorted(cfg.N_values):
-        phases, spacing, defect = results[n_dim]
-        for j in range(len(phases)):
-            rows.append((n_dim, j, float(phases[j]), float(spacing[j]), float(defect)))
     table = ResultTable(
         schema="eigenphases",
         columns=("N", "index", "phase", "spacing", "max_modulus_defect"),
-        rows=rows,
+        rows=[row for rows in _map_cells(cfg.N_values, cell, cfg.threads) for row in rows],
     )
-    return table, {}
+    return ExperimentResult(table)
 
 
 EXPERIMENTS = {
@@ -414,7 +398,7 @@ EXPERIMENTS = {
 }
 
 
-def _manifest(cfg: ExperimentConfig, experiment: str, extras: dict) -> dict:
+def _manifest(cfg: ExperimentConfig, experiment: str, fitted: dict) -> dict:
     import platform  # here, not at module level, to keep `import qcat.harness` lean
 
     resolved = asdict(cfg)
@@ -435,8 +419,8 @@ def _manifest(cfg: ExperimentConfig, experiment: str, extras: dict) -> dict:
             "longdouble_eps": float(np.finfo(np.longdouble).eps),
         },
     }
-    if extras:
-        manifest["fitted_constants"] = extras
+    if fitted:
+        manifest["fitted_constants"] = fitted
     return manifest
 
 
@@ -448,22 +432,18 @@ def _write_frame(path: Path, grid, n_dim: int, n_time: int, pt: TorusPoint) -> N
 
 
 def run_experiment(experiment: str, cfg: ExperimentConfig, out_dir: str | Path) -> Path:
-    """Run one experiment and write `<out>/<experiment>.csv` plus the manifest
-    (and Husimi frames for the Egorov run).  Returns the CSV path."""
+    """Run one experiment and write `<out>/<experiment>.csv`, the frames it
+    returns and the manifest.  Returns the CSV path."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{experiment}'")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table, extras = EXPERIMENTS[experiment](cfg)
-    frames = {}
-    fitted = extras
-    if experiment == "egorov":
-        frames, fitted = extras, {}
+    result = EXPERIMENTS[experiment](cfg)
     csv_path = out / f"{experiment}.csv"
-    table.write_csv(csv_path)
-    for name, (grid, n_dim, n_time, pt) in frames.items():
+    result.table.write_csv(csv_path)
+    for name, (grid, n_dim, n_time, pt) in result.frames.items():
         _write_frame(out / f"{name}.csv", grid, n_dim, n_time, pt)
-    manifest = _manifest(cfg, experiment, fitted)
+    manifest = _manifest(cfg, experiment, result.fitted_constants)
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
     )

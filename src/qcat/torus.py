@@ -98,8 +98,7 @@ _EXP_FLOOR = -746.0
 class TorusState:
     """Element of the torus space as N Fourier coefficients d_0..d_{N-1}.
 
-    The coefficients are exactly N-periodic by construction (index mod N).
-    With :func:`torus_coefficients` and :func:`pair_from_coefficients` this
+    The coefficient sequence is N-periodic; these are one period.  With :func:`torus_coefficients` and :func:`pair_from_coefficients` this
     is the Parseval route of the pairing.  No experiment runs it yet; it
     stays here because the vector-route matrix element and the wave-packet
     frame of ROADMAP.md are built on it, and the tests check it against the
@@ -114,9 +113,6 @@ class TorusState:
             raise OddNError(f"N must be a positive even integer, got {self.N}")
         if self.coeffs.shape != (self.N,):
             raise ValueError(f"expected {self.N} coefficients, got {self.coeffs.shape}")
-
-    def coeff(self, n: int) -> complex:
-        return complex(self.coeffs[n % self.N])
 
 
 @dataclass(frozen=True)

@@ -543,8 +543,8 @@ def _theorem_table(n_values, n_times):
     """The theorem experiment's table for the cat map and one point pair."""
     cfg = ExperimentConfig(matrix=(2, 1, 1, 1), N_values=n_values, n_mode="absolute",
                            n_values=n_times, points=((0.1, 0.2), (0.3, 0.4)),
-                           grid_resolution=16, output_dir="out", seed=20240901)
-    table, _ = run_theorem(cfg)
+                           grid_resolution=16, seed=20240901)
+    table = run_theorem(cfg).table
     return [dict(zip(table.columns, row)) for row in table.rows]
 
 

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import QCAT_ROOT, run_cli, run_python
+from qcat import harness, lagrangian
 from qcat.errors import ConfigError
 from qcat.classical import TorusPoint
-from qcat.harness import _write_frame, load_config, run_bands, run_experiment, run_unitarity
+from qcat.harness import (EXPERIMENTS, _write_frame, load_config, run_bands, run_experiment,
+                          run_unitarity)
 from qcat.tables import ResultTable, format_cell
 from qcat.torus import HusimiGrid
 
@@ -50,6 +52,9 @@ def test_load_config_defaults_and_strictness(tmp_path):
         load_config(write_config(tmp_path, N_values=[]))
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, grid_resolution=4))
+    # --out sets the output directory; the config has no key for it.
+    with pytest.raises(ConfigError, match="output_dir"):
+        load_config(write_config(tmp_path, output_dir="out"))
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
@@ -137,7 +142,7 @@ def test_resolve_times_ehrenfest(tmp_path):
 
 def test_run_unitarity_small(tmp_path):
     cfg = load_config(write_config(tmp_path, N_values=[2, 4]))
-    table, _ = run_unitarity(cfg)
+    table = run_unitarity(cfg).table
     assert [r[0] for r in table.rows] == [2, 4]
     for row in table.rows:
         assert row[1] < 1e-9  # unitarity defect
@@ -174,14 +179,53 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
 
-def test_threads_do_not_change_results(tmp_path):
+def _csv_bodies(out: Path) -> dict[str, list[list[str]]]:
+    """Every CSV under ``out`` by name, with any wall_seconds column dropped."""
+    bodies = {}
+    for path in sorted(out.glob("*.csv")):
+        rows = [line.split(",") for line in path.read_text(encoding="ascii").splitlines()]
+        if "wall_seconds" in rows[0]:
+            col = rows[0].index("wall_seconds")
+            rows = [row[:col] + row[col + 1:] for row in rows]
+        bodies[path.name] = rows
+    return bodies
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_threads_do_not_change_results(tmp_path, experiment):
     base = write_config(tmp_path, N_values=[8, 16], n_values=[1, 2])
-    cfg1 = load_config(base, threads=1)
-    cfg8 = load_config(base, threads=8)
     out1, out8 = tmp_path / "t1", tmp_path / "t8"
-    run_experiment("bands", cfg1, out1)
-    run_experiment("bands", cfg8, out8)
-    assert (out1 / "bands.csv").read_bytes() == (out8 / "bands.csv").read_bytes()
+    run_experiment(experiment, load_config(base, threads=1), out1)
+    run_experiment(experiment, load_config(base, threads=8), out8)
+    bodies = _csv_bodies(out1)
+    assert f"{experiment}.csv" in bodies
+    if experiment == "egorov":
+        assert len(bodies) > 1  # the Husimi frames are compared too
+    assert bodies == _csv_bodies(out8)
+
+
+def test_run_bands_builds_each_state_once(tmp_path, monkeypatch):
+    # The states and their overlap forms depend on (N, n) alone: the
+    # write_config defaults (N in {8, 16}, n in {1, 2}, 4 points) need 4 of
+    # each, not one per point.
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(lagrangian, "propagate_n")
+    counted(harness, "lagrangian_overlap_field")
+    counted(harness, "wavepacket_overlap_field")
+    table = run_bands(load_config(write_config(tmp_path))).table
+    assert len(table.rows) == 2 * 2 * 4
+    assert calls == {"propagate_n": 4, "lagrangian_overlap_field": 4,
+                     "wavepacket_overlap_field": 4}
 
 
 def test_run_bands_nonsymmetric_damping(tmp_path):
@@ -189,7 +233,7 @@ def test_run_bands_nonsymmetric_damping(tmp_path):
     # complex damping coefficient; the symmetric default 1/cos^2(theta) puts
     # its off-band tail up to 7% off the propagated packet's at N = 64, n = 4.
     cfg = load_config(write_config(tmp_path, matrix=[3, 1, 2, 1], N_values=[64], n_values=[4]))
-    table, _ = run_bands(cfg)
+    table = run_bands(cfg).table
     assert table.rows
     for row in table.rows:
         tail_l, tail_g = row[5], row[6]

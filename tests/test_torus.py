@@ -226,8 +226,6 @@ def test_torus_coefficients_properties():
     assert np.allclose(
         torus_coefficients(scaled).coeffs, (0.7 - 0.3j) * torus_coefficients(g).coeffs
     )
-    # Periodic indexing helper.
-    assert ts.coeff(5) == ts.coeff(1)
 
 
 def test_parseval_route_matches_lattice_route():
