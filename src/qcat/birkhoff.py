@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data, validity_threshold
+from .classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_points, spectral_data,
+                        validity_threshold)
 from .errors import OddNError, ThresholdViolationError, TruncationOverflowError
 from .lagrangian import aligned_propagated_state, circle_distance, damping_coefficient
 from .metaplectic import cis_turns, frac_turns
@@ -308,19 +309,21 @@ _FIT_PAIRS = 8
 
 def fit_theorem_constant(m: Sl2IntMatrix, n_ref: int = 64, seed: int = 20240901) -> complex:
     """Complex least-squares fit of D on the reference batch
-    (N = n_ref, n = ceil(1.5 t_E), ``_FIT_PAIRS`` seeded point pairs).
+    (N = n_ref, n = ceil(1.5 t_E), ``_FIT_PAIRS`` source/target pairs of
+    consecutive points of ``seeded_points(seed, 2 * _FIT_PAIRS)``).
 
     Fitted once and then frozen for every other configuration.
+
+    Raises:
+        ValueError: if ``seed`` is negative or not an integer.
     """
     h = 1.0 / n_ref
     sd = spectral_data(m)
     n_time = math.ceil(1.5 * ehrenfest_time(h, sd.lam))
-    rng = np.random.default_rng(seed)
+    points = seeded_points(seed, 2 * _FIT_PAIRS)
     num = 0.0 + 0.0j
     den = 0.0
-    for _ in range(_FIT_PAIRS):
-        src = TorusPoint(float(rng.uniform()), float(rng.uniform()))
-        dst = TorusPoint(float(rng.uniform()), float(rng.uniform()))
+    for src, dst in zip(points[::2], points[1::2]):
         lhs = matrix_element_exact(m, n_time, src, dst, n_ref)
         rhs0 = theorem_rhs(m, n_time, h, src, dst)
         num += lhs * np.conj(rhs0)

@@ -1,6 +1,7 @@
 """Classical side of the model: SL(2,Z) torus automorphisms, their hyperbolic
-spectral data, quadratic Hamiltonians generating them, the Ehrenfest time and
-the validity threshold of the matrix-element theorem.
+spectral data, quadratic Hamiltonians generating them, the Ehrenfest time,
+the validity threshold of the matrix-element theorem, and the seeded torus
+points the experiments draw when no points are configured.
 
 No experiment samples a flow: propagation uses only the integer entries of
 the matrix (see :func:`qcat.metaplectic.propagate_n`).  The Hamiltonian and
@@ -31,6 +32,7 @@ __all__ = [
     "SpectralData",
     "TorusPoint",
     "cat_apply",
+    "seeded_points",
     "spectral_data",
     "hamiltonian_from_matrix",
     "flow_coefficients",
@@ -165,6 +167,77 @@ def cat_apply(m: Sl2IntMatrix, pt: TorusPoint) -> TorusPoint:
     """Apply the toral automorphism induced by ``m`` to ``pt``."""
     x, p = m.apply(pt.q, pt.p)
     return TorusPoint(x % 1.0, p % 1.0)
+
+
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
+# its PCG64 multiplier (numpy/random/src/pcg64/pcg64.h).
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """PCG64 state and increment of ``np.random.default_rng(seed)``:
+    SeedSequence mixes the 32-bit words of ``seed`` into a 4-word pool,
+    ``generate_state(4, uint64)`` draws the seed and stream words from it,
+    and PCG64 seeds its generator with them."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const, state32 = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state32.append(value ^ value >> 16)
+    w0, w1, w2, w3 = (state32[2 * k] | state32[2 * k + 1] << 32 for k in range(4))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = (inc + (w0 << 64 | w1)) & _MASK128  # srandom: step from 0, add the seed
+    return (state * _PCG_MULT + inc) & _MASK128, inc
+
+
+def seeded_points(seed: int, count: int) -> list[TorusPoint]:
+    """``count`` points whose coordinates (q, then p) are the first
+    2 * count draws of ``np.random.default_rng(seed).uniform()``,
+    reproduced bit for bit in integer arithmetic: PCG64's XSL-RR output of
+    each step, then (x >> 11) * 2**-53.  The package's seeded batches come
+    from here, so a run never loads ``numpy.random``.
+
+    Raises:
+        ValueError: if ``seed`` is negative or not an integer.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    state, inc = _pcg64_seed(int(seed))
+    draws = []
+    for _ in range(2 * count):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        word = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        word = ((word >> rot) | (word << (64 - rot))) & _MASK64
+        draws.append((word >> 11) * 2.0 ** -53)
+    return [TorusPoint(draws[2 * i], draws[2 * i + 1]) for i in range(count)]
 
 
 def spectral_data(m: Sl2IntMatrix) -> SpectralData:

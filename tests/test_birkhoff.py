@@ -537,6 +537,10 @@ def test_fitted_constant_predicts_other_configs(cat):
         lhs = matrix_element_exact(cat, n, src, dst, n_dim)
         rhs = theorem_rhs(cat, n, h, src, dst, d_fit)
         assert abs(lhs - rhs) <= 5.0 * math.sqrt(h) * sd.lam ** (-0.5 * n)
+    # The seeded stream rejects a negative seed, as numpy's does, rather than
+    # splitting it into 32-bit words forever.
+    with pytest.raises(ValueError):
+        fit_theorem_constant(cat, seed=-1)
 
 
 def _theorem_table(n_values, n_times):

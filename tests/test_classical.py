@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qcat.classical import (
     ehrenfest_time,
     flow_coefficients,
     hamiltonian_from_matrix,
+    seeded_points,
     spectral_data,
 )
 from qcat.errors import NegativeSpectrumError, NonHyperbolicError, NonPositiveHError
@@ -174,3 +176,24 @@ def test_ehrenfest_time(cat):
 def test_torus_point_reduction():
     pt = TorusPoint(1.25, -0.25)
     assert (pt.q, pt.p) == (0.25, 0.75)
+
+
+def test_seeded_points_match_numpy_stream():
+    # Oracle: numpy's default_rng stream, 20 draws per seed.  The edge seeds
+    # give 1, 2 and 3 entropy words; the random ones 8 to 64 bits.
+    draw = random.Random(20240901)
+    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 2 ** 70]
+    seeds += [draw.getrandbits(draw.randint(8, 64)) for _ in range(2000)]
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        expected = [rng.uniform() for _ in range(20)]
+        got = [c for pt in seeded_points(seed, 10) for c in (pt.q, pt.p)]
+        assert got == expected, seed
+    assert seeded_points(np.uint64(7), 3) == seeded_points(7, 3)
+    assert seeded_points(5, 0) == []
+
+
+@pytest.mark.parametrize("seed", [-1, -(2 ** 70), 1.5, 2.0, "3", None])
+def test_seeded_points_reject_bad_seeds(seed):
+    with pytest.raises(ValueError, match="seed"):
+        seeded_points(seed, 2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import math
@@ -105,6 +106,34 @@ def test_cli_import_is_lean():
     assert {f"qcat.{mod}" for mod in spans.TRACED} <= loaded
 
 
+def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
+    # Seeded points and the manifest digest are computed in pure Python, so
+    # a run never pays for numpy.random or the OpenSSL behind hashlib.
+    cfg = write_config(tmp_path, points=[])
+    code = (
+        "import json, sys\n"
+        "from qcat import cli\n"
+        "from qcat.birkhoff import fit_theorem_constant\n"
+        "from qcat.classical import Sl2IntMatrix\n"
+        "cfg, out = sys.argv[1:]\n"
+        "codes = [cli.main([e, '--config', cfg, '--out', out + '/' + e]) for e in ('theorem', 'egorov')]\n"
+        "fit_theorem_constant(Sl2IntMatrix(2, 1, 1, 1))\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    proc = run_python(["-c", code, str(cfg), str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0, 0]
+    assert not set(loaded) & {"numpy.random", "hashlib", "_hashlib"}
+
+
+def test_sha256_matches_hashlib():
+    # Lengths 0-200 cross the padding edges 55/56, 63/64 and 119/120.
+    data = bytes(np.random.default_rng(3).integers(0, 256, 200, dtype=np.uint8))
+    for length in range(201):
+        assert harness._sha256_hex(data[:length]) == hashlib.sha256(data[:length]).hexdigest()
+
+
 def test_package_holds_no_test_only_module():
     # Every module of the package is one the CLI loads, so none of them is
     # reachable only from the tests (test oracles live in tests/).
@@ -163,7 +192,9 @@ def test_run_experiment_writes_outputs(tmp_path):
     assert head[2].startswith("point,")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == "egorov"
-    assert "config_sha256" in manifest and "library_version" in manifest
+    assert "library_version" in manifest
+    blob = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":")).encode()
+    assert manifest["config_sha256"] == hashlib.sha256(blob).hexdigest()
     env = manifest["environment"]
     assert set(env) == {"numpy", "python", "platform", "machine", "longdouble_eps"}
     assert env["numpy"] == np.__version__
