@@ -44,7 +44,8 @@ Every other phase is reduced mod 1 in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,22 +66,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SkewMap:
-    """(x, y) -> (x + alpha, y + N x + beta) on T^2 with beta = alpha*N/2."""
+class SkewMap(namedtuple("SkewMap", "alpha N")):
+    """(x, y) -> (x + alpha, y + N x + beta) on T^2 with beta = alpha*N/2
+    (``_replace`` and ``_make`` skip the check of N)."""
 
-    alpha: float
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.N % 2 != 0:
+    def __new__(cls, alpha: float, N: int) -> "SkewMap":
+        if N % 2 != 0:
             raise OddNError(
-                f"N must be even so that beta = alpha*N/2 uses an integer N/2, got {self.N}"
+                f"N must be even so that beta = alpha*N/2 uses an integer N/2, got {N}"
             )
+        return super().__new__(cls, alpha, N)
 
 
-@dataclass(frozen=True)
-class InterferenceObservable:
+class InterferenceObservable(NamedTuple):
     """Observable on the skew torus whose Birkhoff sums match the band sums.
 
     f(x, y) = F0(d(x, s0)/sqrt(h)) * exp(2 i pi q0 d(x, s0) / h) * exp(2 i pi y)

@@ -12,14 +12,15 @@ because the benchmark's span tracer (``perfbench/spans.py``) resolves
 run shows that no flow is sampled; the test oracles of the metaplectic
 branch and the Schroedinger residual use them too.
 
-All values are immutable and all operations are pure functions, so everything
-here is safe to share between threads.
+All values are immutable tuples (NamedTuple records) and all operations are
+pure functions, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,23 +42,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sl2IntMatrix:
-    """Integer 2x2 matrix with determinant one."""
+class Sl2IntMatrix(namedtuple("Sl2IntMatrix", "a b c d")):
+    """Integer 2x2 matrix with determinant one (``_replace`` and ``_make`` skip the checks)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "Sl2IntMatrix":
+        for name, v in zip("abcd", (a, b, c, d)):
             if not isinstance(v, (int, np.integer)):
                 raise ValueError(f"entry {name} must be an integer, got {v!r}")
-        det = self.a * self.d - self.b * self.c
+        det = a * d - b * c
         if det != 1:
             raise ValueError(f"determinant must be 1, got {det}")
+        return super().__new__(cls, a, b, c, d)
 
     @property
     def trace(self) -> int:
@@ -65,7 +62,7 @@ class Sl2IntMatrix:
 
     @property
     def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
+        return self == (1, 0, 0, 1)
 
     def __matmul__(self, other: "Sl2IntMatrix") -> "Sl2IntMatrix":
         return Sl2IntMatrix(
@@ -100,8 +97,7 @@ class Sl2IntMatrix:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
 
 
-@dataclass(frozen=True)
-class QuadraticHamiltonian:
+class QuadraticHamiltonian(NamedTuple):
     """H(x, xi) = alpha*x^2/2 + gamma*x*xi + beta*xi^2/2.
 
     Its symplectic gradient is the linear field with traceless generator
@@ -116,8 +112,7 @@ class QuadraticHamiltonian:
         return np.array([[self.gamma, self.beta], [-self.alpha, -self.gamma]])
 
 
-@dataclass(frozen=True)
-class FlowCoefficients:
+class FlowCoefficients(NamedTuple):
     """Entries of exp(t*m) for a quadratic Hamiltonian generator m."""
 
     t: float
@@ -134,8 +129,7 @@ class FlowCoefficients:
         return np.array([[self.a, self.b], [self.c, self.d]])
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Expanding eigenvalue and unstable-direction angle of a hyperbolic matrix.
 
     The unstable eigenvector is normalized to (cos(theta), sin(theta)) with
@@ -151,16 +145,14 @@ class SpectralData:
         return math.tan(self.theta)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """Point of the torus T^2 with coordinates reduced to [0, 1)."""
+class TorusPoint(namedtuple("TorusPoint", "q p")):
+    """Point of the torus T^2 with coordinates reduced to [0, 1) (``_replace``
+    and ``_make`` skip the reduction)."""
 
-    q: float
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", self.q % 1.0)
-        object.__setattr__(self, "p", self.p % 1.0)
+    def __new__(cls, q: float, p: float) -> "TorusPoint":
+        return super().__new__(cls, q % 1.0, p % 1.0)
 
 
 def cat_apply(m: Sl2IntMatrix, pt: TorusPoint) -> TorusPoint:

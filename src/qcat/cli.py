@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import ConfigError, QcatError
@@ -19,13 +20,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qcat",
         description="Quantized torus automorphism experiments",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", required=True, help="path to a strict-JSON config file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")
-        p.add_argument("--verbose", action="store_true", help="print progress to stderr")
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="path to a strict-JSON config file")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")
+    parser.add_argument("--verbose", action="store_true", help="print progress to stderr")
     return parser
 
 
@@ -51,5 +50,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """Entry point of ``qcat`` and ``python -m qcat.cli``: exit with main()'s code.
+
+    ``gc.freeze()`` first, so the collections of interpreter teardown skip
+    numpy's heap; atexit handlers, stream flushes and thread joins still
+    run.  :func:`main` leaves the collector alone for in-process callers.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,8 +14,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +63,7 @@ _DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     matrix: tuple[int, int, int, int]
     N_values: tuple[int, ...]
     n_mode: str
@@ -196,15 +197,15 @@ def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
     )
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """What one experiment hands to :func:`run_experiment`: its table, the
     extra CSV frames to write beside it (name -> ``(grid, N, n, point)``)
-    and the constants to record in the manifest."""
+    and the constants to record in the manifest.  Both mappings default to
+    one read-only empty mapping, so no result can fill another's default."""
 
     table: ResultTable
-    frames: dict = field(default_factory=dict)
-    fitted_constants: dict = field(default_factory=dict)
+    frames: Mapping = MappingProxyType({})
+    fitted_constants: Mapping = MappingProxyType({})
 
 
 def _map_cells(cells, worker, threads: int) -> list:
@@ -439,10 +440,10 @@ def _sha256_hex(data: bytes) -> str:
     return "".join(f"{x:08x}" for x in digest)
 
 
-def _manifest(cfg: ExperimentConfig, experiment: str, fitted: dict) -> dict:
+def _manifest(cfg: ExperimentConfig, experiment: str, fitted: Mapping) -> dict:
     import platform  # here, not at module level, to keep `import qcat.harness` lean
 
-    resolved = asdict(cfg)
+    resolved = cfg._asdict()
     resolved.pop("threads")  # execution detail, not part of the result identity
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
     manifest = {

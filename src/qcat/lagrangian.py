@@ -37,7 +37,7 @@ passes the same form to every routine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +93,7 @@ def damping_coefficient(m: Sl2IntMatrix) -> complex:
     return complex(-1j * (1j - z_plus) * (z_plus - z_minus) / (1j - z_minus))
 
 
-@dataclass(frozen=True)
-class DampedLagrangianState:
+class DampedLagrangianState(NamedTuple):
     """Damped Lagrangian state along the unstable line (see module docstring).
 
     ``beta`` is the transverse damping coefficient of the matrix
@@ -189,8 +188,7 @@ def wavepacket_overlap_field(g: GaussianState) -> OverlapForm:
     return OverlapForm((e_qq, e_pp, e_qp, e_q, e_p, e_c), complex(pref))
 
 
-@dataclass(frozen=True)
-class BandIndexer:
+class BandIndexer(NamedTuple):
     """Resolves, for each column q0 + m, the unique row p0 + p(m) inside the
     band of half-width cos(theta)/2 around the line of slope tan(theta) with
     intercept s'."""

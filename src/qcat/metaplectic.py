@@ -28,7 +28,7 @@ exact; for -1/2 < t < 0 both routes make the one rounding of t + 1; and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -78,27 +78,26 @@ def cis_turns(turns) -> np.ndarray | complex:
     return out
 
 
-@dataclass(frozen=True)
-class GaussianState:
+class GaussianState(namedtuple("GaussianState", "amplitude theta q p h")):
     """Complex Gaussian wave function on the line.
 
     amplitude : complex prefactor (global phase is meaningful and kept)
     theta     : complex shape parameter, Im(theta) > 0
     q, p      : phase-space center
     h         : quantization parameter, > 0
+
+    ``_replace`` and ``_make`` skip the checks of h and theta.
     """
 
-    amplitude: complex
-    theta: complex
-    q: float
-    p: float
-    h: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.h <= 0.0:
-            raise NonPositiveHError(f"h must be positive, got {self.h}")
-        if complex(self.theta).imag <= 0.0:
-            raise ValueError(f"Im(theta) must be positive, got {self.theta}")
+    def __new__(cls, amplitude: complex, theta: complex, q: float, p: float,
+                h: float) -> "GaussianState":
+        if h <= 0.0:
+            raise NonPositiveHError(f"h must be positive, got {h}")
+        if complex(theta).imag <= 0.0:
+            raise ValueError(f"Im(theta) must be positive, got {theta}")
+        return super().__new__(cls, amplitude, theta, q, p, h)
 
     @property
     def norm(self) -> float:

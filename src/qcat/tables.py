@@ -7,7 +7,7 @@ ever needs quoting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 
@@ -21,20 +21,19 @@ def format_cell(v) -> str:
     raise TypeError(f"unsupported cell type {type(v)!r}; split complex values into re/im")
 
 
-@dataclass(frozen=True, eq=False)
-class ResultTable:
-    """Ordered rows of typed columns under a named schema."""
+class ResultTable(namedtuple("ResultTable", "schema columns rows")):
+    """Ordered rows of typed columns under a named schema (``_replace`` and
+    ``_make`` skip the row-width check)."""
 
-    schema: str
-    columns: tuple[str, ...]
-    rows: list[tuple]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
+    def __new__(cls, schema: str, columns: tuple[str, ...], rows: list[tuple]) -> "ResultTable":
+        for row in rows:
+            if len(row) != len(columns):
                 raise ValueError(
-                    f"row width {len(row)} != column count {len(self.columns)} in {self.schema}"
+                    f"row width {len(row)} != column count {len(columns)} in {schema}"
                 )
+        return super().__new__(cls, schema, columns, rows)
 
     def to_csv_text(self) -> str:
         lines = [",".join(self.columns)]

@@ -49,7 +49,8 @@ constant.  The comb inversion it replaces stays as a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,37 +95,34 @@ _COMB_WIDTH = 20.0
 _EXP_FLOOR = -746.0
 
 
-@dataclass(frozen=True, eq=False)
-class TorusState:
+class TorusState(namedtuple("TorusState", "N coeffs")):
     """Element of the torus space as N Fourier coefficients d_0..d_{N-1}.
 
     The coefficient sequence is N-periodic; these are one period.  With :func:`torus_coefficients` and :func:`pair_from_coefficients` this
     is the Parseval route of the pairing.  No experiment runs it yet; it
     stays here because the vector-route matrix element and the wave-packet
     frame of ROADMAP.md are built on it, and the tests check it against the
-    lattice route.
+    lattice route.  ``_replace`` and ``_make`` skip the checks of N and shape.
     """
 
-    N: int
-    coeffs: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.N <= 0 or self.N % 2 != 0:
-            raise OddNError(f"N must be a positive even integer, got {self.N}")
-        if self.coeffs.shape != (self.N,):
-            raise ValueError(f"expected {self.N} coefficients, got {self.coeffs.shape}")
+    def __new__(cls, N: int, coeffs: np.ndarray) -> "TorusState":
+        if N <= 0 or N % 2 != 0:
+            raise OddNError(f"N must be a positive even integer, got {N}")
+        if coeffs.shape != (N,):
+            raise ValueError(f"expected {N} coefficients, got {coeffs.shape}")
+        return super().__new__(cls, N, coeffs)
 
 
-@dataclass(frozen=True)
-class LatticeTruncation:
+class LatticeTruncation(NamedTuple):
     """Radius actually summed and a rigorous bound on the discarded mass."""
 
     radius: int
     certified_tail: float
 
 
-@dataclass(frozen=True, eq=False)
-class HusimiGrid:
+class HusimiGrid(NamedTuple):
     """Phase-space density (1/h)|D(Phi_{q,p})|^2 sampled on an R x R grid.
 
     values[i, j] is the density at (q, p) = (i/R, j/R).
@@ -221,8 +219,7 @@ def _quadratic(coeffs, y, w):
     return e_yy * y * y + e_ww * w * w + e_yw * y * w + e_y * y + e_w * w + e_c
 
 
-@dataclass(frozen=True, eq=False)
-class OverlapForm:
+class OverlapForm(NamedTuple):
     """A Gaussian overlap as a function of the center (y, w) of one packet:
 
         pref * exp(E(y, w)),

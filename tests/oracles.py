@@ -23,7 +23,7 @@ independent one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -199,7 +199,7 @@ def translate(g: GaussianState, v: PlaneTranslation) -> GaussianState:
     exp(+i*pi*a*b/h) * exp(2*i*pi*b*q/h).
     """
     phase = cis_turns((v.a * v.b / 2.0 + v.b * g.q) / g.h)
-    return replace(g, amplitude=g.amplitude * phase, q=g.q + v.a, p=g.p + v.b)
+    return g._replace(amplitude=g.amplitude * phase, q=g.q + v.a, p=g.p + v.b)
 
 
 def compose_translation_phase(v1: PlaneTranslation, v2: PlaneTranslation, h: float) -> complex:

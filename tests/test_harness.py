@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -12,13 +13,16 @@ import numpy as np
 import pytest
 
 from conftest import QCAT_ROOT, run_cli, run_python
-from qcat import harness, lagrangian
-from qcat.errors import ConfigError
-from qcat.classical import TorusPoint
-from qcat.harness import (EXPERIMENTS, _write_frame, load_config, run_bands, run_experiment,
-                          run_unitarity)
+from qcat import birkhoff, cli, harness, lagrangian
+from qcat.errors import ConfigError, NonPositiveHError, OddNError
+from qcat.classical import (Sl2IntMatrix, TorusPoint, flow_coefficients, hamiltonian_from_matrix,
+                            spectral_data)
+from qcat.harness import (EXPERIMENTS, ExperimentResult, _write_frame, load_config, run_bands,
+                          run_experiment, run_unitarity)
+from qcat.metaplectic import GaussianState, wavepacket
 from qcat.tables import ResultTable, format_cell
-from qcat.torus import HusimiGrid
+from qcat.torus import (HusimiGrid, TorusState, husimi, pair_symmetrized_detailed,
+                        torus_coefficients)
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -102,7 +106,8 @@ def test_cli_import_is_lean():
     spec.loader.exec_module(spans)
     code = "import json, sys, qcat.cli; print(json.dumps(sorted(sys.modules)))"
     loaded = set(json.loads(run_python(["-c", code]).stdout))
-    assert not loaded & {"concurrent.futures", "fractions", "decimal", "logging"}
+    # The records are NamedTuples: no dataclass code generation at import.
+    assert not loaded & {"concurrent.futures", "fractions", "decimal", "logging", "dataclasses"}
     assert {f"qcat.{mod}" for mod in spans.TRACED} <= loaded
 
 
@@ -159,6 +164,75 @@ def test_package_holds_no_test_only_module():
         for alias in node.names:
             assert alias.name in source.__all__, f"qcat.{node.module} does not export {alias.name!r}"
             assert getattr(package_module, alias.name) is getattr(source, alias.name)
+
+
+def test_records_are_immutable_and_validated(tmp_path):
+    cat = Sl2IntMatrix(2, 1, 1, 1)
+    sd = spectral_data(cat)
+    h = 1.0 / 16
+    g = wavepacket(0.3, 0.4, h)
+    table = ResultTable(schema="s", columns=("a", "b"), rows=[(1, 0.5)])
+    ham = hamiltonian_from_matrix(cat)
+    records = [
+        cat, sd, ham, flow_coefficients(ham, 1.0),
+        TorusPoint(0.3, 0.4), g, birkhoff.SkewMap(0.37, 4),
+        birkhoff.InterferenceObservable(0.3, 0.4, sd.theta, h, lagrangian.damping_coefficient(cat)),
+        lagrangian.make_damped_lagrangian(cat, 2, h), lagrangian.wavepacket_overlap_field(g),
+        lagrangian.BandIndexer(theta=sd.theta, q0=0.3, p0=0.4, s_prime=0.0),
+        torus_coefficients(g), pair_symmetrized_detailed(g, g)[1], husimi(g, 8),
+        load_config(write_config(tmp_path)), ExperimentResult(table), table,
+    ]
+    assert len({type(r) for r in records}) == 17
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    # The defaults of ExperimentResult are one read-only mapping, never a
+    # shared dict that one result could fill for another.
+    with pytest.raises(TypeError):
+        ExperimentResult(table).frames["x"] = None
+    with pytest.raises(TypeError):
+        ExperimentResult(table).fitted_constants["x"] = None
+    # The six validating constructors keep their checks.
+    with pytest.raises(ValueError):
+        Sl2IntMatrix(2, 0, 0, 1)
+    with pytest.raises(ValueError):
+        Sl2IntMatrix(1.0, 0, 0, 1)  # type: ignore[arg-type]
+    assert TorusPoint(1.25, -0.25) == (0.25, 0.75)
+    with pytest.raises(NonPositiveHError):
+        GaussianState(1.0, 1j, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        GaussianState(1.0, 1.0 + 0j, 0.0, 0.0, h)
+    with pytest.raises(OddNError):
+        TorusState(N=3, coeffs=np.zeros(3, dtype=complex))
+    with pytest.raises(ValueError):
+        TorusState(N=4, coeffs=np.zeros(3, dtype=complex))
+    with pytest.raises(OddNError):
+        birkhoff.SkewMap(alpha=0.37, N=5)
+    with pytest.raises(ValueError):
+        ResultTable(schema="s", columns=("a", "b"), rows=[(1,)])
+    # _replace and _make skip those checks, so the package calls neither.
+    for path in (QCAT_ROOT / "qcat").glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        assert "._replace(" not in source and "._make(" not in source, path.name
+
+
+def test_cli_parser(tmp_path, capsys):
+    # One positional experiment: a bad or missing name is argparse's exit 2.
+    for argv, message in ((["bogus"], "invalid choice: 'bogus'"),
+                          ([], "the following arguments are required: experiment")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--config", "c.json", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    text = cli.build_parser().format_help()
+    assert all(name in text for name in EXPERIMENTS)
+    # main() leaves the collector alone; only the process entry point freezes.
+    frozen = gc.get_freeze_count()
+    cfg = write_config(tmp_path, N_values=[2])
+    assert cli.main(["unitarity", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_resolve_times_ehrenfest(tmp_path):
