@@ -36,10 +36,6 @@ class TruncationOverflowError(QcatError):
     """A certified lattice truncation radius exceeded the configured cap."""
 
 
-class NotPerfectSquareError(QcatError):
-    """The wave-packet lattice requires N to be a perfect square."""
-
-
 class ThresholdViolationError(QcatError):
     """The requested time n is below the validity threshold of the estimate."""
 

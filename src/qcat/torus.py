@@ -34,8 +34,10 @@ floating point.
 For N-point work there is an equivalent exact route (Poisson summation):
 S(g) is determined by the N samples of the 1-periodization of g on the grid
 r/N, the pairing is the discrete inner product (1/N) sum_r v_r conj(w_r),
-and the Fourier coefficients are the inverse DFT of those samples.  The two
-routes are cross-validated in the test suite.  Husimi frames take it one
+and the Fourier coefficients are the inverse DFT of those samples.  The
+package keeps only the samples (:func:`periodized_samples`); the Parseval
+pairing on the coefficients is a test oracle in ``tests/oracles.py``,
+checked there against the lattice route.  Husimi frames take it one
 step further: unfolding the periodization turns each grid row of pairings
 into one length-R FFT (see :func:`husimi`), and the lattice route stays as
 their test oracle.
@@ -49,7 +51,6 @@ constant.  The comb inversion it replaces stays as a test oracle.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +58,6 @@ import numpy as np
 from .classical import Sl2IntMatrix, TorusPoint
 from .errors import (
     MismatchedHError,
-    NotPerfectSquareError,
     NumericalToleranceError,
     OddNError,
     TruncationOverflowError,
@@ -65,14 +65,11 @@ from .errors import (
 from .metaplectic import GaussianState, cis_turns, gaussian_eval, propagate_n, wavepacket
 
 __all__ = [
-    "TorusState",
     "LatticeTruncation",
     "OverlapForm",
     "HusimiGrid",
     "even_n_from_h",
     "periodized_samples",
-    "torus_coefficients",
-    "pair_from_coefficients",
     "overlap_form",
     "pair_symmetrized",
     "pair_symmetrized_detailed",
@@ -81,7 +78,6 @@ __all__ = [
     "build_propagator_matrix",
     "matrix_element_exact",
     "husimi",
-    "wavepacket_lattice",
 ]
 
 # Lattice pairing: certified tail relative to |g| |test|, and the term cap.
@@ -93,26 +89,6 @@ _SAMPLE_TAIL = 1e-16
 _COMB_WIDTH = 20.0
 # exp(x) is exactly 0.0 in float64 for x < log(2^-1075) = -745.1332...
 _EXP_FLOOR = -746.0
-
-
-class TorusState(namedtuple("TorusState", "N coeffs")):
-    """Element of the torus space as N Fourier coefficients d_0..d_{N-1}.
-
-    The coefficient sequence is N-periodic; these are one period.  With :func:`torus_coefficients` and :func:`pair_from_coefficients` this
-    is the Parseval route of the pairing.  No experiment runs it yet; it
-    stays here because the vector-route matrix element and the wave-packet
-    frame of ROADMAP.md are built on it, and the tests check it against the
-    lattice route.  ``_replace`` and ``_make`` skip the checks of N and shape.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, N: int, coeffs: np.ndarray) -> "TorusState":
-        if N <= 0 or N % 2 != 0:
-            raise OddNError(f"N must be a positive even integer, got {N}")
-        if coeffs.shape != (N,):
-            raise ValueError(f"expected {N} coefficients, got {coeffs.shape}")
-        return super().__new__(cls, N, coeffs)
 
 
 class LatticeTruncation(NamedTuple):
@@ -157,23 +133,6 @@ def periodized_samples(g: GaussianState, N: int) -> np.ndarray:
     r = np.arange(N) / N
     x = r[None, :] + np.arange(m_lo, m_hi + 1)[:, None]
     return np.sum(gaussian_eval(g, x), axis=0)
-
-
-def torus_coefficients(g: GaussianState) -> TorusState:
-    """Fourier data of the symmetrized state.
-
-    d_n = (1/N) sum_{j in Z} g(j/N) exp(2*i*pi*n*j/N): the lattice sum of
-    Gaussian samples against plane waves, N-periodic in n by construction.
-    """
-    N = even_n_from_h(g.h)
-    return TorusState(N=N, coeffs=np.fft.ifft(periodized_samples(g, N)))
-
-
-def pair_from_coefficients(s1: TorusState, s2: TorusState) -> complex:
-    """Finite Parseval form of the Hermitian pairing: sum_n d_n conj(e_n)."""
-    if s1.N != s2.N:
-        raise OddNError(f"states live on different tori: N={s1.N} vs N={s2.N}")
-    return complex(np.sum(s1.coeffs * np.conj(s2.coeffs)))
 
 
 def shell_tail_bound(k: float, mu: float) -> float:
@@ -580,16 +539,3 @@ def husimi(g: GaussianState, resolution: int) -> HusimiGrid:
     c_h = (2.0 * N) ** 0.25
     dens = N * (c_h / N) ** 2 * np.abs(np.fft.fft(folded, axis=1)) ** 2
     return HusimiGrid(resolution=R, values=dens, h=1.0 / N)
-
-
-def wavepacket_lattice(N: int) -> list[TorusPoint]:
-    """The sqrt(N) x sqrt(N) analysis grid {(j/K, l/K)}, K = sqrt(N).
-
-    This family is used as a frame; no orthonormality is assumed.  No
-    experiment runs it yet: it is the frame in which ROADMAP.md plans to
-    check the whole propagator matrix against the Birkhoff-sum prediction.
-    """
-    k = math.isqrt(N)
-    if k * k != N:
-        raise NotPerfectSquareError(f"N must be a perfect square, got {N}")
-    return [TorusPoint(j / k, l / k) for j in range(k) for l in range(k)]

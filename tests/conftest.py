@@ -116,9 +116,10 @@ def comb_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
     U d(g) = d(U g) on the family's span, which is the whole space.  It
     costs N propagations and a dense inverse, O(N^3).
     """
+    from oracles import torus_coefficients
     from qcat.errors import OddNError
     from qcat.metaplectic import propagate_n
-    from qcat.torus import comb_state, torus_coefficients
+    from qcat.torus import comb_state
 
     if N <= 0 or N % 2 != 0:
         raise OddNError(f"N must be a positive even integer, got {N}")
@@ -135,7 +136,8 @@ def dense_comb_gram_min_eig(N: int) -> float:
     """Oracle for ``torus.comb_gram_min_eig``: the N comb states built one
     at a time, their unit-diagonal Gram matrix through the Parseval form of
     the pairing, and a dense Hermitian eigensolve, O(N^3)."""
-    from qcat.torus import comb_state, torus_coefficients
+    from oracles import torus_coefficients
+    from qcat.torus import comb_state
 
     basis = np.empty((N, N), dtype=complex)
     for k in range(N):

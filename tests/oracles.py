@@ -18,20 +18,26 @@ independent one.
   criterion A9).
 - Damped Lagrangian states: pointwise evaluation and the pointwise
   approximation check against the exactly propagated packet.
+- The Parseval pairing on the torus: a state as the N Fourier coefficients
+  of its symmetrization (the inverse DFT of its periodized samples), and
+  the pairing as their finite inner product, the independent route for the
+  lattice pairing and the coefficient side of the comb-inversion oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from qcat.classical import FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients
-from qcat.errors import MismatchedHError, NonPositiveHError, QcatError, ZeroACoefficientError
+from qcat.errors import MismatchedHError, NonPositiveHError, OddNError, QcatError, ZeroACoefficientError
 from qcat.lagrangian import DampedLagrangianState, aligned_propagated_state, make_damped_lagrangian
 from qcat.metaplectic import GaussianState, cis_turns, gaussian_eval
+from qcat.torus import even_n_from_h, periodized_samples
 
 _TWO_PI = 2.0 * math.pi
 
@@ -363,3 +369,39 @@ def check_pointwise_approx(m: Sl2IntMatrix, n: int, h: float, grid: np.ndarray) 
     return PointwiseApproxReport(
         n=n, h=h, fitted_r=fitted, max_ratio=float(np.max(ratio)), violations=violations
     )
+
+
+# ---------------------------------------------------------------- Parseval pairing
+
+class TorusState(namedtuple("TorusState", "N coeffs")):
+    """Element of the torus space as N Fourier coefficients d_0..d_{N-1}.
+
+    The coefficient sequence is N-periodic; these are one period.
+    ``_replace`` and ``_make`` skip the checks of N and shape.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, N: int, coeffs: np.ndarray) -> "TorusState":
+        if N <= 0 or N % 2 != 0:
+            raise OddNError(f"N must be a positive even integer, got {N}")
+        if coeffs.shape != (N,):
+            raise ValueError(f"expected {N} coefficients, got {coeffs.shape}")
+        return super().__new__(cls, N, coeffs)
+
+
+def torus_coefficients(g: GaussianState) -> TorusState:
+    """Fourier data of the symmetrized state.
+
+    d_n = (1/N) sum_{j in Z} g(j/N) exp(2*i*pi*n*j/N): the lattice sum of
+    Gaussian samples against plane waves, N-periodic in n by construction.
+    """
+    N = even_n_from_h(g.h)
+    return TorusState(N=N, coeffs=np.fft.ifft(periodized_samples(g, N)))
+
+
+def pair_from_coefficients(s1: TorusState, s2: TorusState) -> complex:
+    """Finite Parseval form of the Hermitian pairing: sum_n d_n conj(e_n)."""
+    if s1.N != s2.N:
+        raise OddNError(f"states live on different tori: N={s1.N} vs N={s2.N}")
+    return complex(np.sum(s1.coeffs * np.conj(s2.coeffs)))

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import ast
 import gc
 import hashlib
 import importlib
@@ -21,8 +20,7 @@ from qcat.harness import (EXPERIMENTS, ExperimentResult, _write_frame, load_conf
                           run_experiment, run_unitarity)
 from qcat.metaplectic import GaussianState, wavepacket
 from qcat.tables import ResultTable, format_cell
-from qcat.torus import (HusimiGrid, TorusState, husimi, pair_symmetrized_detailed,
-                        torus_coefficients)
+from qcat.torus import HusimiGrid, husimi, pair_symmetrized_detailed
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -149,21 +147,23 @@ def test_package_holds_no_test_only_module():
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert modules - set(json.loads(proc.stdout)) == set()
-    # Every name a module exports resolves, and every name the package
-    # re-exports is exported by the module it comes from.
+    # Every name a module exports resolves.
     for name in sorted(modules):
         module = importlib.import_module(name)
         for attr in getattr(module, "__all__", ()):
             assert hasattr(module, attr), f"{name}.__all__ names missing {attr!r}"
-    package_module = importlib.import_module("qcat")
-    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
-    reexports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert reexports
-    for node in reexports:
-        source = importlib.import_module(f"qcat.{node.module}")
-        for alias in node.names:
-            assert alias.name in source.__all__, f"qcat.{node.module} does not export {alias.name!r}"
-            assert getattr(package_module, alias.name) is getattr(source, alias.name)
+
+
+def test_package_import_loads_only_what_is_asked():
+    # The package holds no re-export layer: importing it loads no module of
+    # its own, and a module loads only itself and what it imports.
+    code = ("import json, sys, importlib; importlib.import_module(sys.argv[1]); "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'qcat')))")
+    for target, expected in (("qcat", ["qcat"]),
+                             ("qcat.classical", ["qcat", "qcat.classical", "qcat.errors"])):
+        proc = run_python(["-c", code, target])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected, target
 
 
 def test_records_are_immutable_and_validated(tmp_path):
@@ -179,10 +179,10 @@ def test_records_are_immutable_and_validated(tmp_path):
         birkhoff.InterferenceObservable(0.3, 0.4, sd.theta, h, lagrangian.damping_coefficient(cat)),
         lagrangian.make_damped_lagrangian(cat, 2, h), lagrangian.wavepacket_overlap_field(g),
         lagrangian.BandIndexer(theta=sd.theta, q0=0.3, p0=0.4, s_prime=0.0),
-        torus_coefficients(g), pair_symmetrized_detailed(g, g)[1], husimi(g, 8),
+        pair_symmetrized_detailed(g, g)[1], husimi(g, 8),
         load_config(write_config(tmp_path)), ExperimentResult(table), table,
     ]
-    assert len({type(r) for r in records}) == 17
+    assert len({type(r) for r in records}) == 16
     for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
@@ -194,7 +194,7 @@ def test_records_are_immutable_and_validated(tmp_path):
         ExperimentResult(table).frames["x"] = None
     with pytest.raises(TypeError):
         ExperimentResult(table).fitted_constants["x"] = None
-    # The six validating constructors keep their checks.
+    # The five validating constructors keep their checks.
     with pytest.raises(ValueError):
         Sl2IntMatrix(2, 0, 0, 1)
     with pytest.raises(ValueError):
@@ -204,10 +204,6 @@ def test_records_are_immutable_and_validated(tmp_path):
         GaussianState(1.0, 1j, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         GaussianState(1.0, 1.0 + 0j, 0.0, 0.0, h)
-    with pytest.raises(OddNError):
-        TorusState(N=3, coeffs=np.zeros(3, dtype=complex))
-    with pytest.raises(ValueError):
-        TorusState(N=4, coeffs=np.zeros(3, dtype=complex))
     with pytest.raises(OddNError):
         birkhoff.SkewMap(alpha=0.37, N=5)
     with pytest.raises(ValueError):

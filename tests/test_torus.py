@@ -8,13 +8,13 @@ import pytest
 
 import qcat.torus
 from conftest import comb_propagator_matrix, dense_at_box_points, dense_comb_gram_min_eig
-from oracles import PlaneTranslation, gaussian_overlap, lagrangian_eval, overlap_quadrature, translate
+from oracles import (PlaneTranslation, TorusState, gaussian_overlap, lagrangian_eval, overlap_quadrature,
+                     pair_from_coefficients, torus_coefficients, translate)
 from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
 from qcat.errors import (
     MismatchedHError,
     NegativeSpectrumError,
     NonHyperbolicError,
-    NotPerfectSquareError,
     NumericalToleranceError,
     OddNError,
     TruncationOverflowError,
@@ -35,13 +35,10 @@ from qcat.torus import (
     husimi,
     matrix_element_exact,
     overlap_form,
-    pair_from_coefficients,
     pair_symmetrized,
     pair_symmetrized_detailed,
     periodized_samples,
     shell_tail_bound,
-    torus_coefficients,
-    wavepacket_lattice,
 )
 
 
@@ -226,6 +223,23 @@ def test_torus_coefficients_properties():
     assert np.allclose(
         torus_coefficients(scaled).coeffs, (0.7 - 0.3j) * torus_coefficients(g).coeffs
     )
+
+
+def test_torus_state_validates():
+    # The oracle's record is immutable and checks N and the shape of its
+    # coefficients, and the Parseval pairing refuses states on different tori.
+    with pytest.raises(OddNError):
+        TorusState(N=3, coeffs=np.zeros(3, dtype=complex))
+    with pytest.raises(ValueError):
+        TorusState(N=4, coeffs=np.zeros(3, dtype=complex))
+    with pytest.raises(OddNError):
+        pair_from_coefficients(torus_coefficients(wavepacket(0.0, 0.0, 0.5)),
+                               torus_coefficients(wavepacket(0.0, 0.0, 0.25)))
+    ts = torus_coefficients(wavepacket(0.3, 0.4, 1.0 / 16))
+    with pytest.raises(AttributeError):
+        ts.N = 8
+    with pytest.raises(AttributeError):
+        ts.extra = None
 
 
 def test_parseval_route_matches_lattice_route():
@@ -428,22 +442,6 @@ def test_husimi_localization_and_mass(cat):
     assert abs(masses[1] - masses[0]) / norm_sq < 1e-3
     with pytest.raises(ValueError):
         husimi(g, 4)
-
-
-def test_wavepacket_lattice():
-    pts = wavepacket_lattice(4)
-    assert {(p.q, p.p) for p in pts} == {(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)}
-    pts16 = wavepacket_lattice(16)
-    assert len(pts16) == 16
-    assert sorted({p.q for p in pts16}) == [0.0, 0.25, 0.5, 0.75]
-    with pytest.raises(NotPerfectSquareError):
-        wavepacket_lattice(8)
-    # Frame Gram conditioning is finite and positive (no orthonormality assumed).
-    h = 1.0 / 16.0
-    frame = [wavepacket(p.q, p.p, h) for p in pts16]
-    gram = np.array([[pair_symmetrized(a, b) for a in frame] for b in frame])
-    cond = np.linalg.cond((gram + gram.conj().T) / 2.0)
-    assert np.isfinite(cond) and cond > 0
 
 
 def test_slow_variation_pairing_bound(cat):
