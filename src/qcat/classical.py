@@ -1,11 +1,12 @@
-"""Classical side of the model: SL(2,Z) torus automorphisms, their hyperbolic
-spectral data, quadratic Hamiltonians generating them, the Ehrenfest time,
-the validity threshold of the matrix-element theorem, and the seeded torus
-points the experiments draw when no points are configured.
+"""Classical side of the model: SL(2,Z) torus automorphisms, the spectral
+data of every hyperbolic one, quadratic Hamiltonians generating those of
+trace > 2, the Ehrenfest time, the validity threshold of the matrix-element
+theorem, and the seeded torus points the experiments draw.
 
-No experiment samples a flow: propagation uses only the integer entries of
-the matrix (see :func:`qcat.metaplectic.propagate_n`).  The Hamiltonian and
-its flow (:class:`QuadraticHamiltonian`, :func:`hamiltonian_from_matrix`,
+No experiment samples a flow, so trace < -2 (no real logarithm) is served
+too: propagation uses only the integer entries of the matrix (see
+:func:`qcat.metaplectic.propagate_n`).  The Hamiltonian and its flow
+(:class:`QuadraticHamiltonian`, :func:`hamiltonian_from_matrix`,
 :class:`FlowCoefficients`, :func:`flow_coefficients`) stay in the package
 because the benchmark's span tracer (``perfbench/spans.py``) resolves
 ``classical.flow_coefficients`` by name and counts its calls, which is how a
@@ -233,28 +234,23 @@ def seeded_points(seed: int, count: int) -> list[TorusPoint]:
 
 
 def spectral_data(m: Sl2IntMatrix) -> SpectralData:
-    """Expanding eigenvalue > 1 and unstable angle of a trace > 2 matrix.
+    """Expansion rate lam > 1 and unstable angle of a hyperbolic matrix:
+    lam = |lam_s| for the expanding eigenvalue lam_s = (tr + sign(tr)
+    sqrt(tr^2 - 4))/2.  Each step for -m negates the step for m, so m and
+    -m give the same bits.
 
     Raises:
         NonHyperbolicError: if |trace| <= 2.
-        NegativeSpectrumError: if trace < -2 (negative eigenvalues; the real
-            logarithm of the flow does not exist, out of scope).
     """
     tr = m.trace
     if abs(tr) <= 2:
         raise NonHyperbolicError(f"|trace| must exceed 2, got trace {tr}")
-    if tr < -2:
-        raise NegativeSpectrumError(f"trace {tr} < -2: eigenvalues are negative")
-    lam = 0.5 * (tr + math.sqrt(tr * tr - 4.0))
-    # Unstable eigenvector: (b, lam - a), or (lam - d, c) when b = 0.
-    if m.b != 0:
-        vx, vy = float(m.b), lam - m.a
-    else:
-        vx, vy = lam - m.d, float(m.c)
+    lam_s = 0.5 * (tr + math.copysign(math.sqrt(tr * tr - 4.0), tr))
+    # Unstable eigenvector (b, lam_s - a); b != 0 because b = 0 forces trace +-2.
+    vx, vy = float(m.b), lam_s - m.a
     if vx < 0:
         vx, vy = -vx, -vy
-    theta = math.atan2(vy, vx)
-    return SpectralData(lam=lam, theta=theta)
+    return SpectralData(lam=abs(lam_s), theta=math.atan2(vy, vx))
 
 
 def hamiltonian_from_matrix(m: Sl2IntMatrix) -> QuadraticHamiltonian:
@@ -265,9 +261,14 @@ def hamiltonian_from_matrix(m: Sl2IntMatrix) -> QuadraticHamiltonian:
 
         log(m) = log(lam) * (2*m - trace(m)*I) / (lam - 1/lam).
 
-    Exact for hyperbolic matrices; no series truncation is involved.
+    Exact for trace > 2; no series truncation is involved.
+
+    Raises:
+        NegativeSpectrumError: if trace < -2 (no real logarithm).
     """
     sd = spectral_data(m)
+    if m.trace < -2:
+        raise NegativeSpectrumError(f"trace {m.trace} < -2: m has no real logarithm")
     lam = sd.lam
     k = math.log(lam) / (lam - 1.0 / lam)
     tr = float(m.trace)

@@ -12,8 +12,9 @@ class NonHyperbolicError(QcatError):
 
 
 class NegativeSpectrumError(QcatError):
-    """Matrix has trace < -2; its eigenvalues are negative and the flow
-    generator would need a complex logarithm, which is out of scope."""
+    """A quadratic Hamiltonian was asked for a matrix of trace < -2, whose
+    negative eigenvalues leave it without a real logarithm.  Propagation
+    needs no Hamiltonian and accepts such matrices."""
 
 
 class NonPositiveHError(QcatError):
@@ -22,10 +23,6 @@ class NonPositiveHError(QcatError):
 
 class MismatchedHError(QcatError):
     """Two states with different h were combined."""
-
-
-class ZeroACoefficientError(QcatError):
-    """The kernel formula for the propagator degenerates when a = 0."""
 
 
 class OddNError(QcatError):

@@ -84,12 +84,13 @@ def damping_coefficient(m: Sl2IntMatrix) -> complex:
     """Exact transverse damping coefficient of the propagated packet shape.
 
     beta = -i (i - z+)(z+ - z-)/(i - z-) for the unstable/stable slopes of
-    ``m``; equals 1/cos^2(theta) when ``m`` is symmetric.
+    ``m``, from its expanding eigenvalue lam_s = sign(trace) lam; equals
+    1/cos^2(theta) when ``m`` is symmetric.  m and -m give the same bits.
     """
-    sd = spectral_data(m)
+    lam_s = math.copysign(spectral_data(m).lam, m.trace)
     # b != 0 for every hyperbolic integer matrix (b = 0 forces trace +-2).
-    z_plus = (sd.lam - m.a) / m.b
-    z_minus = (1.0 / sd.lam - m.a) / m.b
+    z_plus = (lam_s - m.a) / m.b
+    z_minus = (1.0 / lam_s - m.a) / m.b
     return complex(-1j * (1j - z_plus) * (z_plus - z_minus) / (1j - z_minus))
 
 

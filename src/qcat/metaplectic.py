@@ -7,12 +7,11 @@ h-scaled Fourier transform and the propagator of any quadratic Hamiltonian,
 so every operation below is exact up to floating point.
 
 Branch: the quantized map of an integer matrix M multiplies the amplitude by
-(a + b*Theta)^(-1/2) with the branch continued from the identity.  For a
-hyperbolic M that is the principal square root (the sign argument is in
-:func:`propagate_n`), so propagation uses only the integer entries of M and
-never samples a flow.  Quantum translations, closed-form overlaps, the
-h-Fourier transform and the Schroedinger residual are test oracles in
-``tests/oracles.py``.
+(a + b*Theta)^(-1/2).  For every hyperbolic M the principal square root
+serves (the sign argument is in :func:`propagate_n`), so propagation uses
+only the integer entries of M and never samples a flow.  Quantum
+translations, closed-form overlaps, the h-Fourier transform and the
+Schroedinger residual are test oracles in ``tests/oracles.py``.
 
 Phase handling: oscillatory phases are reduced mod one full turn in 80-bit
 extended precision before calling trig functions (``cis_turns``), and phases
@@ -33,7 +32,7 @@ from collections import namedtuple
 import numpy as np
 
 from .classical import Sl2IntMatrix, spectral_data
-from .errors import NonPositiveHError, ZeroACoefficientError
+from .errors import NonPositiveHError
 
 __all__ = [
     "GaussianState",
@@ -140,28 +139,24 @@ def _propagate_core(a: float, b: float, c: float, d: float, g: GaussianState) ->
 def propagate_n(m: Sl2IntMatrix, g: GaussianState, n: int) -> GaussianState:
     """n-fold application of the quantized map (n >= 0).
 
-    ``m`` is the identity or hyperbolic with trace > 2.  Each step moves
-    the center classically, updates theta' = (c + d*theta)/(a + b*theta),
-    and multiplies the amplitude by (a + b*theta)^(-1/2) and the recentering
-    phase exp(i*pi*(q'p' - qp)/h).  The branch of the root continued from 1
-    along the flow of log m is the principal one: on that flow
-    b_s = beta*sinh(mu*s)/mu has the sign of b for s in (0, 1], and b != 0
-    for a hyperbolic integer matrix, so Im(a_s + b_s*theta) = b_s*Im(theta)
-    keeps one sign and the path never meets (-inf, 0].
+    ``m`` is the identity or hyperbolic (|trace| > 2, either sign, any a).
+    Each step moves the center classically, updates
+    theta' = (c + d*theta)/(a + b*theta), and multiplies the amplitude by
+    (a + b*theta)^(-1/2) and the recentering phase exp(i*pi*(q'p' - qp)/h).
+    The root is the principal one: b != 0 for every hyperbolic integer
+    matrix (b = 0 forces trace +-2), so Im(a + b*theta) = b*Im(theta) != 0
+    and a + b*theta never meets the cut (-inf, 0].  For trace > 2 that is
+    the branch continued from 1 along the flow of log m; the test suite
+    checks it against that flow.
 
     Raises:
-        NonHyperbolicError / NegativeSpectrumError: from
-            :func:`spectral_data` for any other matrix.
-        ZeroACoefficientError: if m has a = 0 (the kernel formula
-            degenerates there).
+        NonHyperbolicError: from :func:`spectral_data` for any other matrix.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0 or m.is_identity:
         return g
     spectral_data(m)  # raises for non-hyperbolic input
-    if m.a == 0:
-        raise ZeroACoefficientError("matrix has a = 0")
     a, b, c, d = float(m.a), float(m.b), float(m.c), float(m.d)
     out = g
     for _ in range(n):

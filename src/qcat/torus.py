@@ -307,13 +307,14 @@ def overlap_form(g: GaussianState, test: GaussianState) -> OverlapForm:
     """<g@(y,w), test> as an :class:`OverlapForm` in the translated center
     (y, w) of ``g``.
 
-    Accurate only when ``test`` is a plain packet, an unpropagated
-    :func:`wavepacket`, as in every production call.  The expanded form
-    cancels large terms when both states are spread: for two packets
-    propagated n = 8 steps it is off by 3.9e-2 (N = 16) and 10.6
-    (N = 1024) relative against a 60-digit reference.  Nothing checks this
-    precondition.
+    ``test`` must be a plain packet (theta = i), an unpropagated
+    :func:`wavepacket`, as in every production call; anything else raises
+    ValueError.  The expanded form cancels large terms when both states are
+    spread: for two packets propagated n = 8 steps it is off by 3.9e-2
+    (N = 16) and 10.6 (N = 1024) relative against a 60-digit reference.
     """
+    if complex(test.theta) != 1j:
+        raise ValueError(f"test must be a plain wavepacket (theta = i), got theta {test.theta}")
     h = g.h
     th1 = complex(g.theta)
     th2c = np.conj(complex(test.theta))
@@ -424,17 +425,19 @@ def _chirp(x: int, N: int) -> np.ndarray:
 
 
 def _apply_chain(shears: list[int], samples: np.ndarray) -> np.ndarray:
-    """The factor chain of :func:`_shear_chain` on the columns of ``samples``.
+    """The factor chain of :func:`_shear_chain` on the columns of ``samples``,
+    in place: the complex N x K input is overwritten and returned.
 
-    ``samples`` is an N x K array of sample vectors v = fft(coeffs).  L_x
-    is the chirp e(x j^2 / 2N) and J the unitary DFT, so the result is the
-    torus propagator in the sample representation up to its unit constant.
+    ``samples`` holds sample vectors v = fft(coeffs).  L_x is the chirp
+    e(x j^2 / 2N) and J the unitary DFT, so the result is the torus
+    propagator in the sample representation up to its unit constant.
     """
     N = samples.shape[0]
-    out = samples * _chirp(shears[0], N)[:, None]
+    samples *= _chirp(shears[0], N)[:, None]
     for x in shears[1:]:
-        out = np.fft.fft(out, axis=0, norm="ortho") * _chirp(x, N)[:, None]
-    return out
+        np.fft.fft(samples, axis=0, norm="ortho", out=samples)
+        samples *= _chirp(x, N)[:, None]
+    return samples
 
 
 def build_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
@@ -447,8 +450,8 @@ def build_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
     with e(t) = exp(2 i pi t), output index j and input index k.  A general
     matrix is a chain of such factors (:func:`_shear_chain`), applied by
     :func:`_apply_chain` to the columns of fft(eye(N)); the result is
-    U = ifft . U_s . fft.  Every chirp phase is an exact fraction of a turn,
-    and the cost is O(N^2 log N).
+    U = ifft . U_s . fft, each step in place on one N x N array.  Every
+    chirp phase is an exact fraction of a turn; the cost is O(N^2 log N).
 
     The unit constant is pinned by one packet: the chain applied to the
     samples of a coherent state is compared with the samples of
@@ -457,9 +460,8 @@ def build_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
 
     Raises:
         OddNError: for odd N.
-        NonHyperbolicError / NegativeSpectrumError / ZeroACoefficientError:
-            from ``propagate_n``, for a matrix other than the identity whose
-            trace is not above 2 or whose a is 0.
+        NonHyperbolicError: from ``propagate_n``, for a matrix other than
+            the identity with |trace| <= 2.
         NumericalToleranceError: if the measured ratio is more than 1e-9 off
             the root.
     """
@@ -475,8 +477,10 @@ def build_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
         raise NumericalToleranceError(
             f"propagator constant {ratio:.12g} is {abs(ratio - unit):.3e} off the root {unit:.12g}"
         )
-    samples = _apply_chain(shears, np.fft.fft(np.eye(N), axis=0)) * unit
-    return np.fft.ifft(samples, axis=0)
+    samples = np.eye(N, dtype=complex)
+    _apply_chain(shears, np.fft.fft(samples, axis=0, out=samples))
+    samples *= unit
+    return np.fft.ifft(samples, axis=0, out=samples)
 
 
 def matrix_element_exact(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -46,8 +47,19 @@ def rng():
     return np.random.default_rng(12345)
 
 
+# Every hyperbolic matrix with entries in [-3, 3]: either sign of the trace, any a.
+_HYPERBOLIC = [Sl2IntMatrix(*e) for e in itertools.product(range(-3, 4), repeat=4)
+               if e[0] * e[3] - e[1] * e[2] == 1 and abs(e[0] + e[3]) > 2]
+
+
 def random_hyperbolic(rng) -> Sl2IntMatrix:
-    """Random trace > 2 matrix as a product of positive shears."""
+    """Random hyperbolic matrix with entries in [-3, 3], for propagation tests."""
+    return _HYPERBOLIC[int(rng.integers(len(_HYPERBOLIC)))]
+
+
+def random_shear_product(rng) -> Sl2IntMatrix:
+    """Random trace > 2 matrix with a > 0 as a product of positive shears,
+    for the tests whose oracle needs a flow or a > 0."""
     a = int(rng.integers(1, 4))
     c = int(rng.integers(1, 4))
     return Sl2IntMatrix(1, a, 0, 1) @ Sl2IntMatrix(1, 0, c, 1)

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from qcat.classical import FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients
-from qcat.errors import MismatchedHError, NonPositiveHError, OddNError, QcatError, ZeroACoefficientError
+from qcat.errors import MismatchedHError, NonPositiveHError, OddNError, QcatError
 from qcat.lagrangian import DampedLagrangianState, aligned_propagated_state, make_damped_lagrangian
 from qcat.metaplectic import GaussianState, cis_turns, gaussian_eval
 from qcat.torus import even_n_from_h, periodized_samples
@@ -44,6 +44,10 @@ _TWO_PI = 2.0 * math.pi
 
 class QuadratureNonConvergenceError(QcatError):
     """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+class ZeroACoefficientError(QcatError):
+    """The kernel formula for the propagator degenerates when a = 0."""
 
 
 # ---------------------------------------------------------------- quadrature

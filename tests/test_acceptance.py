@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_gaussian_state, random_hyperbolic, run_cli
+from conftest import random_gaussian_state, random_hyperbolic, random_shear_product, run_cli
 from oracles import (
     PlaneTranslation,
     check_pointwise_approx,
@@ -22,7 +22,9 @@ from oracles import (
     gaussian_overlap,
     kernel_quadrature_oracle,
     overlap_quadrature,
+    pair_from_coefficients,
     schrodinger_residual,
+    torus_coefficients,
     translate,
 )
 from qcat.birkhoff import fit_theorem_constant, theorem_rhs
@@ -36,7 +38,6 @@ from qcat.torus import (
     comb_state,
     husimi,
     matrix_element_exact,
-    pair_symmetrized,
 )
 
 CAT = Sl2IntMatrix(2, 1, 1, 1)
@@ -109,8 +110,8 @@ def test_a3_dimension():
     t0 = time.time()
     smallest = 1.0
     for n_dim in (2, 4, 8, 16):
-        basis = [comb_state(n_dim, k) for k in range(n_dim)]
-        gram = np.array([[pair_symmetrized(bk, bj) for bk in basis] for bj in basis])
+        basis = [torus_coefficients(comb_state(n_dim, k)) for k in range(n_dim)]
+        gram = np.array([[pair_from_coefficients(bk, bj) for bk in basis] for bj in basis])
         norm = np.sqrt(np.real(np.diag(gram)))
         gram_n = gram / np.outer(norm, norm)
         eig = np.linalg.eigvalsh((gram_n + gram_n.conj().T) / 2.0)
@@ -125,7 +126,7 @@ def test_a4_oracle_equivalence():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(15):
-        m = random_hyperbolic(rng)
+        m = random_shear_product(rng)
         h = float(rng.choice([1.0 / 8.0, 1.0 / 16.0]))
         g = random_gaussian_state(rng, h)
         out = propagate_n(m, g, 1)

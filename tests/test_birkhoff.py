@@ -11,7 +11,7 @@ import pytest
 from conftest import (_exact_frac, _support_half_width, _window, orbit_points, scanned_birkhoff_sum,
                       skew_apply, skew_iterate)
 from qcat import birkhoff
-from qcat.classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data,
+from qcat.classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_points, spectral_data,
                             validity_threshold)
 from qcat.errors import OddNError, ThresholdViolationError, TruncationOverflowError
 from qcat.birkhoff import (
@@ -619,6 +619,23 @@ def test_unit_constant_prediction_nonsymmetric(matrix):
         lhs = matrix_element_exact(matrix, n, src, dst, n_dim)
         rhs = theorem_rhs(matrix, n, h, src, dst)
         assert abs(lhs - rhs) < math.sqrt(h) * sd.lam ** (-0.5 * n)
+
+
+@pytest.mark.parametrize("entries, n", [((-2, -1, -1, -1), 8), ((-3, -1, -2, -1), 5),
+                                        ((-3, -1, -2, -1), 6), ((0, 1, -1, 3), 8),
+                                        ((0, 1, -1, -3), 8)])
+def test_unit_constant_prediction_whole_family(entries, n):
+    # Trace < -2 (n = 5 is odd) and a = 0 take the direct formula with D = 1
+    # and no parity bookkeeping, at 2.4-2.8 t_E for N = 256.
+    m = Sl2IntMatrix(*entries)
+    lam = spectral_data(m).lam
+    n_dim = 256
+    h = 1.0 / n_dim
+    points = seeded_points(11, 8)
+    for src, dst in zip(points[::2], points[1::2]):
+        lhs = matrix_element_exact(m, n, src, dst, n_dim)
+        rhs = theorem_rhs(m, n, h, src, dst)
+        assert abs(lhs - rhs) <= math.sqrt(h) * lam ** (-0.5 * n)
 
 
 def test_skew_closed_form_twenty_random_starts(cat):

@@ -17,6 +17,7 @@ from qcat.classical import (
     spectral_data,
 )
 from qcat.errors import NegativeSpectrumError, NonHyperbolicError, NonPositiveHError
+from qcat.lagrangian import damping_coefficient
 
 
 def expm2_oracle(m: np.ndarray, squarings: int = 10) -> np.ndarray:
@@ -96,8 +97,16 @@ def test_spectral_errors():
         spectral_data(Sl2IntMatrix(1, 0, 0, 1))
     with pytest.raises(NonHyperbolicError):
         spectral_data(Sl2IntMatrix(1, 1, 0, 1))
-    with pytest.raises(NegativeSpectrumError):
-        spectral_data(Sl2IntMatrix(-2, -1, -1, -1))
+    # Trace < -2: -M has the spectral data and damping of M, bit for bit,
+    # but no real logarithm, so no Hamiltonian.
+    for e in ((2, 1, 1, 1), (3, 1, 2, 1), (2, 3, 1, 2), (0, 1, -1, 3), (3, -1, -2, 1)):
+        m = Sl2IntMatrix(*e)
+        neg = Sl2IntMatrix(*(-v for v in e))
+        assert spectral_data(neg) == spectral_data(m)
+        assert damping_coefficient(neg) == damping_coefficient(m)
+        hamiltonian_from_matrix(m)
+        with pytest.raises(NegativeSpectrumError):
+            hamiltonian_from_matrix(neg)
 
 
 def test_hamiltonian_exponentiates_to_matrix(cat):

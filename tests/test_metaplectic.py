@@ -27,7 +27,7 @@ from qcat.classical import (
     hamiltonian_from_matrix,
     spectral_data,
 )
-from qcat.errors import MismatchedHError, NonPositiveHError, NumericalToleranceError, ZeroACoefficientError
+from qcat.errors import MismatchedHError, NonPositiveHError, NumericalToleranceError
 from qcat.metaplectic import (
     GaussianState,
     _propagate_core,
@@ -259,8 +259,9 @@ def test_propagate_unitarity_random(rng):
 def test_group_law_up_to_phase(rng):
     h = 0.25
     for _ in range(10):
-        m1 = random_hyperbolic(rng)
-        m2 = random_hyperbolic(rng)
+        m1, m2 = random_hyperbolic(rng), random_hyperbolic(rng)
+        while abs((m1 @ m2).trace) <= 2:
+            m2 = random_hyperbolic(rng)
         g = random_gaussian_state(rng, h)
         two_step = propagate_n(m1, propagate_n(m2, g, 1), 1)
         one_step = propagate_n(m1 @ m2, g, 1)
@@ -281,10 +282,15 @@ def test_equivariance_pointwise(rng):
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-def test_zero_a_coefficient_error():
-    # A hyperbolic integer matrix with a = 0: the kernel formula degenerates.
-    with pytest.raises(ZeroACoefficientError):
-        propagate_n(Sl2IntMatrix(0, 1, -1, 3), wavepacket(0.0, 0.0, 0.5), 1)
+def test_zero_a_propagation(cat, rng):
+    # a = 0 takes the one step: it keeps the norm and obeys the group law.
+    m, h = Sl2IntMatrix(0, 1, -1, 3), 0.25
+    for g in [wavepacket(0.3, -0.2, h)] + [random_gaussian_state(rng, h) for _ in range(5)]:
+        assert abs(propagate_n(m, g, 1).norm - g.norm) < 1e-12 * g.norm
+        for other in (m, cat, Sl2IntMatrix(-2, -1, -1, -1)):
+            two_step = propagate_n(m, propagate_n(other, g, 1), 1)
+            one_step = propagate_n(m @ other, g, 1)
+            assert abs(abs(gaussian_overlap(two_step, one_step)) - g.norm ** 2) < 1e-8
 
 
 def test_propagate_n_matches_repeated_application(cat):

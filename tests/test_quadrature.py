@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import QuadratureNonConvergenceError, kernel_quadrature_oracle, overlap_quadrature, tanh_sinh
+from oracles import (QuadratureNonConvergenceError, ZeroACoefficientError, kernel_quadrature_oracle,
+                     overlap_quadrature, tanh_sinh)
 from qcat.classical import FlowCoefficients, spectral_data
-from qcat.errors import ZeroACoefficientError
 from qcat.metaplectic import gaussian_eval, propagate_n, wavepacket
 
 

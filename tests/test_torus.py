@@ -13,12 +13,10 @@ from oracles import (PlaneTranslation, TorusState, gaussian_overlap, lagrangian_
 from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
 from qcat.errors import (
     MismatchedHError,
-    NegativeSpectrumError,
     NonHyperbolicError,
     NumericalToleranceError,
     OddNError,
     TruncationOverflowError,
-    ZeroACoefficientError,
 )
 from qcat.lagrangian import (
     BandIndexer,
@@ -83,6 +81,19 @@ def test_pair_validation_errors():
         pair_symmetrized(
             wavepacket(0, 0, 1.0 / 64.0), wavepacket(0, 0, 1.0 / 64.0), max_terms=4
         )
+
+
+def test_overlap_form_refuses_a_propagated_test(cat):
+    # The expanded form is sound only for a plain packet on the test side.
+    h = 1.0 / 16.0
+    g = propagate_n(cat, wavepacket(0.3, 0.4, h), 1)
+    with pytest.raises(ValueError, match="plain wavepacket"):
+        overlap_form(g, g)
+    with pytest.raises(ValueError, match="plain wavepacket"):
+        pair_symmetrized(wavepacket(0.3, 0.4, h), propagate_n(cat, wavepacket(0.1, 0.2, h), 8))
+    with pytest.raises(ValueError, match="plain wavepacket"):
+        pair_symmetrized(g, comb_state(16, 3))
+    overlap_form(g, wavepacket(0.1, 0.2, h))
 
 
 def _scan_certified_radius(g, test, tail_target=1e-13):
@@ -314,17 +325,25 @@ def test_propagator_matrix_matches_comb_oracle():
             assert np.max(np.abs(u - comb_propagator_matrix(m, n_dim))) < 1e-12
 
 
+# Trace < -2, a = 0, or both: the matrices the flow route refused.
+FAMILY_MATRICES = (Sl2IntMatrix(-3, 1, -1, 0), Sl2IntMatrix(0, 1, -1, 3),
+                   Sl2IntMatrix(-2, -1, -1, -1), Sl2IntMatrix(-2, -3, -1, -2))
+
+
 def test_propagator_matrix_error_parity(cat):
     cases = (
         (cat, 3, OddNError),
         (Sl2IntMatrix(1, 1, 0, 1), 4, NonHyperbolicError),
-        (Sl2IntMatrix(-3, 1, -1, 0), 4, NegativeSpectrumError),
-        (Sl2IntMatrix(0, 1, -1, 3), 4, ZeroACoefficientError),
     )
     for m, n_dim, error in cases:
         for build in (build_propagator_matrix, comb_propagator_matrix):
             with pytest.raises(error):
                 build(m, n_dim)
+    # The whole hyperbolic family takes the one build, and the comb oracle agrees.
+    for m in FAMILY_MATRICES:
+        for n_dim in (2, 4, 16, 36, 64):
+            u = build_propagator_matrix(m, n_dim)
+            assert np.max(np.abs(u - comb_propagator_matrix(m, n_dim))) < 1e-12, (m, n_dim)
     identity = Sl2IntMatrix(1, 0, 0, 1)
     for n_dim in (2, 16):
         assert np.max(np.abs(build_propagator_matrix(identity, n_dim) - np.eye(n_dim))) < 1e-14
@@ -357,10 +376,23 @@ def _torus_period(m: Sl2IntMatrix, modulus: int) -> int:
     return period
 
 
+def test_propagator_of_minus_m_is_parity_times_propagator():
+    # -M = (-I) M, and -I is quantized by the parity d_k -> d_(-k) of the
+    # coefficients, so U(-M) = c Pi U(M) with |c| = 1.
+    for m in (Sl2IntMatrix(2, 1, 1, 1), Sl2IntMatrix(3, 1, 2, 1)):
+        neg = Sl2IntMatrix(-m.a, -m.b, -m.c, -m.d)
+        for n_dim in (16, 64):
+            pi_u = build_propagator_matrix(m, n_dim)[-np.arange(n_dim)]
+            u_neg = build_propagator_matrix(neg, n_dim)
+            c = np.vdot(pi_u, u_neg) / n_dim
+            assert abs(abs(c) - 1.0) < 1e-12
+            assert np.max(np.abs(u_neg - c * pi_u)) < 1e-12
+
+
 def test_propagator_power_at_period_is_scalar():
     # Keating (1991): U^P is a unit multiple c of the identity for the period
     # P of M mod 2N, so every eigenphase lies on (arg c + 2 pi k) / P.
-    for m in ORACLE_MATRICES:
+    for m in ORACLE_MATRICES + (Sl2IntMatrix(0, 1, -1, 3), Sl2IntMatrix(-2, -1, -1, -1)):
         for n_dim in (16, 36, 64, 144):
             u = build_propagator_matrix(m, n_dim)
             period = _torus_period(m, 2 * n_dim)
@@ -373,9 +405,10 @@ def test_propagator_power_at_period_is_scalar():
 
 
 def test_gram_rank_is_n(cat):
+    # Comb states are not plain packets, so they pair through Parseval.
     for n_dim in (2, 4, 8, 16):
-        basis = [comb_state(n_dim, k) for k in range(n_dim)]
-        gram = np.array([[pair_symmetrized(bk, bj) for bk in basis] for bj in basis])
+        basis = [torus_coefficients(comb_state(n_dim, k)) for k in range(n_dim)]
+        gram = np.array([[pair_from_coefficients(bk, bj) for bk in basis] for bj in basis])
         norm = np.sqrt(np.real(np.diag(gram)))
         gram_n = gram / np.outer(norm, norm)
         eigs = np.linalg.eigvalsh((gram_n + gram_n.conj().T) / 2.0)
@@ -436,7 +469,7 @@ def test_husimi_localization_and_mass(cat):
     # Total Riemann mass approximates the squared torus norm, stably in R.
     n_dim = 32
     g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / n_dim), 2)
-    norm_sq = pair_symmetrized(g, g).real
+    norm_sq = pair_from_coefficients(torus_coefficients(g), torus_coefficients(g)).real
     masses = [husimi(g, r).riemann_mass for r in (64, 128)]
     assert abs(masses[1] - norm_sq) / norm_sq < 1e-3
     assert abs(masses[1] - masses[0]) / norm_sq < 1e-3
