@@ -21,9 +21,13 @@ Gaussian analysis (beta from the exact shape recursion; 1/cos^2 only in the
 symmetric special case), s' = b' - tan a' for the reduced image (a', b') of
 M^n (a, b), Lam = 1 - i tan + beta_c lam^(-2n), and P collects the explicit
 configuration phases (metaplectic branch, packet recentering, lift
-reduction and target anchoring).  D is a single complex constant fitted once
-on a reference batch and frozen.  The factor (Re(beta_c) cos^2(theta))^(1/4)
-is 1 for symmetric matrices, where Re(beta_c) = 1/cos^2(theta).
+reduction and target anchoring).  s', beta_c and Lam are read from the
+damped Lagrangian state centered on (a', b')
+(:class:`qcat.lagrangian.DampedLagrangianState`), the approximant whose
+band sums the bands experiment checks at the origin.  D is a single complex
+constant fitted once on a reference batch and frozen.  The factor
+(Re(beta_c) cos^2(theta))^(1/4) is 1 for symmetric matrices, where
+Re(beta_c) = 1/cos^2(theta).
 
 The damped sum runs over the window |k| <= K past which |chi| stays below
 1e-14.  |chi(u)| = exp(-Re(gamma0) u^2 / h) decreases in |u|, so K is the
@@ -52,7 +56,7 @@ import numpy as np
 from .classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_points, spectral_data,
                         validity_threshold)
 from .errors import OddNError, ThresholdViolationError, TruncationOverflowError
-from .lagrangian import aligned_propagated_state, circle_distance, damping_coefficient
+from .lagrangian import aligned_propagated_state, circle_distance, make_damped_lagrangian
 from .metaplectic import cis_turns, frac_turns
 from .torus import matrix_element_exact
 
@@ -245,8 +249,11 @@ def theorem_rhs(
 ) -> complex:
     """Predicted matrix element (D/sqrt(lam^n)) S^chi(f)(s', 0), fully phased.
 
-    See the module docstring for the assembled formula.  ``scale_constant``
-    is the fitted D.
+    See the module docstring for the assembled formula.  theta, lam, beta,
+    s' and Lam are read from the damped Lagrangian state of ``m`` at time n
+    centered on the reduced image (a', b')
+    (:func:`qcat.lagrangian.make_damped_lagrangian`, which the bands
+    experiment builds at the origin).  ``scale_constant`` is the fitted D.
 
     Raises:
         ThresholdViolationError: for n below |log h|/(3 log lam) unless the
@@ -254,14 +261,7 @@ def theorem_rhs(
         TruncationOverflowError: if the damping window of the sum passes its
             cap (:func:`damped_birkhoff_sum`).
     """
-    sd = spectral_data(m)
-    if n + 1e-12 < validity_threshold(h, sd.lam) and not allow_below_threshold:
-        raise ThresholdViolationError(
-            f"n={n} below validity threshold {validity_threshold(h, sd.lam):.3f}"
-        )
     n_even = round(1.0 / h)
-    t = math.tan(sd.theta)
-    lam = sd.lam
     a, b = src.q, src.p
     q0, p0 = dst.q, dst.p
 
@@ -271,13 +271,14 @@ def theorem_rhs(
     # lattice step of k = 0, which is where chi(k/M) puts it.
     j1 = round(big_a - q0)
     j2 = math.floor(big_b)
-    a_prime = big_a - j1
-    b_prime = big_b - j2
+    state = make_damped_lagrangian(m, n, h, (big_a - j1, big_b - j2))
+    lam = state.lam
+    if n + 1e-12 < validity_threshold(h, lam) and not allow_below_threshold:
+        raise ThresholdViolationError(
+            f"n={n} below validity threshold {validity_threshold(h, lam):.3f}"
+        )
+    t = math.tan(state.theta)
     s_real = big_b - t * big_a
-    s_red = b_prime - t * a_prime
-
-    beta_c = damping_coefficient(m)
-    lam_c = 1.0 - 1j * t + beta_c * lam ** (-2.0 * n)
 
     _, phi_n = aligned_propagated_state(m, n, h)
 
@@ -292,15 +293,15 @@ def theorem_rhs(
     )
     # (Re beta cos^2)^(1/4) is 1 for symmetric matrices, where Re beta = 1/cos^2.
     amp = (
-        math.sqrt(2.0 / math.cos(sd.theta))
-        * (beta_c.real * math.cos(sd.theta) ** 2) ** 0.25
+        math.sqrt(2.0 / math.cos(state.theta))
+        * (state.beta.real * math.cos(state.theta) ** 2) ** 0.25
         * lam ** (-0.5 * n)
-        / np.sqrt(lam_c)
+        / np.sqrt(state.lam_c)
     )
 
-    obs = InterferenceObservable(q0=q0, p0=p0, theta=sd.theta, h=h, beta=beta_c)
+    obs = InterferenceObservable(q0=q0, p0=p0, theta=state.theta, h=h, beta=state.beta)
     t_map = SkewMap(alpha=t, N=n_even)
-    s_sum = damped_birkhoff_sum(t_map, obs, (s_red, 0.0), lam ** n)
+    s_sum = damped_birkhoff_sum(t_map, obs, (state.s_prime, 0.0), lam ** n)
     return complex(scale_constant * phases * amp * s_sum)
 
 

@@ -1,17 +1,17 @@
 """Classical side of the model: SL(2,Z) torus automorphisms, the spectral
-data of every hyperbolic one, quadratic Hamiltonians generating those of
-trace > 2, the Ehrenfest time, the validity threshold of the matrix-element
-theorem, and the seeded torus points the experiments draw.
+data of every hyperbolic one, the Ehrenfest time, the validity threshold of
+the matrix-element theorem, and the seeded torus points the experiments
+draw.
 
-No experiment samples a flow, so trace < -2 (no real logarithm) is served
-too: propagation uses only the integer entries of the matrix (see
-:func:`qcat.metaplectic.propagate_n`).  The Hamiltonian and its flow
-(:class:`QuadraticHamiltonian`, :func:`hamiltonian_from_matrix`,
-:class:`FlowCoefficients`, :func:`flow_coefficients`) stay in the package
+Propagation uses only the integer entries of the matrix (see
+:func:`qcat.metaplectic.propagate_n`), so the package builds no
+Hamiltonian and serves trace < -2 (no real logarithm) too; the Hamiltonian
+whose time-1 flow is a matrix is a test oracle (``tests/oracles.py``).  The
+flow of a quadratic Hamiltonian (:class:`QuadraticHamiltonian`,
+:class:`FlowCoefficients`, :func:`flow_coefficients`) stays in the package
 because the benchmark's span tracer (``perfbench/spans.py``) resolves
 ``classical.flow_coefficients`` by name and counts its calls, which is how a
-run shows that no flow is sampled; the test oracles of the metaplectic
-branch and the Schroedinger residual use them too.
+run shows that no flow is sampled.
 
 All values are immutable tuples (NamedTuple records) and all operations are
 pure functions, so everything here is safe to share between threads.
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NegativeSpectrumError, NonHyperbolicError, NonPositiveHError
+from .errors import NonHyperbolicError, NonPositiveHError
 
 __all__ = [
     "Sl2IntMatrix",
@@ -36,7 +36,6 @@ __all__ = [
     "cat_apply",
     "seeded_points",
     "spectral_data",
-    "hamiltonian_from_matrix",
     "flow_coefficients",
     "ehrenfest_time",
     "validity_threshold",
@@ -153,13 +152,15 @@ class TorusPoint(namedtuple("TorusPoint", "q p")):
     __slots__ = ()
 
     def __new__(cls, q: float, p: float) -> "TorusPoint":
-        return super().__new__(cls, q % 1.0, p % 1.0)
+        q, p = q % 1.0, p % 1.0
+        # x % 1.0 is 1.0 for -2^-54 <= x < 0, where 1 + x rounds to 1
+        # (-1e-20 % 1.0 == 1.0); that is the point 0.
+        return super().__new__(cls, 0.0 if q == 1.0 else q, 0.0 if p == 1.0 else p)
 
 
 def cat_apply(m: Sl2IntMatrix, pt: TorusPoint) -> TorusPoint:
     """Apply the toral automorphism induced by ``m`` to ``pt``."""
-    x, p = m.apply(pt.q, pt.p)
-    return TorusPoint(x % 1.0, p % 1.0)
+    return TorusPoint(*m.apply(pt.q, pt.p))
 
 
 # Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
@@ -251,31 +252,6 @@ def spectral_data(m: Sl2IntMatrix) -> SpectralData:
     if vx < 0:
         vx, vy = -vx, -vy
     return SpectralData(lam=abs(lam_s), theta=math.atan2(vy, vx))
-
-
-def hamiltonian_from_matrix(m: Sl2IntMatrix) -> QuadraticHamiltonian:
-    """Quadratic Hamiltonian whose time-1 flow is ``m``.
-
-    The generator is the spectral logarithm log(lam) * (P+ - P-) written through
-    the eigenprojectors, which for a 2x2 determinant-one matrix collapses to
-
-        log(m) = log(lam) * (2*m - trace(m)*I) / (lam - 1/lam).
-
-    Exact for trace > 2; no series truncation is involved.
-
-    Raises:
-        NegativeSpectrumError: if trace < -2 (no real logarithm).
-    """
-    sd = spectral_data(m)
-    if m.trace < -2:
-        raise NegativeSpectrumError(f"trace {m.trace} < -2: m has no real logarithm")
-    lam = sd.lam
-    k = math.log(lam) / (lam - 1.0 / lam)
-    tr = float(m.trace)
-    g11 = k * (2.0 * m.a - tr)
-    g12 = k * (2.0 * m.b)
-    g21 = k * (2.0 * m.c)
-    return QuadraticHamiltonian(alpha=-g21, beta=g12, gamma=g11)
 
 
 def flow_coefficients(h: QuadraticHamiltonian, t: float) -> FlowCoefficients:

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all qcat modules."""
+"""Exception hierarchy shared by all qcat modules.
+
+The CLI exits 2 on a :class:`ConfigError` and 3 on any other
+:class:`QcatError`.  Errors that only a test oracle raises (a Hamiltonian
+asked of a matrix of trace < -2, the kernel formula at a = 0) are defined
+beside that oracle in ``tests/oracles.py``.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +15,6 @@ class QcatError(Exception):
 
 class NonHyperbolicError(QcatError):
     """Matrix has |trace| <= 2; no hyperbolic spectral data exists."""
-
-
-class NegativeSpectrumError(QcatError):
-    """A quadratic Hamiltonian was asked for a matrix of trace < -2, whose
-    negative eigenvalues leave it without a real logarithm.  Propagation
-    needs no Hamiltonian and accepts such matrices."""
 
 
 class NonPositiveHError(QcatError):

@@ -123,6 +123,12 @@ class DampedLagrangianState(NamedTuple):
         """Exact L2-normalizing constant of the defining Gaussian."""
         return (2.0 * self.beta.real * self.damping_scale / self.h) ** 0.25
 
+    @property
+    def lam_c(self) -> complex:
+        """Lam = 1 - i tan(theta) + beta lambda^(-2n), the complex width of
+        the state's overlap with a coherent state; Re(Lam) > 1."""
+        return 1.0 - 1j * math.tan(self.theta) + self.beta * self.damping_scale
+
 
 def make_damped_lagrangian(
     m: Sl2IntMatrix, n: int, h: float, center: tuple[float, float] = (0.0, 0.0)
@@ -137,10 +143,6 @@ def make_damped_lagrangian(
     )
 
 
-def _lagrangian_lambda(state: DampedLagrangianState) -> complex:
-    return 1.0 - 1j * math.tan(state.theta) + state.beta * state.damping_scale
-
-
 def lagrangian_overlap_field(state: DampedLagrangianState) -> OverlapForm:
     """<L, Phi_{q,p}> = pref * exp(E(q, p)) as an :class:`OverlapForm` in the
     packet center (q, p).
@@ -149,13 +151,13 @@ def lagrangian_overlap_field(state: DampedLagrangianState) -> OverlapForm:
 
         <L, Phi_{q,p}> = C C_h sqrt(h/Lam) e^{2 i pi p q / h}
             exp(-(pi/h) (q^2 + beta a'^2 lam^(-2n) + Z^2 / Lam)),
-        Lam = 1 - i tan + beta lam^(-2n),
+        Lam = 1 - i tan + beta lam^(-2n)  (``state.lam_c``),
         Z = p + i q - s' + i beta a' lam^(-2n);
 
     the unit phase is folded into E's cross term.
     """
     h = state.h
-    lam_c = _lagrangian_lambda(state)
+    lam_c = state.lam_c
     beta_n = state.beta * state.damping_scale
     z1 = -state.s_prime + 1j * beta_n * state.a_prime
     s = -math.pi / h

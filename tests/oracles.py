@@ -13,8 +13,10 @@ independent one.
   quadrature, so the oracle shares no code with the closed-form Gaussian
   algebra.
 - Gaussian-state algebra on the line: quantum translations and their
-  cocycle, the closed-form L2 overlap, the unitary h-Fourier transform, and
-  the Schroedinger residual of the explicit plane-wave solution (acceptance
+  cocycle, the closed-form L2 overlap, the unitary h-Fourier transform, the
+  quadratic Hamiltonian whose time-1 flow is a matrix of trace > 2 (the
+  flow-sampling branch tracker of ``conftest.py`` follows it), and the
+  Schroedinger residual of the explicit plane-wave solution (acceptance
   criterion A9).
 - Damped Lagrangian states: pointwise evaluation and the pointwise
   approximation check against the exactly propagated packet.
@@ -33,7 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from qcat.classical import FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients
+from qcat.classical import (FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients,
+                            spectral_data)
 from qcat.errors import MismatchedHError, NonPositiveHError, OddNError, QcatError
 from qcat.lagrangian import DampedLagrangianState, aligned_propagated_state, make_damped_lagrangian
 from qcat.metaplectic import GaussianState, cis_turns, gaussian_eval
@@ -48,6 +51,12 @@ class QuadratureNonConvergenceError(QcatError):
 
 class ZeroACoefficientError(QcatError):
     """The kernel formula for the propagator degenerates when a = 0."""
+
+
+class NegativeSpectrumError(QcatError):
+    """A quadratic Hamiltonian was asked for a matrix of trace < -2, whose
+    negative eigenvalues leave it without a real logarithm.  Propagation
+    needs no Hamiltonian and accepts such matrices."""
 
 
 # ---------------------------------------------------------------- quadrature
@@ -258,12 +267,37 @@ def h_fourier_gaussian(g: GaussianState) -> GaussianState:
 
     Exact on Gaussians: theta -> -1/theta, (q, p) -> (p, -q), amplitude
     multiplied by (-i*theta)^(-1/2) exp(-2*i*pi*q*p/h).  Unitary, and the
-    centered theta = i packet is a fixed point.  It is the a = 0 case that
-    ``metaplectic.propagate_n`` rejects.
+    centered theta = i packet is a fixed point.  It is an a = 0 case of the
+    metaplectic propagator, which ``metaplectic.propagate_n`` also serves.
     """
     th = complex(g.theta)
     amp = g.amplitude / np.sqrt(-1j * th) * cis_turns(-g.q * g.p / g.h)
     return GaussianState(amplitude=complex(amp), theta=-1.0 / th, q=g.p, p=-g.q, h=g.h)
+
+
+def hamiltonian_from_matrix(m: Sl2IntMatrix) -> QuadraticHamiltonian:
+    """Quadratic Hamiltonian whose time-1 flow is ``m``.
+
+    The generator is the spectral logarithm log(lam) * (P+ - P-) written through
+    the eigenprojectors, which for a 2x2 determinant-one matrix collapses to
+
+        log(m) = log(lam) * (2*m - trace(m)*I) / (lam - 1/lam).
+
+    Exact for trace > 2; no series truncation is involved.
+
+    Raises:
+        NegativeSpectrumError: if trace < -2 (no real logarithm).
+    """
+    sd = spectral_data(m)
+    if m.trace < -2:
+        raise NegativeSpectrumError(f"trace {m.trace} < -2: m has no real logarithm")
+    lam = sd.lam
+    k = math.log(lam) / (lam - 1.0 / lam)
+    tr = float(m.trace)
+    g11 = k * (2.0 * m.a - tr)
+    g12 = k * (2.0 * m.b)
+    g21 = k * (2.0 * m.c)
+    return QuadraticHamiltonian(alpha=-g21, beta=g12, gamma=g11)
 
 
 def schrodinger_residual(h: QuadraticHamiltonian, t: float, x: float, xi: float, hbar_param: float) -> float:

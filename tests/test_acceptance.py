@@ -20,6 +20,7 @@ from oracles import (
     check_pointwise_approx,
     compose_translation_phase,
     gaussian_overlap,
+    hamiltonian_from_matrix,
     kernel_quadrature_oracle,
     overlap_quadrature,
     pair_from_coefficients,
@@ -28,7 +29,7 @@ from oracles import (
     translate,
 )
 from qcat.birkhoff import fit_theorem_constant, theorem_rhs
-from qcat.classical import Sl2IntMatrix, TorusPoint, cat_apply, ehrenfest_time, hamiltonian_from_matrix, spectral_data
+from qcat.classical import Sl2IntMatrix, TorusPoint, cat_apply, ehrenfest_time, spectral_data
 from qcat.lagrangian import (BandIndexer, aligned_propagated_state, band_difference,
                              lagrangian_overlap_field, make_damped_lagrangian, off_band_tail,
                              wavepacket_overlap_field)

@@ -6,17 +6,17 @@ import random
 import numpy as np
 import pytest
 
+from oracles import NegativeSpectrumError, hamiltonian_from_matrix
 from qcat.classical import (
     Sl2IntMatrix,
     TorusPoint,
     cat_apply,
     ehrenfest_time,
     flow_coefficients,
-    hamiltonian_from_matrix,
     seeded_points,
     spectral_data,
 )
-from qcat.errors import NegativeSpectrumError, NonHyperbolicError, NonPositiveHError
+from qcat.errors import NonHyperbolicError, NonPositiveHError
 from qcat.lagrangian import damping_coefficient
 
 
@@ -185,6 +185,13 @@ def test_ehrenfest_time(cat):
 def test_torus_point_reduction():
     pt = TorusPoint(1.25, -0.25)
     assert (pt.q, pt.p) == (0.25, 0.75)
+    # x % 1.0 rounds to 1.0 for -2^-54 <= x < 0; the point is 0, in [0, 1).
+    assert TorusPoint(-1e-20, -5e-17) == (0.0, 0.0)
+    assert TorusPoint(-2.0 ** -54, -0.0) == (0.0, 0.0)
+    assert TorusPoint(-2.0 ** -53, 1.0) == (1.0 - 2.0 ** -53, 0.0)
+    # cat_apply reduces the image once, through TorusPoint: (0, 1e-20) maps
+    # to (-1e-20, 2e-20) before the reduction.
+    assert cat_apply(Sl2IntMatrix(1, -1, -1, 2), TorusPoint(0.0, 1e-20)) == (0.0, 2e-20)
 
 
 def test_seeded_points_match_numpy_stream():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import csv
 import gc
 import hashlib
 import importlib
@@ -12,10 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import QCAT_ROOT, run_cli, run_python
+from oracles import hamiltonian_from_matrix
 from qcat import birkhoff, cli, harness, lagrangian
 from qcat.errors import ConfigError, NonPositiveHError, OddNError
-from qcat.classical import (Sl2IntMatrix, TorusPoint, flow_coefficients, hamiltonian_from_matrix,
-                            spectral_data)
+from qcat.classical import Sl2IntMatrix, TorusPoint, flow_coefficients, spectral_data
 from qcat.harness import (EXPERIMENTS, ExperimentResult, _write_frame, load_config, run_bands,
                           run_experiment, run_unitarity)
 from qcat.metaplectic import GaussianState, wavepacket
@@ -154,6 +156,43 @@ def test_package_holds_no_test_only_module():
             assert hasattr(module, attr), f"{name}.__all__ names missing {attr!r}"
 
 
+def _module_constant(tree: ast.Module, name: str, default=None):
+    """The literal assigned to ``name`` at the top of a parsed module."""
+    return next((ast.literal_eval(stmt.value) for stmt in tree.body
+                 if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == name),
+                default)
+
+
+def test_package_exports_only_what_a_run_calls():
+    # Every name a module exports is read by package code outside its own
+    # definition, or is a function that the span tracer wraps: a route that
+    # only the tests call belongs in tests/oracles.py.  Every traced function
+    # resolves, so a rename fails here and not only in the traced smoke run.
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    traced = _module_constant(ast.parse(spans.read_text(encoding="utf-8")), "TRACED")
+    for module, names in traced.items():
+        for name in names:
+            fn = getattr(importlib.import_module(f"qcat.{module}"), name, None)
+            assert callable(fn), f"perfbench/spans.py traces {module}.{name}, which is missing"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in (QCAT_ROOT / "qcat").glob("*.py")}
+    reads = []  # (module, the name a top-level statement defines or None, the names it reads)
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            defined = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            reads.append((module, defined, names))
+    unread = []
+    for module, tree in trees.items():
+        for name in _module_constant(tree, "__all__", ()):
+            read = any(name in names and (mod, defined) != (module, name)
+                       for mod, defined, names in reads)
+            if not read and name not in traced.get(module, ()):
+                unread.append(f"{module}.{name}")
+    assert unread == []
+
+
 def test_package_import_loads_only_what_is_asked():
     # The package holds no re-export layer: importing it loads no module of
     # its own, and a module loads only itself and what it imports.
@@ -269,6 +308,15 @@ def test_run_experiment_writes_outputs(tmp_path):
     assert set(env) == {"numpy", "python", "platform", "machine", "longdouble_eps"}
     assert env["numpy"] == np.__version__
     assert 0.0 < env["longdouble_eps"] <= np.finfo(np.float64).eps
+
+
+def test_egorov_writes_configured_points_in_the_unit_square(tmp_path):
+    # -1e-20 % 1.0 == 1.0 in IEEE doubles; the configured point is (0, 0.5).
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"points": [[-1e-20, 0.5]], "N_values": [16]}), encoding="utf-8")
+    with run_experiment("egorov", load_config(path), tmp_path / "res").open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert rows and {(row["q0"], row["p0"]) for row in rows} == {("0.0", "0.5")}
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -14,6 +14,7 @@ from oracles import (
     compose_translation_phase,
     gaussian_overlap,
     h_fourier_gaussian,
+    hamiltonian_from_matrix,
     overlap_quadrature,
     schrodinger_residual,
     tanh_sinh,
@@ -24,7 +25,6 @@ from qcat.classical import (
     QuadraticHamiltonian,
     Sl2IntMatrix,
     flow_coefficients,
-    hamiltonian_from_matrix,
     spectral_data,
 )
 from qcat.errors import MismatchedHError, NonPositiveHError, NumericalToleranceError
