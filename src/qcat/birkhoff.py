@@ -8,7 +8,10 @@ The skew product at parameter N is
 with beta = alpha N / 2, so the m-th iterate is exactly
 (x + m alpha, y + (m^2/2) N alpha + m N x).  The phase e^{2 i pi y_m} then
 reproduces e^{i pi tan m^2 / h} e^{2 i pi m s / h}, which is what makes the
-band sums along the unstable line Birkhoff sums of this map.
+band sums along the unstable line Birkhoff sums of this map.  No map object
+is formed: the sum reads alpha = tan(theta) and the even N = 1/h from the
+(theta, h) of its :class:`InterferenceObservable` and starts every orbit at
+y = 0.
 
 Predicted matrix element (time n, h = 1/N, source (a,b), target (q0,p0)):
 
@@ -48,40 +51,24 @@ Every other phase is reduced mod 1 in float64.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
 from .classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_points, spectral_data,
                         validity_threshold)
-from .errors import OddNError, ThresholdViolationError, TruncationOverflowError
+from .errors import ThresholdViolationError, TruncationOverflowError
 from .lagrangian import aligned_propagated_state, circle_distance, make_damped_lagrangian
 from .metaplectic import cis_turns, frac_turns
-from .torus import matrix_element_exact
+from .torus import even_n_from_h, matrix_element_exact
 
 __all__ = [
-    "SkewMap",
     "InterferenceObservable",
     "damped_birkhoff_sum",
     "gaussian_damping",
     "theorem_rhs",
     "fit_theorem_constant",
 ]
-
-
-class SkewMap(namedtuple("SkewMap", "alpha N")):
-    """(x, y) -> (x + alpha, y + N x + beta) on T^2 with beta = alpha*N/2
-    (``_replace`` and ``_make`` skip the check of N)."""
-
-    __slots__ = ()
-
-    def __new__(cls, alpha: float, N: int) -> "SkewMap":
-        if N % 2 != 0:
-            raise OddNError(
-                f"N must be even so that beta = alpha*N/2 uses an integer N/2, got {N}"
-            )
-        return super().__new__(cls, alpha, N)
 
 
 class InterferenceObservable(NamedTuple):
@@ -126,10 +113,9 @@ class InterferenceObservable(NamedTuple):
         float64 inputs that rounds at most once, as a long-double reduction
         would, so no long double is needed here.
         """
-        d = np.asarray(circle_distance(x, self.s0))
+        d = circle_distance(x, self.s0)
         q_turns = self.q0 * d * (1.0 / self.h)
-        y_turns = np.asarray(y, dtype=float)
-        turns = (q_turns - np.floor(q_turns)) + (y_turns - np.floor(y_turns))
+        turns = (q_turns - np.floor(q_turns)) + (y - np.floor(y))
         return np.exp(self._profile_exponent(d / math.sqrt(self.h)) + 2j * math.pi * turns)
 
 
@@ -151,9 +137,10 @@ _LIVE_TAIL = 1e-14
 _BLOCK = 1 << 13
 
 
-def _half_width(obs: InterferenceObservable, m_time: float) -> int:
+def _half_width(obs: InterferenceObservable, m_time: float, chi) -> int:
     """Half-width K of the damping window of chi_h(k/m_time): the largest
     k >= 0 with |chi_h(k/m_time)| >= 1e-14, and 0 if there is none.
+    ``chi`` is ``gaussian_damping(obs)``.
 
     |chi_h(u)| = exp(-Re(gamma0) u^2 / h) decreases in |u|, so K is
     floor(m_time sqrt(h ln(1e14) / Re gamma0)) up to the rounding of |chi_h|,
@@ -162,7 +149,6 @@ def _half_width(obs: InterferenceObservable, m_time: float) -> int:
     Raises:
         TruncationOverflowError: if K exceeds 50_000_000; no array is formed.
     """
-    chi = gaussian_damping(obs)
 
     def kept(k: int) -> bool:
         return abs(complex(chi(k / m_time))) >= _CUTOFF
@@ -180,38 +166,38 @@ def _half_width(obs: InterferenceObservable, m_time: float) -> int:
     return k_max
 
 
-def _live_blocks(t_map: SkewMap, obs: InterferenceObservable, x: float, m_time: float,
-                 k_max: int):
+def _live_blocks(obs: InterferenceObservable, x: float, m_time: float, k_max: int):
     """Yield the live k of the window k = -K..K, one block of ``_BLOCK``
     terms at a time, in ascending order.
 
-    |chi_h(k/M) f(T^k(x, y))| = exp(-Re(gamma0) (k/M)^2 / h) exp(-pi cos^2(theta)
+    |chi_h(k/M) f(T^k(x, 0))| = exp(-Re(gamma0) (k/M)^2 / h) exp(-pi cos^2(theta)
     d_k^2 / h) with d_k = d(x + k alpha, s0), because every other factor is
     a phase.  A term is live when that float64 bound is at least
     ``_LIVE_TAIL`` / (2K+1), so the terms left out sum to at most
     ``_LIVE_TAIL`` in absolute value.
     """
     floor = _LIVE_TAIL / (2 * k_max + 1)
+    alpha = math.tan(obs.theta)
     re_g0 = obs.gamma0.real
     transverse = math.pi * math.cos(obs.theta) ** 2
     root_h = math.sqrt(obs.h)
     for start in range(-k_max, k_max + 1, _BLOCK):
         k = np.arange(start, min(start + _BLOCK, k_max + 1))
         u = k / m_time
-        v = circle_distance(x + k * t_map.alpha, obs.s0) / root_h
+        v = circle_distance(x + k * alpha, obs.s0) / root_h
         bound = np.exp(-re_g0 * u * u / obs.h) * np.exp(-transverse * v * v)
         yield k[bound >= floor]
 
 
-def damped_birkhoff_sum(t_map: SkewMap, obs: InterferenceObservable, pt: tuple[float, float],
-                        m_time: float) -> complex:
-    """S^chi_m(f)(pt) = sum_k chi_h(k/m) f(T^k pt) for the interference
+def damped_birkhoff_sum(obs: InterferenceObservable, x: float, m_time: float) -> complex:
+    """S^chi_m(f)(x, 0) = sum_k chi_h(k/m) f(T^k(x, 0)) for the interference
     observable f = ``obs`` and its derived damping chi_h
     (:func:`gaussian_damping`), truncated where |chi_h| < 1e-14.
 
-    ``m_time`` may be non-integer (the damping argument k/m is evaluated at
-    real arguments while k stays integer).  The half-width K is the closed
-    form of :func:`_half_width`.  The window is walked in blocks
+    The skew map T is that of alpha = tan(obs.theta) and the even
+    N = 1/obs.h.  ``m_time`` may be non-integer (the damping argument k/m is
+    evaluated at real arguments while k stays integer).  The half-width K is
+    the closed form of :func:`_half_width`.  The window is walked in blocks
     (:func:`_live_blocks`); in each, chi_h, the long-double orbit phases y_k
     and ``obs.eval`` are formed on the live terms only, whose bound
     |chi_h(k/m)| |F0(d_k/sqrt h)| is at least 1e-14/(2K+1).  The dropped
@@ -219,20 +205,21 @@ def damped_birkhoff_sum(t_map: SkewMap, obs: InterferenceObservable, pt: tuple[f
     summed in ascending k by one ``np.sum``, so memory is O(block + live).
 
     Raises:
+        OddNError: if 1/obs.h is not an even integer.
         TruncationOverflowError: if K exceeds 50_000_000.
     """
     if m_time <= 0:
         raise ValueError("m_time must be positive")
-    k_max = _half_width(obs, m_time)
+    n_even = even_n_from_h(obs.h)
     chi = gaussian_damping(obs)
-    x, y = pt
-    alpha_l = np.longdouble(t_map.alpha)
+    k_max = _half_width(obs, m_time, chi)
+    alpha_l = np.longdouble(math.tan(obs.theta))
     x_l = np.longdouble(x)
     parts = []
-    for k in _live_blocks(t_map, obs, x, m_time, k_max):
+    for k in _live_blocks(obs, x, m_time, k_max):
         k_l = np.asarray(k, dtype=np.longdouble)
         xs = x + np.asarray(k_l * alpha_l, dtype=np.float64)
-        y_turns = y + k_l * k_l * (t_map.N // 2) * alpha_l + k_l * t_map.N * x_l
+        y_turns = k_l * k_l * (n_even // 2) * alpha_l + k_l * n_even * x_l
         # e^{2 i pi y_k} is supplied through the y argument in turns.
         parts.append(chi(k / m_time) * obs.eval(xs, frac_turns(y_turns)))
     return complex(np.sum(np.concatenate(parts)))
@@ -256,12 +243,13 @@ def theorem_rhs(
     experiment builds at the origin).  ``scale_constant`` is the fitted D.
 
     Raises:
+        OddNError: if 1/h is not an even integer (:func:`qcat.torus.even_n_from_h`).
         ThresholdViolationError: for n below |log h|/(3 log lam) unless the
             caller opts in (exploratory plots).
         TruncationOverflowError: if the damping window of the sum passes its
             cap (:func:`damped_birkhoff_sum`).
     """
-    n_even = round(1.0 / h)
+    n_even = even_n_from_h(h)
     a, b = src.q, src.p
     q0, p0 = dst.q, dst.p
 
@@ -300,17 +288,17 @@ def theorem_rhs(
     )
 
     obs = InterferenceObservable(q0=q0, p0=p0, theta=state.theta, h=h, beta=state.beta)
-    t_map = SkewMap(alpha=t, N=n_even)
-    s_sum = damped_birkhoff_sum(t_map, obs, (state.s_prime, 0.0), lam ** n)
+    s_sum = damped_birkhoff_sum(obs, state.s_prime, lam ** n)
     return complex(scale_constant * phases * amp * s_sum)
 
 
+_FIT_N = 64
 _FIT_PAIRS = 8
 
 
-def fit_theorem_constant(m: Sl2IntMatrix, n_ref: int = 64, seed: int = 20240901) -> complex:
+def fit_theorem_constant(m: Sl2IntMatrix, seed: int = 20240901) -> complex:
     """Complex least-squares fit of D on the reference batch
-    (N = n_ref, n = ceil(1.5 t_E), ``_FIT_PAIRS`` source/target pairs of
+    (N = ``_FIT_N``, n = ceil(1.5 t_E), ``_FIT_PAIRS`` source/target pairs of
     consecutive points of ``seeded_points(seed, 2 * _FIT_PAIRS)``).
 
     Fitted once and then frozen for every other configuration.
@@ -318,14 +306,14 @@ def fit_theorem_constant(m: Sl2IntMatrix, n_ref: int = 64, seed: int = 20240901)
     Raises:
         ValueError: if ``seed`` is negative or not an integer.
     """
-    h = 1.0 / n_ref
+    h = 1.0 / _FIT_N
     sd = spectral_data(m)
     n_time = math.ceil(1.5 * ehrenfest_time(h, sd.lam))
     points = seeded_points(seed, 2 * _FIT_PAIRS)
     num = 0.0 + 0.0j
     den = 0.0
     for src, dst in zip(points[::2], points[1::2]):
-        lhs = matrix_element_exact(m, n_time, src, dst, n_ref)
+        lhs = matrix_element_exact(m, n_time, src, dst, _FIT_N)
         rhs0 = theorem_rhs(m, n_time, h, src, dst)
         num += lhs * np.conj(rhs0)
         den += abs(rhs0) ** 2

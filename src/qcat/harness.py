@@ -80,7 +80,7 @@ class ExperimentConfig(NamedTuple):
         """Times for one N: absolute integers, or Ehrenfest multiples.
 
         Integer multiples mu map to mu * ceil(t_E); fractional ones to
-        ceil(mu * t_E).
+        ceil(mu * t_E).  A time past the float range is a ConfigError.
         """
         if self.n_mode == "absolute":
             return sorted({int(v) for v in self.n_values})
@@ -88,10 +88,11 @@ class ExperimentConfig(NamedTuple):
         te = ehrenfest_time(1.0 / n_dim, sd.lam)
         out = set()
         for mu in self.n_values:
-            if float(mu).is_integer():
-                out.add(int(mu) * math.ceil(te))
-            else:
-                out.add(math.ceil(mu * te))
+            n = int(mu) * math.ceil(te) if float(mu).is_integer() else math.ceil(mu * te)
+            if n > sys.float_info.max:
+                raise ConfigError(f"config key 'n_values': {mu} Ehrenfest times at N = {n_dim} "
+                                  "is a time past the float range")
+            out.add(n)
         return sorted(out)
 
     def resolved_points(self, count: int) -> list[TorusPoint]:
@@ -127,11 +128,12 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    """A finite JSON number, not a boolean (``json.loads`` also parses
-    ``Infinity``, ``-Infinity`` and ``NaN``)."""
+    """A JSON number finite as a float, not a boolean (``json.loads`` also
+    parses ``Infinity``, ``-Infinity``, ``NaN`` and integers past the float
+    range)."""
     if isinstance(v, float):
         return math.isfinite(v)
-    return isinstance(v, int) and not isinstance(v, bool)
+    return _is_int(v) and abs(v) <= sys.float_info.max
 
 
 def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:

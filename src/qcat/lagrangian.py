@@ -72,12 +72,9 @@ def circle_distance(x, s0):
     adds 1 to the exact fmod(u, 1) for negative u), and +-0, +-inf and nan
     agree.
     """
-    u = np.asarray(x, dtype=float) - s0
+    u = x - s0
     u = u - np.floor(u)
-    d = np.where(u > 0.5, u - 1.0, u)
-    if np.ndim(x) == 0:
-        return float(d)
-    return d
+    return np.where(u > 0.5, u - 1.0, u)
 
 
 def damping_coefficient(m: Sl2IntMatrix) -> complex:
@@ -207,11 +204,7 @@ class BandIndexer(NamedTuple):
 
     def p_of(self, m):
         """The unique integer with the band offset in (-1/2, 1/2]."""
-        v = self.offset(m)
-        out = np.ceil(v - 0.5)
-        if np.ndim(m) == 0:
-            return int(out)
-        return out.astype(int)
+        return np.ceil(self.offset(m) - 0.5).astype(int)
 
     def d_of(self, m):
         """Signed distance-coordinate q tan + s' - p along the band."""
@@ -254,8 +247,7 @@ def band_difference(form_l: OverlapForm, form_g: OverlapForm, indexer: BandIndex
     return float(abs(band_sum(form_l, indexer) - band_sum(form_g, indexer)))
 
 
-def off_band_tail(form: OverlapForm, indexer: BandIndexer,
-                  max_terms: int = _MAX_BAND_TERMS) -> float:
+def off_band_tail(form: OverlapForm, indexer: BandIndexer) -> float:
     """|sum of overlap terms over lattice translates outside the band|.
 
     ``form`` is the overlap form of a damped Lagrangian state or of a
@@ -266,11 +258,12 @@ def off_band_tail(form: OverlapForm, indexer: BandIndexer,
     summed in their row-major order.
 
     Raises:
-        TruncationOverflowError: if that box has more than ``max_terms`` terms.
+        TruncationOverflowError: if that box has more than
+            ``_MAX_BAND_TERMS`` terms.
     """
     q0, p0 = indexer.q0, indexer.p0
     peak = form.envelope()[2]
-    k1, k2, _ = form.box(q0, p0, 1e-16 * max(peak, 1e-300), max_terms)
+    k1, k2, _ = form.box(q0, p0, 1e-16 * max(peak, 1e-300), _MAX_BAND_TERMS)
     vals = form.terms(q0 + k1, p0 + k2)
     return float(abs(np.sum(vals[k2 != indexer.p_of(k1)])))
 

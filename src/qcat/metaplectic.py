@@ -32,7 +32,7 @@ from collections import namedtuple
 import numpy as np
 
 from .classical import Sl2IntMatrix, spectral_data
-from .errors import NonPositiveHError
+from .errors import NonPositiveHError, NumericalToleranceError
 
 __all__ = [
     "GaussianState",
@@ -111,18 +111,15 @@ def wavepacket(q: float, p: float, h: float) -> GaussianState:
     return GaussianState(amplitude=complex((2.0 / h) ** 0.25), theta=1j, q=q, p=p, h=h)
 
 
-def gaussian_eval(g: GaussianState, x) -> np.ndarray | complex:
-    """Pointwise value of the state at x (scalar or array)."""
+def gaussian_eval(g: GaussianState, x: np.ndarray) -> np.ndarray:
+    """Pointwise value of the state at the points of the array x."""
     dx = np.asarray(x, dtype=np.longdouble) - np.longdouble(g.q)
     th = complex(g.theta)
     turns = (np.longdouble(th.real) * dx * dx + 2.0 * np.longdouble(g.p) * dx) / (
         2.0 * np.longdouble(g.h)
     )
     damp = np.exp(-math.pi * th.imag * np.asarray(dx * dx, dtype=np.float64) / g.h)
-    out = g.amplitude * damp * cis_turns(turns)
-    if np.ndim(x) == 0:
-        return complex(out)
-    return out
+    return g.amplitude * damp * cis_turns(turns)
 
 
 def _propagate_core(a: float, b: float, c: float, d: float, g: GaussianState) -> GaussianState:
@@ -130,10 +127,17 @@ def _propagate_core(a: float, b: float, c: float, d: float, g: GaussianState) ->
     branch of (a + b*theta)^(-1/2)."""
     th = complex(g.theta)
     w = a + b * th
+    theta2 = (c + d * th) / w
     q2 = a * g.q + b * g.p
     p2 = c * g.q + d * g.p
-    amp2 = g.amplitude * complex(1.0 / np.sqrt(w)) * cis_turns((q2 * p2 - g.q * g.p) / (2.0 * g.h))
-    return GaussianState(amplitude=complex(amp2), theta=(c + d * th) / w, q=q2, p=p2, h=g.h)
+    turns = (q2 * p2 - g.q * g.p) / (2.0 * g.h)
+    if not (math.isfinite(turns) and theta2.imag > 0.0):
+        raise NumericalToleranceError(
+            f"the propagated packet leaves the float range: center ({q2:.4g}, {p2:.4g}), "
+            f"Im(theta) = {theta2.imag:.4g}"
+        )
+    amp2 = g.amplitude * complex(1.0 / np.sqrt(w)) * cis_turns(turns)
+    return GaussianState(amplitude=complex(amp2), theta=theta2, q=q2, p=p2, h=g.h)
 
 
 def propagate_n(m: Sl2IntMatrix, g: GaussianState, n: int) -> GaussianState:
@@ -151,6 +155,9 @@ def propagate_n(m: Sl2IntMatrix, g: GaussianState, n: int) -> GaussianState:
 
     Raises:
         NonHyperbolicError: from :func:`spectral_data` for any other matrix.
+        NumericalToleranceError: once the recentering phase (the lifted
+            center grows like lam^n) overflows or Im(theta) (like lam^(-2n))
+            underflows to 0, before n = 390 for every hyperbolic matrix.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

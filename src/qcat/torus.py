@@ -83,8 +83,10 @@ __all__ = [
 # Lattice pairing: certified tail relative to |g| |test|, and the term cap.
 _PAIR_TAIL = 1e-13
 _MAX_TERMS = 5_000_000
-# Periodized samples: the images of a packet are summed down to this modulus.
+# Periodized samples: the images of a packet are summed down to this modulus,
+# on at most this many points (about 105 bytes of temporaries each).
 _SAMPLE_TAIL = 1e-16
+_MAX_SAMPLES = 1 << 24
 # Shape of the comb states, theta = i * _COMB_WIDTH * N (see comb_state).
 _COMB_WIDTH = 20.0
 # exp(x) is exactly 0.0 in float64 for x < log(2^-1075) = -745.1332...
@@ -124,10 +126,19 @@ def even_n_from_h(h: float) -> int:
 
 
 def periodized_samples(g: GaussianState, N: int) -> np.ndarray:
-    """v_r = sum_m g(r/N + m) for r = 0..N-1, truncated below ``_SAMPLE_TAIL``."""
+    """v_r = sum_m g(r/N + m) for r = 0..N-1, truncated below ``_SAMPLE_TAIL``.
+
+    Raises TruncationOverflowError, before forming any array, if the window
+    of 2 * half periods of N samples each has more than ``_MAX_SAMPLES``.
+    """
     im = complex(g.theta).imag
     half = math.sqrt(g.h * math.log(max(abs(g.amplitude), 1.0) / _SAMPLE_TAIL)
                      / (math.pi * im)) + 1.0
+    if not 2.0 * half * N <= _MAX_SAMPLES:
+        raise TruncationOverflowError(
+            f"periodized samples span {2.0 * half:.4g} periods of {N} points, "
+            f"more than the cap of {_MAX_SAMPLES} samples"
+        )
     m_lo = math.floor(g.q - half) - 1
     m_hi = math.ceil(g.q + half) + 1
     r = np.arange(N) / N
@@ -285,7 +296,7 @@ class OverlapForm(NamedTuple):
         which gives the same bits as the parts of the complex E because the
         centers are real.  Each entry depends only on its own center, so the
         points of :meth:`box` give the bits of a dense evaluation of the
-        whole box at those points.  A 0-d result is a numpy scalar.
+        whole box at those points.
         """
         mod = np.exp(_quadratic([c.real for c in self.coeffs], y, w))
         out = np.zeros(mod.shape, dtype=complex)
@@ -300,7 +311,7 @@ class OverlapForm(NamedTuple):
             shift = cis_turns(np.broadcast_to(turns, mod.shape)[live])
             pref = pref * shift
         out[live] = pref * mod[live] * cis_turns(imag / (2.0 * math.pi))
-        return out[()] if out.ndim == 0 else out
+        return out
 
 
 def overlap_form(g: GaussianState, test: GaussianState) -> OverlapForm:
@@ -332,11 +343,8 @@ def overlap_form(g: GaussianState, test: GaussianState) -> OverlapForm:
     return OverlapForm((e_yy, e_ww, e_yw, e_y, e_w, e_c), complex(pref))
 
 
-def pair_symmetrized_detailed(
-    g: GaussianState,
-    test: GaussianState,
-    max_terms: int = _MAX_TERMS,
-) -> tuple[complex, LatticeTruncation]:
+def pair_symmetrized_detailed(g: GaussianState,
+                              test: GaussianState) -> tuple[complex, LatticeTruncation]:
     """Hermitian torus pairing of the two symmetrized states, with its
     certified truncation data.  The discarded shells sum to at most
     ``_PAIR_TAIL`` times |g| |test|.
@@ -344,23 +352,23 @@ def pair_symmetrized_detailed(
     Raises:
         MismatchedHError / OddNError: via validation of the shared h = 1/N.
         TruncationOverflowError: if the certified radius needs more than
-            ``max_terms`` lattice terms.
+            ``_MAX_TERMS`` lattice terms.
     """
     if g.h != test.h:
         raise MismatchedHError(f"states have h={g.h} and h={test.h}")
     n_even = even_n_from_h(g.h)
     form = overlap_form(g, test)
     target = _PAIR_TAIL * max(g.norm * test.norm, 1e-300)
-    k1, k2, truncation = form.box(g.q, g.p, target, max_terms)
+    k1, k2, truncation = form.box(g.q, g.p, target, _MAX_TERMS)
     # Translation phase of T_(k1,k2) g: exp(i*pi*k1*k2*N) * exp(2*i*pi*k2*q*N);
     # the first factor is exactly 1 because N is even.
     terms = form.terms(g.q + k1, g.p + k2, turns=k2 * (n_even * g.q))
     return complex(np.sum(terms)), truncation
 
 
-def pair_symmetrized(g: GaussianState, test: GaussianState, **kwargs) -> complex:
+def pair_symmetrized(g: GaussianState, test: GaussianState) -> complex:
     """sum_{k in Z^2} <T_k g, test>: the Hermitian pairing on the torus."""
-    value, _ = pair_symmetrized_detailed(g, test, **kwargs)
+    value, _ = pair_symmetrized_detailed(g, test)
     return value
 
 

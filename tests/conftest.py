@@ -182,8 +182,7 @@ def mod_circle_distance(x, s0):
     """Oracle of ``lagrangian.circle_distance``: numpy's float mod of x - s0,
     then the representative in (-1/2, 1/2]."""
     u = np.mod(np.asarray(x, dtype=float) - s0, 1.0)
-    d = np.where(u > 0.5, u - 1.0, u)
-    return float(d) if np.ndim(x) == 0 else d
+    return np.where(u > 0.5, u - 1.0, u)
 
 
 def _exact_frac(mult: int, value: float) -> float:
@@ -194,27 +193,24 @@ def _exact_frac(mult: int, value: float) -> float:
     return int(mult) * num % den / den
 
 
-def skew_beta(t_map) -> float:
-    """beta = alpha*N/2 of a ``birkhoff.SkewMap``."""
-    return t_map.alpha * t_map.N / 2.0
-
-
-def skew_apply(t_map, pt: tuple[float, float]) -> tuple[float, float]:
-    """One step (x, y) -> (x + alpha, y + N x + beta) mod 1 of the skew map."""
+def skew_apply(alpha: float, N: int, pt: tuple[float, float]) -> tuple[float, float]:
+    """One step (x, y) -> (x + alpha, y + N x + beta) mod 1 of the skew map,
+    beta = alpha N / 2."""
     x, y = pt
-    return ((x + t_map.alpha) % 1.0, (y + t_map.N * x + skew_beta(t_map)) % 1.0)
+    return ((x + alpha) % 1.0, (y + N * x + alpha * N / 2.0) % 1.0)
 
 
-def skew_iterate(t_map, pt: tuple[float, float], m: int) -> tuple[float, float]:
-    """Closed-form m-th iterate (m of either sign) of the skew map.
+def skew_iterate(alpha: float, N: int, pt: tuple[float, float], m: int) -> tuple[float, float]:
+    """Closed-form m-th iterate (m of either sign) of the skew map of
+    (alpha, N), N even.
 
     The fractional parts of m*alpha, (m^2/2)*N*alpha and m*N*x are computed
     with exact rational arithmetic, so the mod-1 error stays at one rounding
     even for m ~ 1e4.
     """
     x, y = pt
-    xm = (x + _exact_frac(m, t_map.alpha)) % 1.0
-    ym = (y + _exact_frac(m * m * (t_map.N // 2), t_map.alpha) + _exact_frac(m * t_map.N, x)) % 1.0
+    xm = (x + _exact_frac(m, alpha)) % 1.0
+    ym = (y + _exact_frac(m * m * (N // 2), alpha) + _exact_frac(m * N, x)) % 1.0
     return (xm, ym)
 
 
@@ -284,24 +280,24 @@ def _window(chi, m_time: float) -> tuple[np.ndarray, np.ndarray]:
     return k, np.concatenate((left, *(vals for vals, _ in blocks)))[:k.size]
 
 
-def orbit_points(t_map, k: np.ndarray, pt: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """T^k pt for the integers k, as ``birkhoff.damped_birkhoff_sum`` forms
-    them: x_k = x + k alpha in float64, and y_k = y + k^2 (N/2) alpha + k N x
-    in long double, reduced mod 1 and rounded to float64."""
-    x, y = pt
-    alpha_l = np.longdouble(t_map.alpha)
+def orbit_points(alpha: float, N: int, k: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """T^k (x, 0) for the integers k under the skew map of (alpha, N), as
+    ``birkhoff.damped_birkhoff_sum`` forms them: x_k = x + k alpha in
+    float64, and y_k = k^2 (N/2) alpha + k N x in long double, reduced mod 1
+    and rounded to float64."""
+    alpha_l = np.longdouble(alpha)
     k_l = np.asarray(k, dtype=np.longdouble)
     xs = x + np.asarray(k_l * alpha_l, dtype=np.float64)
-    y_turns = y + k_l * k_l * (t_map.N // 2) * alpha_l + k_l * t_map.N * np.longdouble(x)
+    y_turns = k_l * k_l * (N // 2) * alpha_l + k_l * N * np.longdouble(x)
     return xs, np.asarray(y_turns - np.floor(y_turns), dtype=float)
 
 
-def scanned_birkhoff_sum(t_map, f, chi, pt: tuple[float, float], m_time: float) -> complex:
-    """Oracle for ``birkhoff.damped_birkhoff_sum`` with any window chi and
-    any observable f(x, y): sum_k chi(k/m) f(T^k pt) over the whole scanned
-    window of :func:`_window`, in ascending k, with y_k passed to f in
-    turns."""
+def scanned_birkhoff_sum(alpha: float, N: int, f, chi, x: float, m_time: float) -> complex:
+    """Oracle for ``birkhoff.damped_birkhoff_sum`` with any skew map (alpha, N),
+    any window chi and any observable f(x, y): sum_k chi(k/m) f(T^k (x, 0))
+    over the whole scanned window of :func:`_window`, in ascending k, with
+    y_k passed to f in turns."""
     if m_time <= 0:
         raise ValueError("m_time must be positive")
     k, chi_k = _window(chi, m_time)
-    return complex(np.sum(chi_k * np.asarray(f(*orbit_points(t_map, k, pt)), dtype=complex)))
+    return complex(np.sum(chi_k * np.asarray(f(*orbit_points(alpha, N, k, x)), dtype=complex)))

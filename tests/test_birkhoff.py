@@ -16,7 +16,6 @@ from qcat.classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_poi
 from qcat.errors import OddNError, ThresholdViolationError, TruncationOverflowError
 from qcat.birkhoff import (
     InterferenceObservable,
-    SkewMap,
     _half_width,
     _live_blocks,
     damped_birkhoff_sum,
@@ -37,31 +36,35 @@ from qcat.torus import matrix_element_exact
 
 
 def test_skew_apply_examples():
-    t_map = SkewMap(alpha=0.37, N=4)
-    assert skew_apply(t_map, (0.0, 0.0)) == (
+    assert skew_apply(0.37, 4, (0.0, 0.0)) == (
         pytest.approx(0.37), pytest.approx((2 * 0.37) % 1.0)
     )
     # Two steps from the origin: (2 alpha, 8 alpha) mod 1 at N = 4.
-    two = skew_apply(t_map, skew_apply(t_map, (0.0, 0.0)))
+    two = skew_apply(0.37, 4, skew_apply(0.37, 4, (0.0, 0.0)))
     assert two[0] == pytest.approx((2 * 0.37) % 1.0, abs=1e-12)
     assert two[1] == pytest.approx((8 * 0.37) % 1.0, abs=1e-12)
-    assert skew_iterate(t_map, (0.0, 0.0), 2)[1] == pytest.approx((8 * 0.37) % 1.0, abs=1e-12)
+    assert skew_iterate(0.37, 4, (0.0, 0.0), 2)[1] == pytest.approx((8 * 0.37) % 1.0, abs=1e-12)
+    # beta = alpha N / 2 needs an integer N / 2: an odd N = 1/h is refused by
+    # the sum, which reads N from the observable, and by the prediction.
+    odd = InterferenceObservable(q0=0.3, p0=0.7, theta=math.atan(0.37), h=1.0 / 5, beta=1.0)
     with pytest.raises(OddNError):
-        SkewMap(alpha=0.37, N=5)
+        damped_birkhoff_sum(odd, 0.1, 10.0)
+    with pytest.raises(OddNError):
+        theorem_rhs(_CAT, 4, 1.0 / 5, TorusPoint(0.1, 0.2), TorusPoint(0.3, 0.4))
 
 
 def test_skew_iterate_matches_composition(rng):
-    t_map = SkewMap(alpha=float(rng.uniform(0, 1)), N=6)
+    alpha = float(rng.uniform(0, 1))
     pt = (float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
     it = pt
     for _ in range(7):
-        it = skew_apply(t_map, it)
-    closed = skew_iterate(t_map, pt, 7)
+        it = skew_apply(alpha, 6, it)
+    closed = skew_iterate(alpha, 6, pt, 7)
     assert abs(circle_distance(it[0], closed[0])) < 1e-12
     assert abs(circle_distance(it[1], closed[1])) < 1e-12
-    assert skew_iterate(t_map, pt, 0) == pt
-    one = skew_iterate(t_map, pt, 1)
-    app = skew_apply(t_map, pt)
+    assert skew_iterate(alpha, 6, pt, 0) == pt
+    one = skew_iterate(alpha, 6, pt, 1)
+    app = skew_apply(alpha, 6, pt)
     assert abs(circle_distance(one[0], app[0])) < 1e-14
     assert abs(circle_distance(one[1], app[1])) < 1e-14
 
@@ -69,23 +72,21 @@ def test_skew_iterate_matches_composition(rng):
 def test_skew_iterate_long_time_exactness(cat):
     # Exact-rational one-step iteration against the closed form at m = 10^4.
     sd = spectral_data(cat)
-    t_map = SkewMap(alpha=sd.tan_theta, N=64)
-    alpha = Fraction(t_map.alpha)
-    beta = alpha * t_map.N / 2
+    alpha = Fraction(sd.tan_theta)
+    beta = alpha * 64 / 2
     x, y = Fraction(0.3262233), Fraction(0.7154)
     for _ in range(10_000):
-        x, y = (x + alpha) % 1, (y + t_map.N * x + beta) % 1
-    closed = skew_iterate(t_map, (0.3262233, 0.7154), 10_000)
+        x, y = (x + alpha) % 1, (y + 64 * x + beta) % 1
+    closed = skew_iterate(sd.tan_theta, 64, (0.3262233, 0.7154), 10_000)
     assert abs(circle_distance(float(x), closed[0])) < 1e-10
     assert abs(circle_distance(float(y), closed[1])) < 1e-10
 
 
 def test_skew_inverse_roundtrip(cat):
     sd = spectral_data(cat)
-    t_map = SkewMap(alpha=sd.tan_theta, N=16)
     pt = (0.123, 0.456)
-    fwd = skew_iterate(t_map, pt, 137)
-    back = skew_iterate(t_map, fwd, -137)
+    fwd = skew_iterate(sd.tan_theta, 16, pt, 137)
+    back = skew_iterate(sd.tan_theta, 16, fwd, -137)
     assert abs(circle_distance(back[0], pt[0])) < 1e-9
     assert abs(circle_distance(back[1], pt[1])) < 1e-9
 
@@ -94,12 +95,11 @@ def test_phase_telescoping_identity(cat):
     # e^{2 i pi y_m} = exp(i pi N alpha m^2 + 2 i pi N m x0) when beta = alpha N / 2.
     sd = spectral_data(cat)
     n_dim = 16
-    t_map = SkewMap(alpha=sd.tan_theta, N=n_dim)
     x0 = 0.377
     for m in (1, 5, 37, 200, 999):
-        _, ym = skew_iterate(t_map, (x0, 0.0), m)
+        _, ym = skew_iterate(sd.tan_theta, n_dim, (x0, 0.0), m)
         direct = cis_turns(
-            np.longdouble(m) * m * (n_dim // 2) * np.longdouble(t_map.alpha)
+            np.longdouble(m) * m * (n_dim // 2) * np.longdouble(sd.tan_theta)
             + np.longdouble(m) * n_dim * np.longdouble(x0)
         )
         assert abs(cis_turns(ym) - direct) < 1e-9
@@ -112,24 +112,24 @@ def _indicator(u):
 
 def test_damped_birkhoff_sum_basics(cat):
     sd = spectral_data(cat)
-    t_map = SkewMap(alpha=sd.tan_theta, N=4)
+    alpha = sd.tan_theta
 
     ones = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     m_time = 23
-    val = scanned_birkhoff_sum(t_map, ones, _indicator, (0.3, 0.9), m_time)
+    val = scanned_birkhoff_sum(alpha, 4, ones, _indicator, 0.3, m_time)
     assert val == pytest.approx(m_time + 1)
 
     chi = lambda u: np.exp(-3.0 * np.asarray(u, dtype=float) ** 2)
     expected = sum(chi(k / 10.0) for k in range(-200, 201))
-    for pt in [(0.1, 0.2), (0.9, 0.5)]:
-        assert scanned_birkhoff_sum(t_map, ones, chi, pt, 10.0) == pytest.approx(expected)
+    for x in (0.1, 0.9):
+        assert scanned_birkhoff_sum(alpha, 4, ones, chi, x, 10.0) == pytest.approx(expected)
 
     # Linearity in the observable: the live-term sum against the oracle.
     obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=0.25,
                                  beta=damping_coefficient(cat))
     f2 = lambda x, y: 2.0 * obs.eval(x, y)
-    a = damped_birkhoff_sum(t_map, obs, (0.1, 0.0), 10.0)
-    b = scanned_birkhoff_sum(t_map, f2, gaussian_damping(obs), (0.1, 0.0), 10.0)
+    a = damped_birkhoff_sum(obs, 0.1, 10.0)
+    b = scanned_birkhoff_sum(alpha, 4, f2, gaussian_damping(obs), 0.1, 10.0)
     assert b == pytest.approx(2.0 * a)
 
 
@@ -189,8 +189,9 @@ def test_half_width_closed_form(window, m_time):
     # The block scan equals the one-k-at-a-time scan (test above) and reaches
     # lam^18, where K is about 6e6, in well under a second.
     obs = _GAUSSIAN_OBS[window]
-    k_max = _half_width(obs, m_time)
-    assert k_max == _support_half_width(gaussian_damping(obs), m_time)
+    chi = gaussian_damping(obs)
+    k_max = _half_width(obs, m_time, chi)
+    assert k_max == _support_half_width(chi, m_time)
     if m_time == 1:
         assert k_max == 0
 
@@ -202,10 +203,11 @@ def test_half_width_at_the_cutoff(window, k_target):
     # floor of the closed form can land one past K, and the steps against
     # |chi_h| must bring it back.
     obs = _GAUSSIAN_OBS[window]
+    chi = gaussian_damping(obs)
     scale = math.sqrt(obs.h * math.log(1e14) / obs.gamma0.real)
     for j in range(-6, 7):
         m_time = k_target / scale * (1.0 + j * 2.0 ** -52)
-        assert _half_width(obs, m_time) == _support_half_width(gaussian_damping(obs), m_time)
+        assert _half_width(obs, m_time, chi) == _support_half_width(chi, m_time)
 
 
 @pytest.mark.parametrize(
@@ -232,12 +234,12 @@ def test_support_half_width_zero_window():
 def test_support_half_width_cap():
     # At N = 256, n = 30 the closed-form K is about 6e11, past the 5e7 cap:
     # the sum raises before it forms any array.
-    t_map, obs, _, pt, m_time = _live_case(_CAT, 256, 30, 0.4137)
+    obs, _, x, m_time = _live_case(_CAT, 256, 30, 0.4137)
     tracemalloc.start()
     try:
         start = time.perf_counter()
         with pytest.raises(TruncationOverflowError, match="exceeds the cap 50000000"):
-            damped_birkhoff_sum(t_map, obs, pt, m_time)
+            damped_birkhoff_sum(obs, x, m_time)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -288,17 +290,23 @@ def test_exact_frac_matches_fraction():
             assert _exact_frac(mult, value) == want
 
 
-def _full_window_sum(t_map, obs, chi, pt, m_time):
-    """Oracle: the damped sum of ``obs`` over the whole window, term by term
-    as before the live-term mask (the profile and two long-double
-    ``cis_turns`` per term).  Returns the sum and the sum of the moduli."""
+def _skew(obs):
+    """(alpha, N) of the skew map that the sum reads from ``obs``."""
+    return math.tan(obs.theta), round(1.0 / obs.h)
+
+
+def _full_window_sum(obs, chi, x, m_time):
+    """Oracle: the damped sum of ``obs`` from (x, 0) over the whole window,
+    term by term as before the live-term mask (the profile and two
+    long-double ``cis_turns`` per term).  Returns the sum and the sum of the
+    moduli."""
     k_max = _support_half_width(chi, m_time)
     k = np.arange(-k_max, k_max + 1)
-    x, y = pt
-    alpha_l = np.longdouble(t_map.alpha)
+    alpha, n_dim = _skew(obs)
+    alpha_l = np.longdouble(alpha)
     k_l = np.asarray(k, dtype=np.longdouble)
     xs = x + np.asarray(k_l * alpha_l, dtype=np.float64)
-    y_turns = y + k_l * k_l * (t_map.N // 2) * alpha_l + k_l * t_map.N * np.longdouble(x)
+    y_turns = k_l * k_l * (n_dim // 2) * alpha_l + k_l * n_dim * np.longdouble(x)
     d = circle_distance(xs, obs.s0)
     terms = (
         np.asarray(chi(k / m_time), dtype=complex)
@@ -316,57 +324,53 @@ _LIVE_TAIL = 1e-14
 _ROUNDING = 16 * np.finfo(float).eps
 
 
-def _live_case(m, n_dim, n, x, y=0.0):
-    """Sum arguments at N = ``n_dim``, m_time = lam^n, from the point s0 + x,
-    with the derived window chi_h for the oracles."""
+def _live_case(m, n_dim, n, x):
+    """Sum arguments at N = ``n_dim``, m_time = lam^n, from the abscissa
+    s0 + x, with the derived window chi_h for the oracles."""
     sd = spectral_data(m)
     obs = InterferenceObservable(q0=0.31, p0=0.87, theta=sd.theta, h=1.0 / n_dim,
                                  beta=damping_coefficient(m))
-    t_map = SkewMap(alpha=sd.tan_theta, N=n_dim)
-    return t_map, obs, gaussian_damping(obs), ((obs.s0 + x) % 1.0, y), sd.lam ** n
+    return obs, gaussian_damping(obs), (obs.s0 + x) % 1.0, sd.lam ** n
 
 
 @pytest.mark.parametrize(
-    "matrix, n_dim, n, x, y",
+    "matrix, n_dim, n, x",
     [
-        (_CAT, 256, 12, 0.4137, 0.0),
-        (_CAT, 256, 13, 0.1291, 0.37),
-        (_CAT, 4096, 12, 0.7702, 0.0),
-        (_CAT, 4096, 13, 0.2466, 0.0),
-        (_CAT, 4096, 16, 0.5873, 0.0),
+        (_CAT, 256, 12, 0.4137),
+        (_CAT, 4096, 12, 0.7702),
+        (_CAT, 4096, 13, 0.2466),
+        (_CAT, 4096, 16, 0.5873),
         # Start within 1/N of s0: the k = 0 term has the largest profile.
-        (_CAT, 256, 13, 0.6 / 256, 0.0),
-        (_CAT, 4096, 13, -0.3 / 4096, 0.0),
+        (_CAT, 256, 13, 0.6 / 256),
+        (_CAT, 4096, 13, -0.3 / 4096),
         # Complex beta.
-        (_M3121, 256, 9, 0.3318, 0.0),
-        (_M3121, 4096, 10, 0.9051, 0.21),
-        (_M3121, 4096, 10, 0.2 / 4096, 0.0),
+        (_M3121, 256, 9, 0.3318),
+        (_M3121, 4096, 10, 0.2 / 4096),
     ],
-    ids=["cat-256-12", "cat-256-13-y", "cat-4096-12", "cat-4096-13", "cat-4096-16",
-         "cat-256-13-near-s0", "cat-4096-13-near-s0", "3121-256-9", "3121-4096-10-y",
-         "3121-4096-10-near-s0"],
+    ids=["cat-256-12", "cat-4096-12", "cat-4096-13", "cat-4096-16",
+         "cat-256-13-near-s0", "cat-4096-13-near-s0", "3121-256-9", "3121-4096-10-near-s0"],
 )
-def test_live_term_sum_matches_full_window(matrix, n_dim, n, x, y):
-    t_map, obs, chi, pt, m_time = _live_case(matrix, n_dim, n, x, y)
-    want, mass = _full_window_sum(t_map, obs, chi, pt, m_time)
-    got = damped_birkhoff_sum(t_map, obs, pt, m_time)
+def test_live_term_sum_matches_full_window(matrix, n_dim, n, x):
+    obs, chi, x0, m_time = _live_case(matrix, n_dim, n, x)
+    want, mass = _full_window_sum(obs, chi, x0, m_time)
+    got = damped_birkhoff_sum(obs, x0, m_time)
     assert abs(got - want) <= _LIVE_TAIL + _ROUNDING * mass
 
 
-def _window_live_k(t_map, obs, x, m_time, k_max):
+def _window_live_k(obs, x, m_time, k_max):
     """Oracle for the blocked walk: the live k of the whole window at once."""
     k = np.arange(-k_max, k_max + 1)
     u = k / m_time
-    v = circle_distance(x + k * t_map.alpha, obs.s0) / math.sqrt(obs.h)
+    v = circle_distance(x + k * _skew(obs)[0], obs.s0) / math.sqrt(obs.h)
     bound = (np.exp(-obs.gamma0.real * u * u / obs.h)
              * np.exp(-math.pi * math.cos(obs.theta) ** 2 * v * v))
     return k[bound >= _LIVE_TAIL / k.size]
 
 
-def _whole_window_live_sum(t_map, obs, pt, m_time, live_k):
+def _whole_window_live_sum(obs, x, m_time, live_k):
     """Oracle for the blocked sum: the terms of ``live_k`` formed in one go
     and summed by one ``np.sum``."""
-    terms = gaussian_damping(obs)(live_k / m_time) * obs.eval(*orbit_points(t_map, live_k, pt))
+    terms = gaussian_damping(obs)(live_k / m_time) * obs.eval(*orbit_points(*_skew(obs), live_k, x))
     return complex(np.sum(terms))
 
 
@@ -383,17 +387,17 @@ def test_live_term_sum_across_blocks(monkeypatch, k_max, block):
     # distance 0 from s0 after K steps, so the k = K term is live.
     if block is not None:
         monkeypatch.setattr(birkhoff, "_BLOCK", block)
-    t_map, obs, chi, _, _ = _live_case(_CAT, 256, 0, 0.0)
+    obs, chi, _, _ = _live_case(_CAT, 256, 0, 0.0)
     m_time = (k_max + 0.5) / math.sqrt(obs.h * math.log(1e14) / obs.gamma0.real)
-    pt = ((obs.s0 - k_max * t_map.alpha) % 1.0, 0.0)
-    assert _half_width(obs, m_time) == k_max
-    live = np.concatenate(list(_live_blocks(t_map, obs, pt[0], m_time, k_max)))
-    want_live = _window_live_k(t_map, obs, pt[0], m_time, k_max)
+    x = (obs.s0 - k_max * _skew(obs)[0]) % 1.0
+    assert _half_width(obs, m_time, chi) == k_max
+    live = np.concatenate(list(_live_blocks(obs, x, m_time, k_max)))
+    want_live = _window_live_k(obs, x, m_time, k_max)
     assert k_max in want_live and np.array_equal(live, want_live)
-    got = damped_birkhoff_sum(t_map, obs, pt, m_time)
+    got = damped_birkhoff_sum(obs, x, m_time)
     # Blocking changes neither a term nor the order of the sum.
-    assert got == _whole_window_live_sum(t_map, obs, pt, m_time, want_live)
-    want, mass = _full_window_sum(t_map, obs, chi, pt, m_time)
+    assert got == _whole_window_live_sum(obs, x, m_time, want_live)
+    want, mass = _full_window_sum(obs, chi, x, m_time)
     assert abs(got - want) <= _LIVE_TAIL + _ROUNDING * mass
 
 
@@ -402,15 +406,15 @@ def test_live_mask_keeps_few_terms(cat):
     # the window at N = 256 and 11.5% at N = 4096.
     for n_dim, share in ((256, 0.60), (4096, 0.20)):
         for x in (0.1, 0.45, 0.8):
-            t_map, obs, chi, pt, m_time = _live_case(cat, n_dim, 13, x)
+            obs, chi, x0, m_time = _live_case(cat, n_dim, 13, x)
             k, chi_k = _window(chi, m_time)
-            k_max = _half_width(obs, m_time)
-            live_k = np.concatenate(list(_live_blocks(t_map, obs, pt[0], m_time, k_max)))
+            k_max = _half_width(obs, m_time, chi)
+            live_k = np.concatenate(list(_live_blocks(obs, x0, m_time, k_max)))
             live = np.isin(k, live_k)
             assert 0 < np.count_nonzero(live) <= share * k.size
             # What the mask drops is below the certified tail.
             dropped = np.abs(chi_k[~live]) * np.abs(
-                obs.profile(circle_distance(pt[0] + k[~live] * t_map.alpha, obs.s0)
+                obs.profile(circle_distance(x0 + k[~live] * _skew(obs)[0], obs.s0)
                             / math.sqrt(obs.h)))
             assert np.sum(dropped) <= _LIVE_TAIL
 
@@ -420,10 +424,10 @@ def test_damped_sum_memory(cat, n_dim, n, limit_mib):
     # Windows of 2.8e6 and 1.7e6 terms: a sum that held whole-window arrays
     # peaked at 155 and 101 MB.  The blocked walk holds one block plus the
     # live terms (12% and 49% of the window).
-    t_map, obs, _, pt, m_time = _live_case(cat, n_dim, n, 0.4137)
+    obs, _, x, m_time = _live_case(cat, n_dim, n, 0.4137)
     tracemalloc.start()
     try:
-        damped_birkhoff_sum(t_map, obs, pt, m_time)
+        damped_birkhoff_sum(obs, x, m_time)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -503,8 +507,7 @@ def test_theorem_rhs_threshold_and_truncation(cat):
     obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=h,
                                  beta=damping_coefficient(cat))
     chi = gaussian_damping(obs)
-    t_map = SkewMap(alpha=sd.tan_theta, N=64)
-    base = damped_birkhoff_sum(t_map, obs, (0.2, 0.0), sd.lam ** n)
+    base = damped_birkhoff_sum(obs, 0.2, sd.lam ** n)
     k_wide = int(6 * sd.lam ** n)
     ks = np.arange(-k_wide, k_wide + 1)
     xs = 0.2 + ks * sd.tan_theta
@@ -592,7 +595,7 @@ def test_theorem_pipeline_nonsymmetric_matrix():
     sd = spectral_data(m)
     n_dim = 64
     h = 1.0 / n_dim
-    d_fit = fit_theorem_constant(m, n_ref=n_dim, seed=11)
+    d_fit = fit_theorem_constant(m, seed=11)  # fitted at N = 64
     rng = np.random.default_rng(4)
     n = math.ceil(1.5 * ehrenfest_time(h, sd.lam))
     for _ in range(4):
@@ -640,16 +643,15 @@ def test_unit_constant_prediction_whole_family(entries, n):
 
 def test_skew_closed_form_twenty_random_starts(cat):
     # Float one-step composition vs the exact-rational closed form at m = 1e4.
-    sd = spectral_data(cat)
-    t_map = SkewMap(alpha=sd.tan_theta, N=64)
+    alpha = spectral_data(cat).tan_theta
     rng = np.random.default_rng(31)
     worst = 0.0
     for _ in range(20):
         pt = (float(rng.uniform()), float(rng.uniform()))
         it = pt
         for _ in range(10_000):
-            it = skew_apply(t_map, it)
-        closed = skew_iterate(t_map, pt, 10_000)
+            it = skew_apply(alpha, 64, it)
+        closed = skew_iterate(alpha, 64, pt, 10_000)
         worst = max(worst, abs(circle_distance(it[0], closed[0])),
                     abs(circle_distance(it[1], closed[1])))
     assert worst < 1e-9

@@ -214,14 +214,14 @@ def test_records_are_immutable_and_validated(tmp_path):
     ham = hamiltonian_from_matrix(cat)
     records = [
         cat, sd, ham, flow_coefficients(ham, 1.0),
-        TorusPoint(0.3, 0.4), g, birkhoff.SkewMap(0.37, 4),
+        TorusPoint(0.3, 0.4), g,
         birkhoff.InterferenceObservable(0.3, 0.4, sd.theta, h, lagrangian.damping_coefficient(cat)),
         lagrangian.make_damped_lagrangian(cat, 2, h), lagrangian.wavepacket_overlap_field(g),
         lagrangian.BandIndexer(theta=sd.theta, q0=0.3, p0=0.4, s_prime=0.0),
         pair_symmetrized_detailed(g, g)[1], husimi(g, 8),
         load_config(write_config(tmp_path)), ExperimentResult(table), table,
     ]
-    assert len({type(r) for r in records}) == 16
+    assert len({type(r) for r in records}) == 15
     for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
@@ -233,7 +233,7 @@ def test_records_are_immutable_and_validated(tmp_path):
         ExperimentResult(table).frames["x"] = None
     with pytest.raises(TypeError):
         ExperimentResult(table).fitted_constants["x"] = None
-    # The five validating constructors keep their checks.
+    # The four validating constructors keep their checks.
     with pytest.raises(ValueError):
         Sl2IntMatrix(2, 0, 0, 1)
     with pytest.raises(ValueError):
@@ -243,8 +243,11 @@ def test_records_are_immutable_and_validated(tmp_path):
         GaussianState(1.0, 1j, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         GaussianState(1.0, 1.0 + 0j, 0.0, 0.0, h)
+    # No record holds the skew map: the Birkhoff sum reads its even N from
+    # the observable's h and refuses an odd one.
+    odd = birkhoff.InterferenceObservable(0.3, 0.4, sd.theta, 1.0 / 5, 1.0)
     with pytest.raises(OddNError):
-        birkhoff.SkewMap(alpha=0.37, N=5)
+        birkhoff.damped_birkhoff_sum(odd, 0.1, 10.0)
     with pytest.raises(ValueError):
         ResultTable(schema="s", columns=("a", "b"), rows=[(1,)])
     # _replace and _make skip those checks, so the package calls neither.
@@ -512,6 +515,32 @@ def test_odd_point_list_is_a_config_error(tmp_path):
     # Point-wise experiments take any count; an even list still pairs up.
     assert len(load_config(odd).resolved_points(5)) == 3
     assert len(load_config(write_config(tmp_path)).resolved_pairs(5)) == 2
+
+
+@pytest.mark.parametrize(
+    "experiment, n_mode, n_value, code",
+    [("theorem", "absolute", 400, 3), ("bands", "absolute", 400, 3),
+     ("egorov", "absolute", 400, 3), ("egorov", "absolute", 360, 3),
+     ("theorem", "ehrenfest-multiples", 1e308, 2)],
+    ids=["theorem-400", "bands-400", "egorov-400", "egorov-360", "theorem-1e308-te"],
+)
+def test_cli_very_large_times_fail_typed(tmp_path, experiment, n_mode, n_value, code):
+    # At n = 400 the propagated packet leaves the float range; at n = 360 the
+    # periodized samples of egorov would span 4e150 periods; 1e308 Ehrenfest
+    # times is a time past the float range.  Each is one typed line.
+    cfg = write_config(tmp_path, N_values=[16], n_mode=n_mode, n_values=[n_value])
+    proc = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    prefix = "numerical failure: " if code == 3 else "config error: "
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_load_config_rejects_integers_past_the_float_range(tmp_path):
+    # JSON integers are unbounded; one past the float range is not a number
+    # that any float expression of the run could take.
+    for key, value in (("n_values", [10 ** 400]), ("points", [[10 ** 400, 0.5], [0.1, 0.2]])):
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_config(tmp_path, **{key: value}))
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

@@ -301,6 +301,19 @@ def test_propagate_n_matches_repeated_application(cat):
     assert out3.amplitude == pytest.approx(step.amplitude)
 
 
+def test_propagate_n_fails_typed_past_the_float_range(rng):
+    # The lifted center grows like lam^n and Im(theta) shrinks like
+    # lam^(-2n): for every hyperbolic matrix one of them leaves the float
+    # range before n = 390, and propagation says so instead of building an
+    # invalid state.
+    for _ in range(5):
+        m = random_hyperbolic(rng)
+        g = wavepacket(0.3, 0.4, 1.0 / 16.0)
+        assert propagate_n(m, g, 100).theta.imag > 0.0
+        with pytest.raises(NumericalToleranceError, match="leaves the float range"):
+            propagate_n(m, g, 400)
+
+
 def _plane_wave_solution(ham, t, x, xi, h):
     fc = flow_coefficients(ham, t)
     hb = h / (2.0 * math.pi)

@@ -72,15 +72,14 @@ def test_pair_against_bruteforce_quadrature():
     assert trunc.certified_tail < 1e-13
 
 
-def test_pair_validation_errors():
+def test_pair_validation_errors(monkeypatch):
     with pytest.raises(MismatchedHError):
         pair_symmetrized(wavepacket(0, 0, 0.5), wavepacket(0, 0, 0.25))
     with pytest.raises(OddNError):
         pair_symmetrized(wavepacket(0, 0, 1.0 / 3.0), wavepacket(0, 0, 1.0 / 3.0))
+    monkeypatch.setattr(qcat.torus, "_MAX_TERMS", 4)
     with pytest.raises(TruncationOverflowError):
-        pair_symmetrized(
-            wavepacket(0, 0, 1.0 / 64.0), wavepacket(0, 0, 1.0 / 64.0), max_terms=4
-        )
+        pair_symmetrized(wavepacket(0, 0, 1.0 / 64.0), wavepacket(0, 0, 1.0 / 64.0))
 
 
 def test_overlap_form_refuses_a_propagated_test(cat):
@@ -418,6 +417,24 @@ def test_gram_rank_is_n(cat):
 @pytest.mark.parametrize("n_dim", [2, 4, 16, 36, 64, 128, 144, 256])
 def test_comb_gram_min_eig_matches_dense_oracle(n_dim):
     assert abs(comb_gram_min_eig(n_dim) - dense_comb_gram_min_eig(n_dim)) <= 1e-13
+
+
+def test_periodized_samples_cap(cat, monkeypatch):
+    # A packet spread over 4e150 periods (egorov at N = 16, n = 360) is
+    # refused before any array is formed.
+    g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / 16.0), 360)
+    with pytest.raises(TruncationOverflowError, match="more than the cap of 16777216 samples"):
+        periodized_samples(g, 16)
+    # The cap bounds 2 * half * N: a window of exactly the cap passes.
+    g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / 16.0), 3)
+    im = complex(g.theta).imag
+    tail = qcat.torus._SAMPLE_TAIL
+    half = math.sqrt(g.h * math.log(max(abs(g.amplitude), 1.0) / tail) / (math.pi * im)) + 1.0
+    monkeypatch.setattr(qcat.torus, "_MAX_SAMPLES", 2.0 * half * 16)
+    assert periodized_samples(g, 16).shape == (16,)
+    monkeypatch.setattr(qcat.torus, "_MAX_SAMPLES", math.floor(2.0 * half * 16))
+    with pytest.raises(TruncationOverflowError):
+        periodized_samples(g, 16)
 
 
 @pytest.mark.parametrize("n_dim", [2, 4, 16, 36, 64, 128, 144, 256])
