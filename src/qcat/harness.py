@@ -37,7 +37,7 @@ from .lagrangian import (
 )
 from .metaplectic import propagate_n, wavepacket
 from .tables import ResultTable, format_cell
-from .torus import build_propagator_matrix, comb_gram_min_eig, husimi, matrix_element_exact
+from .torus import build_propagator_matrix, husimi, matrix_element_exact
 
 __all__ = [
     "ExperimentConfig",
@@ -148,7 +148,7 @@ def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -163,8 +163,8 @@ def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
     _require(mat[0] * mat[3] - mat[1] * mat[2] == 1, "matrix", "determinant must be 1")
     nvals = merged["N_values"]
     _require(isinstance(nvals, list) and len(nvals) > 0, "N_values", "must be a nonempty list")
-    _require(all(_is_int(v) and v > 0 and v % 2 == 0 for v in nvals), "N_values",
-             "entries must be positive even integers")
+    _require(all(_is_int(v) and _is_number(v) and v > 0 and v % 2 == 0 for v in nvals),
+             "N_values", "entries must be positive even integers finite as floats")
     _require(merged["n_mode"] in ("absolute", "ehrenfest-multiples"), "n_mode",
              "must be 'absolute' or 'ehrenfest-multiples'")
     ntimes = merged["n_values"]
@@ -201,7 +201,7 @@ def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
 
 class ExperimentResult(NamedTuple):
     """What one experiment hands to :func:`run_experiment`: its table, the
-    extra CSV frames to write beside it (name -> ``(grid, N, n, point)``)
+    extra CSV frames to write beside it (name -> ``(density, N, n, point)``)
     and the constants to record in the manifest.  Both mappings default to
     one read-only empty mapping, so no result can fill another's default."""
 
@@ -229,18 +229,22 @@ def run_unitarity(cfg: ExperimentConfig) -> ExperimentResult:
 
     The matrix is the closed-form chirp-FFT build, unitary by construction,
     so its defect is rounding.  The Gram column reports the conditioning of
-    the comb family that the comb-inversion oracle of the test suite
-    inverts; the family is translation-invariant, so its Gram matrix is
-    circulant and :func:`qcat.torus.comb_gram_min_eig` gives its smallest
-    eigenvalue from the samples of one comb state and one FFT."""
+    the comb family of near-delta states (theta = 20 i N) that the
+    comb-inversion oracle of the test suite inverts.  The family is
+    translation-invariant, so its unit-diagonal Gram matrix is circulant;
+    its eigenvalues are the DFT power of theta-series samples, and the
+    smallest is (1 - 2q)^2 / (1 + 2q^2) with q = e^(-20 pi) for every even
+    N, which is 1.0 in float64."""
     m = cfg.cat_matrix()
+    q = math.exp(-20.0 * math.pi)
+    gram_min_eig = (1.0 - 2.0 * q) ** 2 / (1.0 + 2.0 * q * q)
 
     def cell(n_dim: int):
         t0 = time.perf_counter()
         u = build_propagator_matrix(m, n_dim)
         gram = u.conj().T @ u
         gram.flat[::n_dim + 1] -= 1.0  # minus the identity, in place
-        return n_dim, float(np.max(np.abs(gram))), comb_gram_min_eig(n_dim), time.perf_counter() - t0
+        return n_dim, float(np.max(np.abs(gram))), gram_min_eig, time.perf_counter() - t0
 
     return ExperimentResult(ResultTable(
         schema="unitarity",
@@ -269,7 +273,7 @@ def run_egorov(cfg: ExperimentConfig) -> ExperimentResult:
         h = 1.0 / n_dim
         pt = points[idx]
         g = propagate_n(m, wavepacket(pt.q, pt.p, h), n_time)
-        grid = husimi(g, res)
+        dens = husimi(g, res)
         target = cat_apply(m.power(n_time), pt)
         qs = np.arange(res) / res
         qq, pp = np.meshgrid(qs, qs, indexing="ij")
@@ -277,12 +281,12 @@ def run_egorov(cfg: ExperimentConfig) -> ExperimentResult:
         dp = np.abs(pp - target.p)
         dist2 = np.minimum(dq, 1.0 - dq) ** 2 + np.minimum(dp, 1.0 - dp) ** 2
         radius = 10.0 * math.sqrt(h)
-        total = float(np.sum(grid.values))
-        inside = float(np.sum(grid.values[dist2 <= radius * radius]))
+        total = float(np.sum(dens))
+        inside = float(np.sum(dens[dist2 <= radius * radius]))
         frac = inside / total if total > 0 else 0.0
         row = (n_dim, n_time, idx, pt.q, pt.p, n_time / ehrenfest_time(h, sd.lam), frac,
-               grid.riemann_mass)
-        return row, (f"husimi_N{n_dim}_n{n_time}_p{idx}", (grid, n_dim, n_time, pt))
+               total / res ** 2)
+        return row, (f"husimi_N{n_dim}_n{n_time}_p{idx}", (dens, n_dim, n_time, pt))
 
     results = _map_cells(cells, cell, cfg.threads)
     table = ResultTable(
@@ -469,10 +473,10 @@ def _manifest(cfg: ExperimentConfig, experiment: str, fitted: Mapping) -> dict:
     return manifest
 
 
-def _write_frame(path: Path, grid, n_dim: int, n_time: int, pt: TorusPoint) -> None:
+def _write_frame(path: Path, dens: np.ndarray, n_dim: int, n_time: int, pt: TorusPoint) -> None:
     lines = [f"N,{n_dim}", f"n,{n_time}", f"point,{format_cell(pt.q)},{format_cell(pt.p)}"]
     # repr of each Python float, as format_cell writes a float cell.
-    lines.extend(",".join(map(repr, row.tolist())) for row in grid.values)
+    lines.extend(",".join(map(repr, row.tolist())) for row in dens)
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
@@ -486,8 +490,8 @@ def run_experiment(experiment: str, cfg: ExperimentConfig, out_dir: str | Path) 
     result = EXPERIMENTS[experiment](cfg)
     csv_path = out / f"{experiment}.csv"
     result.table.write_csv(csv_path)
-    for name, (grid, n_dim, n_time, pt) in result.frames.items():
-        _write_frame(out / f"{name}.csv", grid, n_dim, n_time, pt)
+    for name, (dens, n_dim, n_time, pt) in result.frames.items():
+        _write_frame(out / f"{name}.csv", dens, n_dim, n_time, pt)
     manifest = _manifest(cfg, experiment, result.fitted_constants)
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"

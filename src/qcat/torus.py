@@ -35,17 +35,19 @@ For N-point work there is an equivalent exact route (Poisson summation):
 S(g) is determined by the N samples of the 1-periodization of g on the grid
 r/N, the pairing is the discrete inner product (1/N) sum_r v_r conj(w_r),
 and the Fourier coefficients are the inverse DFT of those samples.  The
-package keeps only the samples (:func:`periodized_samples`); the Parseval
-pairing on the coefficients is a test oracle in ``tests/oracles.py``,
-checked there against the lattice route.  Husimi frames take it one
-step further: unfolding the periodization turns each grid row of pairings
-into one length-R FFT (see :func:`husimi`), and the lattice route stays as
-their test oracle.
+package keeps only the samples (:func:`periodized_samples`, with N read from
+the state's h); the Parseval pairing on the coefficients is a test oracle in
+``tests/oracles.py``, checked there against the lattice route.  Husimi
+frames take it one step further: unfolding the periodization turns each
+grid row of pairings into one length-R FFT (see :func:`husimi`, which
+returns the bare R x R density array), and the lattice route stays as their
+test oracle.
 
 The propagator matrix needs no states at all: on the samples the quantized
 map is a chain of chirps e(x j^2 / 2N) and unitary DFTs, one FFT per column
 (see :func:`build_propagator_matrix`), and one coherent state pins its unit
-constant.  The comb inversion it replaces stays as a test oracle.
+constant.  The comb inversion it replaces, and the comb family of
+near-delta states it inverts, stay as test oracles in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -67,14 +69,10 @@ from .metaplectic import GaussianState, cis_turns, gaussian_eval, propagate_n, w
 __all__ = [
     "LatticeTruncation",
     "OverlapForm",
-    "HusimiGrid",
     "even_n_from_h",
     "periodized_samples",
     "overlap_form",
-    "pair_symmetrized",
     "pair_symmetrized_detailed",
-    "comb_state",
-    "comb_gram_min_eig",
     "build_propagator_matrix",
     "matrix_element_exact",
     "husimi",
@@ -87,8 +85,6 @@ _MAX_TERMS = 5_000_000
 # on at most this many points (about 105 bytes of temporaries each).
 _SAMPLE_TAIL = 1e-16
 _MAX_SAMPLES = 1 << 24
-# Shape of the comb states, theta = i * _COMB_WIDTH * N (see comb_state).
-_COMB_WIDTH = 20.0
 # exp(x) is exactly 0.0 in float64 for x < log(2^-1075) = -745.1332...
 _EXP_FLOOR = -746.0
 
@@ -98,21 +94,6 @@ class LatticeTruncation(NamedTuple):
 
     radius: int
     certified_tail: float
-
-
-class HusimiGrid(NamedTuple):
-    """Phase-space density (1/h)|D(Phi_{q,p})|^2 sampled on an R x R grid.
-
-    values[i, j] is the density at (q, p) = (i/R, j/R).
-    """
-
-    resolution: int
-    values: np.ndarray
-    h: float
-
-    @property
-    def riemann_mass(self) -> float:
-        return float(np.sum(self.values)) / self.resolution ** 2
 
 
 def even_n_from_h(h: float) -> int:
@@ -125,12 +106,16 @@ def even_n_from_h(h: float) -> int:
     return n
 
 
-def periodized_samples(g: GaussianState, N: int) -> np.ndarray:
-    """v_r = sum_m g(r/N + m) for r = 0..N-1, truncated below ``_SAMPLE_TAIL``.
+def periodized_samples(g: GaussianState) -> np.ndarray:
+    """v_r = sum_m g(r/N + m) for r = 0..N-1 with N = 1/g.h, truncated below
+    ``_SAMPLE_TAIL``.
 
-    Raises TruncationOverflowError, before forming any array, if the window
-    of 2 * half periods of N samples each has more than ``_MAX_SAMPLES``.
+    Raises:
+        OddNError: if 1/g.h is not an even integer.
+        TruncationOverflowError: before forming any array, if the window of
+            2 * half periods of N samples each has more than ``_MAX_SAMPLES``.
     """
+    N = even_n_from_h(g.h)
     im = complex(g.theta).imag
     half = math.sqrt(g.h * math.log(max(abs(g.amplitude), 1.0) / _SAMPLE_TAIL)
                      / (math.pi * im)) + 1.0
@@ -366,44 +351,6 @@ def pair_symmetrized_detailed(g: GaussianState,
     return complex(np.sum(terms)), truncation
 
 
-def pair_symmetrized(g: GaussianState, test: GaussianState) -> complex:
-    """sum_{k in Z^2} <T_k g, test>: the Hermitian pairing on the torus."""
-    value, _ = pair_symmetrized_detailed(g, test)
-    return value
-
-
-def comb_state(N: int, k: int) -> GaussianState:
-    """Unit-norm near-delta Gaussian at (k/N, 0) with theta = i * _COMB_WIDTH * N.
-
-    Symmetrizing these reproduces the Fourier-comb basis of the torus space:
-    the periodized samples are supported on the single grid point r = k to
-    machine precision, so the coefficient vectors are flat-modulus DFT
-    columns.  State k is state 0 moved by k/N, so the family's Gram matrix
-    is circulant; :func:`comb_gram_min_eig` gives its conditioning in
-    closed form.
-    """
-    if N <= 0 or N % 2 != 0:
-        raise OddNError(f"N must be a positive even integer, got {N}")
-    h = 1.0 / N
-    tau = _COMB_WIDTH * N
-    return GaussianState(
-        amplitude=complex((2.0 * tau / h) ** 0.25), theta=1j * tau, q=k / N, p=0.0, h=h
-    )
-
-
-def comb_gram_min_eig(N: int) -> float:
-    """Smallest eigenvalue of the unit-diagonal Gram matrix of the N comb
-    states, from one sample vector and one FFT.
-
-    The periodized samples of comb state k are those of state 0 rolled by
-    k (bit for bit when N is a power of 2, to about 1e-39 relative
-    otherwise), so by Parseval the Gram matrix is circulant.  Its eigenvalues
-    are the DFT power of the samples, and the unit diagonal is their mean.
-    """
-    power = np.abs(np.fft.fft(periodized_samples(comb_state(N, 0), N))) ** 2
-    return float(np.min(power) / np.mean(power))
-
-
 def _shear_chain(m: Sl2IntMatrix) -> list[int]:
     """Shears x_0..x_k with M = L_(x_k) J ... L_(x_1) J L_(x_0).
 
@@ -477,8 +424,8 @@ def build_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
         raise OddNError(f"N must be a positive even integer, got {N}")
     shears = _shear_chain(m)
     g = wavepacket(0.3, 0.4, 1.0 / N)
-    image = periodized_samples(propagate_n(m, g, 1), N)
-    chained = _apply_chain(shears, periodized_samples(g, N)[:, None])[:, 0]
+    image = periodized_samples(propagate_n(m, g, 1))
+    chained = _apply_chain(shears, periodized_samples(g)[:, None])[:, 0]
     ratio = complex(np.vdot(chained, image) / np.vdot(chained, chained))
     unit = cis_turns(round(4.0 * np.angle(ratio) / math.pi) / 8.0)
     if abs(ratio - unit) > 1e-9:
@@ -508,11 +455,12 @@ def matrix_element_exact(
         raise OddNError(f"N must be a positive even integer, got {N}")
     h = 1.0 / N
     g = propagate_n(m, wavepacket(src.q, src.p, h), n)
-    return pair_symmetrized(g, wavepacket(dst.q, dst.p, h))
+    return pair_symmetrized_detailed(g, wavepacket(dst.q, dst.p, h))[0]
 
 
-def husimi(g: GaussianState, resolution: int) -> HusimiGrid:
-    """The density N |<S(g), S(Phi_{q,p})>|^2 on the uniform R x R grid.
+def husimi(g: GaussianState, resolution: int) -> np.ndarray:
+    """The density N |<S(g), S(Phi_{q,p})>|^2 on the uniform R x R grid, as
+    an R x R array whose entry [i, j] is the density at (q, p) = (i/R, j/R).
 
     Substituting l = r + N m in the Poisson (N-grid) form of the pairing
     gives a Gaussian-windowed sequence in l,
@@ -520,7 +468,7 @@ def husimi(g: GaussianState, resolution: int) -> HusimiGrid:
         <S(g), S(Phi_{q,p})> = (c_h/N) sum_l v_{l mod N}
                                exp(-pi (l - Nq)^2 / N) e(-p (l - Nq)),
 
-    with v = periodized_samples(g, N), c_h = (2N)^(1/4) and e(t) =
+    with v = periodized_samples(g), c_h = (2N)^(1/4) and e(t) =
     exp(2 i pi t).  At q = i/R, p = j/R the phase splits into e(-jl/R),
     exact in integer arithmetic, times the row phase e(Nij/R^2), which has
     modulus 1 and drops out of the density.  Each row is therefore one
@@ -537,9 +485,9 @@ def husimi(g: GaussianState, resolution: int) -> HusimiGrid:
     """
     if resolution < 8:
         raise ValueError(f"resolution must be at least 8, got {resolution}")
-    N = even_n_from_h(g.h)
     R = resolution
-    v = periodized_samples(g, N)
+    v = periodized_samples(g)
+    N = v.size
     half = math.ceil(math.sqrt(40.0 * N / math.pi)) + 2
     centers = N * np.arange(R) / R
     starts = R * np.floor((centers - half) / R).astype(np.int64)
@@ -549,5 +497,4 @@ def husimi(g: GaussianState, resolution: int) -> HusimiGrid:
     window = v[l % N] * np.exp(-math.pi * dl * dl / N)
     folded = window.reshape(R, blocks, R).sum(axis=1)
     c_h = (2.0 * N) ** 0.25
-    dens = N * (c_h / N) ** 2 * np.abs(np.fft.fft(folded, axis=1)) ** 2
-    return HusimiGrid(resolution=R, values=dens, h=1.0 / N)
+    return N * (c_h / N) ** 2 * np.abs(np.fft.fft(folded, axis=1)) ** 2

@@ -120,6 +120,47 @@ def _branch_sqrt_inv(h: QuadraticHamiltonian, t: float, theta: complex,
     return complex(np.exp(-0.5 * (math.log(abs(wt)) + 1j * total_arg)))
 
 
+# Shape of the comb states, theta = i * _COMB_WIDTH * N (see comb_state).
+_COMB_WIDTH = 20.0
+
+
+def comb_state(N: int, k: int):
+    """Unit-norm near-delta Gaussian at (k/N, 0) with theta = i * _COMB_WIDTH * N.
+
+    Symmetrizing these reproduces the Fourier-comb basis of the torus space:
+    the periodized samples are supported on the single grid point r = k to
+    machine precision, so the coefficient vectors are flat-modulus DFT
+    columns.  State k is state 0 moved by k/N, so the family's Gram matrix
+    is circulant; :func:`comb_gram_min_eig` gives its conditioning from one
+    FFT.
+    """
+    from qcat.errors import OddNError
+    from qcat.metaplectic import GaussianState
+
+    if N <= 0 or N % 2 != 0:
+        raise OddNError(f"N must be a positive even integer, got {N}")
+    h = 1.0 / N
+    tau = _COMB_WIDTH * N
+    return GaussianState(
+        amplitude=complex((2.0 * tau / h) ** 0.25), theta=1j * tau, q=k / N, p=0.0, h=h
+    )
+
+
+def comb_gram_min_eig(N: int) -> float:
+    """Smallest eigenvalue of the unit-diagonal Gram matrix of the N comb
+    states, from one sample vector and one FFT.
+
+    The periodized samples of comb state k are those of state 0 rolled by
+    k (bit for bit when N is a power of 2, to about 1e-39 relative
+    otherwise), so by Parseval the Gram matrix is circulant.  Its eigenvalues
+    are the DFT power of the samples, and the unit diagonal is their mean.
+    """
+    from qcat.torus import periodized_samples
+
+    power = np.abs(np.fft.fft(periodized_samples(comb_state(N, 0)))) ** 2
+    return float(np.min(power) / np.mean(power))
+
+
 def comb_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
     """Oracle for ``torus.build_propagator_matrix`` by comb inversion.
 
@@ -131,7 +172,6 @@ def comb_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
     from oracles import torus_coefficients
     from qcat.errors import OddNError
     from qcat.metaplectic import propagate_n
-    from qcat.torus import comb_state
 
     if N <= 0 or N % 2 != 0:
         raise OddNError(f"N must be a positive even integer, got {N}")
@@ -145,11 +185,11 @@ def comb_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
 
 
 def dense_comb_gram_min_eig(N: int) -> float:
-    """Oracle for ``torus.comb_gram_min_eig``: the N comb states built one
-    at a time, their unit-diagonal Gram matrix through the Parseval form of
-    the pairing, and a dense Hermitian eigensolve, O(N^3)."""
+    """Oracle for :func:`comb_gram_min_eig` and for the closed form of the
+    unitarity table's ``gram_min_eig``: the N comb states built one at a
+    time, their unit-diagonal Gram matrix through the Parseval form of the
+    pairing, and a dense Hermitian eigensolve, O(N^3)."""
     from oracles import torus_coefficients
-    from qcat.torus import comb_state
 
     basis = np.empty((N, N), dtype=complex)
     for k in range(N):

@@ -40,7 +40,7 @@ from qcat.classical import (FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix
 from qcat.errors import MismatchedHError, NonPositiveHError, OddNError, QcatError
 from qcat.lagrangian import DampedLagrangianState, aligned_propagated_state, make_damped_lagrangian
 from qcat.metaplectic import GaussianState, cis_turns, gaussian_eval
-from qcat.torus import even_n_from_h, periodized_samples
+from qcat.torus import periodized_samples
 
 _TWO_PI = 2.0 * math.pi
 
@@ -434,8 +434,8 @@ def torus_coefficients(g: GaussianState) -> TorusState:
     d_n = (1/N) sum_{j in Z} g(j/N) exp(2*i*pi*n*j/N): the lattice sum of
     Gaussian samples against plane waves, N-periodic in n by construction.
     """
-    N = even_n_from_h(g.h)
-    return TorusState(N=N, coeffs=np.fft.ifft(periodized_samples(g, N)))
+    coeffs = np.fft.ifft(periodized_samples(g))
+    return TorusState(N=coeffs.size, coeffs=coeffs)
 
 
 def pair_from_coefficients(s1: TorusState, s2: TorusState) -> complex:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_gaussian_state, random_hyperbolic, random_shear_product, run_cli
+from conftest import comb_state, random_gaussian_state, random_hyperbolic, random_shear_product, run_cli
 from oracles import (
     PlaneTranslation,
     check_pointwise_approx,
@@ -36,7 +36,6 @@ from qcat.lagrangian import (BandIndexer, aligned_propagated_state, band_differe
 from qcat.metaplectic import gaussian_eval, propagate_n, wavepacket
 from qcat.torus import (
     build_propagator_matrix,
-    comb_state,
     husimi,
     matrix_element_exact,
 )
@@ -165,12 +164,12 @@ def test_a5_egorov():
         for n in range(0, int(0.75 * te) + 1):
             for pt in points:
                 g = propagate_n(CAT, wavepacket(pt.q, pt.p, h), n)
-                grid = husimi(g, res)
+                dens = husimi(g, res)
                 target = cat_apply(CAT.power(n), pt)
                 dq = np.abs(qq - target.q)
                 dp = np.abs(pp - target.p)
                 dist2 = np.minimum(dq, 1 - dq) ** 2 + np.minimum(dp, 1 - dp) ** 2
-                frac = float(grid.values[dist2 <= radius * radius].sum() / grid.values.sum())
+                frac = float(dens[dist2 <= radius * radius].sum() / dens.sum())
                 worst = min(worst, frac)
     elapsed = time.time() - t0
     _report("A5", worst >= 0.9 and elapsed < 180.0,

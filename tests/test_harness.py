@@ -22,7 +22,7 @@ from qcat.harness import (EXPERIMENTS, ExperimentResult, _write_frame, load_conf
                           run_experiment, run_unitarity)
 from qcat.metaplectic import GaussianState, wavepacket
 from qcat.tables import ResultTable, format_cell
-from qcat.torus import HusimiGrid, husimi, pair_symmetrized_detailed
+from qcat.torus import pair_symmetrized_detailed
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -218,10 +218,10 @@ def test_records_are_immutable_and_validated(tmp_path):
         birkhoff.InterferenceObservable(0.3, 0.4, sd.theta, h, lagrangian.damping_coefficient(cat)),
         lagrangian.make_damped_lagrangian(cat, 2, h), lagrangian.wavepacket_overlap_field(g),
         lagrangian.BandIndexer(theta=sd.theta, q0=0.3, p0=0.4, s_prime=0.0),
-        pair_symmetrized_detailed(g, g)[1], husimi(g, 8),
+        pair_symmetrized_detailed(g, g)[1],
         load_config(write_config(tmp_path)), ExperimentResult(table), table,
     ]
-    assert len({type(r) for r in records}) == 15
+    assert len({type(r) for r in records}) == 14
     for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
@@ -429,10 +429,10 @@ def _same_phases_on_circle(a, b, tol: float) -> bool:
     return min(float(np.max(np.abs(za - np.roll(zb, s)))) for s in range(len(zb))) < tol
 
 
-def _frame_via_format_cell(grid, n_dim: int, n_time: int, pt) -> str:
+def _frame_via_format_cell(dens, n_dim: int, n_time: int, pt) -> str:
     """A Husimi frame written one ``format_cell(float(v))`` per cell."""
     lines = [f"N,{n_dim}", f"n,{n_time}", f"point,{format_cell(pt.q)},{format_cell(pt.p)}"]
-    lines += [",".join(format_cell(float(v)) for v in row) for row in grid.values]
+    lines += [",".join(format_cell(float(v)) for v in row) for row in dens]
     return "\n".join(lines) + "\n"
 
 
@@ -441,10 +441,10 @@ def test_husimi_frames_match_format_cell_bytes(tmp_path):
     sign = np.where(rng.random((16, 16)) < 0.5, -1.0, 1.0)
     values = sign * 10.0 ** rng.uniform(-320.0, 300.0, (16, 16))
     values[0, :8] = [0.0, -0.0, 5e-324, 0.1, 1.0 / 3.0, 1e16, 123456789012345680.0, 2.0 ** -1074 * 3]
-    grid, pt = HusimiGrid(16, values, 1.0 / 8), TorusPoint(0.3, 0.7)
+    pt = TorusPoint(0.3, 0.7)
     path = tmp_path / "frame.csv"
-    _write_frame(path, grid, 8, 2, pt)
-    assert path.read_bytes() == _frame_via_format_cell(grid, 8, 2, pt).encode("ascii")
+    _write_frame(path, values, 8, 2, pt)
+    assert path.read_bytes() == _frame_via_format_cell(values, 8, 2, pt).encode("ascii")
 
     # The frames of an egorov run, re-read and rewritten by format_cell.
     cfg = load_config(write_config(tmp_path, N_values=[8, 16], n_values=[1, 2]))
@@ -456,8 +456,8 @@ def test_husimi_frames_match_format_cell_bytes(tmp_path):
         n_dim, n_time = int(lines[0].split(",")[1]), int(lines[1].split(",")[1])
         q, p = (float(v) for v in lines[2].split(",")[1:])
         values = np.array([[float(v) for v in line.split(",")] for line in lines[3:]])
-        grid = HusimiGrid(cfg.grid_resolution, values, 1.0 / n_dim)
-        assert frame.read_bytes() == _frame_via_format_cell(grid, n_dim, n_time, TorusPoint(q, p)).encode("ascii")
+        expected = _frame_via_format_cell(values, n_dim, n_time, TorusPoint(q, p))
+        assert frame.read_bytes() == expected.encode("ascii")
 
 
 def test_format_cell_round_trip():
@@ -538,9 +538,28 @@ def test_cli_very_large_times_fail_typed(tmp_path, experiment, n_mode, n_value, 
 def test_load_config_rejects_integers_past_the_float_range(tmp_path):
     # JSON integers are unbounded; one past the float range is not a number
     # that any float expression of the run could take.
-    for key, value in (("n_values", [10 ** 400]), ("points", [[10 ** 400, 0.5], [0.1, 0.2]])):
+    for key, value in (("n_values", [10 ** 400]), ("points", [[10 ** 400, 0.5], [0.1, 0.2]]),
+                       ("N_values", [10 ** 400])):
         with pytest.raises(ConfigError, match=key):
             load_config(write_config(tmp_path, **{key: value}))
+
+
+@pytest.mark.parametrize(
+    "experiment, text",
+    [("unitarity", '{"N_values": [1%s]}' % ("0" * 400)),
+     ("egorov", '{"N_values": [1%s]}' % ("0" * 400)),
+     ("unitarity", '{"seed": %s}' % ("1" * 4401))],
+    ids=["unitarity-N-1e400", "egorov-N-1e400", "unitarity-seed-4401-digits"],
+)
+def test_cli_out_of_range_config_integers_exit_2(tmp_path, experiment, text):
+    # An N past the float range overflowed at 1.0 / N, and json.loads refuses
+    # an integer of more than 4300 digits with a plain ValueError: both ended
+    # in a traceback (exit 1).  Each is one config error line.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    proc = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

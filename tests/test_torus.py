@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import qcat.torus
-from conftest import comb_propagator_matrix, dense_at_box_points, dense_comb_gram_min_eig
+from conftest import (comb_gram_min_eig, comb_propagator_matrix, comb_state, dense_at_box_points,
+                      dense_comb_gram_min_eig)
 from oracles import (PlaneTranslation, TorusState, gaussian_overlap, lagrangian_eval, overlap_quadrature,
                      pair_from_coefficients, torus_coefficients, translate)
 from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
@@ -18,6 +19,7 @@ from qcat.errors import (
     OddNError,
     TruncationOverflowError,
 )
+from qcat.harness import ExperimentConfig, run_unitarity
 from qcat.lagrangian import (
     BandIndexer,
     aligned_propagated_state,
@@ -28,12 +30,9 @@ from qcat.metaplectic import GaussianState, cis_turns, gaussian_eval, propagate_
 from qcat.torus import (
     _shear_chain,
     build_propagator_matrix,
-    comb_gram_min_eig,
-    comb_state,
     husimi,
     matrix_element_exact,
     overlap_form,
-    pair_symmetrized,
     pair_symmetrized_detailed,
     periodized_samples,
     shell_tail_bound,
@@ -42,7 +41,7 @@ from qcat.torus import (
 
 def test_pair_diagonal_real_positive():
     g = wavepacket(0.0, 0.0, 1.0 / 8.0)
-    val = pair_symmetrized(g, g)
+    val = pair_symmetrized_detailed(g, g)[0]
     assert val.imag == pytest.approx(0.0, abs=1e-13)
     assert val.real > 0
 
@@ -51,11 +50,11 @@ def test_pair_invariance_under_integer_translation():
     h = 1.0 / 8.0
     g = wavepacket(0.3, 0.6, h)
     test = wavepacket(0.1, 0.9, h)
-    base = pair_symmetrized(g, test)
-    shifted = pair_symmetrized(translate(g, PlaneTranslation(1.0, 0.0)), test)
+    base = pair_symmetrized_detailed(g, test)[0]
+    shifted = pair_symmetrized_detailed(translate(g, PlaneTranslation(1.0, 0.0)), test)[0]
     assert abs(abs(shifted) - abs(base)) < 1e-12
     # Plain recentering of the test packet also preserves the modulus.
-    moved = pair_symmetrized(g, wavepacket(0.1 + 1.0, 0.9, h))
+    moved = pair_symmetrized_detailed(g, wavepacket(0.1 + 1.0, 0.9, h))[0]
     assert abs(abs(moved) - abs(base)) < 1e-12
 
 
@@ -74,12 +73,12 @@ def test_pair_against_bruteforce_quadrature():
 
 def test_pair_validation_errors(monkeypatch):
     with pytest.raises(MismatchedHError):
-        pair_symmetrized(wavepacket(0, 0, 0.5), wavepacket(0, 0, 0.25))
+        pair_symmetrized_detailed(wavepacket(0, 0, 0.5), wavepacket(0, 0, 0.25))
     with pytest.raises(OddNError):
-        pair_symmetrized(wavepacket(0, 0, 1.0 / 3.0), wavepacket(0, 0, 1.0 / 3.0))
+        pair_symmetrized_detailed(wavepacket(0, 0, 1.0 / 3.0), wavepacket(0, 0, 1.0 / 3.0))
     monkeypatch.setattr(qcat.torus, "_MAX_TERMS", 4)
     with pytest.raises(TruncationOverflowError):
-        pair_symmetrized(wavepacket(0, 0, 1.0 / 64.0), wavepacket(0, 0, 1.0 / 64.0))
+        pair_symmetrized_detailed(wavepacket(0, 0, 1.0 / 64.0), wavepacket(0, 0, 1.0 / 64.0))
 
 
 def test_overlap_form_refuses_a_propagated_test(cat):
@@ -89,9 +88,9 @@ def test_overlap_form_refuses_a_propagated_test(cat):
     with pytest.raises(ValueError, match="plain wavepacket"):
         overlap_form(g, g)
     with pytest.raises(ValueError, match="plain wavepacket"):
-        pair_symmetrized(wavepacket(0.3, 0.4, h), propagate_n(cat, wavepacket(0.1, 0.2, h), 8))
+        pair_symmetrized_detailed(wavepacket(0.3, 0.4, h), propagate_n(cat, wavepacket(0.1, 0.2, h), 8))
     with pytest.raises(ValueError, match="plain wavepacket"):
-        pair_symmetrized(g, comb_state(16, 3))
+        pair_symmetrized_detailed(g, comb_state(16, 3))
     overlap_form(g, wavepacket(0.1, 0.2, h))
 
 
@@ -257,7 +256,7 @@ def test_parseval_route_matches_lattice_route():
         h = 1.0 / n_dim
         ga = wavepacket(0.23, 0.71, h)
         gb = wavepacket(0.6, 0.1, h)
-        lat = pair_symmetrized(ga, gb)
+        lat = pair_symmetrized_detailed(ga, gb)[0]
         par = pair_from_coefficients(torus_coefficients(ga), torus_coefficients(gb))
         assert abs(lat - par) < 1e-9
 
@@ -277,10 +276,10 @@ def test_husimi_fft_route_matches_lattice_route(cat):
             # in units of the frame maximum.
             tol = 1e-12 if n < late else 1e-11
             g = propagate_n(cat, wavepacket(0.3, 0.4, h), n)
-            frame = husimi(g, res).values
+            frame = husimi(g, res)
             peak = np.unravel_index(np.argmax(frame), frame.shape)
             for i, j in (peak, (0, 0), (res // 3, 2 * res // 5), (res - 1, 1)):
-                lattice = pair_symmetrized(g, wavepacket(i / res, j / res, h))
+                lattice = pair_symmetrized_detailed(g, wavepacket(i / res, j / res, h))[0]
                 assert abs(frame[i, j] - n_dim * abs(lattice) ** 2) <= tol * frame.max()
 
 
@@ -416,7 +415,14 @@ def test_gram_rank_is_n(cat):
 
 @pytest.mark.parametrize("n_dim", [2, 4, 16, 36, 64, 128, 144, 256])
 def test_comb_gram_min_eig_matches_dense_oracle(n_dim):
-    assert abs(comb_gram_min_eig(n_dim) - dense_comb_gram_min_eig(n_dim)) <= 1e-13
+    # The one-FFT route and the closed form (1 - 2q)^2 / (1 + 2q^2),
+    # q = e^(-20 pi), that the unitarity table writes.
+    dense = dense_comb_gram_min_eig(n_dim)
+    cfg = ExperimentConfig(matrix=(2, 1, 1, 1), N_values=(n_dim,), n_mode="absolute",
+                           n_values=(1,), points=(), grid_resolution=64, seed=1)
+    [(_, _, closed, _)] = run_unitarity(cfg).table.rows
+    assert abs(closed - dense) <= 1e-13
+    assert abs(comb_gram_min_eig(n_dim) - dense) <= 1e-13
 
 
 def test_periodized_samples_cap(cat, monkeypatch):
@@ -424,17 +430,24 @@ def test_periodized_samples_cap(cat, monkeypatch):
     # refused before any array is formed.
     g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / 16.0), 360)
     with pytest.raises(TruncationOverflowError, match="more than the cap of 16777216 samples"):
-        periodized_samples(g, 16)
+        periodized_samples(g)
     # The cap bounds 2 * half * N: a window of exactly the cap passes.
     g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / 16.0), 3)
     im = complex(g.theta).imag
     tail = qcat.torus._SAMPLE_TAIL
     half = math.sqrt(g.h * math.log(max(abs(g.amplitude), 1.0) / tail) / (math.pi * im)) + 1.0
     monkeypatch.setattr(qcat.torus, "_MAX_SAMPLES", 2.0 * half * 16)
-    assert periodized_samples(g, 16).shape == (16,)
+    assert periodized_samples(g).shape == (16,)
     monkeypatch.setattr(qcat.torus, "_MAX_SAMPLES", math.floor(2.0 * half * 16))
     with pytest.raises(TruncationOverflowError):
-        periodized_samples(g, 16)
+        periodized_samples(g)
+
+
+def test_periodized_samples_read_n_from_h():
+    for n_dim in (2, 16, 36):
+        assert periodized_samples(wavepacket(0.3, 0.4, 1.0 / n_dim)).shape == (n_dim,)
+    with pytest.raises(OddNError):
+        periodized_samples(wavepacket(0.3, 0.4, 1.0 / 15.0))
 
 
 @pytest.mark.parametrize("n_dim", [2, 4, 16, 36, 64, 128, 144, 256])
@@ -443,9 +456,9 @@ def test_comb_samples_are_shifts_of_comb_zero(n_dim):
     # k/N.  The sample offsets r/N + m - k/N are exact for N a power of 2;
     # for other N they round, but only where the near-delta samples are
     # flat (r = k) or negligible (every other r).
-    s0 = periodized_samples(comb_state(n_dim, 0), n_dim)
+    s0 = periodized_samples(comb_state(n_dim, 0))
     for k in range(n_dim):
-        sk = periodized_samples(comb_state(n_dim, k), n_dim)
+        sk = periodized_samples(comb_state(n_dim, k))
         if n_dim & (n_dim - 1) == 0:
             assert np.array_equal(sk, np.roll(s0, k))
         else:
@@ -471,23 +484,23 @@ def test_matrix_element_diagonal_and_shift_invariance(cat):
     assert diag.real > 0
     # Integer shifts of either argument change nothing but a unit phase.
     g = propagate_n(cat, wavepacket(0.3, 0.4, h), 1)
-    base = pair_symmetrized(g, wavepacket(0.1, 0.8, h))
+    base = pair_symmetrized_detailed(g, wavepacket(0.1, 0.8, h))[0]
     g_shift = propagate_n(cat, wavepacket(0.3 + 1.0, 0.4, h), 1)
-    shifted = pair_symmetrized(g_shift, wavepacket(0.1, 0.8 + 1.0, h))
+    shifted = pair_symmetrized_detailed(g_shift, wavepacket(0.1, 0.8 + 1.0, h))[0]
     assert abs(abs(base) - abs(shifted)) < 1e-12
 
 
 def test_husimi_localization_and_mass(cat):
     n_dim = 64
-    grid = husimi(wavepacket(0.5, 0.5, 1.0 / n_dim), 64)
-    assert np.all(grid.values >= 0.0)
-    i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
+    dens = husimi(wavepacket(0.5, 0.5, 1.0 / n_dim), 64)
+    assert np.all(dens >= 0.0)
+    i, j = np.unravel_index(np.argmax(dens), dens.shape)
     assert abs(i / 64 - 0.5) <= 1.0 / 64 and abs(j / 64 - 0.5) <= 1.0 / 64
     # Total Riemann mass approximates the squared torus norm, stably in R.
     n_dim = 32
     g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / n_dim), 2)
     norm_sq = pair_from_coefficients(torus_coefficients(g), torus_coefficients(g)).real
-    masses = [husimi(g, r).riemann_mass for r in (64, 128)]
+    masses = [float(np.sum(husimi(g, r))) / r ** 2 for r in (64, 128)]
     assert abs(masses[1] - norm_sq) / norm_sq < 1e-3
     assert abs(masses[1] - masses[0]) / norm_sq < 1e-3
     with pytest.raises(ValueError):
@@ -528,6 +541,6 @@ def test_slow_variation_pairing_bound(cat):
 def test_determinism_bitwise(cat):
     g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / 16.0), 2)
     t = wavepacket(0.1, 0.8, 1.0 / 16.0)
-    a = pair_symmetrized(g, t)
-    b = pair_symmetrized(g, t)
+    a = pair_symmetrized_detailed(g, t)[0]
+    b = pair_symmetrized_detailed(g, t)[0]
     assert a == b
