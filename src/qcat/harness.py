@@ -1,9 +1,10 @@
 """Experiment runner: strict JSON configuration, the five standard
 experiments, and reproducible CSV/JSON outputs.
 
-Reruns with an identical manifest produce byte-identical CSV bodies (the
-wall-time column of the unitarity table is the one documented exception:
-timings are inherently non-reproducible).  Cells are pure functions that
+The manifest records the resolved config itself; reruns with an identical
+manifest produce byte-identical CSV bodies (the wall-time column of the
+unitarity table is the one documented exception: timings are inherently
+non-reproducible).  Cells are pure functions that
 return their finished rows, so the thread count changes scheduling only,
 never results; the rows are joined in sorted key order.
 """
@@ -30,6 +31,7 @@ from .lagrangian import (
     BandIndexer,
     aligned_propagated_state,
     band_difference,
+    circle_distance,
     lagrangian_overlap_field,
     make_damped_lagrangian,
     off_band_tail,
@@ -144,11 +146,11 @@ def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, >4300 digits, deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -276,10 +278,8 @@ def run_egorov(cfg: ExperimentConfig) -> ExperimentResult:
         dens = husimi(g, res)
         target = cat_apply(m.power(n_time), pt)
         qs = np.arange(res) / res
-        qq, pp = np.meshgrid(qs, qs, indexing="ij")
-        dq = np.abs(qq - target.q)
-        dp = np.abs(pp - target.p)
-        dist2 = np.minimum(dq, 1.0 - dq) ** 2 + np.minimum(dp, 1.0 - dp) ** 2
+        dist2 = (circle_distance(qs, target.q)[:, None] ** 2
+                 + circle_distance(qs, target.p) ** 2)
         radius = 10.0 * math.sqrt(h)
         total = float(np.sum(dens))
         inside = float(np.sum(dens[dist2 <= radius * radius]))
@@ -404,59 +404,16 @@ EXPERIMENTS = {
 }
 
 
-# SHA-256 round constants and initial hash value (FIPS 180-4, 4.2.2 and 5.3.3).
-_SHA256_K = (
-    0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5, 0x3956C25B, 0x59F111F1, 0x923F82A4, 0xAB1C5ED5,
-    0xD807AA98, 0x12835B01, 0x243185BE, 0x550C7DC3, 0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7, 0xC19BF174,
-    0xE49B69C1, 0xEFBE4786, 0x0FC19DC6, 0x240CA1CC, 0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA,
-    0x983E5152, 0xA831C66D, 0xB00327C8, 0xBF597FC7, 0xC6E00BF3, 0xD5A79147, 0x06CA6351, 0x14292967,
-    0x27B70A85, 0x2E1B2138, 0x4D2C6DFC, 0x53380D13, 0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85,
-    0xA2BFE8A1, 0xA81A664B, 0xC24B8B70, 0xC76C51A3, 0xD192E819, 0xD6990624, 0xF40E3585, 0x106AA070,
-    0x19A4C116, 0x1E376C08, 0x2748774C, 0x34B0BCB5, 0x391C0CB3, 0x4ED8AA4A, 0x5B9CCA4F, 0x682E6FF3,
-    0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208, 0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2,
-)
-_SHA256_H0 = (0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
-              0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19)
-
-
-def _sha256_hex(data: bytes) -> str:
-    """Hex SHA-256 digest of ``data``, equal to ``hashlib.sha256(data).hexdigest()``.
-
-    Pure Python, because ``hashlib`` loads OpenSSL (3.5 MB of resident
-    memory) to hash a config of a few hundred bytes."""
-    mask = 0xFFFFFFFF
-
-    def rotr(x: int, n: int) -> int:
-        return (x >> n | x << (32 - n)) & mask
-
-    length = len(data)
-    data = data + b"\x80" + b"\x00" * ((55 - length) % 64) + (8 * length).to_bytes(8, "big")
-    digest = list(_SHA256_H0)
-    for start in range(0, len(data), 64):
-        w = [int.from_bytes(data[i:i + 4], "big") for i in range(start, start + 64, 4)]
-        for t in range(16, 64):
-            s0 = rotr(w[t - 15], 7) ^ rotr(w[t - 15], 18) ^ w[t - 15] >> 3
-            s1 = rotr(w[t - 2], 17) ^ rotr(w[t - 2], 19) ^ w[t - 2] >> 10
-            w.append((w[t - 16] + s0 + w[t - 7] + s1) & mask)
-        a, b, c, d, e, f, g, h = digest
-        for k, wt in zip(_SHA256_K, w):
-            t1 = h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + (e & f ^ ~e & g) + k + wt
-            t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + (a & b ^ a & c ^ b & c)
-            a, b, c, d, e, f, g, h = (t1 + t2) & mask, a, b, c, (d + t1) & mask, e, f, g
-        digest = [(x + y) & mask for x, y in zip(digest, (a, b, c, d, e, f, g, h))]
-    return "".join(f"{x:08x}" for x in digest)
-
-
 def _manifest(cfg: ExperimentConfig, experiment: str, fitted: Mapping) -> dict:
+    """What a run's CSVs depend on: the experiment, the resolved config without
+    ``threads`` (scheduling only), the library version and the environment."""
     import platform  # here, not at module level, to keep `import qcat.harness` lean
 
     resolved = cfg._asdict()
-    resolved.pop("threads")  # execution detail, not part of the result identity
-    blob = json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
+    resolved.pop("threads")
     manifest = {
         "experiment": experiment,
         "config": resolved,
-        "config_sha256": _sha256_hex(blob),
         "library_version": __version__,
         # cis_turns reduces phases in long double, which is float64 on some
         # platforms; its epsilon says which precision this run had.

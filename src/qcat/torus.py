@@ -196,20 +196,14 @@ class OverlapForm(NamedTuple):
         Raises:
             NumericalToleranceError: if Re E is not negative definite.
         """
-        e_yy, e_ww, e_yw, e_y, e_w, e_c = self.coeffs
-        hess = np.array([[2.0 * e_yy.real, e_yw.real], [e_yw.real, 2.0 * e_ww.real]])
+        real = [c.real for c in self.coeffs]
+        e_yy, e_ww, e_yw, e_y, e_w, _ = real
+        hess = np.array([[2.0 * e_yy, e_yw], [e_yw, 2.0 * e_ww]])
         eigs = np.linalg.eigvalsh(hess)
         if eigs[1] >= 0.0:
             raise NumericalToleranceError("overlap decay form is not negative definite")
-        center = np.linalg.solve(hess, -np.array([e_y.real, e_w.real]))
-        e_star = (
-            e_yy.real * center[0] ** 2
-            + e_ww.real * center[1] ** 2
-            + e_yw.real * center[0] * center[1]
-            + e_y.real * center[0]
-            + e_w.real * center[1]
-            + e_c.real
-        )
+        center = np.linalg.solve(hess, -np.array([e_y, e_w]))
+        e_star = _quadratic(real, *center)
         return center, -eigs[1], abs(self.pref) * math.exp(min(e_star, 700.0))
 
     def box(self, y0: float, w0: float, target: float,

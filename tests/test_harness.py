@@ -3,7 +3,6 @@ from __future__ import annotations
 import ast
 import csv
 import gc
-import hashlib
 import importlib
 import importlib.util
 import math
@@ -130,13 +129,6 @@ def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
     codes, loaded = json.loads(proc.stdout)
     assert codes == [0, 0]
     assert not set(loaded) & {"numpy.random", "hashlib", "_hashlib"}
-
-
-def test_sha256_matches_hashlib():
-    # Lengths 0-200 cross the padding edges 55/56, 63/64 and 119/120.
-    data = bytes(np.random.default_rng(3).integers(0, 256, 200, dtype=np.uint8))
-    for length in range(201):
-        assert harness._sha256_hex(data[:length]) == hashlib.sha256(data[:length]).hexdigest()
 
 
 def test_package_holds_no_test_only_module():
@@ -303,14 +295,20 @@ def test_run_experiment_writes_outputs(tmp_path):
     assert head[1].startswith("n,")
     assert head[2].startswith("point,")
     manifest = json.loads((out / "manifest.json").read_text())
+    keys = {"experiment", "config", "library_version", "environment"}
+    assert set(manifest) == keys
     assert manifest["experiment"] == "egorov"
-    assert "library_version" in manifest
-    blob = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":")).encode()
-    assert manifest["config_sha256"] == hashlib.sha256(blob).hexdigest()
+    resolved = cfg._asdict()
+    resolved.pop("threads")
+    assert manifest["config"] == json.loads(json.dumps(resolved))
     env = manifest["environment"]
     assert set(env) == {"numpy", "python", "platform", "machine", "longdouble_eps"}
     assert env["numpy"] == np.__version__
     assert 0.0 < env["longdouble_eps"] <= np.finfo(np.float64).eps
+    # theorem alone adds the constant it fitted.
+    run_experiment("theorem", cfg, tmp_path / "thm")
+    manifest = json.loads((tmp_path / "thm" / "manifest.json").read_text())
+    assert set(manifest) == keys | {"fitted_constants"}
 
 
 def test_egorov_writes_configured_points_in_the_unit_square(tmp_path):
@@ -545,18 +543,22 @@ def test_load_config_rejects_integers_past_the_float_range(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "experiment, text",
-    [("unitarity", '{"N_values": [1%s]}' % ("0" * 400)),
-     ("egorov", '{"N_values": [1%s]}' % ("0" * 400)),
-     ("unitarity", '{"seed": %s}' % ("1" * 4401))],
-    ids=["unitarity-N-1e400", "egorov-N-1e400", "unitarity-seed-4401-digits"],
+    "experiment, payload",
+    [("unitarity", b'{"N_values": [1%s]}' % (b"0" * 400)),
+     ("egorov", b'{"N_values": [1%s]}' % (b"0" * 400)),
+     ("unitarity", b'{"seed": %s}' % (b"1" * 4401)),
+     ("unitarity", b"[" * 100000 + b"]" * 100000),
+     ("unitarity", b'{"matrix": "\xff"}')],
+    ids=["unitarity-N-1e400", "egorov-N-1e400", "unitarity-seed-4401-digits",
+         "unitarity-nested-100000", "unitarity-not-utf8"],
 )
-def test_cli_out_of_range_config_integers_exit_2(tmp_path, experiment, text):
-    # An N past the float range overflowed at 1.0 / N, and json.loads refuses
-    # an integer of more than 4300 digits with a plain ValueError: both ended
-    # in a traceback (exit 1).  Each is one config error line.
+def test_cli_out_of_range_config_integers_exit_2(tmp_path, experiment, payload):
+    # An N past the float range overflowed at 1.0 / N; json.loads refuses an
+    # integer of more than 4300 digits with a plain ValueError and nesting
+    # past the recursion limit with a RecursionError; a 0xff byte is not
+    # UTF-8.  Each ended in a traceback (exit 1); each is one config error line.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(text, encoding="utf-8")
+    cfg.write_bytes(payload)
     proc = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1, proc.stderr
