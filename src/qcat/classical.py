@@ -14,7 +14,7 @@ because the benchmark's span tracer (``perfbench/spans.py``) resolves
 run shows that no flow is sampled.
 
 All values are immutable tuples (NamedTuple records) and all operations are
-pure functions, so everything here is safe to share between threads.
+pure functions.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonHyperbolicError, NonPositiveHError
+from .errors import NonHyperbolicError, NonPositiveHError, NumericalToleranceError
 
 __all__ = [
     "Sl2IntMatrix",
@@ -242,11 +242,18 @@ def spectral_data(m: Sl2IntMatrix) -> SpectralData:
 
     Raises:
         NonHyperbolicError: if |trace| <= 2.
+        NumericalToleranceError: if tr^2 leaves the float range (|trace|
+            above about 1.3e154).
     """
     tr = m.trace
     if abs(tr) <= 2:
         raise NonHyperbolicError(f"|trace| must exceed 2, got trace {tr}")
-    lam_s = 0.5 * (tr + math.copysign(math.sqrt(tr * tr - 4.0), tr))
+    try:
+        lam_s = 0.5 * (tr + math.copysign(math.sqrt(tr * tr - 4.0), tr))
+    except OverflowError:
+        raise NumericalToleranceError(
+            f"the spectral data of a matrix of trace {float(tr):.4g} leaves the float range"
+        ) from None
     # Unstable eigenvector (b, lam_s - a); b != 0 because b = 0 forces trace +-2.
     vx, vy = float(m.b), lam_s - m.a
     if vx < 0:

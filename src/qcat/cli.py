@@ -1,6 +1,6 @@
 """Command line entry point.
 
-    qcat <experiment> --config cfg.json --out results/ [--threads K] [--verbose]
+    qcat <experiment> --config cfg.json --out results/ [--verbose]
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
@@ -23,7 +23,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
     parser.add_argument("--config", required=True, help="path to a strict-JSON config file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")
+    parser.add_argument("--threads", type=int, choices=(1,), default=1,
+                        help="accepted only as 1, for the benchmark's command line; qcat runs on "
+                             "one thread, and the flag goes with the next benchmark change "
+                             "(ROADMAP.md item 11)")
     parser.add_argument("--verbose", action="store_true", help="print progress to stderr")
     return parser
 
@@ -31,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, threads=args.threads)
+        cfg = load_config(args.config)
         if args.verbose:
             print(f"[qcat] running {args.experiment} with N in {list(cfg.N_values)}",
                   file=sys.stderr)

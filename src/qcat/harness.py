@@ -4,9 +4,9 @@ experiments, and reproducible CSV/JSON outputs.
 The manifest records the resolved config itself; reruns with an identical
 manifest produce byte-identical CSV bodies (the wall-time column of the
 unitarity table is the one documented exception: timings are inherently
-non-reproducible).  Cells are pure functions that
-return their finished rows, so the thread count changes scheduling only,
-never results; the rows are joined in sorted key order.
+non-reproducible).  Every experiment runs on one thread and walks N in
+the sorted order of ``load_config``, then each N's times in sorted order,
+so its rows come out in that order.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class ExperimentConfig(NamedTuple):
     points: tuple[tuple[float, float], ...]
     grid_resolution: int
     seed: int
-    threads: int = 1
 
     def cat_matrix(self) -> Sl2IntMatrix:
         return Sl2IntMatrix(*self.matrix)
@@ -138,12 +137,8 @@ def _is_number(v) -> bool:
     return _is_int(v) and abs(v) <= sys.float_info.max
 
 
-def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
-    """Parse and validate a strict-JSON config; unknown keys are rejected.
-
-    ``threads`` is the worker count, an integer >= 1."""
-    if not _is_int(threads) or threads < 1:
-        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse and validate a strict-JSON config; unknown keys are rejected."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -161,7 +156,8 @@ def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
 
     mat = merged["matrix"]
     _require(isinstance(mat, list) and len(mat) == 4, "matrix", "must be a list of 4 integers")
-    _require(all(_is_int(v) for v in mat), "matrix", "entries must be integers")
+    _require(all(_is_int(v) and _is_number(v) for v in mat), "matrix",
+             "entries must be integers finite as floats")
     _require(mat[0] * mat[3] - mat[1] * mat[2] == 1, "matrix", "determinant must be 1")
     nvals = merged["N_values"]
     _require(isinstance(nvals, list) and len(nvals) > 0, "N_values", "must be a nonempty list")
@@ -197,7 +193,6 @@ def load_config(path: str | Path, threads: int = 1) -> ExperimentConfig:
         points=tuple((float(q), float(p)) for q, p in pts),
         grid_resolution=merged["grid_resolution"],
         seed=merged["seed"],
-        threads=threads,
     )
 
 
@@ -210,19 +205,6 @@ class ExperimentResult(NamedTuple):
     table: ResultTable
     frames: Mapping = MappingProxyType({})
     fitted_constants: Mapping = MappingProxyType({})
-
-
-def _map_cells(cells, worker, threads: int) -> list:
-    """Evaluate pure per-cell workers, possibly in a thread pool; results come
-    back in sorted key order, so assembly never depends on scheduling."""
-    cells = sorted(cells)
-    if threads <= 1:
-        return [worker(key) for key in cells]
-    # Imported here so a single-threaded run never loads concurrent.futures.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, cells))
 
 
 def run_unitarity(cfg: ExperimentConfig) -> ExperimentResult:
@@ -241,7 +223,7 @@ def run_unitarity(cfg: ExperimentConfig) -> ExperimentResult:
     q = math.exp(-20.0 * math.pi)
     gram_min_eig = (1.0 - 2.0 * q) ** 2 / (1.0 + 2.0 * q * q)
 
-    def cell(n_dim: int):
+    def defect_row(n_dim: int):  # a function, so each N's matrices are freed before the next
         t0 = time.perf_counter()
         u = build_propagator_matrix(m, n_dim)
         gram = u.conj().T @ u
@@ -251,7 +233,7 @@ def run_unitarity(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(ResultTable(
         schema="unitarity",
         columns=("N", "unitarity_defect", "gram_min_eig", "wall_seconds"),
-        rows=_map_cells(cfg.N_values, cell, cfg.threads),
+        rows=[defect_row(n_dim) for n_dim in cfg.N_values],
     ))
 
 
@@ -265,37 +247,31 @@ def run_egorov(cfg: ExperimentConfig) -> ExperimentResult:
     sd = spectral_data(m)
     points = cfg.resolved_points(3)
     res = cfg.grid_resolution
-    cells = []
+    qs = np.arange(res) / res
+    rows, frames = [], {}
     for n_dim in cfg.N_values:
-        times = sorted({n for n in cfg.resolve_times(n_dim)} | {0})
-        cells.extend((n_dim, n, idx) for n in times for idx in range(len(points)))
-
-    def cell(key):
-        n_dim, n_time, idx = key
         h = 1.0 / n_dim
-        pt = points[idx]
-        g = propagate_n(m, wavepacket(pt.q, pt.p, h), n_time)
-        dens = husimi(g, res)
-        target = cat_apply(m.power(n_time), pt)
-        qs = np.arange(res) / res
-        dist2 = (circle_distance(qs, target.q)[:, None] ** 2
-                 + circle_distance(qs, target.p) ** 2)
         radius = 10.0 * math.sqrt(h)
-        total = float(np.sum(dens))
-        inside = float(np.sum(dens[dist2 <= radius * radius]))
-        frac = inside / total if total > 0 else 0.0
-        row = (n_dim, n_time, idx, pt.q, pt.p, n_time / ehrenfest_time(h, sd.lam), frac,
-               total / res ** 2)
-        return row, (f"husimi_N{n_dim}_n{n_time}_p{idx}", (dens, n_dim, n_time, pt))
-
-    results = _map_cells(cells, cell, cfg.threads)
+        for n_time in sorted(set(cfg.resolve_times(n_dim)) | {0}):
+            target_map = m.power(n_time)
+            for idx, pt in enumerate(points):
+                dens = husimi(propagate_n(m, wavepacket(pt.q, pt.p, h), n_time), res)
+                target = cat_apply(target_map, pt)
+                dist2 = (circle_distance(qs, target.q)[:, None] ** 2
+                         + circle_distance(qs, target.p) ** 2)
+                total = float(np.sum(dens))
+                inside = float(np.sum(dens[dist2 <= radius * radius]))
+                frac = inside / total if total > 0 else 0.0
+                rows.append((n_dim, n_time, idx, pt.q, pt.p, n_time / ehrenfest_time(h, sd.lam),
+                             frac, total / res ** 2))
+                frames[f"husimi_N{n_dim}_n{n_time}_p{idx}"] = (dens, n_dim, n_time, pt)
     table = ResultTable(
         schema="egorov",
         columns=("N", "n", "point_idx", "q0", "p0", "n_over_te", "disk_mass_fraction",
                  "riemann_mass"),
-        rows=[row for row, _ in results],
+        rows=rows,
     )
-    return ExperimentResult(table, frames=dict(frame for _, frame in results))
+    return ExperimentResult(table, frames=frames)
 
 
 def run_theorem(cfg: ExperimentConfig) -> ExperimentResult:
@@ -308,11 +284,10 @@ def run_theorem(cfg: ExperimentConfig) -> ExperimentResult:
     sd = spectral_data(m)
     pairs = cfg.resolved_pairs(5)
     d_fit = fit_theorem_constant(m, seed=cfg.seed)
-
-    def cell(n_dim: int):
+    rows = []
+    for n_dim in cfg.N_values:
         h = 1.0 / n_dim
         te = ehrenfest_time(h, sd.lam)
-        rows = []
         for n_time in cfg.resolve_times(n_dim):
             below = n_time + 1e-12 < validity_threshold(h, sd.lam)
             bound = math.sqrt(h) * sd.lam ** (-0.5 * n_time)
@@ -323,14 +298,13 @@ def run_theorem(cfg: ExperimentConfig) -> ExperimentResult:
                 rows.append((n_dim, n_time, n_time / te, src.q, src.p, dst.q, dst.p,
                              lhs.real, lhs.imag, rhs.real, rhs.imag, abs(lhs), abs(rhs),
                              residual, bound, residual / bound, below))
-        return rows
 
     table = ResultTable(
         schema="theorem",
         columns=("N", "n", "n_over_te", "src_q", "src_p", "dst_q", "dst_p", "lhs_re", "lhs_im",
                  "rhs_re", "rhs_im", "lhs_abs", "rhs_abs", "residual", "bound", "ratio",
                  "below_threshold"),
-        rows=[row for rows in _map_cells(cfg.N_values, cell, cfg.threads) for row in rows],
+        rows=rows,
     )
     fitted = {"fitted_scale_constant": {"re": d_fit.real, "im": d_fit.imag}}
     return ExperimentResult(table, fitted_constants=fitted)
@@ -340,34 +314,31 @@ def run_bands(cfg: ExperimentConfig) -> ExperimentResult:
     """Off-band tails and along-band differences with their bounds.
 
     Both states and their overlap forms depend on (N, n) alone, so each
-    (N, n) cell builds them once and evaluates every point against them."""
+    (N, n) builds them once and evaluates every point against them."""
     m = cfg.cat_matrix()
     sd = spectral_data(m)
     points = cfg.resolved_points(5)
-    cells = [(n_dim, n_time) for n_dim in cfg.N_values for n_time in cfg.resolve_times(n_dim)]
-
-    def cell(key):
-        n_dim, n_time = key
+    rows = []
+    for n_dim in cfg.N_values:
         h = 1.0 / n_dim
-        form_l = lagrangian_overlap_field(make_damped_lagrangian(m, n_time, h))
-        g, _ = aligned_propagated_state(m, n_time, h)
-        form_g = wavepacket_overlap_field(g)
-        bound = math.sqrt(h) * sd.lam ** (-0.5 * n_time) + math.exp(-1.0 / h)
-        rows = []
-        for idx, pt in enumerate(points):
-            # Both states are rooted at (0, 0), so s' = 0 for each.
-            indexer = BandIndexer(theta=sd.theta, q0=pt.q, p0=pt.p, s_prime=0.0)
-            tail_l, tail_g = off_band_tail(form_l, indexer), off_band_tail(form_g, indexer)
-            diff = band_difference(form_l, form_g, indexer)
-            rows.append((n_dim, n_time, idx, pt.q, pt.p, tail_l, tail_g, diff, bound,
-                         diff / bound))
-        return rows
+        for n_time in cfg.resolve_times(n_dim):
+            form_l = lagrangian_overlap_field(make_damped_lagrangian(m, n_time, h))
+            g, _ = aligned_propagated_state(m, n_time, h)
+            form_g = wavepacket_overlap_field(g)
+            bound = math.sqrt(h) * sd.lam ** (-0.5 * n_time) + math.exp(-1.0 / h)
+            for idx, pt in enumerate(points):
+                # Both states are rooted at (0, 0), so s' = 0 for each.
+                indexer = BandIndexer(theta=sd.theta, q0=pt.q, p0=pt.p, s_prime=0.0)
+                tail_l, tail_g = off_band_tail(form_l, indexer), off_band_tail(form_g, indexer)
+                diff = band_difference(form_l, form_g, indexer)
+                rows.append((n_dim, n_time, idx, pt.q, pt.p, tail_l, tail_g, diff, bound,
+                             diff / bound))
 
     table = ResultTable(
         schema="bands",
         columns=("N", "n", "point_idx", "q0", "p0", "off_band_tail_lagrangian",
                  "off_band_tail_propagated", "band_difference", "bound", "ratio"),
-        rows=[row for rows in _map_cells(cells, cell, cfg.threads) for row in rows],
+        rows=rows,
     )
     return ExperimentResult(table)
 
@@ -378,7 +349,7 @@ def run_eigenphases(cfg: ExperimentConfig) -> ExperimentResult:
     interpreted."""
     m = cfg.cat_matrix()
 
-    def cell(n_dim: int):
+    def phase_rows(n_dim: int):  # a function, so each N's matrix is freed before the next
         u = build_propagator_matrix(m, n_dim)
         eig = np.linalg.eigvals(u)
         phases = np.sort(np.mod(np.angle(eig), 2.0 * math.pi))
@@ -390,7 +361,7 @@ def run_eigenphases(cfg: ExperimentConfig) -> ExperimentResult:
     table = ResultTable(
         schema="eigenphases",
         columns=("N", "index", "phase", "spacing", "max_modulus_defect"),
-        rows=[row for rows in _map_cells(cfg.N_values, cell, cfg.threads) for row in rows],
+        rows=[row for n_dim in cfg.N_values for row in phase_rows(n_dim)],
     )
     return ExperimentResult(table)
 
@@ -405,15 +376,13 @@ EXPERIMENTS = {
 
 
 def _manifest(cfg: ExperimentConfig, experiment: str, fitted: Mapping) -> dict:
-    """What a run's CSVs depend on: the experiment, the resolved config without
-    ``threads`` (scheduling only), the library version and the environment."""
+    """What a run's CSVs depend on: the experiment, the resolved config, the
+    library version and the environment."""
     import platform  # here, not at module level, to keep `import qcat.harness` lean
 
-    resolved = cfg._asdict()
-    resolved.pop("threads")
     manifest = {
         "experiment": experiment,
-        "config": resolved,
+        "config": cfg._asdict(),
         "library_version": __version__,
         # cis_turns reduces phases in long double, which is float64 on some
         # platforms; its epsilon says which precision this run had.

@@ -87,6 +87,8 @@ _SAMPLE_TAIL = 1e-16
 _MAX_SAMPLES = 1 << 24
 # exp(x) is exactly 0.0 in float64 for x < log(2^-1075) = -745.1332...
 _EXP_FLOOR = -746.0
+# The dense propagator: the largest N, a 256 MiB complex N x N matrix.
+_MAX_DENSE_N = 4096
 
 
 class LatticeTruncation(NamedTuple):
@@ -349,15 +351,16 @@ def _shear_chain(m: Sl2IntMatrix) -> list[int]:
     """Shears x_0..x_k with M = L_(x_k) J ... L_(x_1) J L_(x_0).
 
     L_x = [[1, 0], [x, 1]] and J = [[0, 1], [-1, 0]].  Euclid on the top
-    row peels M = M' J L_x with M' = [[b, bx - a], [d, dx - c]], where x
-    makes bx - a = (-a) mod |b| smaller than |b|.  The top row then reaches
-    (+-1, 0), which ends the chain with M' = L_c or M' = -L_(-c) =
-    J L_0 J L_(-c).  For b = 1 the chain is M = L_d J L_a.
+    row peels M = M' J L_x with M' = [[b, bx - a], [d, dx - c]], where x is
+    the nearest integer to a / b, so |bx - a| <= |b| / 2 and the chain has
+    at most log2|b| + 4 factors.  The top row then reaches (+-1, 0), which
+    ends the chain with M' = L_c or M' = -L_(-c) = J L_0 J L_(-c).  For
+    b = 1 the chain is M = L_d J L_a.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
     shears = []
     while b != 0:
-        x = (a + (-a) % abs(b)) // b
+        x = (2 * a + b) // (2 * b)
         shears.append(x)
         a, b, c, d = b, b * x - a, d, d * x - c
     return shears + ([c] if a == 1 else [-c, 0, 0])
@@ -409,6 +412,8 @@ def build_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
 
     Raises:
         OddNError: for odd N.
+        TruncationOverflowError: before any array is formed, for N above
+            ``_MAX_DENSE_N``.
         NonHyperbolicError: from ``propagate_n``, for a matrix other than
             the identity with |trace| <= 2.
         NumericalToleranceError: if the measured ratio is more than 1e-9 off
@@ -416,6 +421,10 @@ def build_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
     """
     if N <= 0 or N % 2 != 0:
         raise OddNError(f"N must be a positive even integer, got {N}")
+    if N > _MAX_DENSE_N:
+        raise TruncationOverflowError(
+            f"the dense propagator at N = {N} is above the cap of N = {_MAX_DENSE_N}"
+        )
     shears = _shear_chain(m)
     g = wavepacket(0.3, 0.4, 1.0 / N)
     image = periodized_samples(propagate_n(m, g, 1))

@@ -16,7 +16,7 @@ from qcat.classical import (
     seeded_points,
     spectral_data,
 )
-from qcat.errors import NonHyperbolicError, NonPositiveHError
+from qcat.errors import NonHyperbolicError, NonPositiveHError, NumericalToleranceError
 from qcat.lagrangian import damping_coefficient
 
 
@@ -97,6 +97,11 @@ def test_spectral_errors():
         spectral_data(Sl2IntMatrix(1, 0, 0, 1))
     with pytest.raises(NonHyperbolicError):
         spectral_data(Sl2IntMatrix(1, 1, 0, 1))
+    # tr^2 past the float range, for either sign of the trace.
+    k = 10 ** 200
+    for m in (Sl2IntMatrix(k + 1, k, 1, 1), Sl2IntMatrix(-k - 1, -k, -1, -1)):
+        with pytest.raises(NumericalToleranceError, match="float range"):
+            spectral_data(m)
     # Trace < -2: -M has the spectral data and damping of M, bit for bit,
     # but no real logarithm, so no Hamiltonian.
     for e in ((2, 1, 1, 1), (3, 1, 2, 1), (2, 3, 1, 2), (0, 1, -1, 3), (3, -1, -2, 1)):

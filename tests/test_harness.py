@@ -14,7 +14,7 @@ import pytest
 
 from conftest import QCAT_ROOT, run_cli, run_python
 from oracles import hamiltonian_from_matrix
-from qcat import birkhoff, cli, harness, lagrangian
+from qcat import birkhoff, cli, harness, lagrangian, torus
 from qcat.errors import ConfigError, NonPositiveHError, OddNError
 from qcat.classical import Sl2IntMatrix, TorusPoint, flow_coefficients, spectral_data
 from qcat.harness import (EXPERIMENTS, ExperimentResult, _write_frame, load_config, run_bands,
@@ -90,15 +90,9 @@ def test_absolute_n_values_must_be_integers(tmp_path):
     assert cfg.n_values == (2.7,)
 
 
-@pytest.mark.parametrize("threads", [0, -4, True, 2.0])
-def test_load_config_rejects_bad_threads(tmp_path, threads):
-    with pytest.raises(ConfigError, match="threads"):
-        load_config(write_config(tmp_path), threads=threads)
-
-
 def test_cli_import_is_lean():
-    # A single-threaded run needs no thread pool and no rationals, but every
-    # module the benchmark's span tracer patches must be loaded by the import.
+    # A run needs no thread pool and no rationals, but every module the
+    # benchmark's span tracer patches must be loaded by the import.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -298,9 +292,7 @@ def test_run_experiment_writes_outputs(tmp_path):
     keys = {"experiment", "config", "library_version", "environment"}
     assert set(manifest) == keys
     assert manifest["experiment"] == "egorov"
-    resolved = cfg._asdict()
-    resolved.pop("threads")
-    assert manifest["config"] == json.loads(json.dumps(resolved))
+    assert manifest["config"] == json.loads(json.dumps(cfg._asdict()))
     env = manifest["environment"]
     assert set(env) == {"numpy", "python", "platform", "machine", "longdouble_eps"}
     assert env["numpy"] == np.__version__
@@ -320,15 +312,6 @@ def test_egorov_writes_configured_points_in_the_unit_square(tmp_path):
     assert rows and {(row["q0"], row["p0"]) for row in rows} == {("0.0", "0.5")}
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = load_config(write_config(tmp_path, N_values=[8, 16], n_values=[1, 2]))
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    run_experiment("theorem", cfg, out1)
-    run_experiment("theorem", cfg, out2)
-    assert (out1 / "theorem.csv").read_bytes() == (out2 / "theorem.csv").read_bytes()
-    assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
-
-
 def _csv_bodies(out: Path) -> dict[str, list[list[str]]]:
     """Every CSV under ``out`` by name, with any wall_seconds column dropped."""
     bodies = {}
@@ -341,17 +324,24 @@ def _csv_bodies(out: Path) -> dict[str, list[list[str]]]:
     return bodies
 
 
-@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
-def test_threads_do_not_change_results(tmp_path, experiment):
-    base = write_config(tmp_path, N_values=[8, 16], n_values=[1, 2])
-    out1, out8 = tmp_path / "t1", tmp_path / "t8"
-    run_experiment(experiment, load_config(base, threads=1), out1)
-    run_experiment(experiment, load_config(base, threads=8), out8)
-    bodies = _csv_bodies(out1)
-    assert f"{experiment}.csv" in bodies
-    if experiment == "egorov":
-        assert len(bodies) > 1  # the Husimi frames are compared too
-    assert bodies == _csv_bodies(out8)
+def test_rerun_is_byte_identical(tmp_path):
+    # Two runs of each experiment write the same CSVs (Husimi frames too)
+    # and manifests.  So does a config whose N_values and n_values come
+    # reversed and duplicated: every experiment walks N and n in the sorted
+    # order that load_config and resolve_times give.
+    cfg = load_config(write_config(tmp_path, N_values=[8, 16], n_values=[1, 2]))
+    shuffled = load_config(write_config(tmp_path, N_values=[16, 8, 16], n_values=[2, 1, 2, 1]))
+    for experiment in sorted(EXPERIMENTS):
+        outs = [tmp_path / experiment / name for name in ("a", "b", "shuffled")]
+        for config, out in zip((cfg, cfg, shuffled), outs):
+            run_experiment(experiment, config, out)
+        bodies = _csv_bodies(outs[0])
+        assert f"{experiment}.csv" in bodies
+        if experiment == "egorov":
+            assert len(bodies) > 1  # the Husimi frames are compared too
+        assert bodies == _csv_bodies(outs[1]) == _csv_bodies(outs[2]), experiment
+        manifests = [(out / "manifest.json").read_bytes() for out in outs[:2]]
+        assert manifests[0] == manifests[1], experiment
 
 
 def test_run_bands_builds_each_state_once(tmp_path, monkeypatch):
@@ -490,7 +480,9 @@ def test_cli_exit_codes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "[qcat]" in proc.stderr
     assert (tmp_path / "ok" / "unitarity.csv").exists()
-    for threads in ("0", "-4"):
+    # --threads stays only as the benchmark's "--threads 1"; any other value
+    # is argparse's usage error.
+    for threads in ("0", "2"):
         proc = run_cli(["unitarity", "--config", str(good), "--out", str(tmp_path / "t"),
                         "--threads", threads], tmp_path)
         assert proc.returncode == 2 and "threads" in proc.stderr
@@ -562,6 +554,25 @@ def test_cli_out_of_range_config_integers_exit_2(tmp_path, experiment, payload):
     proc = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_cli_huge_matrix_or_n_fails_typed(tmp_path, capsys):
+    # For a 1e200 matrix tr^2 leaves the float range: spectral_data raised
+    # OverflowError (exit 1, a traceback), and unitarity and eigenphases spent
+    # 1e200 steps on the shear chain.  A 1e400 entry is not a config number.
+    # The first N above the dense cap asked np.eye(N) for N^2 entries.
+    k, huge = 10 ** 200, 10 ** 400
+    cases = [({"matrix": [k + 1, k, 1, 1]},
+              ("egorov", "theorem", "bands", "unitarity", "eigenphases"), 3),
+             ({"matrix": [huge + 1, huge, 1, 1]}, ("theorem",), 2),
+             ({"N_values": [torus._MAX_DENSE_N + 2]}, ("unitarity", "eigenphases"), 3)]
+    for overrides, experiments, code in cases:
+        cfg = write_config(tmp_path, **overrides)
+        prefix = "numerical failure: " if code == 3 else "config error: "
+        for experiment in experiments:
+            assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+            err = capsys.readouterr().err
+            assert err.startswith(prefix) and err.count("\n") == 1, (experiment, err)
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

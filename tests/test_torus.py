@@ -307,6 +307,9 @@ def test_propagator_matrix_equivariance(cat):
 def test_propagator_matrix_errors(cat, monkeypatch):
     with pytest.raises(OddNError):
         build_propagator_matrix(cat, 3)
+    # The first N above the cap fails before any array is formed.
+    with pytest.raises(TruncationOverflowError, match="cap"):
+        build_propagator_matrix(cat, qcat.torus._MAX_DENSE_N + 2)
     # A chain that is not the matrix fails the pinning packet loudly.
     monkeypatch.setattr(qcat.torus, "_shear_chain", lambda m: [2, 2])
     with pytest.raises(NumericalToleranceError, match="off the root"):
@@ -355,11 +358,15 @@ def test_shear_chain_reproduces_matrix():
         return Sl2IntMatrix(1, 0, x, 1)
 
     j = Sl2IntMatrix(0, 1, -1, 0)
-    for m in ORACLE_MATRICES + (
+    for m in ORACLE_MATRICES + FAMILY_MATRICES + (
         Sl2IntMatrix(2, -1, -1, 1), Sl2IntMatrix(7, -3, -2, 1), Sl2IntMatrix(-1, 0, 4, -1),
-        Sl2IntMatrix(1, 0, 0, 1), Sl2IntMatrix(13, 8, 8, 5), Sl2IntMatrix(0, 1, -1, 3),
+        Sl2IntMatrix(1, 0, 0, 1), Sl2IntMatrix(13, 8, 8, 5), Sl2IntMatrix(5, 2, 2, 1),
+        Sl2IntMatrix(10 ** 6 + 1, 10 ** 6, 1, 1),
     ):
         shears = _shear_chain(m)
+        # Each step takes the nearest quotient, so |b| at least halves.
+        if m.b != 0:
+            assert len(shears) <= math.log2(abs(m.b)) + 4, m
         product = shear(shears[0])
         for x in shears[1:]:
             product = shear(x) @ j @ product
