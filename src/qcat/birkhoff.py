@@ -45,7 +45,7 @@ O(block + live), not O(K).  Long double is used only for the orbit phases
 y_k of the live terms.  They are reduced mod 1 by ``metaplectic.frac_turns``,
 t - rint(t) plus 1 where negative, which has the bits of t - floor(t)
 without libm's slow long-double ``floorl`` (see there for why it is exact).
-Every other phase is reduced mod 1 in float64.
+Every other phase is reduced mod 1 in float64 by ``metaplectic.mod1``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_points,
                         validity_threshold)
 from .errors import ThresholdViolationError, TruncationOverflowError
 from .lagrangian import aligned_propagated_state, circle_distance, make_damped_lagrangian
-from .metaplectic import cis_turns, frac_turns
+from .metaplectic import cis_turns, frac_turns, mod1
 from .torus import even_n_from_h, matrix_element_exact
 
 __all__ = [
@@ -109,13 +109,10 @@ class InterferenceObservable(NamedTuple):
     def eval(self, x, y):
         """f(x, y) as one complex exponential; ``y`` is in turns (float64).
 
-        Both turns, q0 d / h and y, are reduced mod 1 in float64.  For
-        float64 inputs that rounds at most once, as a long-double reduction
-        would, so no long double is needed here.
+        Both turns, q0 d / h and y, are reduced by ``mod1`` in float64.
         """
         d = circle_distance(x, self.s0)
-        q_turns = self.q0 * d * (1.0 / self.h)
-        turns = (q_turns - np.floor(q_turns)) + (y - np.floor(y))
+        turns = mod1(self.q0 * d * (1.0 / self.h)) + mod1(y)
         return np.exp(self._profile_exponent(d / math.sqrt(self.h)) + 2j * math.pi * turns)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Mapping
@@ -207,6 +208,11 @@ class ExperimentResult(NamedTuple):
     fitted_constants: Mapping = MappingProxyType({})
 
 
+# Each row block of the unitarity Gram matrix, and its conjugate factor,
+# stays within this size: every N up to 1024 is one block.
+_GRAM_BLOCK_BYTES = 16 << 20
+
+
 def run_unitarity(cfg: ExperimentConfig) -> ExperimentResult:
     """Per-N unitarity defect of the induced matrix and Gram conditioning of
     the comb family.
@@ -226,9 +232,13 @@ def run_unitarity(cfg: ExperimentConfig) -> ExperimentResult:
     def defect_row(n_dim: int):  # a function, so each N's matrices are freed before the next
         t0 = time.perf_counter()
         u = build_propagator_matrix(m, n_dim)
-        gram = u.conj().T @ u
-        gram.flat[::n_dim + 1] -= 1.0  # minus the identity, in place
-        return n_dim, float(np.max(np.abs(gram))), gram_min_eig, time.perf_counter() - t0
+        defect = 0.0
+        rows = max(1, _GRAM_BLOCK_BYTES // (u.itemsize * n_dim))
+        for lo in range(0, n_dim, rows):
+            gram = u[:, lo:lo + rows].conj().T @ u  # rows lo.. of U^H U
+            gram.flat[lo::n_dim + 1] -= 1.0  # minus the identity, in place
+            defect = max(defect, float(np.max(np.abs(gram))))
+        return n_dim, defect, gram_min_eig, time.perf_counter() - t0
 
     return ExperimentResult(ResultTable(
         schema="unitarity",
@@ -380,18 +390,26 @@ def _manifest(cfg: ExperimentConfig, experiment: str, fitted: Mapping) -> dict:
     library version and the environment."""
     import platform  # here, not at module level, to keep `import qcat.harness` lean
 
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "experiment": experiment,
         "config": cfg._asdict(),
         "library_version": __version__,
-        # cis_turns reduces phases in long double, which is float64 on some
-        # platforms; its epsilon says which precision this run had.
         "environment": {
             "numpy": np.__version__,
             "python": sys.version,
             "platform": sys.platform,
             "machine": platform.machine(),
+            # frac_turns reduces the long-double turns of gaussian_eval and
+            # damped_birkhoff_sum; long double is float64 on some platforms.
             "longdouble_eps": float(np.finfo(np.longdouble).eps),
+            # LAPACK's eigenphases (and so eigenphases.csv) can move with
+            # the BLAS build and its thread count.
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads_env": {var: os.environ.get(var) for var in
+                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                            else os.cpu_count(),
         },
     }
     if fitted:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .classical import Sl2IntMatrix, spectral_data
 from .errors import TruncationOverflowError
-from .metaplectic import GaussianState, propagate_n, wavepacket
+from .metaplectic import GaussianState, mod1, propagate_n, wavepacket
 from .torus import OverlapForm, certified_radius, line_tail_bound
 
 __all__ = [
@@ -67,13 +67,11 @@ _BAND_TAIL = 1e-14
 def circle_distance(x, s0):
     """Signed circle distance: the representative of x - s0 in (-1/2, 1/2].
 
-    u - floor(u) has the bits of ``np.mod(u, 1.0)`` at a fraction of its
-    cost: both are the one rounding of the exact u - floor(u) (numpy's mod
-    adds 1 to the exact fmod(u, 1) for negative u), and +-0, +-inf and nan
-    agree.
+    ``mod1`` has the bits of ``np.mod(u, 1.0)`` at a fraction of its cost:
+    both are the one rounding of the exact u - floor(u) (numpy's mod adds 1
+    to the exact fmod(u, 1) for negative u), and +-0, +-inf and nan agree.
     """
-    u = x - s0
-    u = u - np.floor(u)
+    u = mod1(x - s0)
     return np.where(u > 0.5, u - 1.0, u)
 
 

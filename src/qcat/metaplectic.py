@@ -13,15 +13,14 @@ only the integer entries of M and never samples a flow.  Quantum
 translations, closed-form overlaps, the h-Fourier transform and the
 Schroedinger residual are test oracles in ``tests/oracles.py``.
 
-Phase handling: oscillatory phases are reduced mod one full turn in 80-bit
-extended precision before calling trig functions (``cis_turns``), and phases
-of the form (integer)/h with 1/h = N even reduce to exactly 1 and are dropped
-in integer arithmetic where it matters (see :mod:`qcat.torus`).  The
-reduction (``frac_turns``) is r = t - rint(t), plus 1 where r < 0, which has
-the bits of t - floor(t) without libm's slow long-double ``floorl``: for
-|t| >= 1/2, r is a multiple of ulp(t) with |r| <= 1/2, so r and r + 1 are
-exact; for -1/2 < t < 0 both routes make the one rounding of t + 1; and
-+-0, +-inf and nan give the same result on both.
+Phase handling: a phase is reduced mod one full turn in the precision its
+turns are formed in, before any trig function.  ``cis_turns`` takes float64
+turns and reduces them by ``mod1``, t - floor(t) in float64: exact for
+t >= 0 and t <= -1/2 (Sterbenz), the one rounding of t + 1 in between.  Only
+``gaussian_eval`` and the Birkhoff orbit phases form turns in long double;
+``frac_turns`` reduces those, with the bits of t - floor(t).  Phases of the
+form (integer)/h with 1/h = N even are exactly 1 and are dropped in integer
+arithmetic (see :mod:`qcat.torus`).
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ __all__ = [
     "GaussianState",
     "cis_turns",
     "frac_turns",
+    "mod1",
     "wavepacket",
     "gaussian_eval",
     "propagate_n",
@@ -63,18 +63,22 @@ def frac_turns(turns) -> np.ndarray:
     return np.asarray(r, dtype=np.float64)
 
 
-def cis_turns(turns) -> np.ndarray | complex:
-    """exp(2*pi*i*turns), with the argument reduced mod 1 in extended precision.
+def mod1(turns):
+    """turns - floor(turns) in float64, in [0, 1]; exact unless -1/2 < t < 0."""
+    return turns - np.floor(turns)
 
-    ``turns`` counts full revolutions.  Inputs are promoted to numpy's 80-bit
-    long double and reduced by :func:`frac_turns`, exactly, which keeps the
-    reduced fraction accurate even for arguments of order 1e12.
-    """
-    frac = frac_turns(turns)
-    out = np.exp(1j * _TWO_PI * frac)
-    if frac.ndim == 0:
-        return complex(out)
-    return out
+
+def cis_turns(turns) -> np.ndarray | complex:
+    """exp(2*pi*i*turns) for float64 ``turns`` (Python numbers too), reduced by
+    :func:`mod1`; a 0-d input gives a Python complex.  Turns that float64
+    cannot hold, such as long doubles, raise TypeError (:func:`frac_turns`)."""
+    t = np.asarray(turns)
+    if t.dtype != np.float64:
+        if not np.can_cast(t.dtype, np.float64):
+            raise TypeError(f"cis_turns takes float64 turns, got {t.dtype}; reduce with frac_turns")
+        t = t.astype(np.float64)
+    out = np.exp(1j * _TWO_PI * mod1(t))
+    return complex(out) if out.ndim == 0 else out
 
 
 class GaussianState(namedtuple("GaussianState", "amplitude theta q p h")):
@@ -119,7 +123,7 @@ def gaussian_eval(g: GaussianState, x: np.ndarray) -> np.ndarray:
         2.0 * np.longdouble(g.h)
     )
     damp = np.exp(-math.pi * th.imag * np.asarray(dx * dx, dtype=np.float64) / g.h)
-    return g.amplitude * damp * cis_turns(turns)
+    return g.amplitude * damp * cis_turns(frac_turns(turns))
 
 
 def _propagate_core(a: float, b: float, c: float, d: float, g: GaussianState) -> GaussianState:

@@ -82,9 +82,11 @@ __all__ = [
 _PAIR_TAIL = 1e-13
 _MAX_TERMS = 5_000_000
 # Periodized samples: the images of a packet are summed down to this modulus,
-# on at most this many points (about 105 bytes of temporaries each).
+# on at most this many points, evaluated in blocks of at most _SAMPLE_BLOCK
+# (about 105 bytes of temporaries each).
 _SAMPLE_TAIL = 1e-16
 _MAX_SAMPLES = 1 << 24
+_SAMPLE_BLOCK = 1 << 18
 # exp(x) is exactly 0.0 in float64 for x < log(2^-1075) = -745.1332...
 _EXP_FLOOR = -746.0
 # The dense propagator: the largest N, a 256 MiB complex N x N matrix.
@@ -129,8 +131,14 @@ def periodized_samples(g: GaussianState) -> np.ndarray:
     m_lo = math.floor(g.q - half) - 1
     m_hi = math.ceil(g.q + half) + 1
     r = np.arange(N) / N
-    x = r[None, :] + np.arange(m_lo, m_hi + 1)[:, None]
-    return np.sum(gaussian_eval(g, x), axis=0)
+    step = max(1, _SAMPLE_BLOCK // N)
+    total = np.zeros((0, N), dtype=complex)
+    for lo in range(m_lo, m_hi + 1, step):
+        x = r[None, :] + np.arange(lo, min(lo + step, m_hi + 1))[:, None]
+        # The axis-0 sum adds rows in order, so prepending the running total
+        # gives the bits of one sum over every period.
+        total = np.sum(np.concatenate((total, gaussian_eval(g, x))), axis=0, keepdims=True)
+    return total[0]
 
 
 def shell_tail_bound(k: float, mu: float) -> float:

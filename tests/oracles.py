@@ -39,7 +39,7 @@ from qcat.classical import (FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix
                             spectral_data)
 from qcat.errors import MismatchedHError, NonPositiveHError, OddNError, QcatError
 from qcat.lagrangian import DampedLagrangianState, aligned_propagated_state, make_damped_lagrangian
-from qcat.metaplectic import GaussianState, cis_turns, gaussian_eval
+from qcat.metaplectic import GaussianState, cis_turns, frac_turns, gaussian_eval
 from qcat.torus import periodized_samples
 
 _TWO_PI = 2.0 * math.pi
@@ -353,7 +353,7 @@ def lagrangian_eval(state: DampedLagrangianState, x) -> np.ndarray | complex:
         state.norm_constant
         * np.exp(damp_expo.real)
         * cis_turns(damp_expo.imag / (2.0 * math.pi))
-        * cis_turns(turns)
+        * cis_turns(frac_turns(turns))
     )
     if np.ndim(x) == 0:
         return complex(out)

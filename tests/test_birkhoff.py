@@ -31,7 +31,7 @@ from qcat.lagrangian import (
     lagrangian_overlap_field,
     make_damped_lagrangian,
 )
-from qcat.metaplectic import cis_turns
+from qcat.metaplectic import cis_turns, frac_turns
 from qcat.torus import matrix_element_exact
 
 
@@ -98,10 +98,10 @@ def test_phase_telescoping_identity(cat):
     x0 = 0.377
     for m in (1, 5, 37, 200, 999):
         _, ym = skew_iterate(sd.tan_theta, n_dim, (x0, 0.0), m)
-        direct = cis_turns(
+        direct = cis_turns(frac_turns(
             np.longdouble(m) * m * (n_dim // 2) * np.longdouble(sd.tan_theta)
             + np.longdouble(m) * n_dim * np.longdouble(x0)
-        )
+        ))
         assert abs(cis_turns(ym) - direct) < 1e-9
 
 
@@ -297,8 +297,9 @@ def _skew(obs):
 
 def _full_window_sum(obs, chi, x, m_time):
     """Oracle: the damped sum of ``obs`` from (x, 0) over the whole window,
-    term by term as before the live-term mask (the profile and two
-    long-double ``cis_turns`` per term).  Returns the sum and the sum of the
+    term by term as before the live-term mask (the profile, a float64
+    ``cis_turns`` and a ``cis_turns`` of the long-double orbit phase reduced
+    by ``frac_turns``, per term).  Returns the sum and the sum of the
     moduli."""
     k_max = _support_half_width(chi, m_time)
     k = np.arange(-k_max, k_max + 1)
@@ -312,7 +313,7 @@ def _full_window_sum(obs, chi, x, m_time):
         np.asarray(chi(k / m_time), dtype=complex)
         * obs.profile(d / math.sqrt(obs.h))
         * cis_turns(obs.q0 * d * (1.0 / obs.h))
-        * cis_turns(y_turns)
+        * cis_turns(frac_turns(y_turns))
     )
     return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
 

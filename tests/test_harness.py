@@ -21,7 +21,7 @@ from qcat.harness import (EXPERIMENTS, ExperimentResult, _write_frame, load_conf
                           run_experiment, run_unitarity)
 from qcat.metaplectic import GaussianState, wavepacket
 from qcat.tables import ResultTable, format_cell
-from qcat.torus import pair_symmetrized_detailed
+from qcat.torus import build_propagator_matrix, pair_symmetrized_detailed
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -276,6 +276,21 @@ def test_run_unitarity_small(tmp_path):
         assert row[2] > 1e-10  # smallest normalized Gram eigenvalue
 
 
+def test_unitarity_gram_in_row_blocks(tmp_path, monkeypatch):
+    # Row blocks of U^H U, each minus its part of the identity, give the
+    # defect of the whole Gram matrix; a misplaced diagonal would read ~1.
+    cfg = load_config(write_config(tmp_path, N_values=[16, 36]))
+    whole = []
+    for n_dim in cfg.N_values:
+        u = build_propagator_matrix(cfg.cat_matrix(), n_dim)
+        whole.append(float(np.max(np.abs(u.conj().T @ u - np.eye(n_dim)))))
+    assert [row[1] for row in run_unitarity(cfg).table.rows] == whole  # one block each
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(harness, "_GRAM_BLOCK_BYTES", rows * 16 * 36)  # rows at N = 36
+        got = [row[1] for row in run_unitarity(cfg).table.rows]
+        assert got == pytest.approx(whole, abs=1e-15) and max(got) < 1e-14, rows
+
+
 def test_run_experiment_writes_outputs(tmp_path):
     cfg = load_config(write_config(tmp_path, N_values=[8], n_values=[1]))
     out = tmp_path / "res"
@@ -294,13 +309,34 @@ def test_run_experiment_writes_outputs(tmp_path):
     assert manifest["experiment"] == "egorov"
     assert manifest["config"] == json.loads(json.dumps(cfg._asdict()))
     env = manifest["environment"]
-    assert set(env) == {"numpy", "python", "platform", "machine", "longdouble_eps"}
+    assert set(env) == {"numpy", "python", "platform", "machine", "longdouble_eps", "blas",
+                        "blas_threads_env", "cpu_affinity"}
     assert env["numpy"] == np.__version__
     assert 0.0 < env["longdouble_eps"] <= np.finfo(np.float64).eps
+    assert set(env["blas"]) == {"name", "version"}
+    assert set(env["blas_threads_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS"}
+    assert env["cpu_affinity"] >= 1
     # theorem alone adds the constant it fitted.
     run_experiment("theorem", cfg, tmp_path / "thm")
     manifest = json.loads((tmp_path / "thm" / "manifest.json").read_text())
     assert set(manifest) == keys | {"fitted_constants"}
+
+
+def test_manifest_records_the_blas_thread_count(tmp_path):
+    # LAPACK's eigenphases can move with the BLAS thread count, so two runs
+    # that differ only in it must not write the same manifest.
+    cfg = write_config(tmp_path, N_values=[16])
+    manifests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        code = ("import os, sys; os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[1]; "
+                "from qcat import cli; sys.exit(cli.main(sys.argv[2:]))")
+        proc = run_python(["-c", code, threads, "eigenphases", "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        manifests.append(json.loads((out / "manifest.json").read_text(encoding="utf-8")))
+    assert manifests[0] != manifests[1]
+    assert [m["environment"]["blas_threads_env"]["OPENBLAS_NUM_THREADS"] for m in manifests] == ["1", "2"]
 
 
 def test_egorov_writes_configured_points_in_the_unit_square(tmp_path):

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import conftest
 import qcat.classical
-from conftest import _branch_sqrt_inv, floor_frac_turns, random_gaussian_state, random_hyperbolic
+from conftest import (QCAT_ROOT, _branch_sqrt_inv, floor_frac_turns, random_gaussian_state,
+                      random_hyperbolic)
 from oracles import (
     PlaneTranslation,
     compose_translation_phase,
@@ -34,6 +37,7 @@ from qcat.metaplectic import (
     cis_turns,
     frac_turns,
     gaussian_eval,
+    mod1,
     propagate_n,
     wavepacket,
 )
@@ -86,12 +90,69 @@ def test_frac_turns_has_the_bits_of_floor():
             for x in (v, np.asarray(v), float(v)):
                 got = frac_turns(x)
                 assert got.shape == () and got.view(np.int64) == floor_frac_turns(x).view(np.int64), v
-    # cis_turns reduces by frac_turns: the floor route gives its bits, and a
-    # 0-d input gives a Python complex.
-    assert np.array_equal(cis_turns(t), np.exp(1j * (2.0 * math.pi) * floor_frac_turns(t)))
-    for v in (*t[:50], 0.3, -2.75, 12345678.9):
-        z = cis_turns(v)
+    # Long-double turns reach cis_turns through frac_turns, as in gaussian_eval:
+    # the floor route gives its bits.
+    assert np.array_equal(cis_turns(frac_turns(t)), np.exp(1j * (2.0 * math.pi) * floor_frac_turns(t)))
+    for v in t[:50]:
+        z = cis_turns(frac_turns(v))
         assert type(z) is complex and z == complex(np.exp(1j * (2.0 * math.pi) * floor_frac_turns(v)))
+
+
+def test_cis_turns_reduces_float64_turns_in_float64():
+    # Float64 draws up to +-1e15 over 18 decades.  Outside (-1/2, 0),
+    # t - floor(t) is exact in float64, so cis_turns has the bits of the
+    # long-double reduction.
+    rng = np.random.default_rng(20240901)
+    size = 200_000
+    t = np.where(rng.random(size) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 15.0, size)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.5, -0.5, 1.5, -1.5,
+                        2.0 ** 52 + 0.5, -(2.0 ** 52) - 0.5, np.nextafter(-0.5, -1.0)])
+    outside = np.concatenate([t[(t >= 0.0) | (t <= -0.5)], special])
+    assert outside.size > size // 2 and np.count_nonzero(outside < 0) > size // 3
+    with np.errstate(invalid="ignore"):
+        want = np.exp(1j * (2.0 * math.pi) * frac_turns(outside))
+        assert np.array_equal(cis_turns(outside).view(np.int64), want.view(np.int64))
+    # Inside (-1/2, 0) the reduction is the correctly rounded t + 1, which a
+    # long-double reduction misses where it rounds twice (32 of these draws
+    # with an 80-bit long double).
+    inside = np.concatenate([-(10.0 ** rng.uniform(-20.0, math.log10(0.5), size)),
+                             [np.nextafter(-0.5, 0.0), -1e-300, -5e-324, -(2.0 ** -54)]])
+    want = np.array([float(Fraction(v) + 1) for v in inside.tolist()])
+    assert np.array_equal(mod1(inside), want)
+    assert np.array_equal(cis_turns(inside), np.exp(1j * (2.0 * math.pi) * want))
+    if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant:
+        assert np.count_nonzero(frac_turns(inside) != want) > 0
+    # A 0-d input, a Python number included, gives a Python complex.
+    for v in (0.3, -2.75, 12345678.9, 7, -1e-30, np.float64(-0.1), np.asarray(1e15 + 0.5)):
+        frac = Fraction(float(v))
+        z = cis_turns(v)
+        assert type(z) is complex
+        assert z == complex(np.exp(1j * (2.0 * math.pi) * float(frac - math.floor(frac)))), v
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                    reason="long double is float64 on this platform")
+def test_cis_turns_rejects_long_double():
+    # Rounding long-double turns to float64 first would lose the bits they
+    # were formed in; frac_turns reduces them.
+    for v in (np.longdouble(0.3), np.arange(3, dtype=np.longdouble)):
+        with pytest.raises(TypeError, match="frac_turns"):
+            cis_turns(v)
+
+
+def test_long_double_only_where_turns_are_formed_in_it():
+    # Long double lives where a turn is formed in it and reduced by
+    # frac_turns (gaussian_eval, the Birkhoff orbit phases), in frac_turns
+    # itself and in the manifest's record of its epsilon.
+    found = set()
+    for path in sorted((QCAT_ROOT / "qcat").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                     for node in ast.walk(stmt) if isinstance(node, (ast.Attribute, ast.Name))}
+            if names & {"longdouble", "clongdouble", "float128", "complex256"}:
+                found.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    assert found == {"metaplectic.frac_turns", "metaplectic.gaussian_eval",
+                     "birkhoff.damped_birkhoff_sum", "harness._manifest"}
 
 
 def test_wavepacket_normalization_oracle():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import qcat.torus
 from conftest import (comb_gram_min_eig, comb_propagator_matrix, comb_state, dense_at_box_points,
-                      dense_comb_gram_min_eig)
+                      dense_comb_gram_min_eig, run_python)
 from oracles import (PlaneTranslation, TorusState, gaussian_overlap, lagrangian_eval, overlap_quadrature,
                      pair_from_coefficients, torus_coefficients, translate)
 from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
@@ -448,6 +449,53 @@ def test_periodized_samples_cap(cat, monkeypatch):
     monkeypatch.setattr(qcat.torus, "_MAX_SAMPLES", math.floor(2.0 * half * 16))
     with pytest.raises(TruncationOverflowError):
         periodized_samples(g)
+
+
+def test_periodized_samples_blocks_keep_the_bits(cat, monkeypatch):
+    # Each block is summed with the running total prepended as its first
+    # row; the axis-0 sum adds rows in order, so 1, 2 and 5 blocks give the
+    # bits of one sum over the whole grid.
+    g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / 16.0), 5)
+    shapes = []
+
+    def recorded(state, x):
+        shapes.append(x.shape)
+        return gaussian_eval(state, x)
+
+    monkeypatch.setattr(qcat.torus, "gaussian_eval", recorded)
+    monkeypatch.setattr(qcat.torus, "_SAMPLE_BLOCK", 1 << 62)
+    whole = periodized_samples(g)
+    [(rows, n_dim)] = shapes
+    assert rows > 100
+    for blocks in (1, 2, 5):
+        shapes.clear()
+        monkeypatch.setattr(qcat.torus, "_SAMPLE_BLOCK", math.ceil(rows / blocks) * n_dim)
+        got = periodized_samples(g)
+        assert len(shapes) == blocks and sum(shape[0] for shape in shapes) == rows
+        assert np.array_equal(got.view(np.float64), whole.view(np.float64)), blocks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_periodized_samples_memory_is_one_block():
+    # 2^21 samples in a fresh interpreter: the whole long-double grid would
+    # take about 105 bytes a sample (peak near 220 MiB); blocks of 2^18
+    # samples keep the peak near 55 MiB.  The peak is the child's VmHWM:
+    # its ru_maxrss can carry the peak of the process that spawned it.
+    code = (
+        "import math\n"
+        "from qcat.metaplectic import GaussianState\n"
+        "from qcat.torus import periodized_samples\n"
+        "N = 64\n"
+        "half = (1 << 21) / (2 * N)\n"
+        "im = math.log(1e16) / (N * math.pi * (half - 1.0) ** 2)\n"
+        "v = periodized_samples(GaussianState(1.0, complex(0.1, im), 0.3, 0.4, 1.0 / N))\n"
+        "assert v.shape == (N,)\n"
+        "with open('/proc/self/status', encoding='ascii') as f:\n"
+        "    print(next(int(line.split()[1]) for line in f if line.startswith('VmHWM:')) / 1024)\n"
+    )
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 100.0
 
 
 def test_periodized_samples_read_n_from_h():
