@@ -293,7 +293,7 @@ _FIT_N = 64
 _FIT_PAIRS = 8
 
 
-def fit_theorem_constant(m: Sl2IntMatrix, seed: int = 20240901) -> complex:
+def fit_theorem_constant(m: Sl2IntMatrix, seed: int) -> complex:
     """Complex least-squares fit of D on the reference batch
     (N = ``_FIT_N``, n = ceil(1.5 t_E), ``_FIT_PAIRS`` source/target pairs of
     consecutive points of ``seeded_points(seed, 2 * _FIT_PAIRS)``).

@@ -44,20 +44,21 @@ returns the bare R x R density array), and the lattice route stays as their
 test oracle.
 
 The propagator matrix needs no states at all: on the samples the quantized
-map is a chain of chirps e(x j^2 / 2N) and unitary DFTs, one FFT per column
-(see :func:`build_propagator_matrix`), and one coherent state pins its unit
-constant.  The comb inversion it replaces, and the comb family of
-near-delta states it inverts, stay as test oracles in ``tests/conftest.py``.
+map is a chain of chirps e(x j^2 / 2N) and unitary DFTs, one FFT per column,
+with a unit constant in closed form (see :func:`build_propagator_matrix`).
+The comb inversion it replaces and the coherent state that pinned its unit
+stay as test oracles in ``tests/conftest.py`` and ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .classical import Sl2IntMatrix, TorusPoint
+from .classical import Sl2IntMatrix, TorusPoint, spectral_data
 from .errors import (
     MismatchedHError,
     NumericalToleranceError,
@@ -83,7 +84,7 @@ _PAIR_TAIL = 1e-13
 _MAX_TERMS = 5_000_000
 # Periodized samples: the images of a packet are summed down to this modulus,
 # on at most this many points, evaluated in blocks of at most _SAMPLE_BLOCK
-# (about 105 bytes of temporaries each).
+# (about 105 bytes of temporaries each).  A Husimi window has the same cap.
 _SAMPLE_TAIL = 1e-16
 _MAX_SAMPLES = 1 << 24
 _SAMPLE_BLOCK = 1 << 18
@@ -413,19 +414,17 @@ def build_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
     U = ifft . U_s . fft, each step in place on one N x N array.  Every
     chirp phase is an exact fraction of a turn; the cost is O(N^2 log N).
 
-    The unit constant is pinned by one packet: the chain applied to the
-    samples of a coherent state is compared with the samples of
-    ``propagate_n(m, g, 1)`` and the ratio is rounded to the nearest eighth
-    root of unity.  For b = 1 that root is e^(-i pi/4).
+    The unit constant depends on M alone.  Each of the J DFTs of the chain
+    is e^(i pi/4) times the principal lift of J, so the chain is
+    e(J/8) (-1)^f times the principal lift of M, whose factor at theta = i
+    is (a + b i)^(-1/2); f compares the two square-root branches there.
 
     Raises:
         OddNError: for odd N.
         TruncationOverflowError: before any array is formed, for N above
             ``_MAX_DENSE_N``.
-        NonHyperbolicError: from ``propagate_n``, for a matrix other than
+        NonHyperbolicError: from ``spectral_data``, for a matrix other than
             the identity with |trace| <= 2.
-        NumericalToleranceError: if the measured ratio is more than 1e-9 off
-            the root.
     """
     if N <= 0 or N % 2 != 0:
         raise OddNError(f"N must be a positive even integer, got {N}")
@@ -433,19 +432,18 @@ def build_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
         raise TruncationOverflowError(
             f"the dense propagator at N = {N} is above the cap of N = {_MAX_DENSE_N}"
         )
+    if not m.is_identity:
+        spectral_data(m)  # raises for a matrix with |trace| <= 2
     shears = _shear_chain(m)
-    g = wavepacket(0.3, 0.4, 1.0 / N)
-    image = periodized_samples(propagate_n(m, g, 1))
-    chained = _apply_chain(shears, periodized_samples(g)[:, None])[:, 0]
-    ratio = complex(np.vdot(chained, image) / np.vdot(chained, chained))
-    unit = cis_turns(round(4.0 * np.angle(ratio) / math.pi) / 8.0)
-    if abs(ratio - unit) > 1e-9:
-        raise NumericalToleranceError(
-            f"propagator constant {ratio:.12g} is {abs(ratio - unit):.3e} off the root {unit:.12g}"
-        )
+    # theta runs through the images of i; each DFT takes the root of theta.
+    theta, turned = shears[0] + 1j, 0.0
+    for x in shears[1:]:
+        turned += cmath.phase(theta)
+        theta = x - 1 / theta
+    f = round((turned - cmath.phase(complex(m.a, m.b))) / (2.0 * math.pi))
     samples = np.eye(N, dtype=complex)
     _apply_chain(shears, np.fft.fft(samples, axis=0, out=samples))
-    samples *= unit
+    samples *= cis_turns((4 * f - (len(shears) - 1)) / 8)
     return np.fft.ifft(samples, axis=0, out=samples)
 
 
@@ -493,16 +491,22 @@ def husimi(g: GaussianState, resolution: int) -> np.ndarray:
     Raises:
         ValueError: if ``resolution`` is below 8.
         OddNError: if 1/h is not an even integer.
+        TruncationOverflowError: before forming any array, if the R x
+            (blocks R) window has more than ``_MAX_SAMPLES`` entries.
     """
     if resolution < 8:
         raise ValueError(f"resolution must be at least 8, got {resolution}")
     R = resolution
-    v = periodized_samples(g)
-    N = v.size
+    N = even_n_from_h(g.h)
     half = math.ceil(math.sqrt(40.0 * N / math.pi)) + 2
+    blocks = (2 * half + 1) // R + 2
+    if R * blocks * R > _MAX_SAMPLES:
+        raise TruncationOverflowError(
+            f"the Husimi window of {R} x {blocks * R} points is above the cap of {_MAX_SAMPLES}"
+        )
+    v = periodized_samples(g)
     centers = N * np.arange(R) / R
     starts = R * np.floor((centers - half) / R).astype(np.int64)
-    blocks = (2 * half + 1) // R + 2
     l = starts[:, None] + np.arange(blocks * R)
     dl = l - centers[:, None]
     window = v[l % N] * np.exp(-math.pi * dl * dl / N)

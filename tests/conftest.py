@@ -32,6 +32,18 @@ def run_python(args, cwd=None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env)
 
 
+def child_peak_mib(code: str) -> float:
+    """Run ``code`` in a fresh interpreter (:func:`run_python`) and return its
+    peak resident set in MiB.  The peak is the child's VmHWM: its ru_maxrss
+    can carry the peak of the process that spawned it."""
+    proc = run_python(["-c", code + (
+        "\nwith open('/proc/self/status', encoding='ascii') as f:\n"
+        "    print(next(int(line.split()[1]) for line in f if line.startswith('VmHWM:')) / 1024)\n"
+    )])
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout.split()[-1])
+
+
 def run_cli(args, cwd=None) -> subprocess.CompletedProcess:
     """Run `python -m qcat.cli *args` through :func:`run_python`."""
     return run_python(["-m", "qcat.cli", *args], cwd)

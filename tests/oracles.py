@@ -24,6 +24,8 @@ independent one.
   of its symmetrization (the inverse DFT of its periodized samples), and
   the pairing as their finite inner product, the independent route for the
   lattice pairing and the coefficient side of the comb-inversion oracle.
+- The pinned propagator: the dense build with its unit constant measured
+  by one coherent state instead of computed from the shear chain.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ import numpy as np
 
 from qcat.classical import (FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients,
                             spectral_data)
-from qcat.errors import MismatchedHError, NonPositiveHError, OddNError, QcatError
+from qcat.errors import (MismatchedHError, NonPositiveHError, NumericalToleranceError, OddNError,
+                         QcatError, TruncationOverflowError)
 from qcat.lagrangian import DampedLagrangianState, aligned_propagated_state, make_damped_lagrangian
-from qcat.metaplectic import GaussianState, cis_turns, frac_turns, gaussian_eval
-from qcat.torus import periodized_samples
+from qcat.metaplectic import GaussianState, cis_turns, frac_turns, gaussian_eval, propagate_n, wavepacket
+from qcat.torus import _MAX_DENSE_N, _apply_chain, _shear_chain, periodized_samples
 
 _TWO_PI = 2.0 * math.pi
 
@@ -443,3 +446,39 @@ def pair_from_coefficients(s1: TorusState, s2: TorusState) -> complex:
     if s1.N != s2.N:
         raise OddNError(f"states live on different tori: N={s1.N} vs N={s2.N}")
     return complex(np.sum(s1.coeffs * np.conj(s2.coeffs)))
+
+
+# ---------------------------------------------------------------- pinned propagator
+
+def pinned_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
+    """Oracle for ``torus.build_propagator_matrix``: the same chain, with the
+    unit constant pinned by one packet.  The chain applied to the samples of
+    a coherent state is compared with the samples of ``propagate_n(m, g, 1)``
+    and the ratio is rounded to the nearest eighth root of unity.
+
+    Raises:
+        OddNError, TruncationOverflowError: as the production build.
+        NonHyperbolicError: from ``propagate_n``.
+        NumericalToleranceError: if the measured ratio is more than 1e-9 off
+            the root, or the packet leaves the float range.
+    """
+    if N <= 0 or N % 2 != 0:
+        raise OddNError(f"N must be a positive even integer, got {N}")
+    if N > _MAX_DENSE_N:
+        raise TruncationOverflowError(
+            f"the dense propagator at N = {N} is above the cap of N = {_MAX_DENSE_N}"
+        )
+    shears = _shear_chain(m)
+    g = wavepacket(0.3, 0.4, 1.0 / N)
+    image = periodized_samples(propagate_n(m, g, 1))
+    chained = _apply_chain(shears, periodized_samples(g)[:, None])[:, 0]
+    ratio = complex(np.vdot(chained, image) / np.vdot(chained, chained))
+    unit = cis_turns(round(4.0 * np.angle(ratio) / math.pi) / 8.0)
+    if abs(ratio - unit) > 1e-9:
+        raise NumericalToleranceError(
+            f"propagator constant {ratio:.12g} is {abs(ratio - unit):.3e} off the root {unit:.12g}"
+        )
+    samples = np.eye(N, dtype=complex)
+    _apply_chain(shears, np.fft.fft(samples, axis=0, out=samples))
+    samples *= unit
+    return np.fft.ifft(samples, axis=0, out=samples)

@@ -115,7 +115,7 @@ def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
         "from qcat.classical import Sl2IntMatrix\n"
         "cfg, out = sys.argv[1:]\n"
         "codes = [cli.main([e, '--config', cfg, '--out', out + '/' + e]) for e in ('theorem', 'egorov')]\n"
-        "fit_theorem_constant(Sl2IntMatrix(2, 1, 1, 1))\n"
+        "fit_theorem_constant(Sl2IntMatrix(2, 1, 1, 1), seed=1)\n"
         "print(json.dumps([codes, sorted(sys.modules)]))\n"
     )
     proc = run_python(["-c", code, str(cfg), str(tmp_path)])
@@ -609,6 +609,33 @@ def test_cli_huge_matrix_or_n_fails_typed(tmp_path, capsys):
             assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
             err = capsys.readouterr().err
             assert err.startswith(prefix) and err.count("\n") == 1, (experiment, err)
+
+
+def test_cli_1e20_matrix_builds_its_propagator(tmp_path, capsys):
+    # [1e20 + 1, 1e20, 1, 1] has a five-shear chain, but a coherent state
+    # leaves the float range after one step; unitarity and eigenphases
+    # exited 3 while one pinned the unit constant of the dense build.
+    cfg = write_config(tmp_path, matrix=[10 ** 20 + 1, 10 ** 20, 1, 1], N_values=[16, 64])
+    for experiment in ("unitarity", "eigenphases"):
+        assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / experiment)]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_cli_huge_grid_resolution_fails_typed(tmp_path):
+    # An R x (blocks R) Husimi window at R = 20000 would take 6 GiB; under a
+    # 3 GiB address-space limit it ended in a MemoryError traceback (exit 1).
+    cfg = write_config(tmp_path, N_values=[16], grid_resolution=20000)
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from qcat import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = run_python(["-c", code, "egorov", "--config", str(cfg), "--out", str(tmp_path / "out")],
+                      tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Husimi window" in proc.stderr
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

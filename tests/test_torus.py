@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 import qcat.torus
-from conftest import (comb_gram_min_eig, comb_propagator_matrix, comb_state, dense_at_box_points,
-                      dense_comb_gram_min_eig, run_python)
+from conftest import (child_peak_mib, comb_gram_min_eig, comb_propagator_matrix, comb_state,
+                      dense_at_box_points, dense_comb_gram_min_eig)
 from oracles import (PlaneTranslation, TorusState, gaussian_overlap, lagrangian_eval, overlap_quadrature,
-                     pair_from_coefficients, torus_coefficients, translate)
+                     pair_from_coefficients, pinned_propagator_matrix, torus_coefficients, translate)
 from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
 from qcat.errors import (
     MismatchedHError,
@@ -293,8 +294,8 @@ def test_propagator_matrix_unitary(cat):
 
 
 def test_propagator_matrix_equivariance(cat):
-    # (2, 3, 1, 2) has b = 3, a chain of two b = 1 factors; the packet at
-    # (0.7, 0.2) is not the one that pins the constant.
+    # (2, 3, 1, 2) has b = 3, a chain of two b = 1 factors; the unit constant
+    # comes from the chain, and both packets check it.
     for m in (cat, Sl2IntMatrix(2, 3, 1, 2)):
         for n_dim in (4, 16):
             u = build_propagator_matrix(m, n_dim)
@@ -305,16 +306,12 @@ def test_propagator_matrix_equivariance(cat):
                 assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
-def test_propagator_matrix_errors(cat, monkeypatch):
+def test_propagator_matrix_errors(cat):
     with pytest.raises(OddNError):
         build_propagator_matrix(cat, 3)
     # The first N above the cap fails before any array is formed.
     with pytest.raises(TruncationOverflowError, match="cap"):
         build_propagator_matrix(cat, qcat.torus._MAX_DENSE_N + 2)
-    # A chain that is not the matrix fails the pinning packet loudly.
-    monkeypatch.setattr(qcat.torus, "_shear_chain", lambda m: [2, 2])
-    with pytest.raises(NumericalToleranceError, match="off the root"):
-        build_propagator_matrix(cat, 16)
 
 
 ORACLE_MATRICES = (Sl2IntMatrix(2, 1, 1, 1), Sl2IntMatrix(3, 1, 2, 1), Sl2IntMatrix(2, 3, 1, 2))
@@ -330,6 +327,62 @@ def test_propagator_matrix_matches_comb_oracle():
 # Trace < -2, a = 0, or both: the matrices the flow route refused.
 FAMILY_MATRICES = (Sl2IntMatrix(-3, 1, -1, 0), Sl2IntMatrix(0, 1, -1, 3),
                    Sl2IntMatrix(-2, -1, -1, -1), Sl2IntMatrix(-2, -3, -1, -2))
+
+
+def _hyperbolic_family(bound: int) -> list[Sl2IntMatrix]:
+    """Every hyperbolic matrix with a, b, c in [-bound, bound]: d = (1 + bc)/a
+    when that is an integer, and d in the same range when a = 0."""
+    out = []
+    for a, b, c in itertools.product(range(-bound, bound + 1), repeat=3):
+        if a != 0:
+            ds = [(1 + b * c) // a] if (1 + b * c) % a == 0 else []
+        else:
+            ds = range(-bound, bound + 1) if b * c == -1 else []
+        out += [Sl2IntMatrix(a, b, c, d) for d in ds if abs(a + d) > 2]
+    return out
+
+
+def test_propagator_matrix_unit_is_the_pinned_root():
+    # The closed-form unit constant gives the bits of the build whose unit
+    # one propagated packet pins (tests/oracles.py).
+    family = _hyperbolic_family(5)
+    assert len(family) > 300
+    for m in family:
+        for n_dim in (2, 16, 64):
+            u = build_propagator_matrix(m, n_dim)
+            assert np.array_equal(u, pinned_propagator_matrix(m, n_dim)), (m, n_dim)
+    for m in ORACLE_MATRICES + FAMILY_MATRICES:
+        assert np.array_equal(build_propagator_matrix(m, 256), pinned_propagator_matrix(m, 256)), m
+
+
+def test_propagator_matrix_forms_no_gaussian_state(cat, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense build formed a Gaussian state")
+
+    for name in ("periodized_samples", "propagate_n", "wavepacket"):
+        monkeypatch.setattr(qcat.torus, name, refuse)
+    for m in (cat, Sl2IntMatrix(0, 1, -1, 3), Sl2IntMatrix(-2, -3, -1, -2), Sl2IntMatrix(1, 0, 0, 1)):
+        u = build_propagator_matrix(m, 16)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-13
+    with pytest.raises(NonHyperbolicError):
+        build_propagator_matrix(Sl2IntMatrix(1, 1, 0, 1), 16)
+
+
+def test_propagator_matrix_of_huge_entries_has_a_scalar_period_power():
+    # A five-shear chain whose coherent state leaves the float range after
+    # one step: the unit constant needs no state, so the build runs and
+    # U^P = c I for the period P of M mod 2N.
+    m = Sl2IntMatrix(10 ** 20 + 1, 10 ** 20, 1, 1)
+    assert len(_shear_chain(m)) == 5
+    with pytest.raises(NumericalToleranceError):
+        propagate_n(m, wavepacket(0.3, 0.4, 1.0 / 16), 1)
+    for n_dim in (16, 64):
+        u = build_propagator_matrix(m, n_dim)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(n_dim))) < 1e-13
+        power = np.linalg.matrix_power(u, _torus_period(m, 2 * n_dim))
+        c = np.trace(power) / n_dim
+        assert abs(abs(c) - 1.0) < 1e-12
+        assert np.max(np.abs(power - c * np.eye(n_dim))) < 1e-12
 
 
 def test_propagator_matrix_error_parity(cat):
@@ -362,7 +415,7 @@ def test_shear_chain_reproduces_matrix():
     for m in ORACLE_MATRICES + FAMILY_MATRICES + (
         Sl2IntMatrix(2, -1, -1, 1), Sl2IntMatrix(7, -3, -2, 1), Sl2IntMatrix(-1, 0, 4, -1),
         Sl2IntMatrix(1, 0, 0, 1), Sl2IntMatrix(13, 8, 8, 5), Sl2IntMatrix(5, 2, 2, 1),
-        Sl2IntMatrix(10 ** 6 + 1, 10 ** 6, 1, 1),
+        Sl2IntMatrix(10 ** 6 + 1, 10 ** 6, 1, 1), Sl2IntMatrix(10 ** 20 + 1, 10 ** 20, 1, 1),
     ):
         shears = _shear_chain(m)
         # Each step takes the nearest quotient, so |b| at least halves.
@@ -479,8 +532,7 @@ def test_periodized_samples_blocks_keep_the_bits(cat, monkeypatch):
 def test_periodized_samples_memory_is_one_block():
     # 2^21 samples in a fresh interpreter: the whole long-double grid would
     # take about 105 bytes a sample (peak near 220 MiB); blocks of 2^18
-    # samples keep the peak near 55 MiB.  The peak is the child's VmHWM:
-    # its ru_maxrss can carry the peak of the process that spawned it.
+    # samples keep the peak near 55 MiB.
     code = (
         "import math\n"
         "from qcat.metaplectic import GaussianState\n"
@@ -490,12 +542,34 @@ def test_periodized_samples_memory_is_one_block():
         "im = math.log(1e16) / (N * math.pi * (half - 1.0) ** 2)\n"
         "v = periodized_samples(GaussianState(1.0, complex(0.1, im), 0.3, 0.4, 1.0 / N))\n"
         "assert v.shape == (N,)\n"
-        "with open('/proc/self/status', encoding='ascii') as f:\n"
-        "    print(next(int(line.split()[1]) for line in f if line.startswith('VmHWM:')) / 1024)\n"
     )
-    proc = run_python(["-c", code])
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 100.0
+    assert child_peak_mib(code) < 100.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_propagator_build_memory_is_one_matrix():
+    # The cat map at N = 2048: the in-place build holds one 64 MiB matrix and
+    # peaks near 94 MiB; a build that allocates a new matrix per step peaks
+    # near 286 MiB.
+    code = (
+        "from qcat.classical import Sl2IntMatrix\n"
+        "from qcat.torus import build_propagator_matrix\n"
+        "build_propagator_matrix(Sl2IntMatrix(2, 1, 1, 1), 2048)\n"
+    )
+    assert child_peak_mib(code) < 160.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_unitarity_memory_is_one_gram_block():
+    # run_unitarity at N = 2048 forms its Gram matrix in row blocks of at
+    # most 16 MiB and peaks near 144 MiB; the whole Gram matrix peaked near
+    # 227 MiB.
+    code = (
+        "from qcat.harness import ExperimentConfig, run_unitarity\n"
+        "run_unitarity(ExperimentConfig(matrix=(2, 1, 1, 1), N_values=(2048,), n_mode='absolute',\n"
+        "                               n_values=(1,), points=(), grid_resolution=64, seed=1))\n"
+    )
+    assert child_peak_mib(code) < 160.0
 
 
 def test_periodized_samples_read_n_from_h():
