@@ -9,16 +9,22 @@ with beta = alpha N / 2, so the m-th iterate is exactly
 (x + m alpha, y + (m^2/2) N alpha + m N x).  The phase e^{2 i pi y_m} then
 reproduces e^{i pi tan m^2 / h} e^{2 i pi m s / h}, which is what makes the
 band sums along the unstable line Birkhoff sums of this map.  No map object
-is formed: the sum reads alpha = tan(theta) and the even N = 1/h from the
-(theta, h) of its :class:`InterferenceObservable` and starts every orbit at
-y = 0.
+and no observable record is formed: the sum reads alpha = tan(theta), the
+even N = 1/h, s', lam^n and beta from one damped Lagrangian state, the
+target (q0, p0) from its second argument, and starts the orbit at (s', 0).
 
 Predicted matrix element (time n, h = 1/N, source (a,b), target (q0,p0)):
 
     RHS = D * P * sqrt(2/cos(theta)) * (Re(beta_c) cos^2(theta))^(1/4)
             * Lam^(-1/2) * lam^(-n/2) * sum_k chi(k/lam^n) f(T^k(s', 0)),
 
-where f is the interference observable, chi(u) = exp(-gamma0 u^2 / h) with
+where f is the interference observable of the target,
+
+    f(x, y) = F0(d/sqrt(h)) exp(2 i pi q0 d / h) exp(2 i pi y),
+    F0(u) = exp(-pi cos^2(theta) (1 + i tan) u^2),
+
+with d = d(x, s0) the signed circle distance to s0 = p0 - q0 tan(theta),
+and chi(u) = exp(-gamma0 u^2 / h) with
 gamma0 = pi*beta the damping derived from the transverse
 Gaussian analysis (beta from the exact shape recursion; 1/cos^2 only in the
 symmetric special case), s' = b' - tan a' for the reduced image (a', b') of
@@ -51,81 +57,22 @@ Every other phase is reduced mod 1 in float64 by ``metaplectic.mod1``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_points, spectral_data,
                         validity_threshold)
 from .errors import ThresholdViolationError, TruncationOverflowError
-from .lagrangian import aligned_propagated_state, circle_distance, make_damped_lagrangian
+from .lagrangian import (DampedLagrangianState, aligned_propagated_state, circle_distance,
+                         make_damped_lagrangian)
 from .metaplectic import cis_turns, frac_turns, mod1
 from .torus import even_n_from_h, matrix_element_exact
 
 __all__ = [
-    "InterferenceObservable",
     "damped_birkhoff_sum",
-    "gaussian_damping",
     "theorem_rhs",
     "fit_theorem_constant",
 ]
-
-
-class InterferenceObservable(NamedTuple):
-    """Observable on the skew torus whose Birkhoff sums match the band sums.
-
-    f(x, y) = F0(d(x, s0)/sqrt(h)) * exp(2 i pi q0 d(x, s0) / h) * exp(2 i pi y)
-
-    with d the signed circle distance, s0 = p0 - q0 tan(theta), and profile
-    F0(u) = exp(-pi cos^2 (1 + i tan) u^2).  ``beta`` is the damping
-    coefficient of the matrix (:func:`qcat.lagrangian.damping_coefficient`);
-    it equals 1/cos^2(theta) only for symmetric matrices.
-    """
-
-    q0: float
-    p0: float
-    theta: float
-    h: float
-    beta: complex
-
-    @property
-    def s0(self) -> float:
-        return self.p0 - math.tan(self.theta) * self.q0
-
-    @property
-    def gamma0(self) -> complex:
-        """Damping exponent scale pi * beta; Re(gamma0) > 0 always."""
-        return math.pi * complex(self.beta)
-
-    def _profile_exponent(self, u):
-        t = math.tan(self.theta)
-        c2 = math.cos(self.theta) ** 2
-        uu = np.asarray(u, dtype=float)
-        return -math.pi * c2 * complex(1.0, t) * uu * uu
-
-    def profile(self, u):
-        return np.exp(self._profile_exponent(u))
-
-    def eval(self, x, y):
-        """f(x, y) as one complex exponential; ``y`` is in turns (float64).
-
-        Both turns, q0 d / h and y, are reduced by ``mod1`` in float64.
-        """
-        d = circle_distance(x, self.s0)
-        turns = mod1(self.q0 * d * (1.0 / self.h)) + mod1(y)
-        return np.exp(self._profile_exponent(d / math.sqrt(self.h)) + 2j * math.pi * turns)
-
-
-def gaussian_damping(obs: InterferenceObservable):
-    """chi_h(u) = exp(-gamma0 u^2 / h), the derived damping window."""
-    g0 = obs.gamma0
-    h = obs.h
-
-    def chi(u):
-        uu = np.asarray(u, dtype=float)
-        return np.exp(-g0 * uu * uu / h)
-
-    return chi
 
 
 _WINDOW_CAP = 50_000_000
@@ -134,23 +81,29 @@ _LIVE_TAIL = 1e-14
 _BLOCK = 1 << 13
 
 
-def _half_width(obs: InterferenceObservable, m_time: float, chi) -> int:
-    """Half-width K of the damping window of chi_h(k/m_time): the largest
-    k >= 0 with |chi_h(k/m_time)| >= 1e-14, and 0 if there is none.
-    ``chi`` is ``gaussian_damping(obs)``.
+def _damping(state: DampedLagrangianState, u):
+    """chi_h(u) = exp(-gamma0 u^2 / h), gamma0 = pi beta: the derived damping."""
+    uu = np.asarray(u, dtype=float)
+    return np.exp(-(math.pi * complex(state.beta)) * uu * uu / state.h)
+
+
+def _half_width(state: DampedLagrangianState) -> int:
+    """Half-width K of the damping window of chi_h(k/M), M = lam^n: the
+    largest k >= 0 with |chi_h(k/M)| >= 1e-14, and 0 if there is none.
 
     |chi_h(u)| = exp(-Re(gamma0) u^2 / h) decreases in |u|, so K is
-    floor(m_time sqrt(h ln(1e14) / Re gamma0)) up to the rounding of |chi_h|,
+    floor(M sqrt(h ln(1e14) / Re gamma0)) up to the rounding of |chi_h|,
     which steps of one against |chi_h| itself settle.
 
     Raises:
         TruncationOverflowError: if K exceeds 50_000_000; no array is formed.
     """
+    m_time = state.lam ** state.n
 
     def kept(k: int) -> bool:
-        return abs(complex(chi(k / m_time))) >= _CUTOFF
+        return abs(complex(_damping(state, k / m_time))) >= _CUTOFF
 
-    k_est = m_time * math.sqrt(obs.h * -math.log(_CUTOFF) / obs.gamma0.real)
+    k_est = m_time * math.sqrt(state.h * -math.log(_CUTOFF) / (math.pi * complex(state.beta)).real)
     if not k_est <= _WINDOW_CAP:
         raise TruncationOverflowError(
             f"damping window half-width {k_est:.4g} exceeds the cap {_WINDOW_CAP}"
@@ -163,62 +116,72 @@ def _half_width(obs: InterferenceObservable, m_time: float, chi) -> int:
     return k_max
 
 
-def _live_blocks(obs: InterferenceObservable, x: float, m_time: float, k_max: int):
+def _live_blocks(state: DampedLagrangianState, target: TorusPoint, k_max: int):
     """Yield the live k of the window k = -K..K, one block of ``_BLOCK``
     terms at a time, in ascending order.
 
-    |chi_h(k/M) f(T^k(x, 0))| = exp(-Re(gamma0) (k/M)^2 / h) exp(-pi cos^2(theta)
-    d_k^2 / h) with d_k = d(x + k alpha, s0), because every other factor is
+    |chi_h(k/M) f(T^k(s', 0))| = exp(-Re(gamma0) (k/M)^2 / h) exp(-pi cos^2(theta)
+    d_k^2 / h) with d_k = d(s' + k alpha, s0), because every other factor is
     a phase.  A term is live when that float64 bound is at least
     ``_LIVE_TAIL`` / (2K+1), so the terms left out sum to at most
     ``_LIVE_TAIL`` in absolute value.
     """
     floor = _LIVE_TAIL / (2 * k_max + 1)
-    alpha = math.tan(obs.theta)
-    re_g0 = obs.gamma0.real
-    transverse = math.pi * math.cos(obs.theta) ** 2
-    root_h = math.sqrt(obs.h)
+    alpha = math.tan(state.theta)
+    x = state.s_prime
+    m_time = state.lam ** state.n
+    s0 = target.p - alpha * target.q
+    re_g0 = (math.pi * complex(state.beta)).real
+    transverse = math.pi * math.cos(state.theta) ** 2
+    root_h = math.sqrt(state.h)
     for start in range(-k_max, k_max + 1, _BLOCK):
         k = np.arange(start, min(start + _BLOCK, k_max + 1))
         u = k / m_time
-        v = circle_distance(x + k * alpha, obs.s0) / root_h
-        bound = np.exp(-re_g0 * u * u / obs.h) * np.exp(-transverse * v * v)
+        v = circle_distance(x + k * alpha, s0) / root_h
+        bound = np.exp(-re_g0 * u * u / state.h) * np.exp(-transverse * v * v)
         yield k[bound >= floor]
 
 
-def damped_birkhoff_sum(obs: InterferenceObservable, x: float, m_time: float) -> complex:
-    """S^chi_m(f)(x, 0) = sum_k chi_h(k/m) f(T^k(x, 0)) for the interference
-    observable f = ``obs`` and its derived damping chi_h
-    (:func:`gaussian_damping`), truncated where |chi_h| < 1e-14.
+def damped_birkhoff_sum(state: DampedLagrangianState, target: TorusPoint) -> complex:
+    """S^chi_M(f)(s', 0) = sum_k chi_h(k/M) f(T^k(s', 0)) for the interference
+    observable f of ``target`` and the derived damping chi_h, M = lam^n,
+    truncated where |chi_h| < 1e-14 (see the module docstring for f).
 
-    The skew map T is that of alpha = tan(obs.theta) and the even
-    N = 1/obs.h.  ``m_time`` may be non-integer (the damping argument k/m is
-    evaluated at real arguments while k stays integer).  The half-width K is
-    the closed form of :func:`_half_width`.  The window is walked in blocks
-    (:func:`_live_blocks`); in each, chi_h, the long-double orbit phases y_k
-    and ``obs.eval`` are formed on the live terms only, whose bound
-    |chi_h(k/m)| |F0(d_k/sqrt h)| is at least 1e-14/(2K+1).  The dropped
+    Every parameter is read from ``state``: the skew map T of
+    alpha = tan(theta) and the even N = 1/h, the start s', the window scale
+    M = lam^n (real, while k stays integer) and gamma0 = pi beta.  The
+    half-width K is the closed form of :func:`_half_width`.  The window is
+    walked in blocks (:func:`_live_blocks`); in each, chi_h, the long-double
+    orbit phases y_k and f are formed on the live terms only, whose bound
+    |chi_h(k/M)| |F0(d_k/sqrt h)| is at least 1e-14/(2K+1).  The dropped
     terms sum to at most 1e-14 in absolute value.  The live values are
     summed in ascending k by one ``np.sum``, so memory is O(block + live).
 
     Raises:
-        OddNError: if 1/obs.h is not an even integer.
+        OddNError: if 1/state.h is not an even integer.
         TruncationOverflowError: if K exceeds 50_000_000.
     """
-    if m_time <= 0:
-        raise ValueError("m_time must be positive")
-    n_even = even_n_from_h(obs.h)
-    chi = gaussian_damping(obs)
-    k_max = _half_width(obs, m_time, chi)
-    alpha_l = np.longdouble(math.tan(obs.theta))
+    h = state.h
+    n_even = even_n_from_h(h)
+    k_max = _half_width(state)
+    m_time = state.lam ** state.n
+    t = math.tan(state.theta)
+    x = state.s_prime
+    q0 = target.q
+    s0 = target.p - t * q0
+    profile = -math.pi * math.cos(state.theta) ** 2 * complex(1.0, t)
+    alpha_l = np.longdouble(t)
     x_l = np.longdouble(x)
     parts = []
-    for k in _live_blocks(obs, x, m_time, k_max):
+    for k in _live_blocks(state, target, k_max):
         k_l = np.asarray(k, dtype=np.longdouble)
         xs = x + np.asarray(k_l * alpha_l, dtype=np.float64)
         y_turns = k_l * k_l * (n_even // 2) * alpha_l + k_l * n_even * x_l
-        # e^{2 i pi y_k} is supplied through the y argument in turns.
-        parts.append(chi(k / m_time) * obs.eval(xs, frac_turns(y_turns)))
+        # f(x_k, y_k) as one complex exponential, its two turns reduced by mod1.
+        d = circle_distance(xs, s0)
+        u = d / math.sqrt(h)
+        turns = mod1(q0 * d * (1.0 / h)) + mod1(frac_turns(y_turns))
+        parts.append(_damping(state, k / m_time) * np.exp(profile * u * u + 2j * math.pi * turns))
     return complex(np.sum(np.concatenate(parts)))
 
 
@@ -243,6 +206,8 @@ def theorem_rhs(
         OddNError: if 1/h is not an even integer (:func:`qcat.torus.even_n_from_h`).
         ThresholdViolationError: for n below |log h|/(3 log lam) unless the
             caller opts in (exploratory plots).
+        NumericalToleranceError: once the propagated packet leaves the float
+            range (:func:`qcat.metaplectic.propagate_n`), before n = 390.
         TruncationOverflowError: if the damping window of the sum passes its
             cap (:func:`damped_birkhoff_sum`).
     """
@@ -250,6 +215,9 @@ def theorem_rhs(
     a, b = src.q, src.p
     q0, p0 = dst.q, dst.p
 
+    # Propagation refuses a time whose exact matrix power would take long to
+    # form or leave the float range, so it goes first.
+    _, phi_n = aligned_propagated_state(m, n, h)
     big_a, big_b = m.power(n).apply(a, b)
     # Reduce the lifted image by the integer vector closest to the target
     # column q0: the damping window of the sum is then centered within half a
@@ -264,8 +232,6 @@ def theorem_rhs(
         )
     t = math.tan(state.theta)
     s_real = big_b - t * big_a
-
-    _, phi_n = aligned_propagated_state(m, n, h)
 
     phases = (
         phi_n
@@ -284,9 +250,7 @@ def theorem_rhs(
         / np.sqrt(state.lam_c)
     )
 
-    obs = InterferenceObservable(q0=q0, p0=p0, theta=state.theta, h=h, beta=state.beta)
-    s_sum = damped_birkhoff_sum(obs, state.s_prime, lam ** n)
-    return complex(scale_constant * phases * amp * s_sum)
+    return complex(scale_constant * phases * amp * damped_birkhoff_sum(state, dst))
 
 
 _FIT_N = 64

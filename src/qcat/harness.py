@@ -29,7 +29,6 @@ from .classical import (Sl2IntMatrix, TorusPoint, cat_apply, ehrenfest_time, see
                         spectral_data, validity_threshold)
 from .errors import ConfigError
 from .lagrangian import (
-    BandIndexer,
     aligned_propagated_state,
     band_difference,
     circle_distance,
@@ -263,10 +262,11 @@ def run_egorov(cfg: ExperimentConfig) -> ExperimentResult:
         h = 1.0 / n_dim
         radius = 10.0 * math.sqrt(h)
         for n_time in sorted(set(cfg.resolve_times(n_dim)) | {0}):
-            target_map = m.power(n_time)
             for idx, pt in enumerate(points):
                 dens = husimi(propagate_n(m, wavepacket(pt.q, pt.p, h), n_time), res)
-                target = cat_apply(target_map, pt)
+                # Propagation refuses a time whose exact matrix power would
+                # take long to form, so the target comes after it.
+                target = cat_apply(m.power(n_time), pt)
                 dist2 = (circle_distance(qs, target.q)[:, None] ** 2
                          + circle_distance(qs, target.p) ** 2)
                 total = float(np.sum(dens))
@@ -332,15 +332,16 @@ def run_bands(cfg: ExperimentConfig) -> ExperimentResult:
     for n_dim in cfg.N_values:
         h = 1.0 / n_dim
         for n_time in cfg.resolve_times(n_dim):
-            form_l = lagrangian_overlap_field(make_damped_lagrangian(m, n_time, h))
+            # Both states are rooted at (0, 0), so both follow the band of
+            # the Lagrangian state, whose s' is 0.
+            state = make_damped_lagrangian(m, n_time, h)
+            form_l = lagrangian_overlap_field(state)
             g, _ = aligned_propagated_state(m, n_time, h)
             form_g = wavepacket_overlap_field(g)
             bound = math.sqrt(h) * sd.lam ** (-0.5 * n_time) + math.exp(-1.0 / h)
             for idx, pt in enumerate(points):
-                # Both states are rooted at (0, 0), so s' = 0 for each.
-                indexer = BandIndexer(theta=sd.theta, q0=pt.q, p0=pt.p, s_prime=0.0)
-                tail_l, tail_g = off_band_tail(form_l, indexer), off_band_tail(form_g, indexer)
-                diff = band_difference(form_l, form_g, indexer)
+                tail_l, tail_g = off_band_tail(form_l, state, pt), off_band_tail(form_g, state, pt)
+                diff = band_difference(form_l, form_g, state, pt)
                 rows.append((n_dim, n_time, idx, pt.q, pt.p, tail_l, tail_g, diff, bound,
                              diff / bound))
 

@@ -29,9 +29,10 @@ as a :class:`qcat.torus.OverlapForm` in the packet's center (q, p): its
 envelope drives the certified band window (:func:`qcat.torus.line_tail_bound`)
 and the off-band box (``OverlapForm.box``), and its live-term evaluation
 gives every band and box value.  The band routines (:func:`band_sum`,
-:func:`band_difference`, :func:`off_band_tail`) take such forms and a
-:class:`BandIndexer`, so a caller builds each state and its form once and
-passes the same form to every routine.
+:func:`band_difference`, :func:`off_band_tail`) take such forms, the damped
+Lagrangian state whose line the band follows (:func:`band_rows`) and the
+target point, so a caller builds each state and its form once and passes
+them to every routine.
 """
 
 from __future__ import annotations
@@ -41,19 +42,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import Sl2IntMatrix, spectral_data
+from .classical import Sl2IntMatrix, TorusPoint, spectral_data
 from .errors import TruncationOverflowError
 from .metaplectic import GaussianState, mod1, propagate_n, wavepacket
 from .torus import OverlapForm, certified_radius, line_tail_bound
 
 __all__ = [
     "DampedLagrangianState",
-    "BandIndexer",
     "damping_coefficient",
     "circle_distance",
     "make_damped_lagrangian",
     "lagrangian_overlap_field",
     "wavepacket_overlap_field",
+    "band_rows",
     "band_sum",
     "off_band_tail",
     "band_difference",
@@ -186,84 +187,72 @@ def wavepacket_overlap_field(g: GaussianState) -> OverlapForm:
     return OverlapForm((e_qq, e_pp, e_qp, e_q, e_p, e_c), complex(pref))
 
 
-class BandIndexer(NamedTuple):
-    """Resolves, for each column q0 + m, the unique row p0 + p(m) inside the
-    band of half-width cos(theta)/2 around the line of slope tan(theta) with
-    intercept s'."""
-
-    theta: float
-    q0: float
-    p0: float
-    s_prime: float
-
-    def offset(self, m):
-        """(q0+m) tan + s' - p0 before rounding."""
-        return (self.q0 + np.asarray(m, dtype=float)) * math.tan(self.theta) + self.s_prime - self.p0
-
-    def p_of(self, m):
-        """The unique integer with the band offset in (-1/2, 1/2]."""
-        return np.ceil(self.offset(m) - 0.5).astype(int)
-
-    def d_of(self, m):
-        """Signed distance-coordinate q tan + s' - p along the band."""
-        return self.offset(m) - self.p_of(m)
+def band_rows(state: DampedLagrangianState, target: TorusPoint, m):
+    """The row p(m) of column q0 + m in the band of half-width cos(theta)/2
+    around the line of slope tan(theta) with intercept s': the unique
+    integer with (q0 + m) tan + s' - p0 - p(m) in (-1/2, 1/2]."""
+    offset = (target.q + np.asarray(m, dtype=float)) * math.tan(state.theta) + state.s_prime - target.p
+    return np.ceil(offset - 0.5).astype(int)
 
 
-def _band_m_range(form: OverlapForm, indexer: BandIndexer, target: float) -> tuple[int, int]:
-    """Certified m-window: outside it, sum of |form| along the band <= target.
+def _band_m_range(form: OverlapForm, target: TorusPoint, tail: float) -> tuple[int, int]:
+    """Certified m-window: outside it, sum of |form| along the band <= tail.
 
     |term(m)| <= peak * exp(-mu (q0 + m - center_q)^2 / 2), so the window is
     the smallest radius that :func:`qcat.torus.line_tail_bound` certifies.
     """
     center, mu, peak = form.envelope()
-    if peak <= target:
+    if peak <= tail:
         return 0, -1  # everything is negligible; empty range
-    radius = certified_radius(peak, mu, target, line_tail_bound)
+    radius = certified_radius(peak, mu, tail, line_tail_bound)
     if radius > _MAX_BAND_TERMS:
         raise TruncationOverflowError("certified band window exceeds the term cap")
-    mid = center[0] - indexer.q0
+    mid = center[0] - target.q
     return math.floor(mid - radius), math.ceil(mid + radius)
 
 
-def band_sum(form: OverlapForm, indexer: BandIndexer) -> complex:
-    """sum_m form(q0+m, p0+p(m)) over the band window certified to
+def band_sum(form: OverlapForm, state: DampedLagrangianState, target: TorusPoint) -> complex:
+    """sum_m form(q0+m, p0+p(m)) along the band of ``state`` through the
+    columns of ``target`` (:func:`band_rows`), over the window certified to
     ``_BAND_TAIL``."""
-    m_lo, m_hi = _band_m_range(form, indexer, _BAND_TAIL)
+    m_lo, m_hi = _band_m_range(form, target, _BAND_TAIL)
     if m_hi < m_lo:
         return 0.0 + 0.0j
     m = np.arange(m_lo, m_hi + 1)
-    k = indexer.p_of(m)
-    q = indexer.q0 + m
-    p = indexer.p0 + k
+    k = band_rows(state, target, m)
+    q = target.q + m
+    p = target.p + k
     return complex(np.sum(form.terms(q, p)))
 
 
-def band_difference(form_l: OverlapForm, form_g: OverlapForm, indexer: BandIndexer) -> float:
+def band_difference(form_l: OverlapForm, form_g: OverlapForm, state: DampedLagrangianState,
+                    target: TorusPoint) -> float:
     """|L_(n,h)(q0,p0) - M_(n,h)(q0,p0)|: the difference of the band sums
-    (:func:`band_sum`) along ``indexer``'s band of the damped-Lagrangian
+    (:func:`band_sum`) along ``state``'s band of the damped-Lagrangian
     form ``form_l`` and the propagated-packet form ``form_g``."""
-    return float(abs(band_sum(form_l, indexer) - band_sum(form_g, indexer)))
+    return float(abs(band_sum(form_l, state, target) - band_sum(form_g, state, target)))
 
 
-def off_band_tail(form: OverlapForm, indexer: BandIndexer) -> float:
+def off_band_tail(form: OverlapForm, state: DampedLagrangianState, target: TorusPoint) -> float:
     """|sum of overlap terms over lattice translates outside the band|.
 
     ``form`` is the overlap form of a damped Lagrangian state or of a
-    propagated Gaussian; ``indexer`` gives its band, the cos(theta)/2
-    neighborhood of the unstable line, at the columns q0 + k1.  Terms pair
-    the state against plain packets Phi_{(q0+k1, p0+k2)} at the live points
-    of the certified box of tail 1e-16 times the peak (``OverlapForm.box``),
-    summed in their row-major order.
+    propagated Gaussian; ``state`` gives the band, the cos(theta)/2
+    neighborhood of its line, at the columns q0 + k1 (:func:`band_rows`).
+    Terms pair the form's state against plain packets
+    Phi_{(q0+k1, p0+k2)} at the live points of the certified box of tail
+    1e-16 times the peak (``OverlapForm.box``), summed in their row-major
+    order.
 
     Raises:
         TruncationOverflowError: if that box has more than
             ``_MAX_BAND_TERMS`` terms.
     """
-    q0, p0 = indexer.q0, indexer.p0
+    q0, p0 = target.q, target.p
     peak = form.envelope()[2]
     k1, k2, _ = form.box(q0, p0, 1e-16 * max(peak, 1e-300), _MAX_BAND_TERMS)
     vals = form.terms(q0 + k1, p0 + k2)
-    return float(abs(np.sum(vals[k2 != indexer.p_of(k1)])))
+    return float(abs(np.sum(vals[k2 != band_rows(state, target, k1)])))
 
 
 def aligned_propagated_state(m: Sl2IntMatrix, n: int, h: float) -> tuple[GaussianState, complex]:

@@ -19,17 +19,19 @@ from qcat.errors import NumericalToleranceError
 QCAT_ROOT = Path(qcat.__file__).resolve().parents[1]
 
 
-def run_python(args, cwd=None) -> subprocess.CompletedProcess:
+def run_python(args, cwd=None, timeout=None) -> subprocess.CompletedProcess:
     """Run `python *args` in a fresh interpreter on the same qcat the tests
     import.
 
     QCAT_ROOT goes first on the child's PYTHONPATH, ahead of any inherited
     entries, so a relative `PYTHONPATH=src` still finds the package when
-    `cwd` is a scratch directory.
+    `cwd` is a scratch directory.  A child still running after ``timeout``
+    seconds is killed and raises ``subprocess.TimeoutExpired``.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(QCAT_ROOT), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env,
+                          timeout=timeout)
 
 
 def child_peak_mib(code: str) -> float:
@@ -44,9 +46,9 @@ def child_peak_mib(code: str) -> float:
     return float(proc.stdout.split()[-1])
 
 
-def run_cli(args, cwd=None) -> subprocess.CompletedProcess:
+def run_cli(args, cwd=None, timeout=None) -> subprocess.CompletedProcess:
     """Run `python -m qcat.cli *args` through :func:`run_python`."""
-    return run_python(["-m", "qcat.cli", *args], cwd)
+    return run_python(["-m", "qcat.cli", *args], cwd, timeout)
 
 
 @pytest.fixture

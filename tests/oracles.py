@@ -20,6 +20,9 @@ independent one.
   criterion A9).
 - Damped Lagrangian states: pointwise evaluation and the pointwise
   approximation check against the exactly propagated packet.
+- The interference observable f of a target point and its damping window
+  chi_h, the term-by-term route for ``birkhoff.damped_birkhoff_sum``, and
+  the signed distance of a column from its band row.
 - The Parseval pairing on the torus: a state as the N Fourier coefficients
   of its symmetrization (the inverse DFT of its periodized samples), and
   the pairing as their finite inner product, the independent route for the
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,8 +44,10 @@ from qcat.classical import (FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix
                             spectral_data)
 from qcat.errors import (MismatchedHError, NonPositiveHError, NumericalToleranceError, OddNError,
                          QcatError, TruncationOverflowError)
-from qcat.lagrangian import DampedLagrangianState, aligned_propagated_state, make_damped_lagrangian
-from qcat.metaplectic import GaussianState, cis_turns, frac_turns, gaussian_eval, propagate_n, wavepacket
+from qcat.lagrangian import (DampedLagrangianState, aligned_propagated_state, band_rows, circle_distance,
+                             make_damped_lagrangian)
+from qcat.metaplectic import (GaussianState, cis_turns, frac_turns, gaussian_eval, mod1, propagate_n,
+                              wavepacket)
 from qcat.torus import _MAX_DENSE_N, _apply_chain, _shear_chain, periodized_samples
 
 _TWO_PI = 2.0 * math.pi
@@ -410,6 +415,72 @@ def check_pointwise_approx(m: Sl2IntMatrix, n: int, h: float, grid: np.ndarray) 
     return PointwiseApproxReport(
         n=n, h=h, fitted_r=fitted, max_ratio=float(np.max(ratio)), violations=violations
     )
+
+
+# ---------------------------------------------------------------- interference observable and bands
+
+class InterferenceObservable(NamedTuple):
+    """Observable on the skew torus whose Birkhoff sums match the band sums.
+
+    f(x, y) = F0(d(x, s0)/sqrt(h)) * exp(2 i pi q0 d(x, s0) / h) * exp(2 i pi y)
+
+    with d the signed circle distance, s0 = p0 - q0 tan(theta), and profile
+    F0(u) = exp(-pi cos^2 (1 + i tan) u^2).  ``beta`` is the damping
+    coefficient of the matrix (:func:`qcat.lagrangian.damping_coefficient`);
+    it equals 1/cos^2(theta) only for symmetric matrices.
+    """
+
+    q0: float
+    p0: float
+    theta: float
+    h: float
+    beta: complex
+
+    @property
+    def s0(self) -> float:
+        return self.p0 - math.tan(self.theta) * self.q0
+
+    @property
+    def gamma0(self) -> complex:
+        """Damping exponent scale pi * beta; Re(gamma0) > 0 always."""
+        return math.pi * complex(self.beta)
+
+    def _profile_exponent(self, u):
+        t = math.tan(self.theta)
+        c2 = math.cos(self.theta) ** 2
+        uu = np.asarray(u, dtype=float)
+        return -math.pi * c2 * complex(1.0, t) * uu * uu
+
+    def profile(self, u):
+        return np.exp(self._profile_exponent(u))
+
+    def eval(self, x, y):
+        """f(x, y) as one complex exponential; ``y`` is in turns (float64).
+
+        Both turns, q0 d / h and y, are reduced by ``mod1`` in float64.
+        """
+        d = circle_distance(x, self.s0)
+        turns = mod1(self.q0 * d * (1.0 / self.h)) + mod1(y)
+        return np.exp(self._profile_exponent(d / math.sqrt(self.h)) + 2j * math.pi * turns)
+
+
+def gaussian_damping(obs: InterferenceObservable):
+    """chi_h(u) = exp(-gamma0 u^2 / h), the derived damping window."""
+    g0 = obs.gamma0
+    h = obs.h
+
+    def chi(u):
+        uu = np.asarray(u, dtype=float)
+        return np.exp(-g0 * uu * uu / h)
+
+    return chi
+
+
+def band_distance(state: DampedLagrangianState, target, m):
+    """Signed distance coordinate (q0 + m) tan + s' - p0 - p(m) of column
+    q0 + m from its band row p(m) (``lagrangian.band_rows``)."""
+    offset = (target.q + np.asarray(m, dtype=float)) * math.tan(state.theta) + state.s_prime - target.p
+    return offset - band_rows(state, target, m)
 
 
 # ---------------------------------------------------------------- Parseval pairing

@@ -30,7 +30,7 @@ from oracles import (
 )
 from qcat.birkhoff import fit_theorem_constant, theorem_rhs
 from qcat.classical import Sl2IntMatrix, TorusPoint, cat_apply, ehrenfest_time, spectral_data
-from qcat.lagrangian import (BandIndexer, aligned_propagated_state, band_difference,
+from qcat.lagrangian import (aligned_propagated_state, band_difference,
                              lagrangian_overlap_field, make_damped_lagrangian, off_band_tail,
                              wavepacket_overlap_field)
 from qcat.metaplectic import gaussian_eval, propagate_n, wavepacket
@@ -215,17 +215,18 @@ def test_a7_band_estimates():
         h = 1.0 / n_dim
         te = ehrenfest_time(h, sd.lam)
         for n in [math.ceil(te), math.ceil(1.5 * te), 2 * math.ceil(te)]:
-            form_l = lagrangian_overlap_field(make_damped_lagrangian(CAT, n, h))
+            # Both states are rooted at (0, 0), so both follow the band of
+            # the Lagrangian state, whose s' is 0.
+            state = make_damped_lagrangian(CAT, n, h)
+            form_l = lagrangian_overlap_field(state)
             g, _ = aligned_propagated_state(CAT, n, h)
             form_g = wavepacket_overlap_field(g)
             bound = math.sqrt(h) * sd.lam ** (-0.5 * n) + math.exp(-1.0 / h)
             for pt in points:
-                # Both states are rooted at (0, 0), so s' = 0 for each.
-                indexer = BandIndexer(theta=sd.theta, q0=pt.q, p0=pt.p, s_prime=0.0)
                 if n_dim >= 64:
-                    worst_tail = max(worst_tail, off_band_tail(form_l, indexer))
-                    worst_tail = max(worst_tail, off_band_tail(form_g, indexer))
-                diff = band_difference(form_l, form_g, indexer)
+                    worst_tail = max(worst_tail, off_band_tail(form_l, state, pt))
+                    worst_tail = max(worst_tail, off_band_tail(form_g, state, pt))
+                diff = band_difference(form_l, form_g, state, pt)
                 ratios[n_dim].append(diff / bound)
     c_fit = max(ratios[64])
     uniform = max(max(r) for r in ratios.values()) <= 5.0 * c_fit

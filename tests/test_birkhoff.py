@@ -11,22 +11,23 @@ import pytest
 
 from conftest import (_exact_frac, _support_half_width, _window, child_peak_mib, orbit_points,
                       scanned_birkhoff_sum, skew_apply, skew_iterate)
+from oracles import InterferenceObservable, band_distance, gaussian_damping
 from qcat import birkhoff
 from qcat.classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_points, spectral_data,
                             validity_threshold)
-from qcat.errors import OddNError, ThresholdViolationError, TruncationOverflowError
+from qcat.errors import (NumericalToleranceError, OddNError, ThresholdViolationError,
+                         TruncationOverflowError)
 from qcat.birkhoff import (
-    InterferenceObservable,
     _half_width,
     _live_blocks,
     damped_birkhoff_sum,
     fit_theorem_constant,
-    gaussian_damping,
     theorem_rhs,
 )
 from qcat.harness import ExperimentConfig, run_theorem
 from qcat.lagrangian import (
-    BandIndexer,
+    DampedLagrangianState,
+    band_rows,
     circle_distance,
     damping_coefficient,
     lagrangian_overlap_field,
@@ -46,10 +47,10 @@ def test_skew_apply_examples():
     assert two[1] == pytest.approx((8 * 0.37) % 1.0, abs=1e-12)
     assert skew_iterate(0.37, 4, (0.0, 0.0), 2)[1] == pytest.approx((8 * 0.37) % 1.0, abs=1e-12)
     # beta = alpha N / 2 needs an integer N / 2: an odd N = 1/h is refused by
-    # the sum, which reads N from the observable, and by the prediction.
+    # the sum, which reads N from the state, and by the prediction.
     odd = InterferenceObservable(q0=0.3, p0=0.7, theta=math.atan(0.37), h=1.0 / 5, beta=1.0)
     with pytest.raises(OddNError):
-        damped_birkhoff_sum(odd, 0.1, 10.0)
+        damped_birkhoff_sum(*_sum_args(odd, 0.1, 10.0))
     with pytest.raises(OddNError):
         theorem_rhs(_CAT, 4, 1.0 / 5, TorusPoint(0.1, 0.2), TorusPoint(0.3, 0.4))
 
@@ -106,6 +107,15 @@ def test_phase_telescoping_identity(cat):
         assert abs(cis_turns(ym) - direct) < 1e-9
 
 
+def _sum_args(obs, x, m_time):
+    """The (state, target) from which ``damped_birkhoff_sum`` reads what the
+    oracle observable ``obs`` holds: theta, h and beta, the start s' = x and
+    the window scale lam^n = m_time (as n = 1 and lam = m_time)."""
+    state = DampedLagrangianState(n=1, h=obs.h, theta=obs.theta, lam=m_time, a_prime=0.0,
+                                  b_prime=x, beta=obs.beta)
+    return state, TorusPoint(obs.q0, obs.p0)
+
+
 def _indicator(u):
     uu = np.asarray(u, dtype=float)
     return ((uu >= 0.0) & (uu <= 1.0)).astype(float)
@@ -129,7 +139,7 @@ def test_damped_birkhoff_sum_basics(cat):
     obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=0.25,
                                  beta=damping_coefficient(cat))
     f2 = lambda x, y: 2.0 * obs.eval(x, y)
-    a = damped_birkhoff_sum(obs, 0.1, 10.0)
+    a = damped_birkhoff_sum(*_sum_args(obs, 0.1, 10.0))
     b = scanned_birkhoff_sum(alpha, 4, f2, gaussian_damping(obs), 0.1, 10.0)
     assert b == pytest.approx(2.0 * a)
 
@@ -191,7 +201,7 @@ def test_half_width_closed_form(window, m_time):
     # lam^18, where K is about 6e6, in well under a second.
     obs = _GAUSSIAN_OBS[window]
     chi = gaussian_damping(obs)
-    k_max = _half_width(obs, m_time, chi)
+    k_max = _half_width(_sum_args(obs, 0.0, m_time)[0])
     assert k_max == _support_half_width(chi, m_time)
     if m_time == 1:
         assert k_max == 0
@@ -208,7 +218,7 @@ def test_half_width_at_the_cutoff(window, k_target):
     scale = math.sqrt(obs.h * math.log(1e14) / obs.gamma0.real)
     for j in range(-6, 7):
         m_time = k_target / scale * (1.0 + j * 2.0 ** -52)
-        assert _half_width(obs, m_time, chi) == _support_half_width(chi, m_time)
+        assert _half_width(_sum_args(obs, 0.0, m_time)[0]) == _support_half_width(chi, m_time)
 
 
 @pytest.mark.parametrize(
@@ -235,12 +245,12 @@ def test_support_half_width_zero_window():
 def test_support_half_width_cap():
     # At N = 256, n = 30 the closed-form K is about 6e11, past the 5e7 cap:
     # the sum raises before it forms any array.
-    obs, _, x, m_time = _live_case(_CAT, 256, 30, 0.4137)
+    _, _, state, target = _live_case(_CAT, 256, 30, 0.4137)
     tracemalloc.start()
     try:
         start = time.perf_counter()
         with pytest.raises(TruncationOverflowError, match="exceeds the cap 50000000"):
-            damped_birkhoff_sum(obs, x, m_time)
+            damped_birkhoff_sum(state, target)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -327,12 +337,19 @@ _ROUNDING = 16 * np.finfo(float).eps
 
 
 def _live_case(m, n_dim, n, x):
-    """Sum arguments at N = ``n_dim``, m_time = lam^n, from the abscissa
-    s0 + x, with the derived window chi_h for the oracles."""
+    """The oracle observable and its derived window chi_h at N = ``n_dim``,
+    and the sum arguments: the damped Lagrangian state of ``m`` at time n
+    whose s' is the abscissa s0 + x, and the target (q0, p0)."""
     sd = spectral_data(m)
     obs = InterferenceObservable(q0=0.31, p0=0.87, theta=sd.theta, h=1.0 / n_dim,
                                  beta=damping_coefficient(m))
-    return obs, gaussian_damping(obs), (obs.s0 + x) % 1.0, sd.lam ** n
+    state = make_damped_lagrangian(m, n, obs.h, center=(0.0, (obs.s0 + x) % 1.0))
+    return obs, gaussian_damping(obs), state, TorusPoint(obs.q0, obs.p0)
+
+
+def _start_and_scale(state):
+    """The start s' and the window scale M = lam^n that the sum reads."""
+    return state.s_prime, state.lam ** state.n
 
 
 @pytest.mark.parametrize(
@@ -353,9 +370,9 @@ def _live_case(m, n_dim, n, x):
          "cat-256-13-near-s0", "cat-4096-13-near-s0", "3121-256-9", "3121-4096-10-near-s0"],
 )
 def test_live_term_sum_matches_full_window(matrix, n_dim, n, x):
-    obs, chi, x0, m_time = _live_case(matrix, n_dim, n, x)
-    want, mass = _full_window_sum(obs, chi, x0, m_time)
-    got = damped_birkhoff_sum(obs, x0, m_time)
+    obs, chi, state, target = _live_case(matrix, n_dim, n, x)
+    want, mass = _full_window_sum(obs, chi, *_start_and_scale(state))
+    got = damped_birkhoff_sum(state, target)
     assert abs(got - want) <= _LIVE_TAIL + _ROUNDING * mass
 
 
@@ -392,11 +409,12 @@ def test_live_term_sum_across_blocks(monkeypatch, k_max, block):
     obs, chi, _, _ = _live_case(_CAT, 256, 0, 0.0)
     m_time = (k_max + 0.5) / math.sqrt(obs.h * math.log(1e14) / obs.gamma0.real)
     x = (obs.s0 - k_max * _skew(obs)[0]) % 1.0
-    assert _half_width(obs, m_time, chi) == k_max
-    live = np.concatenate(list(_live_blocks(obs, x, m_time, k_max)))
+    state, target = _sum_args(obs, x, m_time)
+    assert _half_width(state) == k_max
+    live = np.concatenate(list(_live_blocks(state, target, k_max)))
     want_live = _window_live_k(obs, x, m_time, k_max)
     assert k_max in want_live and np.array_equal(live, want_live)
-    got = damped_birkhoff_sum(obs, x, m_time)
+    got = damped_birkhoff_sum(state, target)
     # Blocking changes neither a term nor the order of the sum.
     assert got == _whole_window_live_sum(obs, x, m_time, want_live)
     want, mass = _full_window_sum(obs, chi, x, m_time)
@@ -408,10 +426,11 @@ def test_live_mask_keeps_few_terms(cat):
     # the window at N = 256 and 11.5% at N = 4096.
     for n_dim, share in ((256, 0.60), (4096, 0.20)):
         for x in (0.1, 0.45, 0.8):
-            obs, chi, x0, m_time = _live_case(cat, n_dim, 13, x)
+            obs, chi, state, target = _live_case(cat, n_dim, 13, x)
+            x0, m_time = _start_and_scale(state)
             k, chi_k = _window(chi, m_time)
-            k_max = _half_width(obs, m_time, chi)
-            live_k = np.concatenate(list(_live_blocks(obs, x0, m_time, k_max)))
+            k_max = _half_width(state)
+            live_k = np.concatenate(list(_live_blocks(state, target, k_max)))
             live = np.isin(k, live_k)
             assert 0 < np.count_nonzero(live) <= share * k.size
             # What the mask drops is below the certified tail.
@@ -426,10 +445,10 @@ def test_damped_sum_memory(cat, n_dim, n, limit_mib):
     # Windows of 2.8e6 and 1.7e6 terms: a sum that held whole-window arrays
     # peaked at 155 and 101 MB.  The blocked walk holds one block plus the
     # live terms (12% and 49% of the window).
-    obs, _, x, m_time = _live_case(cat, n_dim, n, 0.4137)
+    _, _, state, target = _live_case(cat, n_dim, n, 0.4137)
     tracemalloc.start()
     try:
-        damped_birkhoff_sum(obs, x, m_time)
+        damped_birkhoff_sum(state, target)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -470,7 +489,7 @@ def test_interference_term_phase_reduction(cat):
     big_a, big_b = 3.262, 2.771  # an arbitrary plane lift
     state = make_damped_lagrangian(cat, n, h, center=(big_a, big_b))
     q0, p0 = 0.31, 0.87
-    idx = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=state.s_prime)
+    target = TorusPoint(q0, p0)
     s0 = p0 - t * q0
     c_h = (2.0 / h) ** 0.25
     lam_c = 1.0 - 1j * t + state.beta * state.damping_scale
@@ -479,10 +498,10 @@ def test_interference_term_phase_reduction(cat):
     alpha_n = p_cplx - math.cos(sd.theta) ** 2 * (1.0 + 1j * t)
     form = lagrangian_overlap_field(state)
     for m in (-9, -2, 0, 1, 7, 13):
-        k = idx.p_of(m)
+        k = band_rows(state, target, m)
         q, p = q0 + m, p0 + k
         direct = cis_turns(-k * q0 * n_dim) * form.terms(q, p)
-        d = idx.d_of(m)
+        d = band_distance(state, target, m)
         w = q * (t + 1j) - d
         u = beta_n * big_a
         a3 = w * w * alpha_n + (2j * u * w - u * u) * p_cplx + beta_n * big_a ** 2
@@ -509,13 +528,23 @@ def test_theorem_rhs_threshold_and_truncation(cat):
     obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=h,
                                  beta=damping_coefficient(cat))
     chi = gaussian_damping(obs)
-    base = damped_birkhoff_sum(obs, 0.2, sd.lam ** n)
+    base = damped_birkhoff_sum(make_damped_lagrangian(cat, n, h, center=(0.0, 0.2)),
+                               TorusPoint(0.3, 0.7))
     k_wide = int(6 * sd.lam ** n)
     ks = np.arange(-k_wide, k_wide + 1)
     xs = 0.2 + ks * sd.tan_theta
     ys = (ks * ks * 32 * sd.tan_theta + ks * 64 * 0.2) % 1.0
     wide = complex(np.sum(np.asarray(chi(ks / sd.lam ** n)) * np.asarray(obs.eval(xs, ys))))
     assert abs(base - wide) <= 1e-12 * max(abs(wide), 1.0)
+
+
+@pytest.mark.parametrize("n", [2000, 20_000_000])
+def test_theorem_rhs_huge_n_fails_typed(cat, n):
+    # Propagation refuses both times before n = 390.  The exact power M^n
+    # used to come first: at n = 2000 its image left the float range (a bare
+    # OverflowError), and at n = 2e7 it was still being formed after 20 s.
+    with pytest.raises(NumericalToleranceError):
+        theorem_rhs(cat, n, 1.0 / 16, TorusPoint(0.3, 0.7), TorusPoint(0.6, 0.2))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

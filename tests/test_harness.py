@@ -201,13 +201,11 @@ def test_records_are_immutable_and_validated(tmp_path):
     records = [
         cat, sd, ham, flow_coefficients(ham, 1.0),
         TorusPoint(0.3, 0.4), g,
-        birkhoff.InterferenceObservable(0.3, 0.4, sd.theta, h, lagrangian.damping_coefficient(cat)),
         lagrangian.make_damped_lagrangian(cat, 2, h), lagrangian.wavepacket_overlap_field(g),
-        lagrangian.BandIndexer(theta=sd.theta, q0=0.3, p0=0.4, s_prime=0.0),
         pair_symmetrized_detailed(g, g)[1],
         load_config(write_config(tmp_path)), ExperimentResult(table), table,
     ]
-    assert len({type(r) for r in records}) == 14
+    assert len({type(r) for r in records}) == 12
     for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
@@ -230,10 +228,10 @@ def test_records_are_immutable_and_validated(tmp_path):
     with pytest.raises(ValueError):
         GaussianState(1.0, 1.0 + 0j, 0.0, 0.0, h)
     # No record holds the skew map: the Birkhoff sum reads its even N from
-    # the observable's h and refuses an odd one.
-    odd = birkhoff.InterferenceObservable(0.3, 0.4, sd.theta, 1.0 / 5, 1.0)
+    # the damped Lagrangian state's h and refuses an odd one.
+    odd = lagrangian.make_damped_lagrangian(cat, 2, 1.0 / 5)
     with pytest.raises(OddNError):
-        birkhoff.damped_birkhoff_sum(odd, 0.1, 10.0)
+        birkhoff.damped_birkhoff_sum(odd, TorusPoint(0.3, 0.4))
     with pytest.raises(ValueError):
         ResultTable(schema="s", columns=("a", "b"), rows=[(1,)])
     # _replace and _make skip those checks, so the package calls neither.
@@ -547,15 +545,20 @@ def test_odd_point_list_is_a_config_error(tmp_path):
     "experiment, n_mode, n_value, code",
     [("theorem", "absolute", 400, 3), ("bands", "absolute", 400, 3),
      ("egorov", "absolute", 400, 3), ("egorov", "absolute", 360, 3),
+     ("egorov", "absolute", 20_000_000, 3), ("theorem", "absolute", 20_000_000, 3),
      ("theorem", "ehrenfest-multiples", 1e308, 2)],
-    ids=["theorem-400", "bands-400", "egorov-400", "egorov-360", "theorem-1e308-te"],
+    ids=["theorem-400", "bands-400", "egorov-400", "egorov-360", "egorov-2e7", "theorem-2e7",
+         "theorem-1e308-te"],
 )
 def test_cli_very_large_times_fail_typed(tmp_path, experiment, n_mode, n_value, code):
     # At n = 400 the propagated packet leaves the float range; at n = 360 the
     # periodized samples of egorov would span 4e150 periods; 1e308 Ehrenfest
-    # times is a time past the float range.  Each is one typed line.
+    # times is a time past the float range.  Each is one typed line.  At
+    # n = 2e7 egorov formed the exact power M^n before propagating, and was
+    # still running after 100 s; propagation now refuses it first.
     cfg = write_config(tmp_path, N_values=[16], n_mode=n_mode, n_values=[n_value])
-    proc = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    proc = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")], tmp_path,
+                   timeout=30)
     assert proc.returncode == code, proc.stderr
     prefix = "numerical failure: " if code == 3 else "config error: "
     assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr

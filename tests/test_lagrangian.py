@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import dense_at_box_points, mod_circle_distance
-from oracles import check_pointwise_approx, lagrangian_eval, tanh_sinh
+from oracles import band_distance, check_pointwise_approx, lagrangian_eval, tanh_sinh
 from qcat import lagrangian
-from qcat.classical import Sl2IntMatrix, ehrenfest_time, spectral_data
+from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
 from qcat.errors import TruncationOverflowError
 from qcat.lagrangian import (
-    BandIndexer,
     _band_m_range,
     aligned_propagated_state,
     band_difference,
+    band_rows,
     circle_distance,
     damping_coefficient,
     lagrangian_overlap_field,
@@ -139,19 +139,21 @@ def test_overlap_modulus_profile(cat):
     assert far < math.exp(-math.pi * c2 * 0.25 * 64.0) * 10.0
 
 
-def test_band_indexer(cat):
+def test_band_rows(cat):
     sd = spectral_data(cat)
-    idx = BandIndexer(theta=sd.theta, q0=0.0, p0=0.0, s_prime=0.0)
-    assert idx.p_of(0) == 0
-    assert idx.p_of(1) == 1
-    assert idx.p_of(2) == 1
+    # A state rooted at (0, 0) has s' = 0.
+    state, origin = make_damped_lagrangian(cat, 3, 1.0 / 64), TorusPoint(0.0, 0.0)
+    assert state.s_prime == 0.0
+    assert band_rows(state, origin, 0) == 0
+    assert band_rows(state, origin, 1) == 1
+    assert band_rows(state, origin, 2) == 1
     ms = np.arange(-100, 101)
-    d = idx.d_of(ms)
+    d = band_distance(state, origin, ms)
     assert np.all(d > -0.5) and np.all(d <= 0.5)
     # d agrees with the signed circle distance of the rotation orbit.
     t = sd.tan_theta
     for m in (-7, 3, 41):
-        assert idx.d_of(m) == pytest.approx(circle_distance(m * t, 0.0), abs=1e-12)
+        assert band_distance(state, origin, m) == pytest.approx(circle_distance(m * t, 0.0), abs=1e-12)
 
 
 def test_off_band_tail(cat):
@@ -160,15 +162,15 @@ def test_off_band_tail(cat):
     h = 1.0 / n_dim
     n = math.ceil(ehrenfest_time(h, sd.lam))
     # Both states are rooted at (0, 0), so s' = 0 for each.
-    indexer = BandIndexer(theta=sd.theta, q0=0.3, p0=0.7, s_prime=0.0)
+    target = TorusPoint(0.3, 0.7)
     state = make_damped_lagrangian(cat, n, h)
-    assert off_band_tail(lagrangian_overlap_field(state), indexer) < 1e-8
+    assert off_band_tail(lagrangian_overlap_field(state), state, target) < 1e-8
     g, _ = aligned_propagated_state(cat, n, h)
-    assert off_band_tail(wavepacket_overlap_field(g), indexer) < 1e-8
+    assert off_band_tail(wavepacket_overlap_field(g), state, target) < 1e-8
     # Limit of a state overwhelmingly concentrated on the line: every
     # off-band cell underflows to an exact floating-point zero.
     tight = make_damped_lagrangian(cat, 1, 1.0 / 2048.0)
-    assert off_band_tail(lagrangian_overlap_field(tight), indexer) == 0.0
+    assert off_band_tail(lagrangian_overlap_field(tight), tight, target) == 0.0
 
 
 def _dense_field_values(form, q, p):
@@ -189,30 +191,30 @@ def _scan_off_band_radius(form):
     return radius
 
 
-def _dense_off_band_tail(form, indexer, radius):
+def _dense_off_band_tail(form, state, target, radius):
     """Oracle: |off-band sum| on the box of ``radius`` from dense values."""
     center = form.envelope()[0]
-    k1 = np.arange(round(center[0] - indexer.q0) - radius, round(center[0] - indexer.q0) + radius + 1)
-    k2 = np.arange(round(center[1] - indexer.p0) - radius, round(center[1] - indexer.p0) + radius + 1)
+    k1 = np.arange(round(center[0] - target.q) - radius, round(center[0] - target.q) + radius + 1)
+    k2 = np.arange(round(center[1] - target.p) - radius, round(center[1] - target.p) + radius + 1)
     kk1, kk2 = np.meshgrid(k1, k2, indexing="ij")
-    vals = _dense_field_values(form, indexer.q0 + kk1, indexer.p0 + kk2)
-    return float(abs(np.sum(vals[kk2 != indexer.p_of(kk1)]))), vals, (kk1, kk2)
+    vals = _dense_field_values(form, target.q + kk1, target.p + kk2)
+    return float(abs(np.sum(vals[kk2 != band_rows(state, target, kk1)]))), vals, (kk1, kk2)
 
 
 def _off_band_cases(m, cells=((64, 3), (1024, 6), (1024, 8), (4096, 8))):
-    """(form, indexer) for a Lagrangian state and a propagated packet of
-    ``m`` at each (N, n) of ``cells``."""
-    sd = spectral_data(m)
-    q0, p0 = 0.3, 0.7
+    """(form, state) for a Lagrangian state and a propagated packet of
+    ``m`` at each (N, n) of ``cells``; each form is banded along the line of
+    its own state, so the packet's band is that of the Lagrangian state
+    centered on the packet's center."""
     for n_dim, n in cells:
         h = 1.0 / n_dim
         lag = make_damped_lagrangian(m, n, h)
         g, _ = aligned_propagated_state(m, n, h)
-        yield (lagrangian_overlap_field(lag),
-               BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=lag.s_prime))
-        s_prime = g.p - sd.tan_theta * g.q
-        yield (wavepacket_overlap_field(g),
-               BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=s_prime))
+        yield lagrangian_overlap_field(lag), lag
+        yield wavepacket_overlap_field(g), make_damped_lagrangian(m, n, h, center=(g.q, g.p))
+
+
+_TARGET = TorusPoint(0.3, 0.7)
 
 
 def test_off_band_tail_matches_dense_oracle(cat):
@@ -229,19 +231,20 @@ def test_off_band_tail_matches_dense_oracle(cat):
         for case in _off_band_cases(m, cells)
     ]
     shares = []
-    for same_bits, (form, indexer) in cases:
+    target = _TARGET
+    for same_bits, (form, state) in cases:
         radius = _scan_off_band_radius(form)
-        want, dense, (kk1, kk2) = _dense_off_band_tail(form, indexer, radius)
-        tail = off_band_tail(form, indexer)
+        want, dense, (kk1, kk2) = _dense_off_band_tail(form, state, target, radius)
+        tail = off_band_tail(form, state, target)
         if same_bits:
             assert tail == want
-        vals = form.terms(indexer.q0 + kk1, indexer.p0 + kk2)
+        vals = form.terms(target.q + kk1, target.p + kk2)
         assert np.array_equal(vals, dense)
-        k1, k2, _ = form.box(indexer.q0, indexer.p0, 1e-16 * max(form.envelope()[2], 1e-300),
+        k1, k2, _ = form.box(target.q, target.p, 1e-16 * max(form.envelope()[2], 1e-300),
                              (2 * radius + 1) ** 2)
-        at_points = form.terms(indexer.q0 + k1, indexer.p0 + k2)
+        at_points = form.terms(target.q + k1, target.p + k2)
         assert np.array_equal(at_points, dense_at_box_points(dense, (kk1[0, 0], kk2[0, 0]), k1, k2))
-        off = at_points[k2 != indexer.p_of(k1)]
+        off = at_points[k2 != band_rows(state, target, k1)]
         assert tail == float(abs(np.sum(off)))
         assert abs(tail - want) <= 4.0 * eps * np.sum(np.abs(off))
         shares.append(k1.size / dense.size)
@@ -271,27 +274,27 @@ def test_off_band_tail_matches_dense_oracle(cat):
 def test_off_band_radius_matches_scan(cat, monkeypatch):
     # The certified radius r is read off the term cap: a cap of (2r+1)^2
     # terms is enough, one term less is not.
-    for form, indexer in _off_band_cases(cat):
+    for form, state in _off_band_cases(cat):
         radius = _scan_off_band_radius(form)
         box = (2 * radius + 1) ** 2
         monkeypatch.setattr(lagrangian, "_MAX_BAND_TERMS", box)
-        off_band_tail(form, indexer)
+        off_band_tail(form, state, _TARGET)
         monkeypatch.setattr(lagrangian, "_MAX_BAND_TERMS", box - 1)
         with pytest.raises(TruncationOverflowError,
                            match=f"^certified radius {radius} needs more than {box - 1} lattice terms$"):
-            off_band_tail(form, indexer)
+            off_band_tail(form, state, _TARGET)
 
 
-def _scan_band_window(form, indexer, target):
+def _scan_band_window(form, target, tail):
     """Oracle: the band window from the radius found by stepping r = 1, 2, ...
-    until peak * line_tail_bound(r, mu) <= target; empty if the peak is."""
+    until peak * line_tail_bound(r, mu) <= tail; empty if the peak is."""
     center, mu, peak = form.envelope()
-    if peak <= target:
+    if peak <= tail:
         return 0, -1
     radius = 1
-    while peak * line_tail_bound(radius, mu) > target:
+    while peak * line_tail_bound(radius, mu) > tail:
         radius += 1
-    mid = center[0] - indexer.q0
+    mid = center[0] - target.q
     return math.floor(mid - radius), math.ceil(mid + radius)
 
 
@@ -300,15 +303,17 @@ def test_band_window_matches_line_scan_and_is_sound(cat):
     # and the dense |values| along the band outside it sum to at most the
     # target, for a Lagrangian state and a propagated packet at N = 64, 1024.
     nonempty = 0
-    for form, indexer in _off_band_cases(cat, ((64, 3), (1024, 8))):
-        indexer = BandIndexer(theta=indexer.theta, q0=0.3, p0=0.7, s_prime=0.0)
+    target = _TARGET
+    # The band of a Lagrangian state rooted at (0, 0), whose s' is 0.
+    state = make_damped_lagrangian(cat, 3, 1.0 / 64)
+    for form, _ in _off_band_cases(cat, ((64, 3), (1024, 8))):
         for tail, scale in ((1e-14, 1.0), (1e-8, 1.0), (1e-6, 1e-3), (1e-2, 1.0)):
-            m_lo, m_hi = _band_m_range(form, indexer, tail * scale)
-            assert (m_lo, m_hi) == _scan_band_window(form, indexer, tail * scale)
+            m_lo, m_hi = _band_m_range(form, target, tail * scale)
+            assert (m_lo, m_hi) == _scan_band_window(form, target, tail * scale)
             # Wide enough that every value past it underflows to zero.
             pad = 10 * max(m_hi - m_lo, 100)
             m = np.arange(min(m_lo, 0) - pad, max(m_hi, 0) + pad + 1)
-            vals = np.abs(_dense_field_values(form, indexer.q0 + m, indexer.p0 + indexer.p_of(m)))
+            vals = np.abs(_dense_field_values(form, target.q + m, target.p + band_rows(state, target, m)))
             assert vals[0] == 0.0 and vals[-1] == 0.0
             outside = (m < m_lo) | (m > m_hi)
             assert np.sum(vals[outside]) <= tail * scale
@@ -331,24 +336,24 @@ def test_off_band_tail_superpolynomial_decay(cat):
         h = 1.0 / n_dim
         n = math.ceil(ehrenfest_time(h, sd.lam))
         state = make_damped_lagrangian(cat, n, h)
-        indexer = BandIndexer(theta=sd.theta, q0=0.3, p0=0.7, s_prime=0.0)
-        tails.append(max(off_band_tail(lagrangian_overlap_field(state), indexer), 1e-300))
+        tails.append(max(off_band_tail(lagrangian_overlap_field(state), state, _TARGET), 1e-300))
     slopes = [math.log(tails[i] / tails[i + 1]) / math.log(2.0) for i in range(3)]
     assert slopes[0] < slopes[1] < slopes[2]  # accelerating decay: faster than any power
 
 
 def test_band_difference(cat):
     sd = spectral_data(cat)
-    # Both states are rooted at (0, 0), so s' = 0 for each.
-    indexer = BandIndexer(theta=sd.theta, q0=0.3, p0=0.7, s_prime=0.0)
+    # Both states are rooted at (0, 0), so both follow the band of the
+    # Lagrangian state, whose s' is 0.
     # Shrinks with N at fixed Ehrenfest multiple.
     diffs = []
     for n_dim in (16, 64, 256):
         h = 1.0 / n_dim
         n = 2 * math.ceil(ehrenfest_time(h, sd.lam))
         g, _ = aligned_propagated_state(cat, n, h)
-        form_l = lagrangian_overlap_field(make_damped_lagrangian(cat, n, h))
-        diffs.append(band_difference(form_l, wavepacket_overlap_field(g), indexer))
+        state = make_damped_lagrangian(cat, n, h)
+        form_l = lagrangian_overlap_field(state)
+        diffs.append(band_difference(form_l, wavepacket_overlap_field(g), state, _TARGET))
     assert diffs[0] > diffs[1] > diffs[2]
 
 
@@ -388,22 +393,22 @@ def test_band_sum_constant_c23(cat):
         n = math.ceil(abs(math.log(h)) / math.log(sd.lam))
         state = make_damped_lagrangian(cat, n, h)
         q0, p0 = 0.3, 0.7
-        idx = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=0.0)
+        target = TorusPoint(q0, p0)
         c_h = (2.0 / h) ** 0.25
         norm = math.sqrt(h) * c_h * state.norm_constant
         # The band sum with the quantum-translation phase e(-p(m) q0 N) of
         # the T-translated test packet, over the certified band window.
         form = lagrangian_overlap_field(state)
-        m_lo, m_hi = _band_m_range(form, idx, 1e-14)
+        m_lo, m_hi = _band_m_range(form, target, 1e-14)
         m = np.arange(m_lo, m_hi + 1)
-        k = idx.p_of(m)
+        k = band_rows(state, target, m)
         phased = form.terms(q0 + m, p0 + k) * cis_turns(-k * (n_dim * q0))
         total = complex(np.sum(phased)) / norm
         # Windowed model: damping x profile x skew phases, at s' = 0.
         lam_c = 1.0 - 1j * t + state.beta * state.damping_scale
         ms = np.arange(-int(6 * math.sqrt(h) * sd.lam ** n) - 8,
                        int(6 * math.sqrt(h) * sd.lam ** n) + 9)
-        d = idx.d_of(ms)
+        d = band_distance(state, target, ms)
         c2 = math.cos(sd.theta) ** 2
         model = np.sum(
             np.exp(-state.beta.real * math.pi * (ms - q0) ** 2 * state.damping_scale / h)
@@ -429,16 +434,16 @@ def test_damping_replacement_l1_bounded(cat):
         n = math.ceil(abs(math.log(h)) / math.log(sd.lam))
         state = make_damped_lagrangian(cat, n, h)
         q0, p0 = 0.3, 0.7
-        idx = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=0.0)
+        target = TorusPoint(q0, p0)
         form = lagrangian_overlap_field(state)
         ms = np.arange(-int(8 * math.sqrt(h) * sd.lam ** n) - 8,
                        int(8 * math.sqrt(h) * sd.lam ** n) + 9)
         qs = q0 + ms
-        ps = p0 + np.asarray(idx.p_of(ms), dtype=float)
+        ps = p0 + np.asarray(band_rows(state, target, ms), dtype=float)
         e_qq, e_pp, e_qp, e_q, e_p, e_c = form.coeffs
         expo = e_qq * qs * qs + e_pp * ps * ps + e_qp * qs * ps + e_q * qs + e_p * ps + e_c
         c2 = math.cos(sd.theta) ** 2
-        d = idx.d_of(ms)
+        d = band_distance(state, target, ms)
         # Exact transverse remainder after dividing out the F0 profile.
         exact = np.exp(expo.real + math.pi * c2 * d * d / h)
         window = np.exp(-state.beta.real * math.pi * (ms - q0) ** 2 * state.damping_scale / h)

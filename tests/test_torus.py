@@ -23,8 +23,8 @@ from qcat.errors import (
 )
 from qcat.harness import ExperimentConfig, run_unitarity
 from qcat.lagrangian import (
-    BandIndexer,
     aligned_propagated_state,
+    band_rows,
     lagrangian_overlap_field,
     make_damped_lagrangian,
 )
@@ -652,10 +652,9 @@ def test_slow_variation_pairing_bound(cat):
             lag = make_damped_lagrangian(cat, n, h)
             form = lagrangian_overlap_field(lag)
             scale = abs(g.amplitude) / lag.norm_constant
-            indexer = BandIndexer(theta=sd.theta, q0=q0, p0=p0, s_prime=0.0)
             for m in range(-20, 21):
                 x = q0 + m
-                p = p0 + indexer.p_of(m)
+                p = p0 + band_rows(lag, TorusPoint(q0, p0), m)
                 phi = wavepacket(x, p, h)
                 num = abs(gaussian_overlap(g, phi) - scale * form.terms(x, p))
                 den = abs(gaussian_eval(g, x) - scale * np.asarray(lagrangian_eval(lag, x)))
