@@ -38,20 +38,27 @@ constant fitted once on a reference batch and frozen.  The factor
 (Re(beta_c) cos^2(theta))^(1/4) is 1 for symmetric matrices, where
 Re(beta_c) = 1/cos^2(theta).
 
-The damped sum runs over the window |k| <= K past which |chi| stays below
-1e-14.  |chi(u)| = exp(-Re(gamma0) u^2 / h) decreases in |u|, so K is the
-closed form floor(M sqrt(h ln(1e14) / Re gamma0)), M = lam^n, settled by
-steps of one against |chi| itself.  Only the live terms are summed:
-|f(T^k(x, y))| = exp(-pi cos^2(theta) d_k^2 / h) depends only on the circle
-distance d_k of x + k alpha to s0, so a float64 pass over real parts bounds
-each term by |chi(k/M)| times that Gaussian and keeps the terms whose bound
-is at least 1e-14/(2K+1).  The dropped terms sum to at most 1e-14 in
-absolute value.  The window is walked in blocks of 2^13 terms, so memory is
-O(block + live), not O(K).  Long double is used only for the orbit phases
-y_k of the live terms.  They are reduced mod 1 by ``metaplectic.frac_turns``,
-t - rint(t) plus 1 where negative, which has the bits of t - floor(t)
-without libm's slow long-double ``floorl`` (see there for why it is exact).
-Every other phase is reduced mod 1 in float64 by ``metaplectic.mod1``.
+The damped sum runs over the window |k| <= K certified as a sum:
+|chi(k/M)| = exp(-mu k^2 / 2) with mu = 2 Re(gamma0) / (h M^2), M = lam^n,
+and K is the smallest radius whose tail sum_{|k| > K} |chi(k/M)| the bound
+``torus.line_tail_bound`` takes below 1e-14 (``torus.certified_radius``, the
+package's one window routine).  |f| <= 1, so the terms past K sum to at most
+1e-14.  The closed form M sqrt(h ln(1e14) / Re gamma0) only guards the cap.
+Each term is one exponential,
+
+    chi(k/M) f(T^k(s', 0)) = exp(c_uu u^2 + c_dd d_k^2 + 2 i pi turns_k),
+    c_uu = -pi beta / h,   c_dd = -pi cos^2(theta) (1 + i tan) / h,
+
+with u = k/M, d_k the circle distance of s' + k alpha (float64) to s0 and
+turns_k = q0 d_k / h + y_k.  A term is live when the real part of its
+exponent is at least ln(1e-14/(2K+1)), so the scan forms no exponential and
+the pruned terms sum to at most 1e-14: at most 2e-14 is left out in all.  The
+window is walked in blocks of 2^13 terms, so memory is O(block + live), not
+O(K).  Long double is used only for the orbit phases y_k of the live terms.
+They are reduced mod 1 by ``metaplectic.frac_turns``, t - rint(t) plus 1
+where negative, which has the bits of t - floor(t) without libm's slow
+long-double ``floorl`` (see there for why it is exact).  Every other phase is
+reduced mod 1 in float64 by ``metaplectic.mod1``.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ from .errors import ThresholdViolationError, TruncationOverflowError
 from .lagrangian import (DampedLagrangianState, aligned_propagated_state, circle_distance,
                          make_damped_lagrangian)
 from .metaplectic import cis_turns, frac_turns, mod1
-from .torus import even_n_from_h, matrix_element_exact
+from .torus import certified_radius, even_n_from_h, line_tail_bound, matrix_element_exact
 
 __all__ = [
     "damped_birkhoff_sum",
@@ -76,112 +83,92 @@ __all__ = [
 
 
 _WINDOW_CAP = 50_000_000
-_CUTOFF = 1e-14
-_LIVE_TAIL = 1e-14
+_TAIL = 1e-14
 _BLOCK = 1 << 13
-
-
-def _damping(state: DampedLagrangianState, u):
-    """chi_h(u) = exp(-gamma0 u^2 / h), gamma0 = pi beta: the derived damping."""
-    uu = np.asarray(u, dtype=float)
-    return np.exp(-(math.pi * complex(state.beta)) * uu * uu / state.h)
 
 
 def _half_width(state: DampedLagrangianState) -> int:
     """Half-width K of the damping window of chi_h(k/M), M = lam^n: the
-    largest k >= 0 with |chi_h(k/M)| >= 1e-14, and 0 if there is none.
+    smallest K >= 1 for which :func:`qcat.torus.line_tail_bound` certifies
+    sum_{|k| > K} |chi_h(k/M)| <= 1e-14.
 
-    |chi_h(u)| = exp(-Re(gamma0) u^2 / h) decreases in |u|, so K is
-    floor(M sqrt(h ln(1e14) / Re gamma0)) up to the rounding of |chi_h|,
-    which steps of one against |chi_h| itself settle.
+    |chi_h(k/M)| = exp(-mu k^2 / 2) with mu = 2 Re(pi beta) / (h M^2).  The
+    closed form M sqrt(h ln(1e14) / Re(pi beta)), where |chi_h| itself falls
+    to 1e-14, is checked against the cap first, so mu is positive and the
+    certificate's search is short.
 
     Raises:
-        TruncationOverflowError: if K exceeds 50_000_000; no array is formed.
+        TruncationOverflowError: if that closed form exceeds 50_000_000; no
+            array is formed.
     """
     m_time = state.lam ** state.n
-
-    def kept(k: int) -> bool:
-        return abs(complex(_damping(state, k / m_time))) >= _CUTOFF
-
-    k_est = m_time * math.sqrt(state.h * -math.log(_CUTOFF) / (math.pi * complex(state.beta)).real)
+    re_g0 = (math.pi * complex(state.beta)).real
+    k_est = m_time * math.sqrt(state.h * -math.log(_TAIL) / re_g0)
     if not k_est <= _WINDOW_CAP:
         raise TruncationOverflowError(
             f"damping window half-width {k_est:.4g} exceeds the cap {_WINDOW_CAP}"
         )
-    k_max = math.floor(k_est)
-    while kept(k_max + 1):
-        k_max += 1
-    while k_max > 0 and not kept(k_max):
-        k_max -= 1
-    return k_max
+    return certified_radius(1.0, 2.0 * re_g0 / (m_time * m_time * state.h), _TAIL, line_tail_bound)
 
 
 def _live_blocks(state: DampedLagrangianState, target: TorusPoint, k_max: int):
-    """Yield the live k of the window k = -K..K, one block of ``_BLOCK``
-    terms at a time, in ascending order.
+    """Yield the live k of the window k = -K..K and the exponents of their
+    terms, one block of ``_BLOCK`` terms at a time, in ascending order.
 
-    |chi_h(k/M) f(T^k(s', 0))| = exp(-Re(gamma0) (k/M)^2 / h) exp(-pi cos^2(theta)
-    d_k^2 / h) with d_k = d(s' + k alpha, s0), because every other factor is
-    a phase.  A term is live when that float64 bound is at least
-    ``_LIVE_TAIL`` / (2K+1), so the terms left out sum to at most
-    ``_LIVE_TAIL`` in absolute value.
+    The term of k is exp(c_uu u^2 + c_dd d^2 + 2 i pi turns) with u = k/M,
+    d = d(s' + k alpha, s0) and turns = q0 d / h + y_k (see the module
+    docstring).  It is live when the real part of that exponent is at least
+    ln(``_TAIL`` / (2K+1)), so the terms left out sum to at most ``_TAIL``
+    in absolute value.  Only the live terms get the long-double y_k.
+
+    Raises:
+        OddNError: if 1/state.h is not an even integer.
     """
-    floor = _LIVE_TAIL / (2 * k_max + 1)
-    alpha = math.tan(state.theta)
+    h = state.h
+    n_even = even_n_from_h(h)
+    t = math.tan(state.theta)
     x = state.s_prime
     m_time = state.lam ** state.n
-    s0 = target.p - alpha * target.q
-    re_g0 = (math.pi * complex(state.beta)).real
-    transverse = math.pi * math.cos(state.theta) ** 2
-    root_h = math.sqrt(state.h)
+    q0 = target.q
+    s0 = target.p - t * q0
+    c_uu = -math.pi * complex(state.beta) / h
+    c_dd = -math.pi * math.cos(state.theta) ** 2 * complex(1.0, t) / h
+    log_floor = math.log(_TAIL / (2 * k_max + 1))
+    alpha_l = np.longdouble(t)
+    x_l = np.longdouble(x)
     for start in range(-k_max, k_max + 1, _BLOCK):
         k = np.arange(start, min(start + _BLOCK, k_max + 1))
         u = k / m_time
-        v = circle_distance(x + k * alpha, s0) / root_h
-        bound = np.exp(-re_g0 * u * u / state.h) * np.exp(-transverse * v * v)
-        yield k[bound >= floor]
+        uu = u * u
+        d = circle_distance(x + k * t, s0)
+        dd = d * d
+        # The real part of the exponent formed below, bit for bit.
+        live = c_uu.real * uu + c_dd.real * dd >= log_floor
+        k, uu, d, dd = k[live], uu[live], d[live], dd[live]
+        k_l = np.asarray(k, dtype=np.longdouble)
+        y_turns = k_l * k_l * (n_even // 2) * alpha_l + k_l * n_even * x_l
+        turns = mod1(q0 * d * (1.0 / h)) + mod1(frac_turns(y_turns))
+        yield k, c_uu * uu + c_dd * dd + 2j * math.pi * turns
 
 
 def damped_birkhoff_sum(state: DampedLagrangianState, target: TorusPoint) -> complex:
     """S^chi_M(f)(s', 0) = sum_k chi_h(k/M) f(T^k(s', 0)) for the interference
     observable f of ``target`` and the derived damping chi_h, M = lam^n,
-    truncated where |chi_h| < 1e-14 (see the module docstring for f).
+    to within 2e-14 in absolute value (see the module docstring for f).
 
     Every parameter is read from ``state``: the skew map T of
     alpha = tan(theta) and the even N = 1/h, the start s', the window scale
     M = lam^n (real, while k stays integer) and gamma0 = pi beta.  The
-    half-width K is the closed form of :func:`_half_width`.  The window is
-    walked in blocks (:func:`_live_blocks`); in each, chi_h, the long-double
-    orbit phases y_k and f are formed on the live terms only, whose bound
-    |chi_h(k/M)| |F0(d_k/sqrt h)| is at least 1e-14/(2K+1).  The dropped
-    terms sum to at most 1e-14 in absolute value.  The live values are
-    summed in ascending k by one ``np.sum``, so memory is O(block + live).
+    window |k| <= K of :func:`_half_width` leaves out at most 1e-14; it is
+    walked in blocks (:func:`_live_blocks`), and the live terms, each one
+    exponential, leave out at most 1e-14 more.  They are summed in
+    ascending k by one ``np.sum``, so memory is O(block + live).
 
     Raises:
         OddNError: if 1/state.h is not an even integer.
-        TruncationOverflowError: if K exceeds 50_000_000.
+        TruncationOverflowError: if the closed-form half-width exceeds 50_000_000.
     """
-    h = state.h
-    n_even = even_n_from_h(h)
-    k_max = _half_width(state)
-    m_time = state.lam ** state.n
-    t = math.tan(state.theta)
-    x = state.s_prime
-    q0 = target.q
-    s0 = target.p - t * q0
-    profile = -math.pi * math.cos(state.theta) ** 2 * complex(1.0, t)
-    alpha_l = np.longdouble(t)
-    x_l = np.longdouble(x)
-    parts = []
-    for k in _live_blocks(state, target, k_max):
-        k_l = np.asarray(k, dtype=np.longdouble)
-        xs = x + np.asarray(k_l * alpha_l, dtype=np.float64)
-        y_turns = k_l * k_l * (n_even // 2) * alpha_l + k_l * n_even * x_l
-        # f(x_k, y_k) as one complex exponential, its two turns reduced by mod1.
-        d = circle_distance(xs, s0)
-        u = d / math.sqrt(h)
-        turns = mod1(q0 * d * (1.0 / h)) + mod1(frac_turns(y_turns))
-        parts.append(_damping(state, k / m_time) * np.exp(profile * u * u + 2j * math.pi * turns))
+    parts = [np.exp(expo) for _, expo in _live_blocks(state, target, _half_width(state))]
     return complex(np.sum(np.concatenate(parts)))
 
 
@@ -196,9 +183,11 @@ def theorem_rhs(
 ) -> complex:
     """Predicted matrix element (D/sqrt(lam^n)) S^chi(f)(s', 0), fully phased.
 
-    See the module docstring for the assembled formula.  theta, lam, beta,
-    s' and Lam are read from the damped Lagrangian state of ``m`` at time n
-    centered on the reduced image (a', b')
+    See the module docstring for the assembled formula.  The damped sum
+    leaves out at most 2e-14 in absolute value: 1e-14 past its certified
+    window and 1e-14 in the pruned terms (:func:`damped_birkhoff_sum`).
+    theta, lam, beta, s' and Lam are read from the damped Lagrangian state
+    of ``m`` at time n centered on the reduced image (a', b')
     (:func:`qcat.lagrangian.make_damped_lagrangian`, which the bands
     experiment builds at the origin).  ``scale_constant`` is the fitted D.
 

@@ -12,8 +12,8 @@ pref * exp(E(y, w)) with E a complex quadratic in the moving center (y, w).
 ``envelope()`` bounds its modulus by a Gaussian around a decay center,
 ``box()`` takes the smallest radius whose discarded shells an explicit
 error-function tail bounds (:func:`certified_radius`, which also certifies
-windows on a line) and fails loudly past its term cap, and ``terms()``
-evaluates it.
+windows on a line: the band sums' and the damped Birkhoff sum's) and fails
+loudly past its term cap, and ``terms()`` evaluates it.
 
 A box is never formed whole.  On each row of the box Re E is a concave
 quadratic in w, so the columns where exp(Re E) can be nonzero in float64 are

@@ -299,8 +299,8 @@ def _scanned_blocks(chi, m_time: float, cutoff: float = 1e-14, consecutive: int 
 
 
 def _support_half_width(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8) -> int:
-    """Oracle for ``birkhoff._half_width`` that works for any window chi:
-    the smallest K >= 0 such that |chi(k/m_time)| < ``cutoff`` for each of
+    """The per-term cutoff window of any window chi: the smallest K >= 0
+    such that |chi(k/m_time)| < ``cutoff`` for each of
     the ``consecutive`` values k = K+1, ..., K+consecutive (by default 1e-14
     and 8).
 
@@ -341,7 +341,7 @@ def orbit_points(alpha: float, N: int, k: np.ndarray, x: float) -> tuple[np.ndar
     and rounded to float64."""
     alpha_l = np.longdouble(alpha)
     k_l = np.asarray(k, dtype=np.longdouble)
-    xs = x + np.asarray(k_l * alpha_l, dtype=np.float64)
+    xs = x + np.asarray(k) * alpha
     y_turns = k_l * k_l * (N // 2) * alpha_l + k_l * N * np.longdouble(x)
     return xs, np.asarray(y_turns - np.floor(y_turns), dtype=float)
 

@@ -33,8 +33,8 @@ from qcat.lagrangian import (
     lagrangian_overlap_field,
     make_damped_lagrangian,
 )
-from qcat.metaplectic import cis_turns, frac_turns
-from qcat.torus import matrix_element_exact
+from qcat.metaplectic import cis_turns, frac_turns, mod1
+from qcat.torus import line_tail_bound, matrix_element_exact
 
 
 def test_skew_apply_examples():
@@ -191,34 +191,105 @@ def test_support_half_width_matches_scan(window, m_time):
     assert _support_half_width(chi, m_time) == _scan_half_width(chi, m_time)
 
 
+def _mu(obs, m_time):
+    """The curvature of |chi_h(k/M)| = exp(-mu k^2 / 2), M = ``m_time``,
+    formed as ``birkhoff._half_width`` forms it."""
+    return 2.0 * obs.gamma0.real / (m_time * m_time * obs.h)
+
+
+def _certified(obs, m_time, k):
+    """Whether line_tail_bound certifies the radius k for chi_h at M = ``m_time``."""
+    return line_tail_bound(k, _mu(obs, m_time)) <= 1e-14
+
+
+def _certified_edge(obs, k):
+    """The largest window scale M at which the radius k is certified for
+    the damping of ``obs``; the next float up needs a larger radius."""
+    lo, hi = 1.0, 2.0
+    while _certified(obs, hi, k):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if _certified(obs, mid, k):
+            lo = mid
+        else:
+            hi = mid
+
+
 @pytest.mark.parametrize(
     "m_time", [1, 23, _LAM ** 6, _LAM ** 12, _LAM ** 13, _LAM ** 16, _LAM ** 18],
     ids=["1", "23", "lam^6", "lam^12", "lam^13", "lam^16", "lam^18"],
 )
 @pytest.mark.parametrize("window", sorted(_GAUSSIAN_OBS))
 def test_half_width_closed_form(window, m_time):
-    # The block scan equals the one-k-at-a-time scan (test above) and reaches
-    # lam^18, where K is about 6e6, in well under a second.
+    # K is the smallest radius >= 1 that line_tail_bound certifies, up to
+    # lam^18 where K is about 7e6.  The closed form that guards the cap,
+    # M sqrt(h ln(1e14) / Re gamma0) where |chi_h| itself falls to 1e-14,
+    # stays within 25% (plus one) below it: the cap holds the window too.
     obs = _GAUSSIAN_OBS[window]
-    chi = gaussian_damping(obs)
     k_max = _half_width(_sum_args(obs, 0.0, m_time)[0])
-    assert k_max == _support_half_width(chi, m_time)
+    assert _certified(obs, m_time, k_max)
+    assert k_max == 1 or not _certified(obs, m_time, k_max - 1)
+    k_est = m_time * math.sqrt(obs.h * math.log(1e14) / obs.gamma0.real)
+    assert k_est - 1.0 <= k_max <= 1.25 * k_est + 1.0
     if m_time == 1:
-        assert k_max == 0
+        assert k_max == 1
 
 
 @pytest.mark.parametrize("k_target", [1, 7, 4095])
 @pytest.mark.parametrize("window", sorted(_GAUSSIAN_OBS))
 def test_half_width_at_the_cutoff(window, k_target):
-    # m_time within a few ulps of where |chi_h(k_target/m_time)| = 1e-14: the
-    # floor of the closed form can land one past K, and the steps against
-    # |chi_h| must bring it back.
+    # M within a few ulps of the largest scale at which the radius k_target
+    # is certified: K is k_target up to that scale and k_target + 1 past it.
     obs = _GAUSSIAN_OBS[window]
-    chi = gaussian_damping(obs)
-    scale = math.sqrt(obs.h * math.log(1e14) / obs.gamma0.real)
+    edge = _certified_edge(obs, k_target)
+    widths = set()
     for j in range(-6, 7):
-        m_time = k_target / scale * (1.0 + j * 2.0 ** -52)
-        assert _half_width(_sum_args(obs, 0.0, m_time)[0]) == _support_half_width(chi, m_time)
+        m_time = edge * (1.0 + j * 2.0 ** -52)
+        k_max = _half_width(_sum_args(obs, 0.0, m_time)[0])
+        assert k_max == (k_target if _certified(obs, m_time, k_target) else k_target + 1)
+        widths.add(k_max)
+    assert widths == {k_target, k_target + 1}
+
+
+def _tail_mass(chi, m_time, k_max):
+    """Oracle: sum_{|k| > K} |chi(k/m_time)| term by term, out to where
+    |chi| < 1e-30 (|chi| is even in k)."""
+    k = np.arange(k_max + 1, _support_half_width(chi, m_time, cutoff=1e-30) + 1)
+    return 2.0 * float(np.sum(np.abs(chi(k / m_time))))
+
+
+@pytest.mark.parametrize(
+    "matrix, n_dim, n",
+    [(_CAT, 256, 13), (_CAT, 1024, 13), (_CAT, 4096, 12), (_M3121, 256, 9), (_M3121, 4096, 10)],
+    ids=["cat-256-13", "cat-1024-13", "cat-4096-12", "3121-256-9", "3121-4096-10"],
+)
+def test_window_certificate(matrix, n_dim, n):
+    # The window leaves out at most 1e-14 of sum |chi_h(k/M)|, and K - 1
+    # fails the certificate.  The per-term cutoff it replaced (the last k
+    # with |chi_h(k/M)| >= 1e-14) left out 1.3e-12 to 1.4e-11 here.
+    obs, chi, state, _ = _live_case(matrix, n_dim, n, 0.4137)
+    m_time = state.lam ** state.n
+    k_max = _half_width(state)
+    assert _tail_mass(chi, m_time, k_max) <= 1e-14
+    assert _certified(obs, m_time, k_max) and not _certified(obs, m_time, k_max - 1)
+    assert _tail_mass(chi, m_time, _support_half_width(chi, m_time)) > 1e-12
+
+
+def test_half_width_cap_precedes_certificate():
+    # At n = 370, M^2 = lam^740 leaves the float range and mu underflows to
+    # 0, where line_tail_bound divides by zero: the closed form refuses the
+    # window before the certificate's search starts.
+    obs, _, state, target = _live_case(_CAT, 256, 370, 0.4137)
+    mu = _mu(obs, state.lam ** state.n)
+    assert mu == 0.0
+    with pytest.raises(ZeroDivisionError):
+        line_tail_bound(1, mu)
+    for call in (lambda: _half_width(state), lambda: damped_birkhoff_sum(state, target)):
+        with pytest.raises(TruncationOverflowError, match="exceeds the cap 50000000"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -307,17 +378,21 @@ def _skew(obs):
 
 
 def _full_window_sum(obs, chi, x, m_time):
-    """Oracle: the damped sum of ``obs`` from (x, 0) over the whole window,
-    term by term as before the live-term mask (the profile, a float64
-    ``cis_turns`` and a ``cis_turns`` of the long-double orbit phase reduced
-    by ``frac_turns``, per term).  Returns the sum and the sum of the
-    moduli."""
-    k_max = _support_half_width(chi, m_time)
+    """Oracle: the damped sum of ``obs`` from (x, 0) term by term, past the
+    kernel's window out to where |chi| < 1e-30 and with no live-term mask
+    (chi, the profile, a float64 ``cis_turns`` and a ``cis_turns`` of the
+    long-double orbit phase reduced by ``frac_turns``, per term).  Returns
+    the sum and the sum of the moduli.
+
+    x_k = x + k alpha is rounded in float64 as the kernel rounds it: the
+    phase q0 d_k / h scales an ulp of x_k by 1/h, so another rounding of
+    x_k would move the sum by more than the truncation bounded here."""
+    k_max = _support_half_width(chi, m_time, cutoff=1e-30)
     k = np.arange(-k_max, k_max + 1)
     alpha, n_dim = _skew(obs)
     alpha_l = np.longdouble(alpha)
     k_l = np.asarray(k, dtype=np.longdouble)
-    xs = x + np.asarray(k_l * alpha_l, dtype=np.float64)
+    xs = x + k * alpha
     y_turns = k_l * k_l * (n_dim // 2) * alpha_l + k_l * n_dim * np.longdouble(x)
     d = circle_distance(xs, obs.s0)
     terms = (
@@ -329,10 +404,12 @@ def _full_window_sum(obs, chi, x, m_time):
     return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
-# The certified tail of the dropped terms, plus a rounding allowance per unit
-# of sum |term| for one complex exp per term instead of three and for the
-# shorter sum; the cases below deviate by at most 0.4 eps sum |term|.
-_LIVE_TAIL = 1e-14
+# What the kernel leaves out: at most 1e-14 past its certified window and
+# 1e-14 in the pruned terms.  Plus a rounding allowance per unit of
+# sum |term| for one complex exp per term instead of four factors and for
+# the shorter sum; the cases below deviate by at most 0.3 eps sum |term|.
+_TAIL = 1e-14
+_DROPPED = 2 * _TAIL
 _ROUNDING = 16 * np.finfo(float).eps
 
 
@@ -373,24 +450,28 @@ def test_live_term_sum_matches_full_window(matrix, n_dim, n, x):
     obs, chi, state, target = _live_case(matrix, n_dim, n, x)
     want, mass = _full_window_sum(obs, chi, *_start_and_scale(state))
     got = damped_birkhoff_sum(state, target)
-    assert abs(got - want) <= _LIVE_TAIL + _ROUNDING * mass
+    assert abs(got - want) <= _DROPPED + _ROUNDING * mass
 
 
-def _window_live_k(obs, x, m_time, k_max):
-    """Oracle for the blocked walk: the live k of the whole window at once."""
+def _whole_window_live_sum(obs, x, m_time, k_max):
+    """Oracle for the blocked walk: the whole window k = -K..K at once.
+    Each term is the one exponential exp(c_uu u^2 + c_dd d^2 + 2 i pi turns)
+    (u = k/M, d the circle distance of x + k alpha to s0, turns = q0 d / h
+    plus the orbit phase y_k), and it is live when the real part of its
+    exponent is at least ln(1e-14 / (2K+1)).  Returns the live k and their
+    terms summed by one ``np.sum``."""
+    alpha, n_dim = _skew(obs)
+    c_uu = -math.pi * complex(obs.beta) / obs.h
+    c_dd = -math.pi * math.cos(obs.theta) ** 2 * complex(1.0, alpha) / obs.h
     k = np.arange(-k_max, k_max + 1)
     u = k / m_time
-    v = circle_distance(x + k * _skew(obs)[0], obs.s0) / math.sqrt(obs.h)
-    bound = (np.exp(-obs.gamma0.real * u * u / obs.h)
-             * np.exp(-math.pi * math.cos(obs.theta) ** 2 * v * v))
-    return k[bound >= _LIVE_TAIL / k.size]
-
-
-def _whole_window_live_sum(obs, x, m_time, live_k):
-    """Oracle for the blocked sum: the terms of ``live_k`` formed in one go
-    and summed by one ``np.sum``."""
-    terms = gaussian_damping(obs)(live_k / m_time) * obs.eval(*orbit_points(*_skew(obs), live_k, x))
-    return complex(np.sum(terms))
+    uu = u * u
+    d = circle_distance(x + k * alpha, obs.s0)
+    dd = d * d
+    live = c_uu.real * uu + c_dd.real * dd >= math.log(_TAIL / k.size)
+    k, uu, d, dd = k[live], uu[live], d[live], dd[live]
+    turns = mod1(obs.q0 * d * (1.0 / obs.h)) + mod1(orbit_points(alpha, n_dim, k, x)[1])
+    return k, complex(np.sum(np.exp(c_uu * uu + c_dd * dd + 2j * math.pi * turns)))
 
 
 _B = birkhoff._BLOCK
@@ -407,37 +488,36 @@ def test_live_term_sum_across_blocks(monkeypatch, k_max, block):
     if block is not None:
         monkeypatch.setattr(birkhoff, "_BLOCK", block)
     obs, chi, _, _ = _live_case(_CAT, 256, 0, 0.0)
-    m_time = (k_max + 0.5) / math.sqrt(obs.h * math.log(1e14) / obs.gamma0.real)
+    m_time = _certified_edge(obs, k_max)
     x = (obs.s0 - k_max * _skew(obs)[0]) % 1.0
     state, target = _sum_args(obs, x, m_time)
     assert _half_width(state) == k_max
-    live = np.concatenate(list(_live_blocks(state, target, k_max)))
-    want_live = _window_live_k(obs, x, m_time, k_max)
+    live = np.concatenate([k for k, _ in _live_blocks(state, target, k_max)])
+    want_live, want = _whole_window_live_sum(obs, x, m_time, k_max)
     assert k_max in want_live and np.array_equal(live, want_live)
     got = damped_birkhoff_sum(state, target)
     # Blocking changes neither a term nor the order of the sum.
-    assert got == _whole_window_live_sum(obs, x, m_time, want_live)
-    want, mass = _full_window_sum(obs, chi, x, m_time)
-    assert abs(got - want) <= _LIVE_TAIL + _ROUNDING * mass
+    assert got == want
+    full, mass = _full_window_sum(obs, chi, x, m_time)
+    assert abs(got - full) <= _DROPPED + _ROUNDING * mass
 
 
 def test_live_mask_keeps_few_terms(cat):
-    # The saving, pinned by a count: at n = 13 the blocked walk keeps 47% of
-    # the window at N = 256 and 11.5% at N = 4096.
+    # The saving, pinned by a count: at n = 13 the blocked walk keeps 45% of
+    # the window at N = 256 and 11% at N = 4096.
     for n_dim, share in ((256, 0.60), (4096, 0.20)):
         for x in (0.1, 0.45, 0.8):
             obs, chi, state, target = _live_case(cat, n_dim, 13, x)
             x0, m_time = _start_and_scale(state)
-            k, chi_k = _window(chi, m_time)
             k_max = _half_width(state)
-            live_k = np.concatenate(list(_live_blocks(state, target, k_max)))
-            live = np.isin(k, live_k)
+            k = np.arange(-k_max, k_max + 1)
+            live = np.isin(k, np.concatenate([kk for kk, _ in _live_blocks(state, target, k_max)]))
             assert 0 < np.count_nonzero(live) <= share * k.size
             # What the mask drops is below the certified tail.
-            dropped = np.abs(chi_k[~live]) * np.abs(
+            dropped = np.abs(chi(k[~live] / m_time)) * np.abs(
                 obs.profile(circle_distance(x0 + k[~live] * _skew(obs)[0], obs.s0)
                             / math.sqrt(obs.h)))
-            assert np.sum(dropped) <= _LIVE_TAIL
+            assert np.sum(dropped) <= _TAIL
 
 
 @pytest.mark.parametrize("n_dim, n, limit_mib", [(4096, 18, 32), (256, 16, 48)])
@@ -523,7 +603,7 @@ def test_theorem_rhs_threshold_and_truncation(cat):
     h = 1.0 / 64.0
     with pytest.raises(ThresholdViolationError):
         theorem_rhs(cat, 0, h, TorusPoint(0, 0), TorusPoint(0, 0))
-    # Damping truncation: widening the window beyond |chi| < 1e-14 is invisible.
+    # Damping truncation: widening the window past the certified one is invisible.
     n = 4
     obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=h,
                                  beta=damping_coefficient(cat))

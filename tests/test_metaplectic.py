@@ -142,8 +142,9 @@ def test_cis_turns_rejects_long_double():
 
 def test_long_double_only_where_turns_are_formed_in_it():
     # Long double lives where a turn is formed in it and reduced by
-    # frac_turns (gaussian_eval, the Birkhoff orbit phases), in frac_turns
-    # itself and in the manifest's record of its epsilon.
+    # frac_turns (gaussian_eval, the Birkhoff orbit phases of the live
+    # terms), in frac_turns itself and in the manifest's record of its
+    # epsilon.
     found = set()
     for path in sorted((QCAT_ROOT / "qcat").glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -152,7 +153,7 @@ def test_long_double_only_where_turns_are_formed_in_it():
             if names & {"longdouble", "clongdouble", "float128", "complex256"}:
                 found.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
     assert found == {"metaplectic.frac_turns", "metaplectic.gaussian_eval",
-                     "birkhoff.damped_birkhoff_sum", "harness._manifest"}
+                     "birkhoff._live_blocks", "harness._manifest"}
 
 
 def test_wavepacket_normalization_oracle():
