@@ -73,9 +73,13 @@ class Sl2IntMatrix(namedtuple("Sl2IntMatrix", "a b c d")):
         )
 
     def power(self, n: int) -> "Sl2IntMatrix":
-        """Exact integer power A^n (n may be negative) by repeated squaring."""
+        """Exact integer power A^n, n >= 0, by repeated squaring.
+
+        Raises:
+            ValueError: if n is negative.
+        """
         if n < 0:
-            return self.inverse().power(-n)
+            raise ValueError(f"power must be nonnegative, got {n}")
         result = Sl2IntMatrix(1, 0, 0, 1)
         base = self
         k = n
@@ -86,15 +90,9 @@ class Sl2IntMatrix(namedtuple("Sl2IntMatrix", "a b c d")):
             k >>= 1
         return result
 
-    def inverse(self) -> "Sl2IntMatrix":
-        return Sl2IntMatrix(self.d, -self.b, -self.c, self.a)
-
     def apply(self, x: float, p: float) -> tuple[float, float]:
         """Linear action on the plane (no reduction mod 1)."""
         return (self.a * x + self.b * p, self.c * x + self.d * p)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
 
 
 class QuadraticHamiltonian(NamedTuple):
@@ -108,9 +106,6 @@ class QuadraticHamiltonian(NamedTuple):
     beta: float
     gamma: float
 
-    def generator(self) -> np.ndarray:
-        return np.array([[self.gamma, self.beta], [-self.alpha, -self.gamma]])
-
 
 class FlowCoefficients(NamedTuple):
     """Entries of exp(t*m) for a quadratic Hamiltonian generator m."""
@@ -120,13 +115,6 @@ class FlowCoefficients(NamedTuple):
     b: float
     c: float
     d: float
-
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
 
 
 class SpectralData(NamedTuple):
@@ -139,10 +127,6 @@ class SpectralData(NamedTuple):
 
     lam: float
     theta: float
-
-    @property
-    def tan_theta(self) -> float:
-        return math.tan(self.theta)
 
 
 class TorusPoint(namedtuple("TorusPoint", "q p")):

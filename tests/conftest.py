@@ -144,9 +144,7 @@ def comb_state(N: int, k: int):
     Symmetrizing these reproduces the Fourier-comb basis of the torus space:
     the periodized samples are supported on the single grid point r = k to
     machine precision, so the coefficient vectors are flat-modulus DFT
-    columns.  State k is state 0 moved by k/N, so the family's Gram matrix
-    is circulant; :func:`comb_gram_min_eig` gives its conditioning from one
-    FFT.
+    columns.
     """
     from qcat.errors import OddNError
     from qcat.metaplectic import GaussianState
@@ -158,21 +156,6 @@ def comb_state(N: int, k: int):
     return GaussianState(
         amplitude=complex((2.0 * tau / h) ** 0.25), theta=1j * tau, q=k / N, p=0.0, h=h
     )
-
-
-def comb_gram_min_eig(N: int) -> float:
-    """Smallest eigenvalue of the unit-diagonal Gram matrix of the N comb
-    states, from one sample vector and one FFT.
-
-    The periodized samples of comb state k are those of state 0 rolled by
-    k (bit for bit when N is a power of 2, to about 1e-39 relative
-    otherwise), so by Parseval the Gram matrix is circulant.  Its eigenvalues
-    are the DFT power of the samples, and the unit diagonal is their mean.
-    """
-    from qcat.torus import periodized_samples
-
-    power = np.abs(np.fft.fft(periodized_samples(comb_state(N, 0)))) ** 2
-    return float(np.min(power) / np.mean(power))
 
 
 def comb_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
@@ -199,10 +182,10 @@ def comb_propagator_matrix(m: Sl2IntMatrix, N: int) -> np.ndarray:
 
 
 def dense_comb_gram_min_eig(N: int) -> float:
-    """Oracle for :func:`comb_gram_min_eig` and for the closed form of the
-    unitarity table's ``gram_min_eig``: the N comb states built one at a
-    time, their unit-diagonal Gram matrix through the Parseval form of the
-    pairing, and a dense Hermitian eigensolve, O(N^3)."""
+    """Oracle for the closed form of the unitarity table's ``gram_min_eig``:
+    the N comb states built one at a time, their unit-diagonal Gram matrix
+    through the Parseval form of the pairing, and a dense Hermitian
+    eigensolve, O(N^3)."""
     from oracles import torus_coefficients
 
     basis = np.empty((N, N), dtype=complex)
@@ -239,44 +222,35 @@ def mod_circle_distance(x, s0):
     return np.where(u > 0.5, u - 1.0, u)
 
 
-def _exact_frac(mult: int, value: float) -> float:
-    """Fractional part of mult*value computed exactly (value is a binary
-    rational num/den; the product is reduced mod 1 with integer arithmetic,
-    and the one division rounds correctly)."""
-    num, den = value.as_integer_ratio()
-    return int(mult) * num % den / den
-
-
-def skew_apply(alpha: float, N: int, pt: tuple[float, float]) -> tuple[float, float]:
-    """One step (x, y) -> (x + alpha, y + N x + beta) mod 1 of the skew map,
-    beta = alpha N / 2."""
-    x, y = pt
-    return ((x + alpha) % 1.0, (y + N * x + alpha * N / 2.0) % 1.0)
-
-
-def skew_iterate(alpha: float, N: int, pt: tuple[float, float], m: int) -> tuple[float, float]:
-    """Closed-form m-th iterate (m of either sign) of the skew map of
-    (alpha, N), N even.
-
-    The fractional parts of m*alpha, (m^2/2)*N*alpha and m*N*x are computed
-    with exact rational arithmetic, so the mod-1 error stays at one rounding
-    even for m ~ 1e4.
-    """
-    x, y = pt
-    xm = (x + _exact_frac(m, alpha)) % 1.0
-    ym = (y + _exact_frac(m * m * (N // 2), alpha) + _exact_frac(m * N, x)) % 1.0
-    return (xm, ym)
+def orbit_turns(alpha: float, N: int, k: np.ndarray, x: float) -> np.ndarray:
+    """The second coordinate y_k of T^k (x, 0) for the integers k under the
+    skew map of (alpha, N), as ``birkhoff._live_blocks`` forms it:
+    y_k = k^2 (N/2) alpha + k N x in long double, reduced mod 1 and rounded
+    to float64."""
+    k_l = np.asarray(k, dtype=np.longdouble)
+    y_turns = k_l * k_l * (N // 2) * np.longdouble(alpha) + k_l * N * np.longdouble(x)
+    return np.asarray(y_turns - np.floor(y_turns), dtype=float)
 
 
 _SCAN_CAP = 50_000_000
 _SCAN_BLOCK_MAX = 1 << 20
 
 
-def _scanned_blocks(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8):
-    """Yield (chi(k/m_time) as a complex array, K or None) for consecutive
-    blocks of k = 1, 2, ...  K is given with the block that completes the
-    first run (see :func:`_support_half_width`); that block is the last one
-    and is cut after k = K."""
+def _support_half_width(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8) -> int:
+    """Oracle window of any window chi, found by scanning instead of by a
+    certificate: the smallest K >= 0 such that |chi(k/m_time)| < ``cutoff``
+    for each of the ``consecutive`` values k = K+1, ..., K+consecutive (by
+    default 1e-14 and 8).
+
+    chi is evaluated on blocks of k that start at 1024 entries and double up
+    to 2^20, and each block is dropped once scanned, so memory stays
+    bounded.  The last ``consecutive`` - 1 flags of each block are carried
+    into the next, which makes a run that straddles two blocks count
+    exactly as if k were scanned one at a time.
+
+    Raises:
+        ValueError: if no such run ends at k <= 50_000_000.
+    """
     carry = np.zeros(consecutive - 1, dtype=bool)
     start, size = 1, 1024
     while start <= _SCAN_CAP:
@@ -288,70 +262,8 @@ def _scanned_blocks(chi, m_time: float, cutoff: float = 1e-14, consecutive: int 
         if hits.size:
             # below[j] flags k = start - (consecutive - 1) + j, and the run
             # from j covers k = K + 1, ..., K + consecutive.
-            k_max = start - consecutive + int(hits[0])
-            yield vals[:max(k_max + 1 - start, 0)], k_max
-            return
-        yield vals, None
+            return start - consecutive + int(hits[0])
         carry = below[below.size - (consecutive - 1):]
         start += k.size
         size = min(2 * size, _SCAN_BLOCK_MAX)
     raise ValueError("damping window does not decay")
-
-
-def _support_half_width(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8) -> int:
-    """The per-term cutoff window of any window chi: the smallest K >= 0
-    such that |chi(k/m_time)| < ``cutoff`` for each of
-    the ``consecutive`` values k = K+1, ..., K+consecutive (by default 1e-14
-    and 8).
-
-    chi is evaluated on blocks of k that start at 1024 entries and double up
-    to 2^20, and each block is dropped once scanned, so memory stays
-    bounded.  The last ``consecutive`` - 1 flags of each block are carried
-    into the next, which makes a run that straddles two blocks count
-    exactly as if k were scanned one at a time.
-
-    Raises:
-        ValueError: if no such run ends at k <= 50_000_000.
-    """
-    for _, k_max in _scanned_blocks(chi, m_time, cutoff, consecutive):
-        if k_max is not None:
-            return k_max
-
-
-def _window(chi, m_time: float) -> tuple[np.ndarray, np.ndarray]:
-    """The damping window k = -K, ..., K and chi(k/m_time) as a complex array.
-
-    The values on k = 1..K are the blocks that the scan for K evaluated;
-    chi is evaluated afresh only on k = -K..0.  chi acts elementwise, so
-    this has the bits of one evaluation on the whole window.
-    """
-    blocks = list(_scanned_blocks(chi, m_time))
-    k_max = blocks[-1][1]
-    k = np.arange(-k_max, k_max + 1)
-    left = np.broadcast_to(np.asarray(chi(k[:k_max + 1] / m_time), dtype=complex), (k_max + 1,))
-    # A run that starts in the carried flags leaves up to consecutive - 1 = 7
-    # values past K in the blocks before the last.
-    return k, np.concatenate((left, *(vals for vals, _ in blocks)))[:k.size]
-
-
-def orbit_points(alpha: float, N: int, k: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """T^k (x, 0) for the integers k under the skew map of (alpha, N), as
-    ``birkhoff.damped_birkhoff_sum`` forms them: x_k = x + k alpha in
-    float64, and y_k = k^2 (N/2) alpha + k N x in long double, reduced mod 1
-    and rounded to float64."""
-    alpha_l = np.longdouble(alpha)
-    k_l = np.asarray(k, dtype=np.longdouble)
-    xs = x + np.asarray(k) * alpha
-    y_turns = k_l * k_l * (N // 2) * alpha_l + k_l * N * np.longdouble(x)
-    return xs, np.asarray(y_turns - np.floor(y_turns), dtype=float)
-
-
-def scanned_birkhoff_sum(alpha: float, N: int, f, chi, x: float, m_time: float) -> complex:
-    """Oracle for ``birkhoff.damped_birkhoff_sum`` with any skew map (alpha, N),
-    any window chi and any observable f(x, y): sum_k chi(k/m) f(T^k (x, 0))
-    over the whole scanned window of :func:`_window`, in ascending k, with
-    y_k passed to f in turns."""
-    if m_time <= 0:
-        raise ValueError("m_time must be positive")
-    k, chi_k = _window(chi, m_time)
-    return complex(np.sum(chi_k * np.asarray(f(*orbit_points(alpha, N, k, x)), dtype=complex)))

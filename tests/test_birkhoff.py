@@ -9,8 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (_exact_frac, _support_half_width, _window, child_peak_mib, orbit_points,
-                      scanned_birkhoff_sum, skew_apply, skew_iterate)
+from conftest import _support_half_width, child_peak_mib, orbit_turns
 from oracles import InterferenceObservable, band_distance, gaussian_damping
 from qcat import birkhoff
 from qcat.classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_points, spectral_data,
@@ -38,73 +37,14 @@ from qcat.torus import line_tail_bound, matrix_element_exact
 
 
 def test_skew_apply_examples():
-    assert skew_apply(0.37, 4, (0.0, 0.0)) == (
-        pytest.approx(0.37), pytest.approx((2 * 0.37) % 1.0)
-    )
-    # Two steps from the origin: (2 alpha, 8 alpha) mod 1 at N = 4.
-    two = skew_apply(0.37, 4, skew_apply(0.37, 4, (0.0, 0.0)))
-    assert two[0] == pytest.approx((2 * 0.37) % 1.0, abs=1e-12)
-    assert two[1] == pytest.approx((8 * 0.37) % 1.0, abs=1e-12)
-    assert skew_iterate(0.37, 4, (0.0, 0.0), 2)[1] == pytest.approx((8 * 0.37) % 1.0, abs=1e-12)
-    # beta = alpha N / 2 needs an integer N / 2: an odd N = 1/h is refused by
-    # the sum, which reads N from the state, and by the prediction.
+    # The skew map's beta = alpha N / 2 needs an integer N / 2: an odd
+    # N = 1/h is refused by the sum, which reads N from the state, and by
+    # the prediction.
     odd = InterferenceObservable(q0=0.3, p0=0.7, theta=math.atan(0.37), h=1.0 / 5, beta=1.0)
     with pytest.raises(OddNError):
         damped_birkhoff_sum(*_sum_args(odd, 0.1, 10.0))
     with pytest.raises(OddNError):
         theorem_rhs(_CAT, 4, 1.0 / 5, TorusPoint(0.1, 0.2), TorusPoint(0.3, 0.4))
-
-
-def test_skew_iterate_matches_composition(rng):
-    alpha = float(rng.uniform(0, 1))
-    pt = (float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
-    it = pt
-    for _ in range(7):
-        it = skew_apply(alpha, 6, it)
-    closed = skew_iterate(alpha, 6, pt, 7)
-    assert abs(circle_distance(it[0], closed[0])) < 1e-12
-    assert abs(circle_distance(it[1], closed[1])) < 1e-12
-    assert skew_iterate(alpha, 6, pt, 0) == pt
-    one = skew_iterate(alpha, 6, pt, 1)
-    app = skew_apply(alpha, 6, pt)
-    assert abs(circle_distance(one[0], app[0])) < 1e-14
-    assert abs(circle_distance(one[1], app[1])) < 1e-14
-
-
-def test_skew_iterate_long_time_exactness(cat):
-    # Exact-rational one-step iteration against the closed form at m = 10^4.
-    sd = spectral_data(cat)
-    alpha = Fraction(sd.tan_theta)
-    beta = alpha * 64 / 2
-    x, y = Fraction(0.3262233), Fraction(0.7154)
-    for _ in range(10_000):
-        x, y = (x + alpha) % 1, (y + 64 * x + beta) % 1
-    closed = skew_iterate(sd.tan_theta, 64, (0.3262233, 0.7154), 10_000)
-    assert abs(circle_distance(float(x), closed[0])) < 1e-10
-    assert abs(circle_distance(float(y), closed[1])) < 1e-10
-
-
-def test_skew_inverse_roundtrip(cat):
-    sd = spectral_data(cat)
-    pt = (0.123, 0.456)
-    fwd = skew_iterate(sd.tan_theta, 16, pt, 137)
-    back = skew_iterate(sd.tan_theta, 16, fwd, -137)
-    assert abs(circle_distance(back[0], pt[0])) < 1e-9
-    assert abs(circle_distance(back[1], pt[1])) < 1e-9
-
-
-def test_phase_telescoping_identity(cat):
-    # e^{2 i pi y_m} = exp(i pi N alpha m^2 + 2 i pi N m x0) when beta = alpha N / 2.
-    sd = spectral_data(cat)
-    n_dim = 16
-    x0 = 0.377
-    for m in (1, 5, 37, 200, 999):
-        _, ym = skew_iterate(sd.tan_theta, n_dim, (x0, 0.0), m)
-        direct = cis_turns(frac_turns(
-            np.longdouble(m) * m * (n_dim // 2) * np.longdouble(sd.tan_theta)
-            + np.longdouble(m) * n_dim * np.longdouble(x0)
-        ))
-        assert abs(cis_turns(ym) - direct) < 1e-9
 
 
 def _sum_args(obs, x, m_time):
@@ -116,47 +56,13 @@ def _sum_args(obs, x, m_time):
     return state, TorusPoint(obs.q0, obs.p0)
 
 
-def _indicator(u):
-    uu = np.asarray(u, dtype=float)
-    return ((uu >= 0.0) & (uu <= 1.0)).astype(float)
-
-
 def test_damped_birkhoff_sum_basics(cat):
-    sd = spectral_data(cat)
-    alpha = sd.tan_theta
-
-    ones = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    m_time = 23
-    val = scanned_birkhoff_sum(alpha, 4, ones, _indicator, 0.3, m_time)
-    assert val == pytest.approx(m_time + 1)
-
-    chi = lambda u: np.exp(-3.0 * np.asarray(u, dtype=float) ** 2)
-    expected = sum(chi(k / 10.0) for k in range(-200, 201))
-    for x in (0.1, 0.9):
-        assert scanned_birkhoff_sum(alpha, 4, ones, chi, x, 10.0) == pytest.approx(expected)
-
-    # Linearity in the observable: the live-term sum against the oracle.
-    obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=0.25,
+    # The live-term sum at N = 4 against the whole window, term by term.
+    obs = InterferenceObservable(q0=0.3, p0=0.7, theta=spectral_data(cat).theta, h=0.25,
                                  beta=damping_coefficient(cat))
-    f2 = lambda x, y: 2.0 * obs.eval(x, y)
-    a = damped_birkhoff_sum(*_sum_args(obs, 0.1, 10.0))
-    b = scanned_birkhoff_sum(alpha, 4, f2, gaussian_damping(obs), 0.1, 10.0)
-    assert b == pytest.approx(2.0 * a)
-
-
-def _scan_half_width(chi, m_time, cutoff=1e-14, consecutive=8):
-    """Oracle: the damping window found by evaluating chi at one k at a time."""
-    k = 0
-    below = 0
-    while below < consecutive:
-        k += 1
-        if abs(complex(np.asarray(chi(k / m_time), dtype=complex))) < cutoff:
-            below += 1
-        else:
-            below = 0
-        if k > 50_000_000:
-            raise ValueError("damping window does not decay")
-    return k - consecutive
+    want, mass = _full_window_sum(obs, gaussian_damping(obs), 0.1, 10.0)
+    got = damped_birkhoff_sum(*_sum_args(obs, 0.1, 10.0))
+    assert abs(got - want) <= _DROPPED + _ROUNDING * mass
 
 
 _CAT = Sl2IntMatrix(2, 1, 1, 1)
@@ -175,10 +81,27 @@ _GAUSSIAN_OBS = {
     ),
 }
 _WINDOWS = {
-    "indicator": _indicator,
+    "indicator": lambda u: ((np.asarray(u, dtype=float) >= 0.0)
+                            & (np.asarray(u, dtype=float) <= 1.0)).astype(float),
     "gauss3": lambda u: np.exp(-3.0 * np.asarray(u, dtype=float) ** 2),
     **{name: gaussian_damping(obs) for name, obs in _GAUSSIAN_OBS.items()},
 }
+
+
+def _scan_half_width(chi, m_time, cutoff=1e-14, consecutive=8):
+    """Oracle of the blocked scan: the window found by evaluating chi at
+    one k at a time."""
+    k = 0
+    below = 0
+    while below < consecutive:
+        k += 1
+        if abs(complex(np.asarray(chi(k / m_time), dtype=complex))) < cutoff:
+            below += 1
+        else:
+            below = 0
+        if k > 50_000_000:
+            raise ValueError("damping window does not decay")
+    return k - consecutive
 
 
 @pytest.mark.parametrize(
@@ -189,6 +112,27 @@ _WINDOWS = {
 def test_support_half_width_matches_scan(window, m_time):
     chi = _WINDOWS[window]
     assert _support_half_width(chi, m_time) == _scan_half_width(chi, m_time)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [range(1, last + 1) for last in (1016, 1017, 1020, 1023, 1024)]
+    + [[*range(1, 1021), 1026], [*range(1, 1021), 1029]],
+    ids=lambda support: f"up_to_{max(support)}",
+)
+def test_support_half_width_runs_across_blocks(support):
+    # The first block holds k = 1..1024: a run of |chi| < cutoff that starts
+    # near its end is completed, or broken, by the next block.
+    ks = np.array(list(support), dtype=float)
+    chi = lambda u: np.isin(np.asarray(u, dtype=float), ks).astype(float)
+    assert _support_half_width(chi, 1) == _scan_half_width(chi, 1)
+
+
+def test_support_half_width_zero_window():
+    narrow = lambda u: np.exp(-40.0 * np.asarray(u, dtype=float) ** 2)
+    zero = lambda u: 0.0  # a scalar for every input, as chi may return
+    for chi in (narrow, zero):
+        assert _support_half_width(chi, 1.0) == _scan_half_width(chi, 1.0) == 0
 
 
 def _mu(obs, m_time):
@@ -254,9 +198,10 @@ def test_half_width_at_the_cutoff(window, k_target):
     assert widths == {k_target, k_target + 1}
 
 
-def _tail_mass(chi, m_time, k_max):
-    """Oracle: sum_{|k| > K} |chi(k/m_time)| term by term, out to where
-    |chi| < 1e-30 (|chi| is even in k)."""
+def _tail_mass(obs, m_time, k_max):
+    """Oracle: sum_{|k| > K} |chi_h(k/m_time)| term by term, out to where
+    |chi_h| < 1e-30 (|chi_h| is even in k)."""
+    chi = gaussian_damping(obs)
     k = np.arange(k_max + 1, _support_half_width(chi, m_time, cutoff=1e-30) + 1)
     return 2.0 * float(np.sum(np.abs(chi(k / m_time))))
 
@@ -268,14 +213,12 @@ def _tail_mass(chi, m_time, k_max):
 )
 def test_window_certificate(matrix, n_dim, n):
     # The window leaves out at most 1e-14 of sum |chi_h(k/M)|, and K - 1
-    # fails the certificate.  The per-term cutoff it replaced (the last k
-    # with |chi_h(k/M)| >= 1e-14) left out 1.3e-12 to 1.4e-11 here.
-    obs, chi, state, _ = _live_case(matrix, n_dim, n, 0.4137)
+    # fails the certificate.
+    obs, _, state, _ = _live_case(matrix, n_dim, n, 0.4137)
     m_time = state.lam ** state.n
     k_max = _half_width(state)
-    assert _tail_mass(chi, m_time, k_max) <= 1e-14
+    assert _tail_mass(obs, m_time, k_max) <= 1e-14
     assert _certified(obs, m_time, k_max) and not _certified(obs, m_time, k_max - 1)
-    assert _tail_mass(chi, m_time, _support_half_width(chi, m_time)) > 1e-12
 
 
 def test_half_width_cap_precedes_certificate():
@@ -290,27 +233,6 @@ def test_half_width_cap_precedes_certificate():
     for call in (lambda: _half_width(state), lambda: damped_birkhoff_sum(state, target)):
         with pytest.raises(TruncationOverflowError, match="exceeds the cap 50000000"):
             call()
-
-
-@pytest.mark.parametrize(
-    "support",
-    [range(1, last + 1) for last in (1016, 1017, 1020, 1023, 1024)]
-    + [[*range(1, 1021), 1026], [*range(1, 1021), 1029]],
-    ids=lambda support: f"up_to_{max(support)}",
-)
-def test_support_half_width_runs_across_blocks(support):
-    # The first block holds k = 1..1024: a run of |chi| < cutoff that starts
-    # near its end is completed, or broken, by the next block.
-    ks = np.array(list(support), dtype=float)
-    chi = lambda u: np.isin(np.asarray(u, dtype=float), ks).astype(float)
-    assert _support_half_width(chi, 1) == _scan_half_width(chi, 1)
-
-
-def test_support_half_width_zero_window():
-    narrow = lambda u: np.exp(-40.0 * np.asarray(u, dtype=float) ** 2)
-    zero = lambda u: 0.0  # a scalar for every input, as chi may return
-    for chi in (narrow, zero):
-        assert _support_half_width(chi, 1.0) == _scan_half_width(chi, 1.0) == 0
 
 
 def test_support_half_width_cap():
@@ -328,48 +250,6 @@ def test_support_half_width_cap():
         tracemalloc.stop()
     assert elapsed < 1.0
     assert peak < 2 ** 20
-
-
-def _whole_window(chi, m_time):
-    """Oracle: the window with chi evaluated once on all of k = -K..K, as
-    before the scanned blocks were reused."""
-    k_max = _support_half_width(chi, m_time)
-    k = np.arange(-k_max, k_max + 1)
-    return k, np.broadcast_to(np.asarray(chi(k / m_time), dtype=complex), k.shape)
-
-
-@pytest.mark.parametrize("m_time", [1, 23, _LAM ** 6, _LAM ** 13], ids=["1", "23", "lam^6", "lam^13"])
-@pytest.mark.parametrize("window", sorted(_WINDOWS))
-def test_window_matches_whole_window(window, m_time):
-    chi = _WINDOWS[window]
-    k, chi_k = _window(chi, m_time)
-    want_k, want_chi = _whole_window(chi, m_time)
-    assert np.array_equal(k, want_k) and np.array_equal(chi_k, want_chi)
-
-
-@pytest.mark.parametrize("last", [0, 1016, 1020, 1024, 1029, 3100])
-def test_window_matches_whole_window_across_blocks(last):
-    # The indicator of |k| <= last: K = last lands inside the first block of
-    # the scan, at its end, in the flags carried into the next, or past it.
-    chi = lambda u: ((np.asarray(u, dtype=float) >= -last) & (np.asarray(u, dtype=float) <= last)
-                     ).astype(float)
-    k, chi_k = _window(chi, 1)
-    want_k, want_chi = _whole_window(chi, 1)
-    assert k.size == 2 * last + 1
-    assert np.array_equal(k, want_k) and np.array_equal(chi_k, want_chi)
-
-
-def test_exact_frac_matches_fraction():
-    rng = np.random.default_rng(2024)
-    mults = [0, 1, -1, 7, -7, 10 ** 9, -(10 ** 9),
-             *(int(v) for v in rng.integers(-10 ** 9, 10 ** 9, 2000))]
-    values = [0.0, 0.5, -0.5, 1.0 / 3.0, -math.pi, 1e-300, 2.0 ** 60 + 0.0,
-              *(float(v) for v in rng.uniform(-10.0, 10.0, 50))]
-    for mult in mults:
-        for value in values:
-            f = Fraction(mult) * Fraction(value)
-            want = float(f - (f.numerator // f.denominator))
-            assert _exact_frac(mult, value) == want
 
 
 def _skew(obs):
@@ -470,7 +350,7 @@ def _whole_window_live_sum(obs, x, m_time, k_max):
     dd = d * d
     live = c_uu.real * uu + c_dd.real * dd >= math.log(_TAIL / k.size)
     k, uu, d, dd = k[live], uu[live], d[live], dd[live]
-    turns = mod1(obs.q0 * d * (1.0 / obs.h)) + mod1(orbit_points(alpha, n_dim, k, x)[1])
+    turns = mod1(obs.q0 * d * (1.0 / obs.h)) + mod1(orbit_turns(alpha, n_dim, k, x))
     return k, complex(np.sum(np.exp(c_uu * uu + c_dd * dd + 2j * math.pi * turns)))
 
 
@@ -500,6 +380,64 @@ def test_live_term_sum_across_blocks(monkeypatch, k_max, block):
     assert got == want
     full, mass = _full_window_sum(obs, chi, x, m_time)
     assert abs(got - full) <= _DROPPED + _ROUNDING * mass
+
+
+def _skew_orbit_turns(alpha, n_dim, x, steps):
+    """y_k mod 1 for k = -steps..steps in ascending order, as float64, where
+    (x_k, y_k) = T^k (x, 0) under the skew map
+    T(x, y) = (x + alpha, y + N x + beta) mod 1, beta = alpha N / 2: T and
+    T^-1 stepped one step at a time in exact rational arithmetic from the
+    floats ``alpha`` and ``x``."""
+    alpha, x0 = Fraction(alpha), Fraction(x)
+    beta = alpha * n_dim / 2
+    x, y, forward = x0, Fraction(0), []
+    for _ in range(steps):
+        x, y = (x + alpha) % 1, (y + n_dim * x + beta) % 1
+        forward.append(float(y))
+    x, y, backward = x0, Fraction(0), []
+    for _ in range(steps):
+        x = (x - alpha) % 1
+        y = (y - n_dim * x - beta) % 1
+        backward.append(float(y))
+    return np.array([*backward[::-1], 0.0, *forward])
+
+
+_ORBIT_STEPS = 10_000
+
+
+@pytest.mark.parametrize("matrix, n", [(_CAT, 11), (_M3121, 8)], ids=["cat", "3121"])
+def test_orbit_phases_are_the_skew_map_orbit(matrix, n):
+    # With q0 = 0 the turns of term k are y_k mod 1, the second coordinate
+    # of T^k (s', 0).  At N = 16 the window holds more than 10^4 terms each
+    # side and every one with |k| <= 10^4 is live, so each of those turns is
+    # checked against the exact orbit.  The kernel forms y_k in long double,
+    # within about eps |y_k|; what it does to the phase after that is float64
+    # rounding of numbers below 10.
+    n_dim = 16
+    h = 1.0 / n_dim
+    state = make_damped_lagrangian(matrix, n, h, center=(0.0, 0.3173))
+    target = TorusPoint(0.0, 0.6)
+    k_max = _half_width(state)
+    assert k_max >= _ORBIT_STEPS
+    t = math.tan(state.theta)
+    m_time = state.lam ** state.n
+    c_uu = -math.pi * complex(state.beta) / h
+    c_dd = -math.pi * math.cos(state.theta) ** 2 * complex(1.0, t) / h
+    ks, turns = [], []
+    for k, expo in _live_blocks(state, target, k_max):
+        near = np.abs(k) <= _ORBIT_STEPS
+        k, expo = k[near], expo[near]
+        u = k / m_time
+        d = circle_distance(state.s_prime + k * t, target.p)
+        rest = c_uu * (u * u) + c_dd * (d * d)
+        ks.append(k)
+        turns.append((expo.imag - rest.imag) / (2.0 * math.pi))
+    k = np.concatenate(ks)
+    assert np.array_equal(k, np.arange(-_ORBIT_STEPS, _ORBIT_STEPS + 1))
+    err = np.concatenate(turns) - _skew_orbit_turns(t, n_dim, state.s_prime, _ORBIT_STEPS)
+    err -= np.rint(err)
+    y_max = float(np.max(np.abs(k * k * (n_dim / 2) * t + k * n_dim * state.s_prime)))
+    assert np.max(np.abs(err)) <= 2.0 * np.finfo(np.longdouble).eps * y_max
 
 
 def test_live_mask_keeps_few_terms(cat):
@@ -548,7 +486,7 @@ def test_observable_invariants(cat, rng):
     obs = InterferenceObservable(q0=0.3, p0=0.7, theta=sd.theta, h=1.0 / 16.0,
                                  beta=damping_coefficient(cat))
     us = np.linspace(-2.0, 2.0, 21)
-    t = sd.tan_theta
+    t = math.tan(sd.theta)
     ref = np.exp(-math.pi * math.cos(sd.theta) ** 2 * (1.0 + 1j * t) * us ** 2)
     assert np.max(np.abs(obs.profile(us) - ref)) < 1e-10
     # k = 0 value of the Birkhoff observable: F0(d/sqrt(h)) e^{2 i pi q0 d / h}.
@@ -563,7 +501,7 @@ def test_interference_term_phase_reduction(cat):
     # into (config phase) x F0(d/sqrt h) x e^{2 i pi q0 d / h}
     #   x e^{i pi tan m^2 / h} x e^{2 i pi m s'/h} x (transverse remainder).
     sd = spectral_data(cat)
-    t = sd.tan_theta
+    t = math.tan(sd.theta)
     n_dim, n = 64, 4
     h = 1.0 / n_dim
     big_a, big_b = 3.262, 2.771  # an arbitrary plane lift
@@ -612,8 +550,8 @@ def test_theorem_rhs_threshold_and_truncation(cat):
                                TorusPoint(0.3, 0.7))
     k_wide = int(6 * sd.lam ** n)
     ks = np.arange(-k_wide, k_wide + 1)
-    xs = 0.2 + ks * sd.tan_theta
-    ys = (ks * ks * 32 * sd.tan_theta + ks * 64 * 0.2) % 1.0
+    xs = 0.2 + ks * math.tan(sd.theta)
+    ys = (ks * ks * 32 * math.tan(sd.theta) + ks * 64 * 0.2) % 1.0
     wide = complex(np.sum(np.asarray(chi(ks / sd.lam ** n)) * np.asarray(obs.eval(xs, ys))))
     assert abs(base - wide) <= 1e-12 * max(abs(wide), 1.0)
 
@@ -764,19 +702,3 @@ def test_unit_constant_prediction_whole_family(entries, n):
         lhs = matrix_element_exact(m, n, src, dst, n_dim)
         rhs = theorem_rhs(m, n, h, src, dst)
         assert abs(lhs - rhs) <= math.sqrt(h) * lam ** (-0.5 * n)
-
-
-def test_skew_closed_form_twenty_random_starts(cat):
-    # Float one-step composition vs the exact-rational closed form at m = 1e4.
-    alpha = spectral_data(cat).tan_theta
-    rng = np.random.default_rng(31)
-    worst = 0.0
-    for _ in range(20):
-        pt = (float(rng.uniform()), float(rng.uniform()))
-        it = pt
-        for _ in range(10_000):
-            it = skew_apply(alpha, 64, it)
-        closed = skew_iterate(alpha, 64, pt, 10_000)
-        worst = max(worst, abs(circle_distance(it[0], closed[0])),
-                    abs(circle_distance(it[1], closed[1])))
-    assert worst < 1e-9

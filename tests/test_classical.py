@@ -36,6 +36,16 @@ def expm2_oracle(m: np.ndarray, squarings: int = 10) -> np.ndarray:
     return total
 
 
+def _array(m) -> np.ndarray:
+    """The 2x2 float array of a record with entries a, b, c, d."""
+    return np.array([[m.a, m.b], [m.c, m.d]], dtype=float)
+
+
+def _generator(ham) -> np.ndarray:
+    """The traceless generator [[gamma, beta], [-alpha, -gamma]] of a quadratic Hamiltonian."""
+    return np.array([[ham.gamma, ham.beta], [-ham.alpha, -ham.gamma]])
+
+
 def test_sl2_validation():
     with pytest.raises(ValueError):
         Sl2IntMatrix(2, 0, 0, 1)
@@ -69,10 +79,10 @@ def test_spectral_data_oracles(cat):
     assert sd.lam == pytest.approx(lam_oracle, abs=1e-14)
     # Unstable slope solves (M - lam I) v = 0 with v = (1, slope).
     slope_oracle = lam_oracle - 2.0
-    assert sd.tan_theta == pytest.approx(slope_oracle, abs=1e-14)
+    assert math.tan(sd.theta) == pytest.approx(slope_oracle, abs=1e-14)
     # Eigenvector residual.
     v = np.array([math.cos(sd.theta), math.sin(sd.theta)])
-    assert np.max(np.abs(cat.as_array() @ v - sd.lam * v)) < 1e-12
+    assert np.max(np.abs(_array(cat) @ v - sd.lam * v)) < 1e-12
     # cos^2 lam + sin^2 / lam reproduces the matrix entry a = 2.
     assert math.cos(sd.theta) ** 2 * sd.lam + math.sin(sd.theta) ** 2 / sd.lam == pytest.approx(
         2.0, abs=1e-12
@@ -90,6 +100,13 @@ def test_spectral_identities_vs_matrix_powers(cat):
         assert abs(a_pred - mn.a) < 1e-9 * max(1.0, mn.a)
         assert abs(b_pred - mn.b) < 1e-9 * max(1.0, abs(mn.b))
         assert mn.b == mn.c
+
+
+def test_power_refuses_negative_exponent(cat):
+    # No caller takes a negative power; one raises rather than returning I.
+    assert cat.power(0) == Sl2IntMatrix(1, 0, 0, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cat.power(-1)
 
 
 def test_spectral_errors():
@@ -116,8 +133,8 @@ def test_spectral_errors():
 
 def test_hamiltonian_exponentiates_to_matrix(cat):
     ham = hamiltonian_from_matrix(cat)
-    assert ham.generator().trace() == pytest.approx(0.0, abs=1e-14)
-    assert np.max(np.abs(expm2_oracle(ham.generator()) - cat.as_array())) < 1e-10
+    assert _generator(ham).trace() == pytest.approx(0.0, abs=1e-14)
+    assert np.max(np.abs(expm2_oracle(_generator(ham)) - _array(cat))) < 1e-10
     # Pure dilation generator: gamma = log(lam), alpha = beta = 0.
     sd = spectral_data(cat)
     from qcat.classical import QuadraticHamiltonian
@@ -138,7 +155,7 @@ def test_flow_examples(cat):
     f0 = flow_coefficients(ham, 0.0)
     assert (f0.a, f0.b, f0.c, f0.d) == (1.0, 0.0, 0.0, 1.0)
     f1 = flow_coefficients(ham, 1.0)
-    assert np.max(np.abs(f1.as_array() - cat.as_array())) < 1e-12
+    assert np.max(np.abs(_array(f1) - _array(cat))) < 1e-12
     sd = spectral_data(cat)
     from qcat.classical import QuadraticHamiltonian
 
@@ -150,13 +167,13 @@ def test_flow_examples(cat):
 def test_flow_determinant_and_group_law(cat):
     ham = hamiltonian_from_matrix(cat)
     for t in np.linspace(-3.0, 3.0, 25):
-        assert abs(flow_coefficients(ham, float(t)).det - 1.0) < 1e-12
+        assert abs(np.linalg.det(_array(flow_coefficients(ham, float(t)))) - 1.0) < 1e-12
     rng = np.random.default_rng(0)
     for _ in range(10):
         s, t = rng.uniform(-2, 2, size=2)
-        fs = flow_coefficients(ham, float(s)).as_array()
-        ft = flow_coefficients(ham, float(t)).as_array()
-        fst = flow_coefficients(ham, float(s + t)).as_array()
+        fs = _array(flow_coefficients(ham, float(s)))
+        ft = _array(flow_coefficients(ham, float(t)))
+        fst = _array(flow_coefficients(ham, float(s + t)))
         assert np.max(np.abs(fs @ ft - fst)) < 1e-10
 
 
@@ -165,10 +182,10 @@ def test_flow_satisfies_generator_odes(cat):
     ham = hamiltonian_from_matrix(cat)
     step = 1e-5
     for t in (0.25, 0.8, 1.7):
-        f_minus = flow_coefficients(ham, t - step).as_array()
-        f_plus = flow_coefficients(ham, t + step).as_array()
+        f_minus = _array(flow_coefficients(ham, t - step))
+        f_plus = _array(flow_coefficients(ham, t + step))
         deriv = (f_plus - f_minus) / (2.0 * step)
-        expected = ham.generator() @ flow_coefficients(ham, t).as_array()
+        expected = _generator(ham) @ _array(flow_coefficients(ham, t))
         assert np.max(np.abs(deriv - expected)) < 1e-6
 
 

@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import math
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -149,11 +150,19 @@ def _module_constant(tree: ast.Module, name: str, default=None):
                 default)
 
 
+def _read_names(node: ast.AST) -> Counter:
+    """How often each name or attribute is read under ``node``."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
 def test_package_exports_only_what_a_run_calls():
     # Every name a module exports is read by package code outside its own
     # definition, or is a function that the span tracer wraps: a route that
-    # only the tests call belongs in tests/oracles.py.  Every traced function
-    # resolves, so a rename fails here and not only in the traced smoke run.
+    # only the tests call belongs in tests/oracles.py.  So is every method or
+    # property (dunders aside) that a class of the package defines.  Every
+    # traced function resolves, so a rename fails here and not only in the
+    # traced smoke run.
     spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     traced = _module_constant(ast.parse(spans.read_text(encoding="utf-8")), "TRACED")
     for module, names in traced.items():
@@ -166,9 +175,7 @@ def test_package_exports_only_what_a_run_calls():
     for module, tree in trees.items():
         for stmt in tree.body:
             defined = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
-                     if isinstance(node, (ast.Name, ast.Attribute))}
-            reads.append((module, defined, names))
+            reads.append((module, defined, _read_names(stmt)))
     unread = []
     for module, tree in trees.items():
         for name in _module_constant(tree, "__all__", ()):
@@ -176,6 +183,13 @@ def test_package_exports_only_what_a_run_calls():
                        for mod, defined, names in reads)
             if not read and name not in traced.get(module, ()):
                 unread.append(f"{module}.{name}")
+    everywhere = sum((_read_names(tree) for tree in trees.values()), Counter())
+    for module, tree in trees.items():
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            for member in cls.body:
+                if (isinstance(member, ast.FunctionDef) and not member.name.startswith("__")
+                        and everywhere[member.name] == _read_names(member)[member.name]):
+                    unread.append(f"{module}.{cls.name}.{member.name}")
     assert unread == []
 
 
@@ -578,10 +592,11 @@ def test_load_config_rejects_integers_past_the_float_range(tmp_path):
     [("unitarity", b'{"N_values": [1%s]}' % (b"0" * 400)),
      ("egorov", b'{"N_values": [1%s]}' % (b"0" * 400)),
      ("unitarity", b'{"seed": %s}' % (b"1" * 4401)),
+     ("egorov", b'{"seed": %s}' % (b"1" * 4401)),
      ("unitarity", b"[" * 100000 + b"]" * 100000),
      ("unitarity", b'{"matrix": "\xff"}')],
     ids=["unitarity-N-1e400", "egorov-N-1e400", "unitarity-seed-4401-digits",
-         "unitarity-nested-100000", "unitarity-not-utf8"],
+         "egorov-seed-4401-digits", "unitarity-nested-100000", "unitarity-not-utf8"],
 )
 def test_cli_out_of_range_config_integers_exit_2(tmp_path, experiment, payload):
     # An N past the float range overflowed at 1.0 / N; json.loads refuses an
@@ -603,7 +618,7 @@ def test_cli_huge_matrix_or_n_fails_typed(tmp_path, capsys):
     k, huge = 10 ** 200, 10 ** 400
     cases = [({"matrix": [k + 1, k, 1, 1]},
               ("egorov", "theorem", "bands", "unitarity", "eigenphases"), 3),
-             ({"matrix": [huge + 1, huge, 1, 1]}, ("theorem",), 2),
+             ({"matrix": [huge + 1, huge, 1, 1]}, ("theorem", "unitarity"), 2),
              ({"N_values": [torus._MAX_DENSE_N + 2]}, ("unitarity", "eigenphases"), 3)]
     for overrides, experiments, code in cases:
         cfg = write_config(tmp_path, **overrides)
@@ -617,11 +632,16 @@ def test_cli_huge_matrix_or_n_fails_typed(tmp_path, capsys):
 def test_cli_1e20_matrix_builds_its_propagator(tmp_path, capsys):
     # [1e20 + 1, 1e20, 1, 1] has a five-shear chain, but a coherent state
     # leaves the float range after one step; unitarity and eigenphases
-    # exited 3 while one pinned the unit constant of the dense build.
-    cfg = write_config(tmp_path, matrix=[10 ** 20 + 1, 10 ** 20, 1, 1], N_values=[16, 64])
-    for experiment in ("unitarity", "eigenphases"):
-        assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / experiment)]) == 0
-        assert capsys.readouterr().err == ""
+    # exited 3 while one pinned the unit constant of the dense build.  They
+    # run on N = 16, 64 and on the default N_values.
+    matrix = {"matrix": [10 ** 20 + 1, 10 ** 20, 1, 1]}
+    for name, cfg in (("small", {**matrix, "N_values": [16, 64]}), ("default", matrix)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        for experiment in ("unitarity", "eigenphases"):
+            out = tmp_path / name / experiment
+            assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
 
 
 def test_cli_huge_grid_resolution_fails_typed(tmp_path):

@@ -83,14 +83,14 @@ def test_lagrangian_eval_examples(cat):
     # Large n: the phase converges to the pure Lagrangian phase of the line.
     x = 0.37
     big = make_damped_lagrangian(cat, 40, 1.0 / 64.0)
-    pure = cis_turns(sd.tan_theta * x * x / (2.0 * big.h))
+    pure = cis_turns(math.tan(sd.theta) * x * x / (2.0 * big.h))
     val = lagrangian_eval(big, x) / abs(lagrangian_eval(big, x))
     assert abs(val - pure) < 1e-8
 
 
 def test_overlap_matches_quadrature_near_line(cat, rng):
     sd = spectral_data(cat)
-    t = sd.tan_theta
+    t = math.tan(sd.theta)
     checked = 0
     for _ in range(30):
         n_dim = int(rng.choice([16, 64]))
@@ -120,7 +120,7 @@ def test_overlap_modulus_profile(cat):
     # |overlap| tracks exp(-pi cos^2 d^2 / h) along the transverse direction.
     sd = spectral_data(cat)
     h = 1.0 / 64.0
-    t = sd.tan_theta
+    t = math.tan(sd.theta)
     state = make_damped_lagrangian(cat, 12, h)  # large n: damping negligible locally
     form = lagrangian_overlap_field(state)
     q = 0.2
@@ -151,7 +151,7 @@ def test_band_rows(cat):
     d = band_distance(state, origin, ms)
     assert np.all(d > -0.5) and np.all(d <= 0.5)
     # d agrees with the signed circle distance of the rotation orbit.
-    t = sd.tan_theta
+    t = math.tan(sd.theta)
     for m in (-7, 3, 41):
         assert band_distance(state, origin, m) == pytest.approx(circle_distance(m * t, 0.0), abs=1e-12)
 
@@ -386,7 +386,7 @@ def test_band_sum_constant_c23(cat):
     # Normalized band sum minus the windowed interference sum stays bounded by
     # one constant across h in {1/16, 1/64, 1/256}, n >= log(1/h)/log(lam).
     sd = spectral_data(cat)
-    t = sd.tan_theta
+    t = math.tan(sd.theta)
     c_ratio = []
     for n_dim in (16, 64, 256):
         h = 1.0 / n_dim
@@ -427,7 +427,7 @@ def test_damping_replacement_l1_bounded(cat):
     # sum_m |exact transverse factor - translated Gaussian window| is bounded
     # uniformly in (n, h): the replacement-error argument behind the damping.
     sd = spectral_data(cat)
-    t = sd.tan_theta
+    t = math.tan(sd.theta)
     sums = []
     for n_dim in (16, 64, 256):
         h = 1.0 / n_dim
@@ -465,7 +465,7 @@ def test_damping_coefficient_general(cat):
     assert beta.real > 0
     mn = m.power(8)
     th_n = (mn.c + 1j * mn.d) / (mn.a + 1j * mn.b)
-    dev = (th_n - sd.tan_theta) * sd.lam ** 16
+    dev = (th_n - math.tan(sd.theta)) * sd.lam ** 16
     assert abs(dev - 1j * beta) < 1e-6
 
 

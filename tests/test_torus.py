@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import qcat.torus
-from conftest import (child_peak_mib, comb_gram_min_eig, comb_propagator_matrix, comb_state,
-                      dense_at_box_points, dense_comb_gram_min_eig)
+from conftest import (child_peak_mib, comb_propagator_matrix, comb_state, dense_at_box_points,
+                      dense_comb_gram_min_eig)
 from oracles import (PlaneTranslation, TorusState, gaussian_overlap, lagrangian_eval, overlap_quadrature,
                      pair_from_coefficients, pinned_propagator_matrix, torus_coefficients, translate)
 from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
@@ -463,27 +463,15 @@ def test_propagator_power_at_period_is_scalar():
             assert np.max(np.abs(turns - np.round(turns))) < 1e-11
 
 
-def test_gram_rank_is_n(cat):
-    # Comb states are not plain packets, so they pair through Parseval.
-    for n_dim in (2, 4, 8, 16):
-        basis = [torus_coefficients(comb_state(n_dim, k)) for k in range(n_dim)]
-        gram = np.array([[pair_from_coefficients(bk, bj) for bk in basis] for bj in basis])
-        norm = np.sqrt(np.real(np.diag(gram)))
-        gram_n = gram / np.outer(norm, norm)
-        eigs = np.linalg.eigvalsh((gram_n + gram_n.conj().T) / 2.0)
-        assert eigs[0] > 1e-10
-
-
 @pytest.mark.parametrize("n_dim", [2, 4, 16, 36, 64, 128, 144, 256])
 def test_comb_gram_min_eig_matches_dense_oracle(n_dim):
-    # The one-FFT route and the closed form (1 - 2q)^2 / (1 + 2q^2),
-    # q = e^(-20 pi), that the unitarity table writes.
+    # The closed form (1 - 2q)^2 / (1 + 2q^2), q = e^(-20 pi), that the
+    # unitarity table writes.
     dense = dense_comb_gram_min_eig(n_dim)
     cfg = ExperimentConfig(matrix=(2, 1, 1, 1), N_values=(n_dim,), n_mode="absolute",
                            n_values=(1,), points=(), grid_resolution=64, seed=1)
     [(_, _, closed, _)] = run_unitarity(cfg).table.rows
     assert abs(closed - dense) <= 1e-13
-    assert abs(comb_gram_min_eig(n_dim) - dense) <= 1e-13
 
 
 def test_periodized_samples_cap(cat, monkeypatch):
