@@ -42,8 +42,8 @@ The damped sum runs over the window |k| <= K certified as a sum:
 |chi(k/M)| = exp(-mu k^2 / 2) with mu = 2 Re(gamma0) / (h M^2), M = lam^n,
 and K is the smallest radius whose tail sum_{|k| > K} |chi(k/M)| the bound
 ``torus.line_tail_bound`` takes below 1e-14 (``torus.certified_radius``, the
-package's one window routine).  |f| <= 1, so the terms past K sum to at most
-1e-14.  The closed form M sqrt(h ln(1e14) / Re gamma0) only guards the cap.
+package's one window routine, which also refuses a K past the cap of 5e7).
+|f| <= 1, so the terms past K sum to at most 1e-14.
 Each term is one exponential,
 
     chi(k/M) f(T^k(s', 0)) = exp(c_uu u^2 + c_dd d_k^2 + 2 i pi turns_k),
@@ -69,7 +69,7 @@ import numpy as np
 
 from .classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_points, spectral_data,
                         validity_threshold)
-from .errors import ThresholdViolationError, TruncationOverflowError
+from .errors import ThresholdViolationError
 from .lagrangian import (DampedLagrangianState, aligned_propagated_state, circle_distance,
                          make_damped_lagrangian)
 from .metaplectic import cis_turns, frac_turns, mod1
@@ -90,25 +90,16 @@ _BLOCK = 1 << 13
 def _half_width(state: DampedLagrangianState) -> int:
     """Half-width K of the damping window of chi_h(k/M), M = lam^n: the
     smallest K >= 1 for which :func:`qcat.torus.line_tail_bound` certifies
-    sum_{|k| > K} |chi_h(k/M)| <= 1e-14.
-
-    |chi_h(k/M)| = exp(-mu k^2 / 2) with mu = 2 Re(pi beta) / (h M^2).  The
-    closed form M sqrt(h ln(1e14) / Re(pi beta)), where |chi_h| itself falls
-    to 1e-14, is checked against the cap first, so mu is positive and the
-    certificate's search is short.
+    sum_{|k| > K} |chi_h(k/M)| <= 1e-14 (:func:`qcat.torus.certified_radius`),
+    with |chi_h(k/M)| = exp(-mu k^2 / 2) and mu = 2 Re(pi beta) / (h M^2).
 
     Raises:
-        TruncationOverflowError: if that closed form exceeds 50_000_000; no
-            array is formed.
+        TruncationOverflowError: if K exceeds 50_000_000, or if M^2 leaves
+            the float range and mu is 0; no array is formed.
     """
     m_time = state.lam ** state.n
-    re_g0 = (math.pi * complex(state.beta)).real
-    k_est = m_time * math.sqrt(state.h * -math.log(_TAIL) / re_g0)
-    if not k_est <= _WINDOW_CAP:
-        raise TruncationOverflowError(
-            f"damping window half-width {k_est:.4g} exceeds the cap {_WINDOW_CAP}"
-        )
-    return certified_radius(1.0, 2.0 * re_g0 / (m_time * m_time * state.h), _TAIL, line_tail_bound)
+    mu = 2.0 * (math.pi * complex(state.beta)).real / (m_time * m_time * state.h)
+    return certified_radius(1.0, mu, _TAIL, line_tail_bound, _WINDOW_CAP)
 
 
 def _live_blocks(state: DampedLagrangianState, target: TorusPoint, k_max: int):
@@ -166,7 +157,7 @@ def damped_birkhoff_sum(state: DampedLagrangianState, target: TorusPoint) -> com
 
     Raises:
         OddNError: if 1/state.h is not an even integer.
-        TruncationOverflowError: if the closed-form half-width exceeds 50_000_000.
+        TruncationOverflowError: if :func:`_half_width` refuses the window.
     """
     parts = [np.exp(expo) for _, expo in _live_blocks(state, target, _half_width(state))]
     return complex(np.sum(np.concatenate(parts)))

@@ -402,7 +402,7 @@ def _manifest(cfg: ExperimentConfig, experiment: str, fitted: Mapping) -> dict:
             "platform": sys.platform,
             "machine": platform.machine(),
             # frac_turns reduces the long-double turns of gaussian_eval and
-            # damped_birkhoff_sum; long double is float64 on some platforms.
+            # birkhoff._live_blocks; long double is float64 on some platforms.
             "longdouble_eps": float(np.finfo(np.longdouble).eps),
             # LAPACK's eigenphases (and so eigenphases.csv) can move with
             # the BLAS build and its thread count.

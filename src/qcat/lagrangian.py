@@ -43,7 +43,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .classical import Sl2IntMatrix, TorusPoint, spectral_data
-from .errors import TruncationOverflowError
 from .metaplectic import GaussianState, mod1, propagate_n, wavepacket
 from .torus import OverlapForm, certified_radius, line_tail_bound
 
@@ -199,14 +198,13 @@ def _band_m_range(form: OverlapForm, target: TorusPoint, tail: float) -> tuple[i
     """Certified m-window: outside it, sum of |form| along the band <= tail.
 
     |term(m)| <= peak * exp(-mu (q0 + m - center_q)^2 / 2), so the window is
-    the smallest radius that :func:`qcat.torus.line_tail_bound` certifies.
+    the :func:`qcat.torus.certified_radius` of :func:`qcat.torus.line_tail_bound`.
+
+    Raises:
+        TruncationOverflowError: if that radius is above ``_MAX_BAND_TERMS``.
     """
     center, mu, peak = form.envelope()
-    if peak <= tail:
-        return 0, -1  # everything is negligible; empty range
-    radius = certified_radius(peak, mu, tail, line_tail_bound)
-    if radius > _MAX_BAND_TERMS:
-        raise TruncationOverflowError("certified band window exceeds the term cap")
+    radius = certified_radius(peak, mu, tail, line_tail_bound, _MAX_BAND_TERMS)
     mid = center[0] - target.q
     return math.floor(mid - radius), math.ceil(mid + radius)
 
@@ -216,8 +214,6 @@ def band_sum(form: OverlapForm, state: DampedLagrangianState, target: TorusPoint
     columns of ``target`` (:func:`band_rows`), over the window certified to
     ``_BAND_TAIL``."""
     m_lo, m_hi = _band_m_range(form, target, _BAND_TAIL)
-    if m_hi < m_lo:
-        return 0.0 + 0.0j
     m = np.arange(m_lo, m_hi + 1)
     k = band_rows(state, target, m)
     q = target.q + m

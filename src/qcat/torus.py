@@ -11,9 +11,12 @@ sum of the package goes through one type, :class:`OverlapForm`: the overlap
 pref * exp(E(y, w)) with E a complex quadratic in the moving center (y, w).
 ``envelope()`` bounds its modulus by a Gaussian around a decay center,
 ``box()`` takes the smallest radius whose discarded shells an explicit
-error-function tail bounds (:func:`certified_radius`, which also certifies
-windows on a line: the band sums' and the damped Birkhoff sum's) and fails
-loudly past its term cap, and ``terms()`` evaluates it.
+error-function tail bounds, and ``terms()`` evaluates it.
+
+Every truncated sum of the package (the lattice box, the band and Birkhoff
+windows, the periodized samples and the Husimi window) takes the smallest
+certified radius of :func:`certified_radius`, the one place that refuses a
+window past its cap.
 
 A box is never formed whole.  On each row of the box Re E is a concave
 quadratic in w, so the columns where exp(Re E) can be nonzero in float64 are
@@ -82,9 +85,9 @@ __all__ = [
 # Lattice pairing: certified tail relative to |g| |test|, and the term cap.
 _PAIR_TAIL = 1e-13
 _MAX_TERMS = 5_000_000
-# Periodized samples: the images of a packet are summed down to this modulus,
-# on at most this many points, evaluated in blocks of at most _SAMPLE_BLOCK
-# (about 105 bytes of temporaries each).  A Husimi window has the same cap.
+# Periodized samples: the images left out of a sample sum to at most this
+# times |amplitude|; at most _MAX_SAMPLES points, the Husimi window's cap too,
+# are formed in blocks of _SAMPLE_BLOCK (about 105 bytes of temporaries each).
 _SAMPLE_TAIL = 1e-16
 _MAX_SAMPLES = 1 << 24
 _SAMPLE_BLOCK = 1 << 18
@@ -112,25 +115,23 @@ def even_n_from_h(h: float) -> int:
 
 
 def periodized_samples(g: GaussianState) -> np.ndarray:
-    """v_r = sum_m g(r/N + m) for r = 0..N-1 with N = 1/g.h, truncated below
-    ``_SAMPLE_TAIL``.
+    """v_r = sum_m g(r/N + m) for r = 0..N-1 with N = 1/g.h, each sum leaving
+    out at most ``_SAMPLE_TAIL`` |A|: |g(x)| = |A| exp(-mu (x - q)^2 / 2) with
+    mu = 2 pi Im(theta) / h, so :func:`certified_radius` on a line gives the
+    half-width K, and the 2K + 1 periods |m - floor(q)| <= K hold every image
+    with |r/N + m - q| <= K.
 
     Raises:
         OddNError: if 1/g.h is not an even integer.
-        TruncationOverflowError: before forming any array, if the window of
-            2 * half periods of N samples each has more than ``_MAX_SAMPLES``.
+        TruncationOverflowError: before forming any array, if those periods
+            hold more than ``_MAX_SAMPLES`` samples.
     """
     N = even_n_from_h(g.h)
-    im = complex(g.theta).imag
-    half = math.sqrt(g.h * math.log(max(abs(g.amplitude), 1.0) / _SAMPLE_TAIL)
-                     / (math.pi * im)) + 1.0
-    if not 2.0 * half * N <= _MAX_SAMPLES:
-        raise TruncationOverflowError(
-            f"periodized samples span {2.0 * half:.4g} periods of {N} points, "
-            f"more than the cap of {_MAX_SAMPLES} samples"
-        )
-    m_lo = math.floor(g.q - half) - 1
-    m_hi = math.ceil(g.q + half) + 1
+    amp = abs(g.amplitude)
+    half = certified_radius(amp, 2.0 * math.pi * complex(g.theta).imag / g.h,
+                            _SAMPLE_TAIL * amp, line_tail_bound, (_MAX_SAMPLES // N - 1) // 2)
+    m_lo = math.floor(g.q) - half
+    m_hi = math.floor(g.q) + half
     r = np.arange(N) / N
     step = max(1, _SAMPLE_BLOCK // N)
     total = np.zeros((0, N), dtype=complex)
@@ -160,13 +161,19 @@ def line_tail_bound(k: float, mu: float) -> float:
     )
 
 
-def certified_radius(peak: float, mu: float, target: float, tail_bound) -> int:
+def certified_radius(peak: float, mu: float, target: float, tail_bound, cap: int) -> int:
     """Smallest radius r >= 1 with peak * tail_bound(r, mu) <= target.
 
     ``tail_bound`` is :func:`shell_tail_bound` for a square box and
     :func:`line_tail_bound` for a window on a line.  Both decrease in r, so
     double past the radius and then bisect.
+
+    Raises:
+        TruncationOverflowError: if mu is not positive (NaN included), or if
+            the radius is above ``cap``, the largest the caller can form.
     """
+    if not mu > 0.0:
+        raise TruncationOverflowError(f"window curvature {mu} is not positive")
     lo, radius = 0, 1
     while peak * tail_bound(radius, mu) > target:
         lo, radius = radius, 2 * radius
@@ -176,6 +183,8 @@ def certified_radius(peak: float, mu: float, target: float, tail_bound) -> int:
             lo = mid
         else:
             radius = mid
+    if radius > cap:
+        raise TruncationOverflowError(f"certified radius {radius} is above the cap {cap}")
     return radius
 
 
@@ -235,11 +244,8 @@ class OverlapForm(NamedTuple):
                 terms.
         """
         center, mu, peak = self.envelope()
-        radius = certified_radius(peak, mu, target, shell_tail_bound)
-        if (2 * radius + 1) ** 2 > max_terms:
-            raise TruncationOverflowError(
-                f"certified radius {radius} needs more than {max_terms} lattice terms"
-            )
+        radius = certified_radius(peak, mu, target, shell_tail_bound,
+                                  (math.isqrt(max_terms) - 1) // 2)
         c1, c2 = round(center[0] - y0), round(center[1] - w0)
         rows = np.arange(c1 - radius, c1 + radius + 1)
         lo, hi = self._row_columns(y0 + rows, w0, c2 - radius, c2 + radius)
@@ -484,9 +490,10 @@ def husimi(g: GaussianState, resolution: int) -> np.ndarray:
     length-R FFT of the window folded by l mod R, and no grid phase needs a
     floating-point reduction mod 1.
 
-    The window keeps every l with exp(-pi (l - Nq)^2 / N) >= e^-40, i.e.
-    |l - Nq| <= ceil(sqrt(40 N / pi)) plus a guard of 2; it starts at a
-    multiple of R so the fold is a reshape and a sum.
+    The weights exp(-pi (l - Nq)^2 / N) left out of a row sum to at most
+    e^-40 (:func:`certified_radius` on a line, mu = 2 pi / N): the row keeps
+    every l with |l - Nq| <= K.  It spans blocks = (2K + 1) // R + 2 blocks
+    of R, starting at a multiple of R, so the fold is a reshape and a sum.
 
     Raises:
         ValueError: if ``resolution`` is below 8.
@@ -498,7 +505,9 @@ def husimi(g: GaussianState, resolution: int) -> np.ndarray:
         raise ValueError(f"resolution must be at least 8, got {resolution}")
     R = resolution
     N = even_n_from_h(g.h)
-    half = math.ceil(math.sqrt(40.0 * N / math.pi)) + 2
+    # R rows of at least 2K + 1 entries each; the exact size is checked below.
+    half = certified_radius(1.0, 2.0 * math.pi / N, math.exp(-40.0), line_tail_bound,
+                            (_MAX_SAMPLES // R - 1) // 2)
     blocks = (2 * half + 1) // R + 2
     if R * blocks * R > _MAX_SAMPLES:
         raise TruncationOverflowError(

@@ -232,38 +232,10 @@ def orbit_turns(alpha: float, N: int, k: np.ndarray, x: float) -> np.ndarray:
     return np.asarray(y_turns - np.floor(y_turns), dtype=float)
 
 
-_SCAN_CAP = 50_000_000
-_SCAN_BLOCK_MAX = 1 << 20
-
-
-def _support_half_width(chi, m_time: float, cutoff: float = 1e-14, consecutive: int = 8) -> int:
-    """Oracle window of any window chi, found by scanning instead of by a
-    certificate: the smallest K >= 0 such that |chi(k/m_time)| < ``cutoff``
-    for each of the ``consecutive`` values k = K+1, ..., K+consecutive (by
-    default 1e-14 and 8).
-
-    chi is evaluated on blocks of k that start at 1024 entries and double up
-    to 2^20, and each block is dropped once scanned, so memory stays
-    bounded.  The last ``consecutive`` - 1 flags of each block are carried
-    into the next, which makes a run that straddles two blocks count
-    exactly as if k were scanned one at a time.
-
-    Raises:
-        ValueError: if no such run ends at k <= 50_000_000.
-    """
-    carry = np.zeros(consecutive - 1, dtype=bool)
-    start, size = 1, 1024
-    while start <= _SCAN_CAP:
-        k = np.arange(start, min(start + size, _SCAN_CAP + 1))
-        vals = np.broadcast_to(np.asarray(chi(k / m_time), dtype=complex), k.shape)
-        below = np.concatenate((carry, np.abs(vals) < cutoff))
-        runs = np.lib.stride_tricks.sliding_window_view(below, consecutive).all(axis=1)
-        hits = np.flatnonzero(runs)
-        if hits.size:
-            # below[j] flags k = start - (consecutive - 1) + j, and the run
-            # from j covers k = K + 1, ..., K + consecutive.
-            return start - consecutive + int(hits[0])
-        carry = below[below.size - (consecutive - 1):]
-        start += k.size
-        size = min(2 * size, _SCAN_BLOCK_MAX)
-    raise ValueError("damping window does not decay")
+def scan_radius(peak: float, mu: float, target: float, tail_bound) -> int:
+    """Oracle of ``torus.certified_radius``: the radius found by stepping
+    r = 1, 2, ... until peak * tail_bound(r, mu) <= target."""
+    radius = 1
+    while peak * tail_bound(radius, mu) > target:
+        radius += 1
+    return radius

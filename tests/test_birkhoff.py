@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import _support_half_width, child_peak_mib, orbit_turns
+from conftest import child_peak_mib, orbit_turns
 from oracles import InterferenceObservable, band_distance, gaussian_damping
 from qcat import birkhoff
 from qcat.classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_points, spectral_data,
@@ -80,61 +80,6 @@ _GAUSSIAN_OBS = {
         beta=damping_coefficient(_NONSYMMETRIC),
     ),
 }
-_WINDOWS = {
-    "indicator": lambda u: ((np.asarray(u, dtype=float) >= 0.0)
-                            & (np.asarray(u, dtype=float) <= 1.0)).astype(float),
-    "gauss3": lambda u: np.exp(-3.0 * np.asarray(u, dtype=float) ** 2),
-    **{name: gaussian_damping(obs) for name, obs in _GAUSSIAN_OBS.items()},
-}
-
-
-def _scan_half_width(chi, m_time, cutoff=1e-14, consecutive=8):
-    """Oracle of the blocked scan: the window found by evaluating chi at
-    one k at a time."""
-    k = 0
-    below = 0
-    while below < consecutive:
-        k += 1
-        if abs(complex(np.asarray(chi(k / m_time), dtype=complex))) < cutoff:
-            below += 1
-        else:
-            below = 0
-        if k > 50_000_000:
-            raise ValueError("damping window does not decay")
-    return k - consecutive
-
-
-@pytest.mark.parametrize(
-    "m_time", [1, 23, _LAM ** 6, _LAM ** 12, _LAM ** 13],
-    ids=["1", "23", "lam^6", "lam^12", "lam^13"],
-)
-@pytest.mark.parametrize("window", sorted(_WINDOWS))
-def test_support_half_width_matches_scan(window, m_time):
-    chi = _WINDOWS[window]
-    assert _support_half_width(chi, m_time) == _scan_half_width(chi, m_time)
-
-
-@pytest.mark.parametrize(
-    "support",
-    [range(1, last + 1) for last in (1016, 1017, 1020, 1023, 1024)]
-    + [[*range(1, 1021), 1026], [*range(1, 1021), 1029]],
-    ids=lambda support: f"up_to_{max(support)}",
-)
-def test_support_half_width_runs_across_blocks(support):
-    # The first block holds k = 1..1024: a run of |chi| < cutoff that starts
-    # near its end is completed, or broken, by the next block.
-    ks = np.array(list(support), dtype=float)
-    chi = lambda u: np.isin(np.asarray(u, dtype=float), ks).astype(float)
-    assert _support_half_width(chi, 1) == _scan_half_width(chi, 1)
-
-
-def test_support_half_width_zero_window():
-    narrow = lambda u: np.exp(-40.0 * np.asarray(u, dtype=float) ** 2)
-    zero = lambda u: 0.0  # a scalar for every input, as chi may return
-    for chi in (narrow, zero):
-        assert _support_half_width(chi, 1.0) == _scan_half_width(chi, 1.0) == 0
-
-
 def _mu(obs, m_time):
     """The curvature of |chi_h(k/M)| = exp(-mu k^2 / 2), M = ``m_time``,
     formed as ``birkhoff._half_width`` forms it."""
@@ -169,9 +114,9 @@ def _certified_edge(obs, k):
 @pytest.mark.parametrize("window", sorted(_GAUSSIAN_OBS))
 def test_half_width_closed_form(window, m_time):
     # K is the smallest radius >= 1 that line_tail_bound certifies, up to
-    # lam^18 where K is about 7e6.  The closed form that guards the cap,
-    # M sqrt(h ln(1e14) / Re gamma0) where |chi_h| itself falls to 1e-14,
-    # stays within 25% (plus one) below it: the cap holds the window too.
+    # lam^18 where K is about 7e6.  The closed form
+    # M sqrt(h ln(1e14) / Re gamma0), where |chi_h| itself falls to 1e-14,
+    # stays within 25% (plus one) below it.
     obs = _GAUSSIAN_OBS[window]
     k_max = _half_width(_sum_args(obs, 0.0, m_time)[0])
     assert _certified(obs, m_time, k_max)
@@ -198,11 +143,16 @@ def test_half_width_at_the_cutoff(window, k_target):
     assert widths == {k_target, k_target + 1}
 
 
+def _negligible_radius(obs, m_time):
+    """The radius past which |chi_h(k/M)| < 1e-30, M = ``m_time``."""
+    return math.ceil(m_time * math.sqrt(obs.h * math.log(1e30) / obs.gamma0.real))
+
+
 def _tail_mass(obs, m_time, k_max):
     """Oracle: sum_{|k| > K} |chi_h(k/m_time)| term by term, out to where
     |chi_h| < 1e-30 (|chi_h| is even in k)."""
     chi = gaussian_damping(obs)
-    k = np.arange(k_max + 1, _support_half_width(chi, m_time, cutoff=1e-30) + 1)
+    k = np.arange(k_max + 1, _negligible_radius(obs, m_time) + 1)
     return 2.0 * float(np.sum(np.abs(chi(k / m_time))))
 
 
@@ -223,26 +173,37 @@ def test_window_certificate(matrix, n_dim, n):
 
 def test_half_width_cap_precedes_certificate():
     # At n = 370, M^2 = lam^740 leaves the float range and mu underflows to
-    # 0, where line_tail_bound divides by zero: the closed form refuses the
-    # window before the certificate's search starts.
+    # 0, where line_tail_bound divides by zero: certified_radius refuses
+    # mu = 0 before its search starts.
     obs, _, state, target = _live_case(_CAT, 256, 370, 0.4137)
     mu = _mu(obs, state.lam ** state.n)
     assert mu == 0.0
     with pytest.raises(ZeroDivisionError):
         line_tail_bound(1, mu)
     for call in (lambda: _half_width(state), lambda: damped_birkhoff_sum(state, target)):
-        with pytest.raises(TruncationOverflowError, match="exceeds the cap 50000000"):
+        with pytest.raises(TruncationOverflowError, match="^window curvature 0.0 is not positive$"):
             call()
 
 
+def test_support_half_width_zero_window():
+    # At M = 1, |chi_h(+-1)| is far below 1e-14: the window is the smallest,
+    # K = 1, and the sum is its k = 0 term, the profile at the start s' = s0.
+    for obs in _GAUSSIAN_OBS.values():
+        state, target = _sum_args(obs, obs.s0, 1.0)
+        want, mass = _full_window_sum(obs, gaussian_damping(obs), obs.s0, 1.0)
+        assert _half_width(state) == 1 and mass == abs(obs.profile(0.0))
+        assert abs(damped_birkhoff_sum(state, target) - want) <= _DROPPED + _ROUNDING * mass
+
+
 def test_support_half_width_cap():
-    # At N = 256, n = 30 the closed-form K is about 6e11, past the 5e7 cap:
+    # At N = 256, n = 30 the certified K is about 7.7e11, past the 5e7 cap:
     # the sum raises before it forms any array.
     _, _, state, target = _live_case(_CAT, 256, 30, 0.4137)
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        with pytest.raises(TruncationOverflowError, match="exceeds the cap 50000000"):
+        with pytest.raises(TruncationOverflowError,
+                           match=r"^certified radius \d+ is above the cap 50000000$"):
             damped_birkhoff_sum(state, target)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
@@ -267,7 +228,7 @@ def _full_window_sum(obs, chi, x, m_time):
     x_k = x + k alpha is rounded in float64 as the kernel rounds it: the
     phase q0 d_k / h scales an ulp of x_k by 1/h, so another rounding of
     x_k would move the sum by more than the truncation bounded here."""
-    k_max = _support_half_width(chi, m_time, cutoff=1e-30)
+    k_max = _negligible_radius(obs, m_time)
     k = np.arange(-k_max, k_max + 1)
     alpha, n_dim = _skew(obs)
     alpha_l = np.longdouble(alpha)

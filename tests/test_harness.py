@@ -644,6 +644,17 @@ def test_cli_1e20_matrix_builds_its_propagator(tmp_path, capsys):
             assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("matrix", [(-2, -1, -1, -1), (0, 1, -1, 3)], ids=["trace-below-2", "a-zero"])
+def test_cli_runs_the_whole_family(tmp_path, matrix, experiment):
+    # Every hyperbolic matrix takes the one propagation path: each experiment
+    # on a trace < -2 matrix and on an a = 0 matrix returns 0 at N = 16, 64
+    # (both exited 3 while propagation refused them).
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps({"matrix": list(matrix), "N_values": [16, 64]}), encoding="utf-8")
+    assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / experiment)]) == 0
+
+
 def test_cli_huge_grid_resolution_fails_typed(tmp_path):
     # An R x (blocks R) Husimi window at R = 20000 would take 6 GiB; under a
     # 3 GiB address-space limit it ended in a MemoryError traceback (exit 1).

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_at_box_points, mod_circle_distance
+from conftest import dense_at_box_points, mod_circle_distance, scan_radius
 from oracles import band_distance, check_pointwise_approx, lagrangian_eval, tanh_sinh
 from qcat import lagrangian
 from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
@@ -182,13 +182,10 @@ def _dense_field_values(form, q, p):
 
 
 def _scan_off_band_radius(form):
-    """Oracle: the off-band radius found by stepping r = 1, 2, ... until
+    """Oracle: the off-band radius found by stepping (:func:`scan_radius`) to
     peak * shell_tail_bound(r, mu) <= 1e-16 * peak."""
     _, mu, peak = form.envelope()
-    radius = 1
-    while peak * shell_tail_bound(radius, mu) > 1e-16 * max(peak, 1e-300):
-        radius += 1
-    return radius
+    return scan_radius(peak, mu, 1e-16 * max(peak, 1e-300), shell_tail_bound)
 
 
 def _dense_off_band_tail(form, state, target, radius):
@@ -273,7 +270,7 @@ def test_off_band_tail_matches_dense_oracle(cat):
 
 def test_off_band_radius_matches_scan(cat, monkeypatch):
     # The certified radius r is read off the term cap: a cap of (2r+1)^2
-    # terms is enough, one term less is not.
+    # terms is enough, and one term less caps the radius at r - 1.
     for form, state in _off_band_cases(cat):
         radius = _scan_off_band_radius(form)
         box = (2 * radius + 1) ** 2
@@ -281,21 +278,8 @@ def test_off_band_radius_matches_scan(cat, monkeypatch):
         off_band_tail(form, state, _TARGET)
         monkeypatch.setattr(lagrangian, "_MAX_BAND_TERMS", box - 1)
         with pytest.raises(TruncationOverflowError,
-                           match=f"^certified radius {radius} needs more than {box - 1} lattice terms$"):
+                           match=f"^certified radius {radius} is above the cap {radius - 1}$"):
             off_band_tail(form, state, _TARGET)
-
-
-def _scan_band_window(form, target, tail):
-    """Oracle: the band window from the radius found by stepping r = 1, 2, ...
-    until peak * line_tail_bound(r, mu) <= tail; empty if the peak is."""
-    center, mu, peak = form.envelope()
-    if peak <= tail:
-        return 0, -1
-    radius = 1
-    while peak * line_tail_bound(radius, mu) > tail:
-        radius += 1
-    mid = center[0] - target.q
-    return math.floor(mid - radius), math.ceil(mid + radius)
 
 
 def test_band_window_matches_line_scan_and_is_sound(cat):
@@ -309,7 +293,10 @@ def test_band_window_matches_line_scan_and_is_sound(cat):
     for form, _ in _off_band_cases(cat, ((64, 3), (1024, 8))):
         for tail, scale in ((1e-14, 1.0), (1e-8, 1.0), (1e-6, 1e-3), (1e-2, 1.0)):
             m_lo, m_hi = _band_m_range(form, target, tail * scale)
-            assert (m_lo, m_hi) == _scan_band_window(form, target, tail * scale)
+            center, mu, peak = form.envelope()
+            radius = scan_radius(peak, mu, tail * scale, line_tail_bound)
+            mid = center[0] - target.q
+            assert (m_lo, m_hi) == (math.floor(mid - radius), math.ceil(mid + radius))
             # Wide enough that every value past it underflows to zero.
             pad = 10 * max(m_hi - m_lo, 100)
             m = np.arange(min(m_lo, 0) - pad, max(m_hi, 0) + pad + 1)

@@ -10,7 +10,7 @@ import pytest
 
 import qcat.torus
 from conftest import (child_peak_mib, comb_propagator_matrix, comb_state, dense_at_box_points,
-                      dense_comb_gram_min_eig)
+                      dense_comb_gram_min_eig, scan_radius)
 from oracles import (PlaneTranslation, TorusState, gaussian_overlap, lagrangian_eval, overlap_quadrature,
                      pair_from_coefficients, pinned_propagator_matrix, torus_coefficients, translate)
 from qcat.classical import Sl2IntMatrix, TorusPoint, ehrenfest_time, spectral_data
@@ -32,7 +32,9 @@ from qcat.metaplectic import GaussianState, cis_turns, gaussian_eval, propagate_
 from qcat.torus import (
     _shear_chain,
     build_propagator_matrix,
+    certified_radius,
     husimi,
+    line_tail_bound,
     matrix_element_exact,
     overlap_form,
     pair_symmetrized_detailed,
@@ -97,14 +99,9 @@ def test_overlap_form_refuses_a_propagated_test(cat):
 
 
 def _scan_certified_radius(g, test, tail_target=1e-13):
-    """Oracle: the certified radius found by stepping r = 1, 2, ... until
-    peak * shell_tail_bound(r, mu) <= tail_target * |g| |test|."""
+    """Oracle: the radius of the pairing's box, by stepping (:func:`scan_radius`)."""
     _, mu, peak = overlap_form(g, test).envelope()
-    target = tail_target * max(g.norm * test.norm, 1e-300)
-    radius = 1
-    while peak * shell_tail_bound(radius, mu) > target:
-        radius += 1
-    return radius
+    return scan_radius(peak, mu, tail_target * max(g.norm * test.norm, 1e-300), shell_tail_bound)
 
 
 def test_certified_radius_matches_scan(cat):
@@ -116,7 +113,8 @@ def test_certified_radius_matches_scan(cat):
         _, trunc = pair_symmetrized_detailed(g, test)
         assert trunc.radius == _scan_certified_radius(g, test), (n_dim, n)
 
-    # Past the term cap the same radius is reported, without stepping up to it.
+    # Past the term cap the same radius is reported, without stepping up to
+    # it, with the largest radius under the cap: (2 * 1117 + 1)^2 <= 5e6.
     h = 1.0 / 1024
     g = propagate_n(cat, wavepacket(src.q, src.p, h), 16)
     radius = _scan_certified_radius(g, wavepacket(dst.q, dst.p, h))
@@ -125,7 +123,86 @@ def test_certified_radius_matches_scan(cat):
     with pytest.raises(TruncationOverflowError) as err:
         matrix_element_exact(cat, 16, src, dst, 1024)
     assert time.perf_counter() - start < 0.25
-    assert str(err.value) == f"certified radius {radius} needs more than 5000000 lattice terms"
+    assert str(err.value) == f"certified radius {radius} is above the cap 1117"
+
+
+# (peak, mu, target) of each truncated sum at one cell of its range: the
+# lattice box (cat N = 256, n = 6), the band window (1024, 8), the Birkhoff
+# window (256, 12), the periodized samples at (144, 6) and (256, 11), and the
+# Husimi window at N = 16 and 4096.
+_CALLER_WINDOWS = [(0.0788, 0.0155, 1e-13), (0.0301, 1.32e-3, 1e-14), (1.0, 2.07e-7, 1e-14),
+                   (0.249, 0.0121, 2.49e-17), (0.0259, 1.42e-6, 2.59e-18),
+                   (1.0, math.pi / 8, math.exp(-40.0)), (1.0, math.pi / 2048, math.exp(-40.0))]
+
+
+@pytest.mark.parametrize("tail_bound", [shell_tail_bound, line_tail_bound], ids=["shell", "line"])
+def test_certified_radius_is_the_first_certified_step(tail_bound):
+    # The radius found by stepping, at each caller's values and on a grid
+    # around them (radii 1 to about 2e4).  A cap of that radius passes, and
+    # one less is refused with both named.
+    grid = itertools.product((1e-4, 1.0, 1e4), (1e-5, 0.1, 100.0), (1e-16, 1e-8))
+    for peak, mu, target in [*_CALLER_WINDOWS, *grid]:
+        radius = scan_radius(peak, mu, target, tail_bound)
+        assert certified_radius(peak, mu, target, tail_bound, radius) == radius
+        with pytest.raises(TruncationOverflowError,
+                           match=f"^certified radius {radius} is above the cap {radius - 1}$"):
+            certified_radius(peak, mu, target, tail_bound, radius - 1)
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.5, math.nan], ids=["zero", "negative", "nan"])
+def test_certified_radius_refuses_a_curvature_that_is_not_positive(mu):
+    # Both bounds divide by zero at mu = 0, and a NaN mu would certify
+    # radius 1, since every comparison with NaN is false.
+    for tail_bound in (shell_tail_bound, line_tail_bound):
+        with pytest.raises(TruncationOverflowError,
+                           match=f"^window curvature {mu} is not positive$"):
+            certified_radius(1.0, mu, 1e-14, tail_bound, 10 ** 9)
+
+
+@pytest.mark.parametrize("n_dim, n", [(144, 6), (256, 11)])
+def test_sample_window_certificate(cat, monkeypatch, n_dim, n):
+    # The periods formed are the 2K + 1 around floor(q), K certified and K - 1
+    # not.  The images left out of each sample sum to at most 1e-16 |A|,
+    # counted out to 3K periods on each side (below e^-300 of the peak).
+    g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / n_dim), n)
+    periods = []
+
+    def recorded(state, x):
+        periods.append(x[:, 0])  # the column r = 0 of x = r/N + m is m itself
+        return gaussian_eval(state, x)
+
+    monkeypatch.setattr(qcat.torus, "gaussian_eval", recorded)
+    periodized_samples(g)
+    m = np.concatenate(periods)
+    half = (m.size - 1) // 2
+    assert np.array_equal(m, math.floor(g.q) + np.arange(-half, half + 1))
+    mu = 2.0 * math.pi * complex(g.theta).imag / g.h  # |g(x)| = |A| exp(-mu (x - q)^2 / 2)
+    assert line_tail_bound(half, mu) <= 1e-16 < line_tail_bound(half - 1, mu)
+    assert mu / 2.0 * (3 * half - 1) ** 2 > 300.0
+    out = np.concatenate((m[0] - np.arange(1, 2 * half + 1), m[-1] + np.arange(1, 2 * half + 1)))
+    dropped = [np.sum(np.exp(-mu / 2.0 * (r + out - g.q) ** 2)) for r in np.arange(n_dim) / n_dim]
+    assert 0.0 < max(dropped) <= 1e-16
+
+
+@pytest.mark.parametrize("n_dim", [16, 144, 4096])
+def test_husimi_window_certificate(monkeypatch, n_dim):
+    # K certified and K - 1 not; the weights exp(-pi (l - c)^2 / N) left out
+    # of each frame row sum to at most e^-40, counted out to where they underflow.
+    radii = []
+
+    def recorded(*args):
+        radii.append(certified_radius(*args))
+        return radii[-1]
+
+    monkeypatch.setattr(qcat.torus, "certified_radius", recorded)
+    husimi(wavepacket(0.3, 0.4, 1.0 / n_dim), 24)
+    half, mu = radii[0], 2.0 * math.pi / n_dim  # the frame's window comes before the samples'
+    assert line_tail_bound(half, mu) <= math.exp(-40.0) < line_tail_bound(half - 1, mu)
+    for center in n_dim * np.arange(24) / 24:
+        d = np.arange(math.floor(center) - 5 * half, math.ceil(center) + 5 * half + 1) - center
+        weights = np.exp(-math.pi * d * d / n_dim)
+        assert weights[0] == weights[-1] == 0.0
+        assert np.sum(weights[np.abs(d) > half]) <= math.exp(-40.0)
 
 
 def _dense_pairing_box(g, test, radius, offset=(0, 0)):
@@ -476,19 +553,21 @@ def test_comb_gram_min_eig_matches_dense_oracle(n_dim):
 
 def test_periodized_samples_cap(cat, monkeypatch):
     # A packet spread over 4e150 periods (egorov at N = 16, n = 360) is
-    # refused before any array is formed.
+    # refused before any array is formed; at N = 16 the largest radius is
+    # (2^24 / 16 - 1) // 2.
     g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / 16.0), 360)
-    with pytest.raises(TruncationOverflowError, match="more than the cap of 16777216 samples"):
+    with pytest.raises(TruncationOverflowError, match="is above the cap 524287$"):
         periodized_samples(g)
-    # The cap bounds 2 * half * N: a window of exactly the cap passes.
+    # The cap bounds the (2K + 1) N samples formed: a window of exactly the
+    # cap passes, and one sample less refuses K.
     g = propagate_n(cat, wavepacket(0.3, 0.4, 1.0 / 16.0), 3)
-    im = complex(g.theta).imag
-    tail = qcat.torus._SAMPLE_TAIL
-    half = math.sqrt(g.h * math.log(max(abs(g.amplitude), 1.0) / tail) / (math.pi * im)) + 1.0
-    monkeypatch.setattr(qcat.torus, "_MAX_SAMPLES", 2.0 * half * 16)
+    amp, mu = abs(g.amplitude), 2.0 * math.pi * complex(g.theta).imag / g.h
+    half = scan_radius(amp, mu, qcat.torus._SAMPLE_TAIL * amp, line_tail_bound)
+    monkeypatch.setattr(qcat.torus, "_MAX_SAMPLES", (2 * half + 1) * 16)
     assert periodized_samples(g).shape == (16,)
-    monkeypatch.setattr(qcat.torus, "_MAX_SAMPLES", math.floor(2.0 * half * 16))
-    with pytest.raises(TruncationOverflowError):
+    monkeypatch.setattr(qcat.torus, "_MAX_SAMPLES", (2 * half + 1) * 16 - 1)
+    with pytest.raises(TruncationOverflowError,
+                       match=f"^certified radius {half} is above the cap {half - 1}$"):
         periodized_samples(g)
 
 
@@ -518,8 +597,8 @@ def test_periodized_samples_blocks_keep_the_bits(cat, monkeypatch):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_periodized_samples_memory_is_one_block():
-    # 2^21 samples in a fresh interpreter: the whole long-double grid would
-    # take about 105 bytes a sample (peak near 220 MiB); blocks of 2^18
+    # About 2.3e6 samples in a fresh interpreter: the whole long-double grid
+    # would take about 105 bytes a sample (peak near 240 MiB); blocks of 2^18
     # samples keep the peak near 55 MiB.
     code = (
         "import math\n"
