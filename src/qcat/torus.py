@@ -169,11 +169,14 @@ def certified_radius(peak: float, mu: float, target: float, tail_bound, cap: int
     double past the radius and then bisect.
 
     Raises:
-        TruncationOverflowError: if mu is not positive (NaN included), or if
-            the radius is above ``cap``, the largest the caller can form.
+        TruncationOverflowError: if mu is not positive (NaN included), if
+            0.5 * mu underflows to 0, so that neither bound falls, or if the
+            radius is above ``cap``, the largest the caller can form.
     """
     if not mu > 0.0:
         raise TruncationOverflowError(f"window curvature {mu} is not positive")
+    if not 0.5 * mu > 0.0:
+        raise TruncationOverflowError(f"window curvature {mu} underflows: 0.5 * mu is 0")
     lo, radius = 0, 1
     while peak * tail_bound(radius, mu) > target:
         lo, radius = radius, 2 * radius

@@ -3,7 +3,8 @@ runs, kept here so that the tests can check the production route against an
 independent one.
 
 - Quadrature: adaptive tanh-sinh integration and the propagator-kernel
-  oracle, which evaluates the quantized-map integral
+  oracle, which evaluates at many points x at once the quantized-map
+  integral of a Gaussian state f
 
       [U f](x) = a^(-1/2) int exp(2*pi*i*S(x, xi)/h) fhat(xi) dxi,
       S(x, xi) = (c x^2 + 2 x xi - b xi^2) / (2 a),
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from qcat.classical import (FlowCoefficients, QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients,
+from qcat.classical import (QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients,
                             spectral_data)
 from qcat.errors import (MismatchedHError, NonPositiveHError, NumericalToleranceError, OddNError,
                          QcatError, TruncationOverflowError)
@@ -121,54 +122,30 @@ def gaussian_window(g: GaussianState, tail: float = 1e-14) -> tuple[float, float
     return (g.q - half, g.q + half)
 
 
-def _window_of(f, h: float, window: tuple[float, float] | None) -> tuple[float, float]:
-    if isinstance(f, GaussianState):
-        return gaussian_window(f)
-    if window is None:
-        raise ValueError("an explicit window is required for a plain callable")
-    return window
-
-
-def _as_callable(f):
-    if isinstance(f, GaussianState):
-        return lambda x: gaussian_eval(f, x)
-    return f
-
-
-def kernel_quadrature_oracle(m, f, x: float, h: float,
-                             window: tuple[float, float] | None = None,
-                             tol: float = 1e-9, max_level: int = 11) -> complex:
-    """Value at ``x`` of the propagated function, by double quadrature.
+def kernel_quadrature_oracle(m, g: GaussianState, x, h: float,
+                             tol: float = 1e-9, max_level: int = 11) -> complex | np.ndarray:
+    """Value at ``x`` of the propagated Gaussian state, by double quadrature.
 
     ``m`` is an :class:`Sl2IntMatrix` or :class:`FlowCoefficients` with a > 0
     (the principal real branch of a^(-1/2) is used, which is the branch the
-    closed forms track for such matrices).  ``f`` is a GaussianState or a
-    vectorized callable with super-exponential decay, in which case a position
-    ``window`` containing its support must be given.
+    closed forms track for such matrices).  ``x`` is a float, for which a
+    complex is returned, or a 1-D array, for which an array is.  Each level
+    transforms g once for every x; it counts as converged when every x meets
+    the rule of :func:`tanh_sinh`.
 
     Raises:
         ZeroACoefficientError: if a = 0.
-        QuadratureNonConvergenceError: from the underlying integrator.
+        QuadratureNonConvergenceError: if two consecutive levels do not
+            converge within ``max_level``.
     """
-    if isinstance(m, Sl2IntMatrix):
-        a, b, c = float(m.a), float(m.b), float(m.c)
-    elif isinstance(m, FlowCoefficients):
-        a, b, c = m.a, m.b, m.c
-    else:
-        raise TypeError(f"unsupported propagator input {type(m)!r}")
+    a, b, c = float(m.a), float(m.b), float(m.c)
     if a == 0.0:
         raise ZeroACoefficientError("kernel formula degenerates at a = 0")
 
-    y_lo, y_hi = _window_of(f, h, window)
-    func = _as_callable(f)
-    # Frequency window: for a Gaussian input the exact transform envelope is
-    # available; otherwise fall back to a generous uncertainty-scale estimate.
-    if isinstance(f, GaussianState):
-        flo, fhi = gaussian_window(h_fourier_gaussian(f))
-        xi_half = max(abs(flo), abs(fhi)) + math.sqrt(h)
-    else:
-        sigma = max(0.25 * (y_hi - y_lo), math.sqrt(h))
-        xi_half = 10.0 * h / sigma + 10.0 * sigma
+    y_lo, y_hi = gaussian_window(g)
+    flo, fhi = gaussian_window(h_fourier_gaussian(g))
+    xi_half = max(abs(flo), abs(fhi)) + math.sqrt(h)
+    xc = np.asarray(x, dtype=float).reshape(-1, 1)
     prev = None
     agreements = 0
     for level in range(4, max_level + 1):
@@ -177,15 +154,15 @@ def kernel_quadrature_oracle(m, f, x: float, h: float,
         wy = 0.5 * (y_hi - y_lo) * ws
         xi = xi_half * xs
         wxi = xi_half * ws
-        # fhat(xi_j) = (1/h) sum_i wy_i exp(-2*i*pi*y_i*xi_j/h) f(y_i)
+        # fhat(xi_j) = (1/h) sum_i wy_i exp(-2*i*pi*y_i*xi_j/h) g(y_i)
         phase = np.exp(-2j * math.pi * np.outer(y, xi) / h)
-        fhat = (wy * func(y)) @ phase / h
-        s = (c * x * x + 2.0 * x * xi - b * xi * xi) / (2.0 * a)
-        est = complex(a ** -0.5 * np.sum(wxi * np.exp(2j * math.pi * s / h) * fhat))
-        if prev is not None and abs(est - prev) < tol * max(1.0, abs(est)):
+        fhat = (wy * gaussian_eval(g, y)) @ phase / h
+        s = (c * xc * xc + 2.0 * xc * xi - b * xi * xi) / (2.0 * a)
+        est = a ** -0.5 * np.sum(wxi * np.exp(2j * math.pi * s / h) * fhat, axis=1)
+        if prev is not None and np.all(np.abs(est - prev) < tol * np.maximum(1.0, np.abs(est))):
             agreements += 1
             if agreements >= 2:
-                return est
+                return complex(est[0]) if np.ndim(x) == 0 else est
         else:
             agreements = 0
         prev = est
@@ -194,18 +171,16 @@ def kernel_quadrature_oracle(m, f, x: float, h: float,
     )
 
 
-def overlap_quadrature(f, g, h: float, window: tuple[float, float] | None = None,
-                       tol: float = 1e-10) -> complex:
-    """int f(x) conj(g(x)) dx by tanh-sinh, for cross-checking closed forms."""
-    if window is None:
-        lo1, hi1 = _window_of(f, h, None)
-        lo2, hi2 = _window_of(g, h, None)
-        # The product decays at least as fast as the narrower factor.
-        window = (max(lo1, lo2) - 1.0, min(hi1, hi2) + 1.0)
-        if window[0] >= window[1]:
-            window = (min(lo1, lo2), max(hi1, hi2))
-    ff, gg = _as_callable(f), _as_callable(g)
-    return tanh_sinh(lambda x: ff(x) * np.conj(gg(x)), window[0], window[1], tol=tol)
+def overlap_quadrature(g1: GaussianState, g2: GaussianState, tol: float = 1e-10) -> complex:
+    """<g1, g2> = int g1(x) conj(g2(x)) dx by tanh-sinh, for cross-checking
+    the closed form."""
+    lo1, hi1 = gaussian_window(g1)
+    lo2, hi2 = gaussian_window(g2)
+    # The product decays at least as fast as the narrower factor.
+    lo, hi = max(lo1, lo2) - 1.0, min(hi1, hi2) + 1.0
+    if lo >= hi:
+        lo, hi = min(lo1, lo2), max(hi1, hi2)
+    return tanh_sinh(lambda y: gaussian_eval(g1, y) * np.conj(gaussian_eval(g2, y)), lo, hi, tol=tol)
 
 
 # ---------------------------------------------------------------- Gaussian states

@@ -356,19 +356,6 @@ def test_check_pointwise_approx(cat):
     assert abs(gaussian_eval(g, 0.0) - scale * lagrangian_eval(lag, 0.0)) < 1e-14
 
 
-def test_fitted_r_slope(cat):
-    sd = spectral_data(cat)
-    grid = np.linspace(-2.0, 2.0, 401)
-    ns = range(2, 9)
-    logs = []
-    for n in ns:
-        rep = check_pointwise_approx(cat, n, 1.0 / 64.0, grid)
-        assert rep.violations == 0
-        logs.append(math.log(rep.fitted_r))
-    slope = np.polyfit(list(ns), logs, 1)[0]
-    assert abs(slope - (-4.0 * math.log(sd.lam))) < 0.1 * 4.0 * math.log(sd.lam)
-
-
 def test_band_sum_constant_c23(cat):
     # Normalized band sum minus the windowed interference sum stays bounded by
     # one constant across h in {1/16, 1/64, 1/256}, n >= log(1/h)/log(lam).
