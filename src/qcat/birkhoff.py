@@ -53,10 +53,10 @@ with u = k/M, d_k the circle distance of s' + k alpha (float64) to s0 and
 turns_k = q0 d_k / h + y_k.  A term is live when the real part of its
 exponent is at least ln(1e-14/(2K+1)), so the scan forms no exponential and
 the pruned terms sum to at most 1e-14: at most 2e-14 is left out in all.  The
-window is walked in blocks of 2^13 terms, so memory is O(block + live), not
-O(K).  Long double is used only for the orbit phases y_k of the live terms.
-They are reduced mod 1 by ``metaplectic.frac_turns``, t - rint(t) plus 1
-where negative, which has the bits of t - floor(t) without libm's slow
+window is walked and summed in blocks of 2^13 terms, so memory is O(block),
+not O(K).  Long double is used only for the orbit phases y_k of the live
+terms.  They are reduced mod 1 by ``metaplectic.frac_turns``, t - rint(t)
+plus 1 where negative, which has the bits of t - floor(t) without libm's slow
 long-double ``floorl`` (see there for why it is exact).  Every other phase is
 reduced mod 1 in float64 by ``metaplectic.mod1``.
 """
@@ -133,13 +133,13 @@ def _live_blocks(state: DampedLagrangianState, target: TorusPoint, k_max: int):
         uu = u * u
         d = circle_distance(x + k * t, s0)
         dd = d * d
-        # The real part of the exponent formed below, bit for bit.
-        live = c_uu.real * uu + c_dd.real * dd >= log_floor
-        k, uu, d, dd = k[live], uu[live], d[live], dd[live]
+        re = c_uu.real * uu + c_dd.real * dd
+        live = np.flatnonzero(re >= log_floor)
+        k, uu, d, dd, re = k[live], uu[live], d[live], dd[live], re[live]
         k_l = np.asarray(k, dtype=np.longdouble)
         y_turns = k_l * k_l * (n_even // 2) * alpha_l + k_l * n_even * x_l
         turns = mod1(q0 * d * (1.0 / h)) + mod1(frac_turns(y_turns))
-        yield k, c_uu * uu + c_dd * dd + 2j * math.pi * turns
+        yield k, re + 1j * (c_uu.imag * uu + c_dd.imag * dd + 2.0 * math.pi * turns)
 
 
 def damped_birkhoff_sum(state: DampedLagrangianState, target: TorusPoint) -> complex:
@@ -152,15 +152,15 @@ def damped_birkhoff_sum(state: DampedLagrangianState, target: TorusPoint) -> com
     M = lam^n (real, while k stays integer) and gamma0 = pi beta.  The
     window |k| <= K of :func:`_half_width` leaves out at most 1e-14; it is
     walked in blocks (:func:`_live_blocks`), and the live terms, each one
-    exponential, leave out at most 1e-14 more.  They are summed in
-    ascending k by one ``np.sum``, so memory is O(block + live).
+    exponential, leave out at most 1e-14 more.  Each block is summed by
+    ``np.sum`` and added in ascending k, so memory is O(block).
 
     Raises:
         OddNError: if 1/state.h is not an even integer.
         TruncationOverflowError: if :func:`_half_width` refuses the window.
     """
-    parts = [np.exp(expo) for _, expo in _live_blocks(state, target, _half_width(state))]
-    return complex(np.sum(np.concatenate(parts)))
+    blocks = _live_blocks(state, target, _half_width(state))
+    return complex(sum(np.sum(np.exp(expo)) for _, expo in blocks))
 
 
 def theorem_rhs(

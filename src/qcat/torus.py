@@ -15,8 +15,9 @@ error-function tail bounds, and ``terms()`` evaluates it.
 
 Every truncated sum of the package (the lattice box, the band and Birkhoff
 windows, the periodized samples and the Husimi window) takes the smallest
-certified radius of :func:`certified_radius`, the one place that refuses a
-window past its cap.
+certified radius of :func:`certified_radius`, which refuses a window past its
+cap.  The one other cap check is :func:`husimi`'s "Husimi window", on the
+R x (blocks R) grid that it rounds the radius up to.
 
 A box is never formed whole.  On each row of the box Re E is a concave
 quadratic in w, so the columns where exp(Re E) can be nonzero in float64 are

@@ -71,6 +71,7 @@ class NegativeSpectrumError(QcatError):
 # ---------------------------------------------------------------- quadrature
 
 _T_MAX = 3.9  # |t| beyond this the tanh-sinh weight is below 1e-17
+_PHASE_BLOCK = 1 << 18  # entries of one block of the kernel oracle's phase matrix
 
 
 def tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +132,9 @@ def kernel_quadrature_oracle(m, g: GaussianState, x, h: float,
     closed forms track for such matrices).  ``x`` is a float, for which a
     complex is returned, or a 1-D array, for which an array is.  Each level
     transforms g once for every x; it counts as converged when every x meets
-    the rule of :func:`tanh_sinh`.
+    the rule of :func:`tanh_sinh`.  Its y -> xi phase matrix is formed in
+    blocks of ``_PHASE_BLOCK`` entries, so memory does not grow with the
+    square of the node count.
 
     Raises:
         ZeroACoefficientError: if a = 0.
@@ -154,9 +157,19 @@ def kernel_quadrature_oracle(m, g: GaussianState, x, h: float,
         wy = 0.5 * (y_hi - y_lo) * ws
         xi = xi_half * xs
         wxi = xi_half * ws
-        # fhat(xi_j) = (1/h) sum_i wy_i exp(-2*i*pi*y_i*xi_j/h) g(y_i)
-        phase = np.exp(-2j * math.pi * np.outer(y, xi) / h)
-        fhat = (wy * gaussian_eval(g, y)) @ phase / h
+        # fhat(xi_j) = (1/h) sum_i wy_i exp(-2*i*pi*y_i*xi_j/h) g(y_i); the two
+        # block buffers are reused, as fresh ones would be page-faulted anew.
+        wg = wy * gaussian_eval(g, y)
+        cols = max(1, _PHASE_BLOCK // y.size)
+        arg, phase = np.empty((y.size, cols)), np.empty((y.size, cols), dtype=complex)
+        fhat = np.empty(xi.size, dtype=complex)
+        for j in range(0, xi.size, cols):
+            w = min(cols, xi.size - j)
+            np.multiply.outer(y, xi[j:j + w], out=arg[:, :w])
+            p = np.multiply(-2j * math.pi, arg[:, :w], out=phase[:, :w])
+            p /= h
+            fhat[j:j + w] = wg @ np.exp(p, out=p)
+        fhat /= h
         s = (c * xc * xc + 2.0 * xc * xi - b * xi * xi) / (2.0 * a)
         est = a ** -0.5 * np.sum(wxi * np.exp(2j * math.pi * s / h) * fhat, axis=1)
         if prev is not None and np.all(np.abs(est - prev) < tol * np.maximum(1.0, np.abs(est))):

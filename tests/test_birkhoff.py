@@ -294,13 +294,13 @@ def test_live_term_sum_matches_full_window(matrix, n_dim, n, x):
     assert abs(got - want) <= _DROPPED + _ROUNDING * mass
 
 
-def _whole_window_live_sum(obs, x, m_time, k_max):
+def _whole_window_live_terms(obs, x, m_time, k_max):
     """Oracle for the blocked walk: the whole window k = -K..K at once.
     Each term is the one exponential exp(c_uu u^2 + c_dd d^2 + 2 i pi turns)
     (u = k/M, d the circle distance of x + k alpha to s0, turns = q0 d / h
     plus the orbit phase y_k), and it is live when the real part of its
     exponent is at least ln(1e-14 / (2K+1)).  Returns the live k and their
-    terms summed by one ``np.sum``."""
+    terms."""
     alpha, n_dim = _skew(obs)
     c_uu = -math.pi * complex(obs.beta) / obs.h
     c_dd = -math.pi * math.cos(obs.theta) ** 2 * complex(1.0, alpha) / obs.h
@@ -312,7 +312,7 @@ def _whole_window_live_sum(obs, x, m_time, k_max):
     live = c_uu.real * uu + c_dd.real * dd >= math.log(_TAIL / k.size)
     k, uu, d, dd = k[live], uu[live], d[live], dd[live]
     turns = mod1(obs.q0 * d * (1.0 / obs.h)) + mod1(orbit_turns(alpha, n_dim, k, x))
-    return k, complex(np.sum(np.exp(c_uu * uu + c_dd * dd + 2j * math.pi * turns)))
+    return k, np.exp(c_uu * uu + c_dd * dd + 2j * math.pi * turns)
 
 
 _B = birkhoff._BLOCK
@@ -334,11 +334,13 @@ def test_live_term_sum_across_blocks(monkeypatch, k_max, block):
     state, target = _sum_args(obs, x, m_time)
     assert _half_width(state) == k_max
     live = np.concatenate([k for k, _ in _live_blocks(state, target, k_max)])
-    want_live, want = _whole_window_live_sum(obs, x, m_time, k_max)
+    want_live, terms = _whole_window_live_terms(obs, x, m_time, k_max)
     assert k_max in want_live and np.array_equal(live, want_live)
     got = damped_birkhoff_sum(state, target)
-    # Blocking changes neither a term nor the order of the sum.
-    assert got == want
+    # Blocking changes no term: the sum is each block's np.sum, added in
+    # ascending k.
+    block_of = (want_live + k_max) // birkhoff._BLOCK
+    assert got == sum(np.sum(terms[block_of == j]) for j in np.unique(block_of))
     full, mass = _full_window_sum(obs, chi, x, m_time)
     assert abs(got - full) <= _DROPPED + _ROUNDING * mass
 
@@ -419,11 +421,12 @@ def test_live_mask_keeps_few_terms(cat):
             assert np.sum(dropped) <= _TAIL
 
 
-@pytest.mark.parametrize("n_dim, n, limit_mib", [(4096, 18, 32), (256, 16, 48)])
-def test_damped_sum_memory(cat, n_dim, n, limit_mib):
-    # Windows of 2.8e6 and 1.7e6 terms: a sum that held whole-window arrays
-    # peaked at 155 and 101 MB.  The blocked walk holds one block plus the
-    # live terms (12% and 49% of the window).
+@pytest.mark.parametrize("n_dim, n", [(4096, 18), (256, 16)])
+def test_damped_sum_memory(cat, n_dim, n):
+    # Windows of 3.3e6 and 1.9e6 terms: a sum that held whole-window arrays
+    # peaked at 155 and 101 MB, one that kept the live terms (12% and 49% of
+    # the window) until the end at 11.7 and 26.8 MiB.  Summed block by block
+    # it holds one block.
     _, _, state, target = _live_case(cat, n_dim, n, 0.4137)
     tracemalloc.start()
     try:
@@ -431,7 +434,7 @@ def test_damped_sum_memory(cat, n_dim, n, limit_mib):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < limit_mib * 2 ** 20
+    assert peak < 2 * 2 ** 20
 
 
 def test_observable_invariants(cat, rng):
@@ -529,8 +532,9 @@ def test_theorem_rhs_huge_n_fails_typed(cat, n):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_theorem_rhs_long_time_memory_is_blocked():
     # The cat map at N = 256, n = 17, a damping window of 4.3e6 terms: the
-    # blocked live-term sum peaks near 100 MiB; a sum that forms whole-window
-    # arrays peaks above 300 MiB.
+    # block-by-block sum peaks near 30 MiB, interpreter included; one that
+    # kept every live term peaked near 100 MiB, and one that forms
+    # whole-window arrays peaks above 300 MiB.
     code = (
         "from qcat.birkhoff import theorem_rhs\n"
         "from qcat.classical import Sl2IntMatrix, TorusPoint\n"

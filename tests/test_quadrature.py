@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ def test_kernel_oracle_zero_a():
             FlowCoefficients(t=1.0, a=0.0, b=-1.0, c=1.0, d=0.0),
             wavepacket(0.0, 0.0, 0.5), 0.0, 0.5,
         )
+
+
+def test_kernel_oracle_memory_without_convergence(cat):
+    # tol = 0 never converges, so every level up to 8 (1997 nodes) is formed:
+    # one whole 1997 x 1997 phase matrix per level peaked at 137 MiB.
+    h = 1.0 / 8.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureNonConvergenceError):
+            kernel_quadrature_oracle(cat, wavepacket(0.0, 0.0, h), (0.0, 0.35), h,
+                                     tol=0.0, max_level=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_overlap_quadrature_far_momentum():
