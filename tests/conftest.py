@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qcat
+from qcat import cli
 from qcat.classical import QuadraticHamiltonian, Sl2IntMatrix, flow_coefficients
 from qcat.errors import NumericalToleranceError
 
@@ -21,7 +26,10 @@ QCAT_ROOT = Path(qcat.__file__).resolve().parents[1]
 
 def run_python(args, cwd=None, timeout=None) -> subprocess.CompletedProcess:
     """Run `python *args` in a fresh interpreter on the same qcat the tests
-    import.
+    import.  Only tests whose subject is a process use it: two runs that must
+    agree across processes, the exit path of `python -m qcat.cli`, a run
+    under an address-space limit or a BLAS environment, what an import
+    loads, and runs that need a timeout.
 
     QCAT_ROOT goes first on the child's PYTHONPATH, ahead of any inherited
     entries, so a relative `PYTHONPATH=src` still finds the package when
@@ -34,21 +42,40 @@ def run_python(args, cwd=None, timeout=None) -> subprocess.CompletedProcess:
                           timeout=timeout)
 
 
-def child_peak_mib(code: str) -> float:
-    """Run ``code`` in a fresh interpreter (:func:`run_python`) and return its
-    peak resident set in MiB.  The peak is the child's VmHWM: its ru_maxrss
-    can carry the peak of the process that spawned it."""
-    proc = run_python(["-c", code + (
-        "\nwith open('/proc/self/status', encoding='ascii') as f:\n"
-        "    print(next(int(line.split()[1]) for line in f if line.startswith('VmHWM:')) / 1024)\n"
-    )])
-    assert proc.returncode == 0, proc.stderr
-    return float(proc.stdout.split()[-1])
+def run_cli(args) -> subprocess.CompletedProcess:
+    """Run ``qcat.cli.main(args)`` in this interpreter and return what
+    `python -m qcat.cli *args` would: its exit code (argparse's usage errors
+    leave by ``SystemExit``) and the stdout and stderr it wrote, with each
+    warning it raised written to stderr as the interpreter would print it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line))
+    return subprocess.CompletedProcess(["qcat", *args], code, out.getvalue(), err.getvalue())
 
 
-def run_cli(args, cwd=None, timeout=None) -> subprocess.CompletedProcess:
-    """Run `python -m qcat.cli *args` through :func:`run_python`."""
-    return run_python(["-m", "qcat.cli", *args], cwd, timeout)
+class TracedPeak:
+    """``with TracedPeak() as peak:`` sets ``peak.mib`` to the tracemalloc
+    peak of the block, in MiB above what was traced on entry; numpy reports
+    its array buffers, so this holds on every platform.  Tracing on before
+    the block (``-X tracemalloc``) stays on."""
+
+    def __enter__(self) -> TracedPeak:
+        self._was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        self._base = tracemalloc.get_traced_memory()[0]
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.mib = (tracemalloc.get_traced_memory()[1] - self._base) / 2 ** 20
+        if not self._was_tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

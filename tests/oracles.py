@@ -157,7 +157,8 @@ def kernel_quadrature_oracle(m, g: GaussianState, x, h: float,
         wy = 0.5 * (y_hi - y_lo) * ws
         xi = xi_half * xs
         wxi = xi_half * ws
-        # fhat(xi_j) = (1/h) sum_i wy_i exp(-2*i*pi*y_i*xi_j/h) g(y_i); the two
+        # fhat(xi_j) = (1/h) sum_i wy_i exp(-2*i*pi*y_i*xi_j/h) g(y_i), summed by
+        # einsum, not by BLAS, whose bits move with its thread count; the two
         # block buffers are reused, as fresh ones would be page-faulted anew.
         wg = wy * gaussian_eval(g, y)
         cols = max(1, _PHASE_BLOCK // y.size)
@@ -168,7 +169,7 @@ def kernel_quadrature_oracle(m, g: GaussianState, x, h: float,
             np.multiply.outer(y, xi[j:j + w], out=arg[:, :w])
             p = np.multiply(-2j * math.pi, arg[:, :w], out=phase[:, :w])
             p /= h
-            fhat[j:j + w] = wg @ np.exp(p, out=p)
+            fhat[j:j + w] = np.einsum("i,ij->j", wg, np.exp(p, out=p))
         fhat /= h
         s = (c * xc * xc + 2.0 * xc * xi - b * xi * xi) / (2.0 * a)
         est = a ** -0.5 * np.sum(wxi * np.exp(2j * math.pi * s / h) * fhat, axis=1)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import comb_state, random_gaussian_state, random_hyperbolic, random_shear_product, run_cli
+from conftest import comb_state, random_gaussian_state, random_hyperbolic, random_shear_product, run_python
 from oracles import (
     PlaneTranslation,
     check_pointwise_approx,
@@ -288,7 +288,8 @@ def test_a10_thread_determinism(tmp_path: Path):
     outputs = []
     for extra in ([], ["--threads", "1"]):
         out = tmp_path / f"run{len(outputs)}"
-        proc = run_cli(["theorem", "--config", str(cfg_path), "--out", str(out), *extra], tmp_path)
+        proc = run_python(["-m", "qcat.cli", "theorem", "--config", str(cfg_path), "--out", str(out),
+                           *extra], tmp_path)
         assert proc.returncode == 0, proc.stderr
         outputs.append([(out / name).read_bytes() for name in ("theorem.csv", "manifest.json")])
     elapsed = time.time() - t0

@@ -1,15 +1,13 @@
 from __future__ import annotations
 
 import math
-import sys
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import child_peak_mib, orbit_turns
+from conftest import TracedPeak, orbit_turns
 from oracles import InterferenceObservable, band_distance, gaussian_damping
 from qcat import birkhoff
 from qcat.classical import (Sl2IntMatrix, TorusPoint, ehrenfest_time, seeded_points, spectral_data,
@@ -199,18 +197,12 @@ def test_support_half_width_cap():
     # At N = 256, n = 30 the certified K is about 7.7e11, past the 5e7 cap:
     # the sum raises before it forms any array.
     _, _, state, target = _live_case(_CAT, 256, 30, 0.4137)
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        with pytest.raises(TruncationOverflowError,
-                           match=r"^certified radius \d+ is above the cap 50000000$"):
-            damped_birkhoff_sum(state, target)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 1.0
-    assert peak < 2 ** 20
+    start = time.perf_counter()
+    with TracedPeak() as peak, pytest.raises(TruncationOverflowError,
+                                             match=r"^certified radius \d+ is above the cap 50000000$"):
+        damped_birkhoff_sum(state, target)
+    assert time.perf_counter() - start < 1.0
+    assert peak.mib < 1.0
 
 
 def _skew(obs):
@@ -428,13 +420,9 @@ def test_damped_sum_memory(cat, n_dim, n):
     # the window) until the end at 11.7 and 26.8 MiB.  Summed block by block
     # it holds one block.
     _, _, state, target = _live_case(cat, n_dim, n, 0.4137)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as peak:
         damped_birkhoff_sum(state, target)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    assert peak.mib < 2.0
 
 
 def test_observable_invariants(cat, rng):
@@ -529,19 +517,13 @@ def test_theorem_rhs_huge_n_fails_typed(cat, n):
         theorem_rhs(cat, n, 1.0 / 16, TorusPoint(0.3, 0.7), TorusPoint(0.6, 0.2))
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
-def test_theorem_rhs_long_time_memory_is_blocked():
+def test_theorem_rhs_long_time_memory_is_blocked(cat):
     # The cat map at N = 256, n = 17, a damping window of 4.3e6 terms: the
-    # block-by-block sum peaks near 30 MiB, interpreter included; one that
-    # kept every live term peaked near 100 MiB, and one that forms
-    # whole-window arrays peaks above 300 MiB.
-    code = (
-        "from qcat.birkhoff import theorem_rhs\n"
-        "from qcat.classical import Sl2IntMatrix, TorusPoint\n"
-        "theorem_rhs(Sl2IntMatrix(2, 1, 1, 1), 17, 1.0 / 256,\n"
-        "            TorusPoint(0.3, 0.7), TorusPoint(0.6, 0.2))\n"
-    )
-    assert child_peak_mib(code) < 160.0
+    # block-by-block sum peaks near 0.9 MiB; one that kept every live term
+    # peaked near 70 MiB, and one that forms whole-window arrays near 340 MiB.
+    with TracedPeak() as peak:
+        theorem_rhs(cat, 17, 1.0 / 256, TorusPoint(0.3, 0.7), TorusPoint(0.6, 0.2))
+    assert peak.mib < 8.0
 
 
 def test_theorem_rhs_origin_pair(cat):

@@ -511,20 +511,20 @@ def test_format_cell_round_trip():
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"bogus": 1}', encoding="utf-8")
-    proc = run_cli(["unitarity", "--config", str(bad), "--out", str(tmp_path / "o")], tmp_path)
+    proc = run_cli(["unitarity", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert proc.returncode == 2
     boolean = write_config(tmp_path, seed=True)
-    proc = run_cli(["unitarity", "--config", str(boolean), "--out", str(tmp_path / "o")], tmp_path)
+    proc = run_cli(["unitarity", "--config", str(boolean), "--out", str(tmp_path / "o")])
     assert proc.returncode == 2 and "config key 'seed'" in proc.stderr
     # json.loads parses Infinity, -Infinity and NaN; none is a config number.
     for key, value in (("n_values", [math.inf]), ("n_values", [-math.inf]),
                        ("points", [[math.nan, 0.5], [0.1, 0.2]])):
         nonfinite = write_config(tmp_path, n_mode="ehrenfest-multiples", **{key: value})
-        proc = run_cli(["theorem", "--config", str(nonfinite), "--out", str(tmp_path / "o")], tmp_path)
+        proc = run_cli(["theorem", "--config", str(nonfinite), "--out", str(tmp_path / "o")])
         assert proc.returncode == 2 and f"config key '{key}'" in proc.stderr, proc.stderr
     good = write_config(tmp_path, N_values=[2])
     proc = run_cli(["unitarity", "--config", str(good), "--out", str(tmp_path / "ok"),
-                    "--verbose"], tmp_path)
+                    "--verbose"])
     assert proc.returncode == 0, proc.stderr
     assert "[qcat]" in proc.stderr
     assert (tmp_path / "ok" / "unitarity.csv").exists()
@@ -532,14 +532,20 @@ def test_cli_exit_codes(tmp_path):
     # is argparse's usage error.
     for threads in ("0", "2"):
         proc = run_cli(["unitarity", "--config", str(good), "--out", str(tmp_path / "t"),
-                        "--threads", threads], tmp_path)
+                        "--threads", threads])
         assert proc.returncode == 2 and "threads" in proc.stderr
         assert not (tmp_path / "t").exists()
     # I/O failure: the output path collides with an existing file.
     blocker = tmp_path / "blocked"
     blocker.write_text("not a directory", encoding="utf-8")
-    proc = run_cli(["unitarity", "--config", str(good), "--out", str(blocker)], tmp_path)
+    proc = run_cli(["unitarity", "--config", str(good), "--out", str(blocker)])
     assert proc.returncode == 4
+    # `python -m qcat.cli` runs main() through run(), which hands its code to
+    # sys.exit after gc.freeze(): one run that succeeds and one that fails.
+    for config, code in ((good, 0), (bad, 2)):
+        proc = run_python(["-m", "qcat.cli", "unitarity", "--config", str(config),
+                           "--out", str(tmp_path / "walk")], tmp_path)
+        assert proc.returncode == code, proc.stderr
 
 
 def test_odd_point_list_is_a_config_error(tmp_path):
@@ -547,7 +553,7 @@ def test_odd_point_list_is_a_config_error(tmp_path):
     odd = write_config(tmp_path, points=[[0.3, 0.4], [0.1, 0.8], [0.6, 0.2]])
     with pytest.raises(ConfigError, match="3 points"):
         load_config(odd).resolved_pairs(5)
-    proc = run_cli(["theorem", "--config", str(odd), "--out", str(tmp_path / "odd")], tmp_path)
+    proc = run_cli(["theorem", "--config", str(odd), "--out", str(tmp_path / "odd")])
     assert proc.returncode == 2 and "3 points" in proc.stderr, proc.stderr
     assert not (tmp_path / "odd" / "theorem.csv").exists()
     # Point-wise experiments take any count; an even list still pairs up.
@@ -556,23 +562,26 @@ def test_odd_point_list_is_a_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "experiment, n_mode, n_value, code",
-    [("theorem", "absolute", 400, 3), ("bands", "absolute", 400, 3),
-     ("egorov", "absolute", 400, 3), ("egorov", "absolute", 360, 3),
-     ("egorov", "absolute", 20_000_000, 3), ("theorem", "absolute", 20_000_000, 3),
-     ("theorem", "ehrenfest-multiples", 1e308, 2)],
+    "experiment, n_mode, n_value, code, timeout",
+    [("theorem", "absolute", 400, 3, None), ("bands", "absolute", 400, 3, None),
+     ("egorov", "absolute", 400, 3, None), ("egorov", "absolute", 360, 3, 30),
+     ("egorov", "absolute", 20_000_000, 3, 30), ("theorem", "absolute", 20_000_000, 3, 30),
+     ("theorem", "ehrenfest-multiples", 1e308, 2, None)],
     ids=["theorem-400", "bands-400", "egorov-400", "egorov-360", "egorov-2e7", "theorem-2e7",
          "theorem-1e308-te"],
 )
-def test_cli_very_large_times_fail_typed(tmp_path, experiment, n_mode, n_value, code):
+def test_cli_very_large_times_fail_typed(tmp_path, experiment, n_mode, n_value, code, timeout):
     # At n = 400 the propagated packet leaves the float range; at n = 360 the
     # periodized samples of egorov would span 4e150 periods; 1e308 Ehrenfest
     # times is a time past the float range.  Each is one typed line.  At
     # n = 2e7 egorov formed the exact power M^n before propagating, and was
     # still running after 100 s; propagation now refuses it first.
     cfg = write_config(tmp_path, N_values=[16], n_mode=n_mode, n_values=[n_value])
-    proc = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")], tmp_path,
-                   timeout=30)
+    args = [experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    # A lost guard loops at n = 360 (egorov without its sample cap ran past
+    # 20 s) and n = 2e7, so those run in a process that the timeout kills.
+    proc = (run_python(["-m", "qcat.cli", *args], tmp_path, timeout=timeout) if timeout
+            else run_cli(args))
     assert proc.returncode == code, proc.stderr
     prefix = "numerical failure: " if code == 3 else "config error: "
     assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
@@ -605,7 +614,7 @@ def test_cli_out_of_range_config_integers_exit_2(tmp_path, experiment, payload):
     # UTF-8.  Each ended in a traceback (exit 1); each is one config error line.
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(payload)
-    proc = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+    proc = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
@@ -677,6 +686,6 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     # decay form lose negative definiteness (NumericalToleranceError from
     # torus.OverlapForm.envelope); the CLI maps it to exit 3.
     cfg = write_config(tmp_path, N_values=[16], n_mode="absolute", n_values=[40])
-    proc = run_cli(["theorem", "--config", str(cfg), "--out", str(tmp_path / "boom")], tmp_path)
+    proc = run_cli(["theorem", "--config", str(cfg), "--out", str(tmp_path / "boom")])
     assert proc.returncode == 3
     assert "numerical failure" in proc.stderr

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import TracedPeak
 from oracles import (QuadratureNonConvergenceError, ZeroACoefficientError, kernel_quadrature_oracle,
                      overlap_quadrature, tanh_sinh)
 from qcat.classical import FlowCoefficients, spectral_data
@@ -70,15 +70,9 @@ def test_kernel_oracle_memory_without_convergence(cat):
     # tol = 0 never converges, so every level up to 8 (1997 nodes) is formed:
     # one whole 1997 x 1997 phase matrix per level peaked at 137 MiB.
     h = 1.0 / 8.0
-    tracemalloc.start()
-    try:
-        with pytest.raises(QuadratureNonConvergenceError):
-            kernel_quadrature_oracle(cat, wavepacket(0.0, 0.0, h), (0.0, 0.35), h,
-                                     tol=0.0, max_level=8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    with TracedPeak() as peak, pytest.raises(QuadratureNonConvergenceError):
+        kernel_quadrature_oracle(cat, wavepacket(0.0, 0.0, h), (0.0, 0.35), h, tol=0.0, max_level=8)
+    assert peak.mib < 32.0
 
 
 def test_overlap_quadrature_far_momentum():

@@ -3,14 +3,13 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import sys
 import time
 
 import numpy as np
 import pytest
 
 import qcat.torus
-from conftest import (child_peak_mib, comb_propagator_matrix, comb_state, dense_at_box_points,
+from conftest import (TracedPeak, comb_propagator_matrix, comb_state, dense_at_box_points,
                       dense_comb_gram_min_eig, scan_radius)
 from oracles import (PlaneTranslation, TorusState, gaussian_overlap, lagrangian_eval, overlap_quadrature,
                      pair_from_coefficients, pinned_propagator_matrix, torus_coefficients, translate)
@@ -593,48 +592,34 @@ def test_periodized_samples_blocks_keep_the_bits(cat, monkeypatch):
         assert np.array_equal(got.view(np.float64), whole.view(np.float64)), blocks
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_periodized_samples_memory_is_one_block():
-    # About 2.3e6 samples in a fresh interpreter: the whole long-double grid
-    # would take about 105 bytes a sample (peak near 240 MiB); blocks of 2^18
-    # samples keep the peak near 55 MiB.
-    code = (
-        "import math\n"
-        "from qcat.metaplectic import GaussianState\n"
-        "from qcat.torus import periodized_samples\n"
-        "N = 64\n"
-        "half = (1 << 21) / (2 * N)\n"
-        "im = math.log(1e16) / (N * math.pi * (half - 1.0) ** 2)\n"
-        "v = periodized_samples(GaussianState(1.0, complex(0.1, im), 0.3, 0.4, 1.0 / N))\n"
-        "assert v.shape == (N,)\n"
-    )
-    assert child_peak_mib(code) < 100.0
+    # About 2.3e6 samples: the whole long-double grid peaked near 207 MiB;
+    # blocks of 2^18 samples keep the peak near 24 MiB.
+    n_dim = 64
+    half = (1 << 21) / (2 * n_dim)
+    im = math.log(1e16) / (n_dim * math.pi * (half - 1.0) ** 2)
+    with TracedPeak() as peak:
+        v = periodized_samples(GaussianState(1.0, complex(0.1, im), 0.3, 0.4, 1.0 / n_dim))
+    assert v.shape == (n_dim,)
+    assert peak.mib < 48.0
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
-def test_propagator_build_memory_is_one_matrix():
-    # The cat map at N = 2048: the in-place build holds one 64 MiB matrix and
-    # peaks near 94 MiB; a build that allocates a new matrix per step peaks
-    # near 286 MiB.
-    code = (
-        "from qcat.classical import Sl2IntMatrix\n"
-        "from qcat.torus import build_propagator_matrix\n"
-        "build_propagator_matrix(Sl2IntMatrix(2, 1, 1, 1), 2048)\n"
-    )
-    assert child_peak_mib(code) < 160.0
+def test_propagator_build_memory_is_one_matrix(cat):
+    # The cat map at N = 2048: the in-place build holds one 64 MiB matrix; a
+    # build that allocated a new matrix per step peaked near 192 MiB.
+    with TracedPeak() as peak:
+        build_propagator_matrix(cat, 2048)
+    assert peak.mib < 96.0
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_unitarity_memory_is_one_gram_block():
     # run_unitarity at N = 2048 forms its Gram matrix in row blocks of at
-    # most 16 MiB and peaks near 144 MiB; the whole Gram matrix peaked near
-    # 227 MiB.
-    code = (
-        "from qcat.harness import ExperimentConfig, run_unitarity\n"
-        "run_unitarity(ExperimentConfig(matrix=(2, 1, 1, 1), N_values=(2048,), n_mode='absolute',\n"
-        "                               n_values=(1,), points=(), grid_resolution=64, seed=1))\n"
-    )
-    assert child_peak_mib(code) < 160.0
+    # most 16 MiB and peaks near 112 MiB; the whole Gram matrix peaked near
+    # 192 MiB.
+    with TracedPeak() as peak:
+        run_unitarity(ExperimentConfig(matrix=(2, 1, 1, 1), N_values=(2048,), n_mode="absolute",
+                                       n_values=(1,), points=(), grid_resolution=64, seed=1))
+    assert peak.mib < 144.0
 
 
 def test_periodized_samples_read_n_from_h():
